@@ -40,6 +40,7 @@ from .glm import (
     GlmQuadratic,
     alpha_M_dispersion,
     alpha_dot_glm,
+    clip_alpha,
     estimate_noise_glm,
     fit_glm_loss_mixed,
     fit_glm_semisupervised,

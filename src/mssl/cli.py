@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from ._blas import single_blas_thread
 from .asymptotics import AsymptoticSetting, finite_m_limits, interp_limits, ols_limits
 from .errors import DataValidationError, MsslError
 from .io import read_labeled_csv, read_pool_binary, read_pool_csv
@@ -74,7 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-grid", help="comma-separated values")
     sim.add_argument("--pool-size", type=int, default=None)
     sim.add_argument("--estimators", help="comma-separated estimator names")
-    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sim.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="replication worker threads (not BLAS threads)",
+    )
 
     lim = sub.add_parser("limits", help="closed-form asymptotic limits as JSON")
     lim.add_argument("--mode", required=True, choices=["ols", "interp", "finite_m"])
@@ -212,14 +216,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "fit":
-            return _cmd_fit(args, diagnose_only=False)
-        if args.verb == "diagnose":
-            return _cmd_fit(args, diagnose_only=True)
-        if args.verb == "simulate":
-            return _cmd_simulate(args)
-        if args.verb == "limits":
-            return _cmd_limits(args)
+        with single_blas_thread():
+            if args.verb == "fit":
+                return _cmd_fit(args, diagnose_only=False)
+            if args.verb == "diagnose":
+                return _cmd_fit(args, diagnose_only=True)
+            if args.verb == "simulate":
+                return _cmd_simulate(args)
+            if args.verb == "limits":
+                return _cmd_limits(args)
     except MsslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

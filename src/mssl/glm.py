@@ -18,6 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     LabeledSet,
+    PopulationMoments,
     ResampleSpec,
     UnlabeledPool,
     build_moments,
@@ -44,6 +45,7 @@ __all__ = [
     "glm_risk_terms",
     "estimate_noise_glm",
     "alpha_dot_glm",
+    "clip_alpha",
     "r_dot_glm_curve",
     "grid_search_alpha_ddot_glm",
     "v_M_terms",
@@ -271,7 +273,8 @@ class GlmPoolStats:
     Collects the v-terms of the quadratic risk expansion, the bias factor,
     the trace appearing in the noise-estimator denominator, the dispersion
     variant's v-terms, and (optionally) the loss-mixed risk curve over a
-    mixing-ratio grid.
+    mixing-ratio grid.  A caller that already holds ``build_moments(pool, n)``
+    passes it as ``moments`` so the pool moments are not computed twice.
     """
 
     def __init__(
@@ -282,10 +285,14 @@ class GlmPoolStats:
         beta_eval: np.ndarray,
         spec: ResampleSpec | None = None,
         alphas=None,
+        moments: PopulationMoments | None = None,
     ):
         if n <= pool.p:
             raise RegimeError(f"need n > p, got n={n}, p={pool.p}")
-        moments = build_moments(pool, n)
+        if moments is None:
+            moments = build_moments(pool, n)
+        elif moments.n != n:
+            raise DataValidationError(f"moments were built for n={moments.n}, not n={n}")
         pool = moments.pool
         spec = spec if spec is not None else ResampleSpec(n, _DEFAULT_BLOCKS, 0)
         if spec.block_size != n:
@@ -475,6 +482,15 @@ def alpha_dot_glm(
     alpha = sigma2 * (v_l_g - v_s_g) / denom
     r_min = sigma2 * v_l_g - sigma2**2 * (v_l_g - v_s_g) ** 2 / denom
     return float(alpha), float(r_min)
+
+
+def clip_alpha(alpha: float) -> float:
+    """Clip a formula mixing ratio to [0, 1].
+
+    ``alpha_dot_glm`` can leave the unit interval when the plug-in terms are
+    noisy; a blend outside it extrapolates instead of mixing.
+    """
+    return min(max(alpha, 0.0), 1.0)
 
 
 def r_dot_glm_curve(

@@ -15,6 +15,7 @@ from .errors import DataValidationError, RegimeError
 from .glm import (
     GlmPoolStats,
     alpha_dot_glm,
+    clip_alpha,
     fit_glm_loss_mixed,
     fit_glm_semisupervised,
     fit_glm_supervised,
@@ -142,7 +143,7 @@ def fit_glm_pipeline(
     alphas = np.linspace(0.0, 1.0, grid_size) if alpha_policy == "grid" else None
     stats = GlmPoolStats(
         pool_c, data.n, link, rep_breve.beta,
-        ResampleSpec(data.n, blocks, seed), alphas=alphas,
+        ResampleSpec(data.n, blocks, seed), alphas=alphas, moments=moments,
     )
     denom = stats.sigma2_denominator()
     if denom <= 0:
@@ -156,7 +157,7 @@ def fit_glm_pipeline(
     if alpha_policy == "grid":
         alpha_tilde = stats.ddot_curve(sigma2_hat).argmin_alpha
 
-    alpha, source = _resolve_alpha(alpha_policy, min(alpha_hat, 1.0), alpha_tilde)
+    alpha, source = _resolve_alpha(alpha_policy, clip_alpha(alpha_hat), alpha_tilde)
     rep_mix = fit_glm_loss_mixed(data_c, pool_c, link, alpha)
     diags = MixDiagnostics(
         v_l=stats.v_l_g,

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
+from ._blas import single_blas_thread
 from .core import (
     LabeledSet,
     ResampleSpec,
@@ -28,7 +29,7 @@ from .core import (
     seeded_rng,
 )
 from .errors import DataValidationError, MsslError
-from .glm import GlmPoolStats, GlmProblem, _newton, alpha_dot_glm
+from .glm import GlmPoolStats, GlmProblem, _newton, alpha_dot_glm, clip_alpha
 from .interp import alpha_star_interp, interp_risk_terms, pool_sampler
 from .links import LinkSpec, elu_link
 from .ols import DdotRiskModel, OlsPoolModel, alpha_star_ols, mix_linear
@@ -219,7 +220,9 @@ def summarize_pairwise(diffs) -> PairSummary:
             return PairSummary(mean=0.0, se=0.0, t=0.0, p=1.0)
         return PairSummary(mean=mean, se=0.0, t=math.copysign(math.inf, mean), p=0.0)
     t = mean / se
-    p = float(2.0 * student_t.sf(abs(t), d.size - 1))
+    # stdtr(df, -|t|) is the upper tail scipy.stats.t.sf computes, without
+    # the start-up cost of importing scipy.stats
+    p = float(2.0 * stdtr(d.size - 1, -abs(t)))
     return PairSummary(mean=mean, se=se, t=float(t), p=p)
 
 
@@ -678,8 +681,7 @@ def _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit):
     Z = rng.standard_normal((m_fit, p)) @ chol.T
     X = rng.standard_normal((n, p)) @ chol.T
     Y = link.g(X @ beta_true) + math.sqrt(sigma2) * rng.standard_normal(n)
-    pool = build_moments(UnlabeledPool(Z), n).pool
-    return LabeledSet(X, Y), pool
+    return LabeledSet(X, Y), build_moments(UnlabeledPool(Z), n)
 
 
 def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
@@ -710,13 +712,14 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
     }
 
     for gi, sigma2 in enumerate(sigma2s):
-        alpha_dot = min(alpha_dot_glm(sigma2, oq.B_g_hat, oq.v_l_g, oq.v_u_g, oq.v_s_g)[0], 1.0)
+        alpha_dot = clip_alpha(alpha_dot_glm(sigma2, oq.B_g_hat, oq.v_l_g, oq.v_u_g, oq.v_s_g)[0])
         alpha_ddot = oracle_stats.ddot_curve(sigma2).argmin_alpha
         extras["alpha_dot_oracle"][sigma2] = alpha_dot
         extras["alpha_ddot_oracle"][sigma2] = alpha_ddot
 
         def rep(k: int, sigma2=sigma2, alpha_dot=alpha_dot, alpha_ddot=alpha_ddot, gi=gi):
-            data, pool = _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit)
+            data, moments = _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit)
+            pool = moments.pool
             prob = GlmProblem(data, pool, link)
             start = prob.ols_start()
             rep_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start)
@@ -726,16 +729,15 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
             stats = GlmPoolStats(
                 pool, n, link, beta_breve,
                 ResampleSpec(n, cfg.rep_blocks, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
-                alphas=alphas,
+                alphas=alphas, moments=moments,
             )
             denom = stats.sigma2_denominator()
             if denom <= 0:
                 raise DataValidationError("nonpositive noise denominator")
             resid = link.g(data.X @ beta_hat) - data.Y
             sigma2_hat = max(float(resid @ resid) / denom, 0.0)
-            alpha_hat = min(
-                alpha_dot_glm(sigma2_hat, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g)[0],
-                1.0,
+            alpha_hat = clip_alpha(
+                alpha_dot_glm(sigma2_hat, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g)[0]
             )
             alpha_tilde = stats.ddot_curve(sigma2_hat).argmin_alpha
 
@@ -791,12 +793,12 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         alphas=alphas,
     )
     oq = oracle_stats.quadratic()
-    alpha_dot = min(alpha_dot_glm(sigma2, oq.B_g_hat, oq.v_l_g, oq.v_u_g, oq.v_s_g)[0], 1.0)
+    alpha_dot = clip_alpha(alpha_dot_glm(sigma2, oq.B_g_hat, oq.v_l_g, oq.v_u_g, oq.v_s_g)[0])
     alpha_ddot = oracle_stats.ddot_curve(sigma2).argmin_alpha
 
     def rep(k: int):
-        data, pool = _glm_rep_draw(cfg, 0, k, n, p, chol, beta_true, link, sigma2, m_fit)
-        prob = GlmProblem(data, pool, link)
+        data, moments = _glm_rep_draw(cfg, 0, k, n, p, chol, beta_true, link, sigma2, m_fit)
+        prob = GlmProblem(data, moments.pool, link)
         start = prob.ols_start()
         beta_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start).beta
         beta_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start).beta
@@ -1018,12 +1020,17 @@ def preset_names() -> tuple[str, ...]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run a preset described by the config; fully reproducible from its seed."""
+    """Run a preset described by the config; fully reproducible from its seed.
+
+    The run uses one BLAS thread unless OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set; the previous thread counts are restored after.
+    """
     if cfg.preset not in PRESETS:
         raise DataValidationError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(PRESETS)}"
         )
-    return PRESETS[cfg.preset](cfg)
+    with single_blas_thread():
+        return PRESETS[cfg.preset](cfg)
 
 
 def write_result_csv(result: ExperimentResult, out_dir) -> tuple[Path, Path]:

@@ -104,6 +104,24 @@ def test_fit_glm_elu(ols_files, capsys):
     assert payload["converged"] is True
 
 
+def test_fit_glm_negative_formula_ratio_is_clipped(ols_files, capsys, monkeypatch):
+    # a negative plug-in ratio used to reach the loss-mixed fit and exit 2
+    import mssl.pipelines
+
+    labeled, pool = ols_files
+    args = ["fit", "--labeled", str(labeled), "--pool", str(pool),
+            "--model", "glm", "--link", "elu", "--blocks", "60"]
+    assert main(args + ["--alpha", "0"]) == 0
+    supervised = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(mssl.pipelines, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
+    assert main(args + ["--alpha", "auto"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _schema("fit_output.schema.json"))
+    assert payload["alpha"] == 0.0
+    assert payload["diagnostics"]["alpha_hat"] == -0.25
+    assert payload["coefficients"] == supervised["coefficients"]
+
+
 def test_fit_interp(interp_files, capsys):
     labeled, pool = interp_files
     code = main(["fit", "--labeled", str(labeled), "--pool", str(pool),

@@ -12,6 +12,7 @@ from mssl import (
     alpha_M_dispersion,
     alpha_dot_glm,
     build_moments,
+    clip_alpha,
     custom_link,
     elu_link,
     estimate_noise_glm,
@@ -290,6 +291,14 @@ def test_alpha_dot_requires_positive_curvature():
         alpha_dot_glm(1.0, 1.0, 1.0, 1.0, 1.5)
 
 
+def test_alpha_dot_can_leave_unit_interval_and_clip_maps_it_back():
+    alpha, _ = alpha_dot_glm(1.0, 1.0, 1.0, 3.0, 1.5)
+    assert alpha == pytest.approx(-0.25)
+    assert clip_alpha(alpha) == 0.0
+    assert clip_alpha(1.3) == 1.0
+    assert clip_alpha(0.4) == 0.4
+
+
 def test_curve_endpoints_and_minimum_identity():
     sigma2, B, v_l, v_u, v_s = 2.0, 1.5, 3.0, 1.0, 0.8
     assert r_dot_glm_curve(0.0, sigma2, B, v_l, v_u, v_s) == pytest.approx(sigma2 * v_l)
@@ -394,3 +403,23 @@ def test_curvature_condition_on_elu_pool():
     q = glm_risk_terms(pool, n, elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9))
     assert q.v_l_g + q.v_u_g - 2 * q.v_s_g > 0
     assert q.v_l_g > q.v_u_g
+
+
+def test_pool_stats_reuse_caller_moments_bit_identically():
+    from mssl.glm import GlmPoolStats
+
+    rng = seeded_rng(31)
+    n, p = 40, 6
+    moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) + 1.0), n)
+    beta = np.full(p, 0.5)
+    spec = ResampleSpec(n, 30, 2)
+    alphas = np.linspace(0.0, 1.0, 5)
+    own = GlmPoolStats(moments.pool, n, elu_link(), beta, spec, alphas=alphas)
+    shared = GlmPoolStats(moments.pool, n, elu_link(), beta, spec, alphas=alphas,
+                          moments=moments)
+    for name in ("v_l_g", "v_u_g", "v_s_g", "B_g_hat", "trace_sigma", "v_l_M", "v_u_M"):
+        assert getattr(shared, name) == getattr(own, name), name
+    assert np.array_equal(shared.ddot_curve(2.0).r_hat, own.ddot_curve(2.0).r_hat)
+    with pytest.raises(DataValidationError):
+        GlmPoolStats(moments.pool, n + 1, elu_link(), beta, ResampleSpec(n + 1, 30, 2),
+                     moments=moments)

@@ -276,6 +276,28 @@ def test_glm_elu_smoke():
     assert 0.0 < res.extras["alpha_dot_oracle"][9.0] <= 1.0
 
 
+def test_glm_elu_negative_formula_ratio_is_clipped(monkeypatch):
+    # with the ratio clipped to 0 the linear mixes equal the supervised fit
+    import mssl.simulate
+
+    monkeypatch.setattr(mssl.simulate, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
+    cfg = ExperimentConfig(
+        preset="glm_elu",
+        k=4,
+        seed=11,
+        sigma2_grid=(9.0,),
+        pool_size=400,
+        resample_blocks=30,
+        rep_blocks=20,
+        estimators=("supervised", "linear_mixed_est", "linear_mixed_opt"),
+    )
+    res = run_experiment(cfg)
+    assert res.extras["alpha_dot_oracle"][9.0] == 0.0
+    errors = {r.estimator: r.mean_error for r in res.rows}
+    assert errors["linear_mixed_est"] == errors["supervised"]
+    assert errors["linear_mixed_opt"] == errors["supervised"]
+
+
 def test_interp_fixed_smoke():
     cfg = ExperimentConfig(
         preset="interp_fixed",
