@@ -22,7 +22,6 @@ from .core import (
     build_moments,
     center_pool,
     resample_block,
-    resample_blocks,
     seeded_rng,
 )
 from .errors import (

@@ -10,7 +10,6 @@ and every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -24,9 +23,16 @@ __all__ = [
     "center_pool",
     "build_moments",
     "resample_block",
-    "resample_blocks",
     "seeded_rng",
 ]
+
+# Condition number beyond which a matrix is treated as singular (float64).
+COND_LIMIT = 1e12
+
+# Resampling passes: the default number of blocks, and the share of blocks
+# that may be skipped as singular before a pass gives up.
+_DEFAULT_BLOCKS = 200
+_SKIP_BUDGET = 0.10
 
 # Stream tags keep independently-consumed RNG streams from colliding when
 # they are derived from one user-facing seed.
@@ -180,12 +186,3 @@ def resample_block(pool: UnlabeledPool, spec: ResampleSpec, index: int) -> np.nd
     idx = rng.choice(pool.m, size=spec.block_size, replace=False)
     return pool.Z[idx]
 
-
-def resample_blocks(pool: UnlabeledPool, spec: ResampleSpec) -> Iterator[np.ndarray]:
-    """Yield spec.replications blocks, each drawn without replacement."""
-    if spec.block_size > pool.m:
-        raise DataValidationError(
-            f"block_size {spec.block_size} exceeds pool size {pool.m}"
-        )
-    for i in range(spec.replications):
-        yield resample_block(pool, spec, i)

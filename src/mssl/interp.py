@@ -11,7 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import LabeledSet, ResampleSpec, UnlabeledPool, seeded_rng
+from .core import (
+    COND_LIMIT,
+    _SKIP_BUDGET,
+    LabeledSet,
+    ResampleSpec,
+    UnlabeledPool,
+    seeded_rng,
+)
 from .errors import (
     DataValidationError,
     RegimeError,
@@ -38,13 +45,10 @@ __all__ = [
     "pool_sampler",
 ]
 
-_COND_LIMIT = 1e12
-_SKIP_BUDGET = 0.10
-
 
 def _gram_factor(X: np.ndarray, what: str):
     Gn = X @ X.T
-    if np.linalg.cond(Gn) > _COND_LIMIT:
+    if np.linalg.cond(Gn) > COND_LIMIT:
         rank = int(np.linalg.matrix_rank(Gn))
         raise SingularMatrixError(f"{what} is singular (rank {rank})", rank=rank)
     return cho_factor(Gn, lower=True)
@@ -72,7 +76,7 @@ def fit_min_variance(data: LabeledSet, Sigma: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("Sigma must be positive definite") from exc
     A = cho_solve(sig_factor, data.X.T)  # Sigma^{-1} X^T, p x n
     inner = data.X @ A
-    if np.linalg.cond(inner) > _COND_LIMIT:
+    if np.linalg.cond(inner) > COND_LIMIT:
         raise SingularMatrixError("X Sigma^{-1} X^T is singular")
     return A @ cho_solve(cho_factor(inner, lower=True), data.Y)
 
@@ -134,7 +138,7 @@ def interp_risk_terms(
     for i in range(spec.replications):
         X = sampler(seeded_rng(spec.seed, 0x1D4A, i))
         Gn = X @ X.T
-        if np.linalg.cond(Gn) > _COND_LIMIT:
+        if np.linalg.cond(Gn) > COND_LIMIT:
             skipped += 1
             continue
         gf = cho_factor(Gn, lower=True)

@@ -16,6 +16,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .core import (
+    COND_LIMIT,
+    _DEFAULT_BLOCKS,
+    _SKIP_BUDGET,
     LabeledSet,
     PopulationMoments,
     ResampleSpec,
@@ -50,12 +53,6 @@ __all__ = [
     "grid_search_alpha_ddot",
     "alpha_star_finite_m",
 ]
-
-# Condition number beyond which a matrix is treated as singular (float64).
-COND_LIMIT = 1e12
-
-_DEFAULT_BLOCKS = 200
-_SKIP_BUDGET = 0.10
 
 
 def _spd_factor(A: np.ndarray, what: str):
@@ -387,28 +384,54 @@ def _xi(alpha, n: int):
     return 1.0 - (2.0 * alpha - alpha**2) / n
 
 
-def _ddot_block_pieces(Xb: np.ndarray, H: np.ndarray, n: int, alphas: np.ndarray):
-    """Per-alpha (Delta, variance trace) for one resampled block.
+def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """alpha + (1 - alpha) lam_k for every ratio (rows) and eigenvalue (columns).
 
-    Delta_alpha = S_alpha (X^T X - alpha n Xbar Xbar^T) - I and the variance
-    scalar tr(H S_alpha X^T X S_alpha), with
-    S_alpha = (alpha H + (1 - alpha) X^T X)^{-1}.
+    With V^T A V = I and V^T B V = diag(lam), the blend alpha A + (1 - alpha) B
+    equals V^{-T} diag(d) V^{-1}, so it is positive definite exactly when every
+    d is positive; otherwise this raises the LinAlgError a Cholesky factorization
+    of the blend would.
     """
-    p = Xb.shape[1]
-    G = Xb.T @ Xb
-    xbar = Xb.mean(axis=0)
-    C = n * np.outer(xbar, xbar)
-    eye = np.eye(p)
-    deltas = np.empty((alphas.size, p, p))
-    var_tr = np.empty(alphas.size)
-    for j, a in enumerate(alphas):
-        blend = a * H + (1.0 - a) * G
-        factor = cho_factor(blend, lower=True)
-        deltas[j] = cho_solve(factor, G - a * C) - eye
-        SH = cho_solve(factor, H)  # S H
-        SG = cho_solve(factor, G)  # S G
-        var_tr[j] = float(np.einsum("ij,ji->", SH, SG))
-    return deltas, var_tr
+    d = alphas[:, None] + (1.0 - alphas)[:, None] * lam[None, :]
+    if not np.all(d > 0.0):
+        raise np.linalg.LinAlgError("blend matrix is not positive definite")
+    return d
+
+
+def _cholesky_pair(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor L of H and its inverse, for a whole pass."""
+    L = np.tril(_spd_factor(H, "H")[0])
+    return L, solve_triangular(L, np.eye(H.shape[0]), lower=True)
+
+
+def _ddot_block(
+    G: np.ndarray,
+    xbar: np.ndarray,
+    L: np.ndarray,
+    L_inv: np.ndarray,
+    n: int,
+    alphas: np.ndarray,
+):
+    """Loss-mixed risk pieces of one block for every ratio, from one pencil solve.
+
+    eigh(L^{-1} G L^{-T}) = U diag(lam) U^T gives V = L^{-T} U with V^T H V = I
+    and V^T G V = diag(lam) (G = X^T X).  Then, with d = alpha + (1 - alpha) lam,
+    S_alpha = V diag(1/d) V^T, the variance trace tr(H S_alpha G S_alpha) is
+    sum_k lam_k / d_k^2, and Delta_alpha = S_alpha (G - alpha z z^T) - I equals
+    V M_alpha W with W = V^{-1} = U^T L^T, z = sqrt(n) Xbar and the diagonal plus
+    rank-one M_alpha = diag(e) - a u^T, where e = alpha (lam - 1) / d,
+    a = alpha u / d and u = V^T z.  Returns (W, z, e, a, var_tr); e, a and
+    var_tr carry one row per ratio.  Cost O(p^3 + A p) for A ratios.
+    """
+    lam, U = np.linalg.eigh(L_inv @ G @ L_inv.T)
+    z = math.sqrt(n) * xbar
+    u = U.T @ (L_inv @ z)
+    d = _blend_denominators(alphas, lam)
+    a_col = alphas[:, None]
+    e = a_col * (lam - 1.0) / d
+    a = a_col * u / d
+    var_tr = (1.0 / d**2) @ lam
+    return U.T @ L.T, z, e, a, var_tr
 
 
 def grid_search_alpha_ddot(
@@ -425,6 +448,11 @@ def grid_search_alpha_ddot(
     beta] at the plug-in beta and the variance term
     (sigma^2 xi_alpha / n) tr(H E_X[S_alpha X^T X S_alpha]) are averaged over
     resampled blocks; returns the curve with standard errors and its argmin.
+
+    Each block solves the pencil (X^T X, H) once (see ``_ddot_block``): the bias
+    at beta is ||e * (W beta) - a (z . beta)||^2 and the variance trace
+    sum_k lam_k / d_k^2, so a block costs O(p^3 + A p) for A ratios instead of
+    one factorization of the blend per ratio, O(A p^3).
     """
     alphas = np.asarray(grid, dtype=float)
     if alphas.size < 5 or alphas.min() < 0 or alphas.max() > 1:
@@ -433,23 +461,24 @@ def grid_search_alpha_ddot(
     moments = build_moments(pool, n)
     spec = spec if spec is not None else _default_spec(n)
     beta = np.asarray(beta_plugin, dtype=float)
-    H = moments.H
+    L, L_inv = _cholesky_pair(moments.H)
     xi = _xi(alphas, n)
 
     samples = []
     skipped = 0
     for i in range(spec.replications):
         Xb = resample_block(moments.pool, spec, i)
-        if np.linalg.cond(Xb.T @ Xb) > COND_LIMIT:
+        G = Xb.T @ Xb
+        if np.linalg.cond(G) > COND_LIMIT:
             skipped += 1
             continue
         try:
-            deltas, var_tr = _ddot_block_pieces(Xb, H, n, alphas)
+            W, z, e, a, var_tr = _ddot_block(G, Xb.mean(axis=0), L, L_inv, n, alphas)
         except np.linalg.LinAlgError:
             skipped += 1
             continue
-        v = deltas @ beta  # (A, p)
-        bias = np.einsum("ai,ij,aj->a", v, H, v)
+        m = e * (W @ beta) - a * (z @ beta)  # (A, p): M_alpha W beta
+        bias = np.sum(m * m, axis=1)
         samples.append((bias + sigma2_hat * xi * var_tr) / n)
 
     if skipped > _SKIP_BUDGET * spec.replications:
@@ -474,6 +503,16 @@ class DdotRiskModel:
     E_X[Delta_alpha^T H Delta_alpha] and variance trace so the curve can be
     re-evaluated for many plug-in coefficient vectors (one per Monte Carlo
     replication) at quadratic-form cost.
+
+    Each block solves the pencil (X^T X, H) once (see ``_ddot_block``), so
+    Delta_alpha^T H Delta_alpha = W^T M_alpha^T M_alpha W for every ratio, which
+    expands to sum_k e_k^2 w_k w_k^T - (r z^T + z r^T) + ||a||^2 z z^T with w_k
+    the rows of W and r = W^T (e * a).  Per block, the pencil solve costs
+    O(p^3), the variance traces O(A p) for A ratios, and the bias operators one
+    matrix product of the A rows of e^2 with the p outer products w_k w_k^T
+    (upper triangle only) plus O(A p^2) elementwise work.  Factoring the blend
+    per ratio cost one Cholesky and three p x p solves each, O(A p^3) in A
+    separate calls.
     """
 
     def __init__(
@@ -487,31 +526,40 @@ class DdotRiskModel:
         self.alphas = np.asarray(grid, dtype=float)
         moments = moments if moments is not None else build_moments(pool, n)
         spec = spec if spec is not None else _default_spec(n)
-        H = moments.H
+        L, L_inv = _cholesky_pair(moments.H)
         self.n = n
         self._xi = _xi(self.alphas, n)
-        Q = np.zeros((self.alphas.size, pool.p, pool.p))
+        iu, ju = np.triu_indices(pool.p)
+        Q_upper = np.zeros((self.alphas.size, iu.size))
         V = np.zeros(self.alphas.size)
         used = 0
         skipped = 0
         for i in range(spec.replications):
             Xb = resample_block(moments.pool, spec, i)
-            if np.linalg.cond(Xb.T @ Xb) > COND_LIMIT:
+            G = Xb.T @ Xb
+            if np.linalg.cond(G) > COND_LIMIT:
                 skipped += 1
                 continue
             try:
-                deltas, var_tr = _ddot_block_pieces(Xb, H, n, self.alphas)
+                W, z, e, a, var_tr = _ddot_block(
+                    G, Xb.mean(axis=0), L, L_inv, n, self.alphas
+                )
             except np.linalg.LinAlgError:
                 skipped += 1
                 continue
-            HD = np.einsum("ij,ajk->aik", H, deltas)
-            Q += np.einsum("aji,ajk->aik", deltas, HD)
+            r = (e * a) @ W
+            Q_upper += (e * e) @ (W[:, iu] * W[:, ju])
+            Q_upper += np.sum(a * a, axis=1)[:, None] * (z[iu] * z[ju])
+            Q_upper -= r[:, iu] * z[ju] + z[iu] * r[:, ju]
             V += var_tr
             used += 1
         if skipped > _SKIP_BUDGET * spec.replications:
             raise ResampleBudgetError(
                 f"{skipped}/{spec.replications} blocks skipped building the model"
             )
+        Q = np.empty((self.alphas.size, pool.p, pool.p))
+        Q[:, iu, ju] = Q_upper
+        Q[:, ju, iu] = Q_upper
         self._Q = Q / used
         self._V = V / used
 

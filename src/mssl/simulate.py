@@ -26,6 +26,7 @@ from .core import (
     ResampleSpec,
     UnlabeledPool,
     build_moments,
+    center_pool,
     seeded_rng,
 )
 from .errors import DataValidationError, MsslError
@@ -681,7 +682,7 @@ def _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit):
     Z = rng.standard_normal((m_fit, p)) @ chol.T
     X = rng.standard_normal((n, p)) @ chol.T
     Y = link.g(X @ beta_true) + math.sqrt(sigma2) * rng.standard_normal(n)
-    return LabeledSet(X, Y), build_moments(UnlabeledPool(Z), n)
+    return LabeledSet(X, Y), UnlabeledPool(Z)
 
 
 def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
@@ -718,7 +719,8 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
         extras["alpha_ddot_oracle"][sigma2] = alpha_ddot
 
         def rep(k: int, sigma2=sigma2, alpha_dot=alpha_dot, alpha_ddot=alpha_ddot, gi=gi):
-            data, moments = _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit)
+            data, raw_pool = _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit)
+            moments = build_moments(raw_pool, n)
             pool = moments.pool
             prob = GlmProblem(data, pool, link)
             start = prob.ols_start()
@@ -797,8 +799,8 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     alpha_ddot = oracle_stats.ddot_curve(sigma2).argmin_alpha
 
     def rep(k: int):
-        data, moments = _glm_rep_draw(cfg, 0, k, n, p, chol, beta_true, link, sigma2, m_fit)
-        prob = GlmProblem(data, moments.pool, link)
+        data, raw_pool = _glm_rep_draw(cfg, 0, k, n, p, chol, beta_true, link, sigma2, m_fit)
+        prob = GlmProblem(data, center_pool(raw_pool)[0], link)
         start = prob.ols_start()
         beta_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start).beta
         beta_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start).beta

@@ -8,7 +8,7 @@ from mssl import (
     UnlabeledPool,
     build_moments,
     center_pool,
-    resample_blocks,
+    resample_block,
     seeded_rng,
 )
 
@@ -82,7 +82,9 @@ def test_resample_determinism():
     rng = seeded_rng(11)
     pool = UnlabeledPool(rng.standard_normal((4, 3)))
     spec = ResampleSpec(block_size=2, replications=3, seed=7)
-    runs = [list(resample_blocks(pool, spec)) for _ in range(2)]
+    runs = [
+        [resample_block(pool, spec, i) for i in range(spec.replications)] for _ in range(2)
+    ]
     for a, b in zip(*runs):
         np.testing.assert_array_equal(a, b)
 
@@ -91,8 +93,6 @@ def test_resample_independent_of_consumption_order():
     rng = seeded_rng(12)
     pool = UnlabeledPool(rng.standard_normal((10, 2)))
     spec = ResampleSpec(block_size=4, replications=5, seed=99)
-    from mssl import resample_block
-
     forward = [resample_block(pool, spec, i) for i in range(5)]
     backward = [resample_block(pool, spec, i) for i in reversed(range(5))][::-1]
     for a, b in zip(forward, backward):
@@ -101,7 +101,8 @@ def test_resample_independent_of_consumption_order():
 
 def test_resample_single_block_shape():
     pool = UnlabeledPool(np.arange(12.0).reshape(6, 2))
-    blocks = list(resample_blocks(pool, ResampleSpec(3, 1, 0)))
+    spec = ResampleSpec(3, 1, 0)
+    blocks = [resample_block(pool, spec, i) for i in range(spec.replications)]
     assert len(blocks) == 1
     assert blocks[0].shape == (3, 2)
 
@@ -109,7 +110,7 @@ def test_resample_single_block_shape():
 def test_resample_block_too_large():
     pool = UnlabeledPool(np.ones((3, 2)))
     with pytest.raises(DataValidationError):
-        list(resample_blocks(pool, ResampleSpec(4, 1, 0)))
+        resample_block(pool, ResampleSpec(4, 1, 0), 0)
 
 
 def test_resample_blocks_match_pool_moments():
@@ -119,8 +120,7 @@ def test_resample_blocks_match_pool_moments():
     Z = rng.standard_normal((2000, 3))
     mom = build_moments(UnlabeledPool(Z), n=20)
     spec = ResampleSpec(block_size=20, replications=10000, seed=5)
-    samples = np.array(
-        [(X.T @ X / 20)[0, 0] for X in resample_blocks(mom.pool, spec)]
-    )
+    blocks = (resample_block(mom.pool, spec, i) for i in range(spec.replications))
+    samples = np.array([(X.T @ X / 20)[0, 0] for X in blocks])
     se = samples.std(ddof=1) / np.sqrt(samples.size)
     assert abs(samples.mean() - mom.Exx[0, 0]) < 3 * se

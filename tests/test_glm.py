@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from mssl import (
     DataValidationError,
+    GlmPoolStats,
     GlmProblem,
     LabeledSet,
     LinkValidationError,
@@ -423,3 +426,72 @@ def test_pool_stats_reuse_caller_moments_bit_identically():
     with pytest.raises(DataValidationError):
         GlmPoolStats(moments.pool, n + 1, elu_link(), beta, ResampleSpec(n + 1, 30, 2),
                      moments=moments)
+
+
+def _glm_curve_per_ratio_reference(stats, pool_c, spec, sigma2):
+    """Loss-mixed GLM risk curve by factoring the blend once per ratio and block."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from mssl import resample_block
+    from mssl.ols import _xi
+
+    n, alphas, beta = stats.n, stats.alphas, stats.beta_eval
+    rows = []
+    for i in range(spec.replications):
+        Xb = resample_block(pool_c, spec, i)
+        F = (Xb * stats.link.gprime(Xb @ beta)[:, None]).T @ Xb
+        G = Xb.T @ Xb
+        mu = stats.link.g(Xb @ beta)
+        zeta = stats.exmu - (Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean())
+        bias = np.empty(alphas.size)
+        var = np.empty(alphas.size)
+        for j, a in enumerate(alphas):
+            factor = cho_factor(a * stats.Hg + (1.0 - a) * F, lower=True)
+            Sz = cho_solve(factor, zeta)
+            bias[j] = Sz @ stats.Hg @ Sz
+            var[j] = np.trace(cho_solve(factor, stats.Hg) @ cho_solve(factor, G))
+        rows.append(alphas**2 * bias + _xi(alphas, n) * sigma2 * var)
+    return np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1) / np.sqrt(len(rows))
+
+
+def test_pool_stats_curve_matches_per_ratio_factorization():
+    rng = seeded_rng(32)
+    n, p = 40, 6
+    moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) + 0.5), n)
+    spec = ResampleSpec(n, 5, 3)
+    stats = GlmPoolStats(moments.pool, n, elu_link(), np.full(p, 0.7), spec,
+                         alphas=np.round(np.linspace(0.0, 1.0, 21), 10), moments=moments)
+    r_ref, se_ref = _glm_curve_per_ratio_reference(stats, moments.pool, spec, 2.5)
+    curve = stats.ddot_curve(2.5)
+    np.testing.assert_allclose(curve.r_hat, r_ref, rtol=1e-10)
+    np.testing.assert_allclose(curve.se, se_ref, rtol=1e-10)
+
+
+def test_pool_stats_curve_supervised_endpoint():
+    # at alpha = 0 the curve is sigma^2 times the supervised variance factor
+    rng = seeded_rng(33)
+    n, p = 50, 5
+    pool = UnlabeledPool(rng.standard_normal((4000, p)))
+    stats = GlmPoolStats(pool, n, elu_link(), np.full(p, 1.5), ResampleSpec(n, 30, 4),
+                         alphas=np.linspace(0.0, 1.0, 11))
+    s2 = 3.0
+    assert stats.ddot_curve(s2).r_hat[0] == pytest.approx(s2 * stats.v_l_g, rel=1e-10)
+
+
+@given(
+    st.integers(2, 5),
+    st.integers(4, 20),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_pool_stats_curve_finite_and_positive(p, extra_n, sigma2, seed):
+    rng = seeded_rng(seed)
+    n = p + extra_n
+    mix = np.eye(p) + 0.4 * rng.standard_normal((p, p))
+    pool = UnlabeledPool(rng.standard_normal((60 * n, p)) @ mix.T)
+    stats = GlmPoolStats(pool, n, elu_link(), 0.5 * rng.standard_normal(p),
+                         ResampleSpec(n, 8, seed % 1000), alphas=np.linspace(0, 1, 6))
+    r_hat = stats.ddot_curve(sigma2).r_hat
+    assert np.all(np.isfinite(r_hat))
+    assert np.all(r_hat > 0)

@@ -465,6 +465,84 @@ def test_ddot_model_matches_grid_search_curve():
     np.testing.assert_allclose(model.curve(beta, 1.7), curve.r_hat, rtol=1e-10)
 
 
+def _ddot_per_ratio_reference(pool_c, H, n, alphas, spec):
+    """Block-averaged (Q, V) by factoring the blend once per ratio and block."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from mssl import resample_block
+
+    p = H.shape[0]
+    Q = np.zeros((alphas.size, p, p))
+    V = np.zeros(alphas.size)
+    for i in range(spec.replications):
+        Xb = resample_block(pool_c, spec, i)
+        G = Xb.T @ Xb
+        xbar = Xb.mean(axis=0)
+        C = n * np.outer(xbar, xbar)
+        for j, a in enumerate(alphas):
+            factor = cho_factor(a * H + (1.0 - a) * G, lower=True)
+            delta = cho_solve(factor, G - a * C) - np.eye(p)
+            Q[j] += delta.T @ H @ delta
+            V[j] += np.trace(cho_solve(factor, H) @ cho_solve(factor, G))
+    return Q / spec.replications, V / spec.replications
+
+
+def _correlated_pool(rng, m, p):
+    mix = np.eye(p) + 0.4 * rng.standard_normal((p, p))
+    return UnlabeledPool(rng.standard_normal((m, p)) @ mix.T)
+
+
+def test_ddot_model_matches_per_ratio_factorization():
+    rng = seeded_rng(24)
+    n, p = 30, 6
+    mom = build_moments(_correlated_pool(rng, 3000, p), n)
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 12)])
+    spec = ResampleSpec(n, 5, 11)
+    model = DdotRiskModel(mom.pool, n, grid, spec, mom)
+    Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
+    np.testing.assert_allclose(model._V, V_ref, rtol=1e-10)
+    for j in range(1, grid.size):
+        scale = np.abs(Q_ref[j]).max()
+        np.testing.assert_allclose(model._Q[j], Q_ref[j], rtol=1e-10, atol=1e-12 * scale)
+    assert np.array_equal(model._Q, model._Q.transpose(0, 2, 1))
+
+
+def test_ddot_model_supervised_endpoint():
+    # at alpha = 0 the loss-mixed fit is the supervised one: no bias, and the
+    # variance trace is tr((X^T X)^{-1} H) = n v_l on the same blocks
+    rng = seeded_rng(25)
+    n, p = 40, 5
+    mom = build_moments(_correlated_pool(rng, 4000, p), n)
+    spec = ResampleSpec(n, 30, 12)
+    model = DdotRiskModel(mom.pool, n, np.linspace(0, 1, 6), spec, mom)
+    pool_model = OlsPoolModel(mom.pool, n, spec, mom)
+    assert np.abs(model._Q[0]).max() <= 1e-12 * np.abs(model._Q[-1]).max()
+    assert model._V[0] == pytest.approx(n * pool_model.v_l, rel=1e-10)
+
+
+@given(
+    st.integers(2, 6),
+    st.integers(3, 20),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_ddot_curves_finite_and_positive(p, extra_n, sigma2, seed):
+    rng = seeded_rng(seed)
+    n = p + extra_n
+    pool = _correlated_pool(rng, 60 * n, p)
+    mom = build_moments(pool, n)
+    grid = np.linspace(0, 1, 6)
+    spec = ResampleSpec(n, 8, seed % 1000)
+    beta = rng.standard_normal(p)
+    model_curve = DdotRiskModel(mom.pool, n, grid, spec, mom).curve(beta, sigma2)
+    ds = LabeledSet(rng.standard_normal((n, p)), rng.standard_normal(n))
+    search_curve = grid_search_alpha_ddot(ds, pool, beta, sigma2, grid, spec).r_hat
+    for curve in (model_curve, search_curve):
+        assert np.all(np.isfinite(curve))
+        assert np.all(curve > 0)
+
+
 def test_mc_argmin_agrees_with_alpha_star():
     # measured risk of the coefficient mix over a 0.02 grid, small scale
     rng = seeded_rng(19)
