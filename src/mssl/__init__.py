@@ -44,10 +44,7 @@ from .glm import (
     fit_glm_loss_mixed,
     fit_glm_semisupervised,
     fit_glm_supervised,
-    glm_risk_terms,
-    grid_search_alpha_ddot_glm,
     r_dot_glm_curve,
-    v_M_terms,
 )
 from .interp import (
     InterpRiskTerms,

@@ -10,10 +10,12 @@ and every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpocon, dpotrf
 
-from .errors import DataValidationError
+from .errors import DataValidationError, SingularMatrixError
 
 __all__ = [
     "LabeledSet",
@@ -37,6 +39,31 @@ _SKIP_BUDGET = 0.10
 # Stream tags keep independently-consumed RNG streams from colliding when
 # they are derived from one user-facing seed.
 _STREAM_BLOCKS = 0xB10C
+
+
+def spd_factor(A: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, bool]:
+    """Checked Cholesky factor of a symmetric positive definite matrix.
+
+    The one conditioning policy of the package: a Cholesky factorization, then
+    LAPACK's ``pocon`` estimate of the reciprocal 1-norm condition number from
+    that factor (Higham's estimator, O(p^2) against O(p^3) for an SVD).  The
+    matrix counts as singular when the factorization fails or the estimate
+    says cond > COND_LIMIT; the numerical rank is computed only then, and
+    carried on the SingularMatrixError.  Returns the ``cho_factor`` pair
+    (lower triangle).  LAPACK is called directly, as ``cho_factor`` would
+    call it, to keep Python overhead off the small matrices of the
+    per-block and per-replication loops.
+    """
+    A = np.asarray_chkfinite(A, dtype=float)
+    c, info = dpotrf(A, lower=1, clean=0)
+    rcond = dpocon(c, np.abs(A).sum(axis=0).max(), uplo="L")[0] if info == 0 else 0.0
+    if rcond * COND_LIMIT >= 1.0:
+        return c, True
+    rank = int(np.linalg.matrix_rank(A))
+    raise SingularMatrixError(
+        f"{what} is singular or too ill-conditioned (rcond ~ {rcond:.2e}, rank {rank})",
+        rank=rank,
+    )
 
 
 def seeded_rng(seed: int, *indices: int) -> np.random.Generator:
@@ -75,6 +102,23 @@ class LabeledSet:
     def p(self) -> int:
         return self.X.shape[1]
 
+    # sample statistics, computed on first use and shared by every fit
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.X.T @ self.X
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        return self.X.T @ self.Y
+
+    @cached_property
+    def xbar(self) -> np.ndarray:
+        return self.X.mean(axis=0)
+
+    @cached_property
+    def ybar(self) -> float:
+        return self.Y.mean()
+
 
 @dataclass(frozen=True)
 class UnlabeledPool:
@@ -111,27 +155,31 @@ class PopulationMoments:
     """Pool-based moment estimates shared by every estimator module.
 
     ``mean`` holds the column means removed from the pool; ``Exx`` estimates
-    E[xx^T] on centered data, ``H`` is its n-scaled version n*Exx, and
-    ``Sigma`` equals ``Exx`` under the zero-mean convention.  ``pool`` is the
-    centered view of the ingested pool.
+    E[xx^T] on centered data (the covariance, under the zero-mean
+    convention), and ``H`` is its n-scaled version n*Exx.  ``pool`` is the
+    centered view of the ingested pool.  ``H_factor`` is the checked Cholesky
+    factor of H, computed on first use and then shared by every fit that
+    solves against H.
     """
 
     mean: np.ndarray
     Exx: np.ndarray
     H: np.ndarray
-    Sigma: np.ndarray
     n: int
     pool: UnlabeledPool
 
     def __post_init__(self):
-        for name in ("Exx", "Sigma"):
-            A = getattr(self, name)
-            sym_err = np.max(np.abs(A - A.T)) if A.size else 0.0
-            if sym_err > 1e-10 * max(1.0, np.max(np.abs(A))):
-                raise DataValidationError(f"{name} is not symmetric")
-        evals = np.linalg.eigvalsh(self.Sigma)
-        if evals.size and evals.min() < -1e-10 * max(np.trace(self.Sigma), 1.0):
-            raise DataValidationError("Sigma estimate is not PSD")
+        A = self.Exx
+        sym_err = np.max(np.abs(A - A.T)) if A.size else 0.0
+        if sym_err > 1e-10 * max(1.0, np.max(np.abs(A))):
+            raise DataValidationError("Exx is not symmetric")
+        evals = np.linalg.eigvalsh(A)
+        if evals.size and evals.min() < -1e-10 * max(np.trace(A), 1.0):
+            raise DataValidationError("Exx estimate is not PSD")
+
+    @cached_property
+    def H_factor(self) -> tuple[np.ndarray, bool]:
+        return spd_factor(self.H, "H")
 
 
 def center_pool(pool: UnlabeledPool) -> tuple[UnlabeledPool, np.ndarray]:
@@ -143,7 +191,7 @@ def center_pool(pool: UnlabeledPool) -> tuple[UnlabeledPool, np.ndarray]:
 
 
 def build_moments(pool: UnlabeledPool, n: int) -> PopulationMoments:
-    """Estimate (mean, Exx, H, Sigma) from the pool for a sample size n.
+    """Estimate (mean, Exx, H) from the pool for a sample size n.
 
     The pool is centered first (the estimators assume E[x] = 0), and the
     centered view is carried on the returned object.
@@ -157,7 +205,7 @@ def build_moments(pool: UnlabeledPool, n: int) -> PopulationMoments:
     Exx = (Z.T @ Z) / centered.m
     Exx = 0.5 * (Exx + Exx.T)
     return PopulationMoments(
-        mean=mean, Exx=Exx, H=n * Exx, Sigma=Exx, n=int(n), pool=centered
+        mean=mean, Exx=Exx, H=n * Exx, n=int(n), pool=centered
     )
 
 

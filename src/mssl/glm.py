@@ -17,7 +17,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .core import (
-    COND_LIMIT,
     _DEFAULT_BLOCKS,
     _SKIP_BUDGET,
     LabeledSet,
@@ -26,6 +25,7 @@ from .core import (
     UnlabeledPool,
     build_moments,
     resample_block,
+    spd_factor,
 )
 from .errors import (
     DataValidationError,
@@ -45,13 +45,10 @@ __all__ = [
     "fit_glm_supervised",
     "fit_glm_semisupervised",
     "fit_glm_loss_mixed",
-    "glm_risk_terms",
     "estimate_noise_glm",
     "alpha_dot_glm",
     "clip_alpha",
     "r_dot_glm_curve",
-    "grid_search_alpha_ddot_glm",
-    "v_M_terms",
     "alpha_M_dispersion",
 ]
 
@@ -92,11 +89,9 @@ class GlmProblem:
             self.Z = None
             self.m = 0
             self.zbar = None
-        ybar = self.Y.mean()
-        xbar = self.X.mean(axis=0)
         # gradient of the sample covariance term Cov(X beta, Y)
-        self._cov_xy = (self.X.T @ self.Y - self.n * xbar * ybar) / self.n
-        self._ybar = ybar
+        self._cov_xy = (data.xty - self.n * data.xbar * data.ybar) / self.n
+        self._ybar = data.ybar
 
     # -- supervised loss ---------------------------------------------------
     def sup_value(self, beta: np.ndarray) -> float:
@@ -343,12 +338,9 @@ class GlmPoolStats:
             Xb = resample_block(pool, spec, i)
             d = link.gprime(Xb @ beta_eval)
             F = (Xb * d[:, None]).T @ Xb
-            if np.linalg.cond(F) > COND_LIMIT:
-                skipped += 1
-                continue
             try:
-                factor = cho_factor(F, lower=True)
-            except np.linalg.LinAlgError:
+                factor = spd_factor(F, "F")
+            except SingularMatrixError:
                 skipped += 1
                 continue
             G = Xb.T @ Xb
@@ -430,17 +422,6 @@ class GlmPoolStats:
         )
 
 
-def glm_risk_terms(
-    pool: UnlabeledPool,
-    n: int,
-    link: LinkSpec,
-    beta_eval: np.ndarray,
-    spec: ResampleSpec | None = None,
-) -> GlmQuadratic:
-    """Block-resampling estimates of the quadratic-expansion risk factors."""
-    return GlmPoolStats(pool, n, link, beta_eval, spec).quadratic()
-
-
 def estimate_noise_glm(
     data: LabeledSet,
     beta_hat: np.ndarray,
@@ -512,35 +493,6 @@ def r_dot_glm_curve(
         + sigma2 * v_l_g
     )
     return float(out) if out.ndim == 0 else out
-
-
-def grid_search_alpha_ddot_glm(
-    pool: UnlabeledPool,
-    n: int,
-    link: LinkSpec,
-    beta_eval: np.ndarray,
-    sigma2_hat: float,
-    grid,
-    spec: ResampleSpec | None = None,
-) -> RiskCurve:
-    """Loss-mixed risk curve over a ratio grid for a general link."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.min() < 0 or grid.max() > 1:
-        raise DataValidationError("grid must lie in [0, 1]")
-    stats = GlmPoolStats(pool, n, link, beta_eval, spec, alphas=grid)
-    return stats.ddot_curve(sigma2_hat)
-
-
-def v_M_terms(
-    pool: UnlabeledPool,
-    n: int,
-    link: LinkSpec,
-    beta_eval: np.ndarray,
-    spec: ResampleSpec | None = None,
-) -> tuple[float, float]:
-    """Variance factors for the dispersion-weighted prediction mix."""
-    stats = GlmPoolStats(pool, n, link, beta_eval, spec)
-    return stats.v_l_M, stats.v_u_M
 
 
 def alpha_M_dispersion(sigma2: float, B: float, v_l_M: float, v_u_M: float) -> float:

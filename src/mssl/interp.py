@@ -7,17 +7,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
-    COND_LIMIT,
     _SKIP_BUDGET,
     LabeledSet,
     ResampleSpec,
     UnlabeledPool,
     seeded_rng,
+    spd_factor,
 )
 from .errors import (
     DataValidationError,
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 __all__ = [
+    "InterpSample",
     "InterpRiskTerms",
     "NoiseSignalInterp",
     "RffMap",
@@ -46,19 +48,14 @@ __all__ = [
 ]
 
 
-def _gram_factor(X: np.ndarray, what: str):
-    Gn = X @ X.T
-    if np.linalg.cond(Gn) > COND_LIMIT:
-        rank = int(np.linalg.matrix_rank(Gn))
-        raise SingularMatrixError(f"{what} is singular (rank {rank})", rank=rank)
-    return cho_factor(Gn, lower=True)
+def _min_variance(data: LabeledSet, sigma_factor) -> np.ndarray:
+    A = cho_solve(sigma_factor, data.X.T)  # Sigma^{-1} X^T, p x n
+    return A @ cho_solve(spd_factor(data.X @ A, "X Sigma^{-1} X^T"), data.Y)
 
 
 def fit_min_norm(data: LabeledSet) -> np.ndarray:
     """Minimum-l2-norm interpolator X^T (X X^T)^{-1} Y (needs p > n)."""
-    if data.p <= data.n:
-        raise RegimeError(f"interpolation needs p > n, got n={data.n}, p={data.p}")
-    return data.X.T @ cho_solve(_gram_factor(data.X, "X X^T"), data.Y)
+    return InterpSample(data).min_norm
 
 
 def fit_min_variance(data: LabeledSet, Sigma: np.ndarray) -> np.ndarray:
@@ -69,16 +66,7 @@ def fit_min_variance(data: LabeledSet, Sigma: np.ndarray) -> np.ndarray:
     """
     if data.p <= data.n:
         raise RegimeError(f"interpolation needs p > n, got n={data.n}, p={data.p}")
-    Sigma = np.asarray(Sigma, dtype=float)
-    try:
-        sig_factor = cho_factor(Sigma, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("Sigma must be positive definite") from exc
-    A = cho_solve(sig_factor, data.X.T)  # Sigma^{-1} X^T, p x n
-    inner = data.X @ A
-    if np.linalg.cond(inner) > COND_LIMIT:
-        raise SingularMatrixError("X Sigma^{-1} X^T is singular")
-    return A @ cho_solve(cho_factor(inner, lower=True), data.Y)
+    return _min_variance(data, spd_factor(np.asarray(Sigma, dtype=float), "Sigma"))
 
 
 @dataclass(frozen=True)
@@ -131,17 +119,18 @@ def interp_risk_terms(
         raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
     Sigma = np.asarray(Sigma, dtype=float)
     tr_sigma = float(np.trace(Sigma))
-    sig_factor = cho_factor(Sigma, lower=True)
+    sig_factor = spd_factor(Sigma, "Sigma")
 
     rows = []
     skipped = 0
     for i in range(spec.replications):
         X = sampler(seeded_rng(spec.seed, 0x1D4A, i))
         Gn = X @ X.T
-        if np.linalg.cond(Gn) > COND_LIMIT:
+        try:
+            gf = spd_factor(Gn, "X X^T")
+        except SingularMatrixError:
             skipped += 1
             continue
-        gf = cho_factor(Gn, lower=True)
         XSX = X @ Sigma @ X.T
         GiXSX = cho_solve(gf, XSX)
         b_l = tr_sigma - float(np.trace(GiXSX))
@@ -214,20 +203,6 @@ def interp_eta(sigma2: float, tau2: float, terms: InterpRiskTerms) -> float:
     return float(r_min / (tau2 * terms.b_l + sigma2 * terms.v_l))
 
 
-def sigma2_known_tau(data: LabeledSet, tau2: float) -> float:
-    """Unbiased noise estimate when the signal level tau^2 is known.
-
-    (Y^T (X X^T)^{-2} Y - tau^2 tr((X X^T)^{-1})) / tr((X X^T)^{-2}); the raw
-    value may be negative and is returned unclipped.
-    """
-    if data.p <= data.n:
-        raise RegimeError("needs the over-parameterized regime p > n")
-    gf = _gram_factor(data.X, "X X^T")
-    Gi = cho_solve(gf, np.eye(data.n))
-    Gi2 = Gi @ Gi
-    return float((data.Y @ Gi2 @ data.Y - tau2 * np.trace(Gi)) / np.trace(Gi2))
-
-
 @dataclass(frozen=True)
 class NoiseSignalInterp:
     """Jointly iterated noise/signal estimates (clipped at zero)."""
@@ -238,37 +213,90 @@ class NoiseSignalInterp:
     converged: bool
 
 
+class InterpSample:
+    """A labeled sample of the p > n regime with X X^T factored once.
+
+    The minimum-norm fit and both noise estimators solve against the same
+    n x n Gram matrix G = X X^T, so a caller that needs several of them (one
+    Monte Carlo replication, say) builds one sample and asks it for each.
+    The module-level functions below are one-call shorthands for the same
+    methods.
+    """
+
+    def __init__(self, data: LabeledSet):
+        if data.p <= data.n:
+            raise RegimeError(f"interpolation needs p > n, got n={data.n}, p={data.p}")
+        self.data = data
+        self._gram = spd_factor(data.X @ data.X.T, "X X^T")
+
+    @cached_property
+    def min_norm(self) -> np.ndarray:
+        """Minimum-l2-norm interpolator X^T G^{-1} Y."""
+        return self.data.X.T @ cho_solve(self._gram, self.data.Y)
+
+    def min_variance(self, sigma_factor) -> np.ndarray:
+        """``fit_min_variance`` with the covariance given as its Cholesky factor."""
+        return _min_variance(self.data, sigma_factor)
+
+    @cached_property
+    def _inverse_moments(self) -> tuple[float, float, float]:
+        """(Y^T G^{-2} Y, tr G^{-1}, tr G^{-2})."""
+        Gi = cho_solve(self._gram, np.eye(self.data.n))
+        Gi2 = Gi @ Gi
+        Y = self.data.Y
+        return float(Y @ Gi2 @ Y), float(np.trace(Gi)), float(np.trace(Gi2))
+
+    def sigma2_known_tau(self, tau2: float) -> float:
+        """Unbiased noise estimate when the signal level tau^2 is known.
+
+        (Y^T G^{-2} Y - tau^2 tr(G^{-1})) / tr(G^{-2}); the raw value may be
+        negative and is returned unclipped.
+        """
+        yq, tr1, tr2 = self._inverse_moments
+        return (yq - tau2 * tr1) / tr2
+
+    def sigma_tau(
+        self, Sigma: np.ndarray, tol: float = 1e-10, max_iter: int = 100
+    ) -> NoiseSignalInterp:
+        """Alternate the known-tau noise formula with a second-moment signal update.
+
+        Starts from tau^2 = w^T Sigma w / tr(Sigma) at the minimum-norm fit;
+        each round clips at zero.  Stops when both estimates move by less
+        than tol.
+        """
+        Sigma = np.asarray(Sigma, dtype=float)
+        tr_sigma = float(np.trace(Sigma))
+        if tr_sigma <= 0:
+            raise DataValidationError("tr(Sigma) must be positive")
+        w_hat = self.min_norm
+        yq, tr1, tr2 = self._inverse_moments
+        y2 = float(self.data.Y @ self.data.Y) / self.data.n
+
+        tau2 = float(w_hat @ Sigma @ w_hat) / tr_sigma
+        sigma2 = 0.0
+        for it in range(1, max_iter + 1):
+            sigma2_new = max((yq - tau2 * tr1) / tr2, 0.0)
+            tau2_new = max((y2 - sigma2_new) / tr_sigma, 0.0)
+            done = abs(sigma2_new - sigma2) < tol and abs(tau2_new - tau2) < tol
+            sigma2, tau2 = sigma2_new, tau2_new
+            if done:
+                return NoiseSignalInterp(sigma2, tau2, it, True)
+        return NoiseSignalInterp(sigma2, tau2, max_iter, False)
+
+
+def sigma2_known_tau(data: LabeledSet, tau2: float) -> float:
+    """Unbiased noise estimate when the signal level tau^2 is known (p > n).
+
+    See ``InterpSample.sigma2_known_tau``.
+    """
+    return InterpSample(data).sigma2_known_tau(tau2)
+
+
 def iterate_sigma_tau(
     data: LabeledSet, Sigma: np.ndarray, tol: float = 1e-10, max_iter: int = 100
 ) -> NoiseSignalInterp:
-    """Alternate the known-tau noise formula with a second-moment signal update.
-
-    Starts from tau^2 = w^T Sigma w / tr(Sigma) at the minimum-norm fit; each
-    round clips at zero.  Stops when both estimates move by less than tol.
-    """
-    Sigma = np.asarray(Sigma, dtype=float)
-    w_hat = fit_min_norm(data)
-    tr_sigma = float(np.trace(Sigma))
-    if tr_sigma <= 0:
-        raise DataValidationError("tr(Sigma) must be positive")
-    gf = _gram_factor(data.X, "X X^T")
-    Gi = cho_solve(gf, np.eye(data.n))
-    Gi2 = Gi @ Gi
-    yq = float(data.Y @ Gi2 @ data.Y)
-    tr1 = float(np.trace(Gi))
-    tr2 = float(np.trace(Gi2))
-    y2 = float(data.Y @ data.Y) / data.n
-
-    tau2 = float(w_hat @ Sigma @ w_hat) / tr_sigma
-    sigma2 = 0.0
-    for it in range(1, max_iter + 1):
-        sigma2_new = max((yq - tau2 * tr1) / tr2, 0.0)
-        tau2_new = max((y2 - sigma2_new) / tr_sigma, 0.0)
-        done = abs(sigma2_new - sigma2) < tol and abs(tau2_new - tau2) < tol
-        sigma2, tau2 = sigma2_new, tau2_new
-        if done:
-            return NoiseSignalInterp(sigma2, tau2, it, True)
-    return NoiseSignalInterp(sigma2, tau2, max_iter, False)
+    """Iterated noise/signal estimates (p > n); see ``InterpSample.sigma_tau``."""
+    return InterpSample(data).sigma_tau(Sigma, tol, max_iter)
 
 
 # -- random feature map -------------------------------------------------------

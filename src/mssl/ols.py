@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from .core import (
     COND_LIMIT,
@@ -25,6 +25,7 @@ from .core import (
     UnlabeledPool,
     build_moments,
     resample_block,
+    spd_factor,
 )
 from .errors import (
     DataValidationError,
@@ -55,39 +56,18 @@ __all__ = [
 ]
 
 
-def _spd_factor(A: np.ndarray, what: str):
-    """Cholesky factor of a symmetric matrix, or a rank-annotated error."""
-    try:
-        return cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        rank = int(np.linalg.matrix_rank(A))
-        raise SingularMatrixError(f"{what} is singular (rank {rank})", rank=rank) from exc
-
-
-def _check_condition(A: np.ndarray, what: str) -> None:
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        rank = int(np.linalg.matrix_rank(A))
-        raise SingularMatrixError(
-            f"{what} too ill-conditioned (cond ~ {cond:.2e}, rank {rank})", rank=rank
-        )
-
-
 def fit_ols_supervised(data: LabeledSet) -> np.ndarray:
     """Least-squares coefficients (X^T X)^{-1} X^T Y."""
-    X, Y = data.X, data.Y
-    G = X.T @ X
-    _check_condition(G, "X^T X")
-    return cho_solve(_spd_factor(G, "X^T X"), X.T @ Y)
+    return cho_solve(spd_factor(data.gram, "X^T X"), data.xty)
 
 
 def fit_ols_semisupervised(data: LabeledSet, moments: PopulationMoments) -> np.ndarray:
-    """Semi-supervised coefficients H^{-1}(X^T Y - n Xbar Ybar)."""
-    X, Y = data.X, data.Y
-    n = data.n
-    rhs = X.T @ Y - n * X.mean(axis=0) * Y.mean()
-    _check_condition(moments.H, "H")
-    return cho_solve(_spd_factor(moments.H, "H"), rhs)
+    """Semi-supervised coefficients H^{-1}(X^T Y - n Xbar Ybar).
+
+    Solves against ``moments.H_factor``, so H is factored once per moments
+    object however many samples are fit against it.
+    """
+    return cho_solve(moments.H_factor, data.xty - data.n * data.xbar * data.ybar)
 
 
 def fit_finite_m_semisupervised(data: LabeledSet, pool: UnlabeledPool) -> np.ndarray:
@@ -95,8 +75,7 @@ def fit_finite_m_semisupervised(data: LabeledSet, pool: UnlabeledPool) -> np.nda
     if pool.p != data.p:
         raise DataValidationError("pool and labeled data disagree on p")
     G = pool.Z.T @ pool.Z
-    _check_condition(G, "Z^T Z")
-    return (pool.m / data.n) * cho_solve(_spd_factor(G, "Z^T Z"), data.X.T @ data.Y)
+    return (pool.m / data.n) * cho_solve(spd_factor(G, "Z^T Z"), data.X.T @ data.Y)
 
 
 def mix_linear(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -121,12 +100,9 @@ def fit_loss_mixed_ols(
     """
     if not 0.0 <= alpha <= 1.0:
         raise DataValidationError(f"alpha must be in [0, 1], got {alpha}")
-    X, Y = data.X, data.Y
-    n = data.n
-    blend = alpha * moments.H + (1.0 - alpha) * (X.T @ X)
-    _check_condition(blend, "alpha H + (1-alpha) X^T X")
-    rhs = X.T @ Y - alpha * n * X.mean(axis=0) * Y.mean()
-    return cho_solve(_spd_factor(blend, "blend matrix"), rhs)
+    blend = alpha * moments.H + (1.0 - alpha) * data.gram
+    rhs = data.xty - alpha * data.n * data.xbar * data.ybar
+    return cho_solve(spd_factor(blend, "alpha H + (1-alpha) X^T X"), rhs)
 
 
 @dataclass(frozen=True)
@@ -238,10 +214,11 @@ class OlsPoolModel:
         for i in range(spec.replications):
             Xb = resample_block(self.pool, spec, i)
             G = Xb.T @ Xb
-            if np.linalg.cond(G) > COND_LIMIT:
+            try:
+                factor = spd_factor(G, "X^T X")
+            except SingularMatrixError:
                 skipped += 1
                 continue
-            factor = cho_factor(G, lower=True)
             v_l_samples.append(float(np.trace(cho_solve(factor, self.H))) / n)
             xbar = Xb.mean(axis=0)
             M = G - n * np.outer(xbar, xbar)
@@ -398,10 +375,21 @@ def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return d
 
 
-def _cholesky_pair(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_pair(moments: PopulationMoments) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor L of H and its inverse, for a whole pass."""
-    L = np.tril(_spd_factor(H, "H")[0])
-    return L, solve_triangular(L, np.eye(H.shape[0]), lower=True)
+    L = np.tril(moments.H_factor[0])
+    return L, solve_triangular(L, np.eye(L.shape[0]), lower=True)
+
+
+def _checked_gram(Xb: np.ndarray) -> np.ndarray:
+    """X^T X of a resampled block, checked by the package conditioning policy.
+
+    The pencil kernel does not use the Cholesky factor; it is computed only so
+    that every block passes the same singularity test.
+    """
+    G = Xb.T @ Xb
+    spd_factor(G, "X^T X")
+    return G
 
 
 def _ddot_block(
@@ -461,20 +449,17 @@ def grid_search_alpha_ddot(
     moments = build_moments(pool, n)
     spec = spec if spec is not None else _default_spec(n)
     beta = np.asarray(beta_plugin, dtype=float)
-    L, L_inv = _cholesky_pair(moments.H)
+    L, L_inv = _cholesky_pair(moments)
     xi = _xi(alphas, n)
 
     samples = []
     skipped = 0
     for i in range(spec.replications):
         Xb = resample_block(moments.pool, spec, i)
-        G = Xb.T @ Xb
-        if np.linalg.cond(G) > COND_LIMIT:
-            skipped += 1
-            continue
         try:
+            G = _checked_gram(Xb)
             W, z, e, a, var_tr = _ddot_block(G, Xb.mean(axis=0), L, L_inv, n, alphas)
-        except np.linalg.LinAlgError:
+        except (SingularMatrixError, np.linalg.LinAlgError):
             skipped += 1
             continue
         m = e * (W @ beta) - a * (z @ beta)  # (A, p): M_alpha W beta
@@ -526,7 +511,7 @@ class DdotRiskModel:
         self.alphas = np.asarray(grid, dtype=float)
         moments = moments if moments is not None else build_moments(pool, n)
         spec = spec if spec is not None else _default_spec(n)
-        L, L_inv = _cholesky_pair(moments.H)
+        L, L_inv = _cholesky_pair(moments)
         self.n = n
         self._xi = _xi(self.alphas, n)
         iu, ju = np.triu_indices(pool.p)
@@ -536,15 +521,12 @@ class DdotRiskModel:
         skipped = 0
         for i in range(spec.replications):
             Xb = resample_block(moments.pool, spec, i)
-            G = Xb.T @ Xb
-            if np.linalg.cond(G) > COND_LIMIT:
-                skipped += 1
-                continue
             try:
+                G = _checked_gram(Xb)
                 W, z, e, a, var_tr = _ddot_block(
                     G, Xb.mean(axis=0), L, L_inv, n, self.alphas
                 )
-            except np.linalg.LinAlgError:
+            except (SingularMatrixError, np.linalg.LinAlgError):
                 skipped += 1
                 continue
             r = (e * a) @ W

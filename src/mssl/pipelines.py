@@ -16,6 +16,7 @@ from .glm import (
     GlmPoolStats,
     alpha_dot_glm,
     clip_alpha,
+    estimate_noise_glm,
     fit_glm_loss_mixed,
     fit_glm_semisupervised,
     fit_glm_supervised,
@@ -145,11 +146,9 @@ def fit_glm_pipeline(
         pool_c, data.n, link, rep_breve.beta,
         ResampleSpec(data.n, blocks, seed), alphas=alphas, moments=moments,
     )
-    denom = stats.sigma2_denominator()
-    if denom <= 0:
-        raise DataValidationError("nonpositive noise-estimator denominator")
-    resid = link.g(data_c.X @ rep_hat.beta) - data_c.Y
-    sigma2_hat = max(float(resid @ resid) / denom, 0.0)
+    sigma2_hat = estimate_noise_glm(
+        data_c, rep_hat.beta, rep_breve.beta, pool_c, link, stats=stats
+    )
     alpha_hat = alpha_dot_glm(
         sigma2_hat, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g
     )[0]
@@ -202,7 +201,7 @@ def fit_interp_pipeline(
         raise DataValidationError("pool must have more rows than columns")
     moments = build_moments(pool, data.n)
     data_c = _centered(data, moments.mean)
-    Sigma = moments.Sigma
+    Sigma = moments.Exx
 
     w_hat = fit_min_norm(data_c)
     w_tilde = fit_min_variance(data_c, Sigma)

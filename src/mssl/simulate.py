@@ -5,6 +5,14 @@ refit on K seeded training draws, errors are aggregated with standard
 errors, and every estimator pair gets a paired t-test.  Replications are
 pure functions of (seed, grid index, replication index), so results are
 bit-reproducible regardless of worker count.
+
+Presets are compositions of the library.  A grid point builds what its
+replications share (pool moments with the cached factor of H, resampled pool
+statistics, oracle ratios, the factor of the pool covariance).  A replication
+draws X through ``pool_sampler``/``gaussian_sampler``, fits with the library
+(``fit_ols_*``/``noise_signal_ols``, ``fit_glm_*``/``estimate_noise_glm``,
+``InterpSample``), and maps estimator names to fits through one table per
+family, checked before any replication runs.
 """
 
 from __future__ import annotations
@@ -13,46 +21,39 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import stdtr
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet,
-    ResampleSpec,
-    UnlabeledPool,
-    build_moments,
-    center_pool,
-    seeded_rng,
+    LabeledSet, PopulationMoments, ResampleSpec, UnlabeledPool, build_moments, center_pool,
+    seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
-from .glm import GlmPoolStats, GlmProblem, _newton, alpha_dot_glm, clip_alpha
-from .interp import alpha_star_interp, interp_risk_terms, pool_sampler
-from .links import LinkSpec, elu_link
-from .ols import DdotRiskModel, OlsPoolModel, alpha_star_ols, mix_linear
+from .glm import (
+    GlmPoolStats, alpha_dot_glm, clip_alpha, estimate_noise_glm, fit_glm_loss_mixed,
+    fit_glm_semisupervised, fit_glm_supervised,
+)
+from .interp import (
+    InterpRiskTerms, InterpSample, alpha_star_interp, gaussian_sampler, interp_risk_terms,
+    pool_sampler,
+)
+from .links import LinkSpec, elu_link, identity_link
+from .ols import (
+    DdotRiskModel, OlsPoolModel, alpha_star_ols, fit_loss_mixed_ols, fit_ols_semisupervised,
+    fit_ols_supervised, mix_linear, noise_signal_ols,
+)
 from .asymptotics import AsymptoticSetting, eta_from_ols_terms, interp_limits
 
 __all__ = [
-    "CovarianceSpec",
-    "BetaMode",
-    "constant_beta",
-    "random_beta",
-    "ExperimentConfig",
-    "ResultRow",
-    "PairRow",
-    "PairSummary",
-    "ExperimentResult",
-    "gen_sigma",
-    "draw_dataset",
-    "summarize_pairwise",
-    "run_experiment",
-    "write_result_csv",
-    "load_config",
-    "preset_names",
+    "CovarianceSpec", "BetaMode", "constant_beta", "random_beta", "ExperimentConfig",
+    "ResultRow", "PairRow", "PairSummary", "ExperimentResult", "gen_sigma", "draw_dataset",
+    "summarize_pairwise", "run_experiment", "write_result_csv", "load_config", "preset_names",
     "PRESETS",
 ]
 
@@ -62,6 +63,8 @@ _S_REP = 2
 _S_TERMS = 3
 _S_REPBLOCKS = 4
 _S_EVAL = 5
+
+_IDENTITY = identity_link()
 
 
 def _derive_seed(seed: int, *idx: int) -> int:
@@ -100,9 +103,7 @@ def gen_sigma(spec: CovarianceSpec) -> np.ndarray:
         raise DataValidationError("p must be positive")
     if spec.kind == "block_equicorrelated":
         if spec.p % spec.blocks != 0:
-            raise DataValidationError(
-                f"p={spec.p} not divisible by blocks={spec.blocks}"
-            )
+            raise DataValidationError(f"p={spec.p} not divisible by blocks={spec.blocks}")
         bs = spec.p // spec.blocks
         lo = -1.0 / (bs - 1) if bs > 1 else -1.0
         if not lo < spec.rho < 1.0:
@@ -140,6 +141,7 @@ def gen_sigma(spec: CovarianceSpec) -> np.ndarray:
     return sigma
 
 
+
 # ---------------------------------------------------------------------------
 # dataset generation
 # ---------------------------------------------------------------------------
@@ -161,27 +163,9 @@ def random_beta(tau: float) -> BetaMode:
     return BetaMode("random_iid", float(tau))
 
 
-def draw_dataset(
-    Sigma: np.ndarray,
-    n: int,
-    beta_mode: BetaMode,
-    link: LinkSpec,
-    sigma2: float,
-    rng: np.random.Generator,
-    pool: UnlabeledPool | None = None,
-) -> tuple[LabeledSet, np.ndarray]:
-    """Draw one labeled sample with Y = g(X beta) + Gaussian noise.
-
-    X rows come from the pool when one is given, otherwise they are fresh
-    zero-mean Gaussians with the requested covariance.  The rng is consumed
-    in the fixed order (X, beta, noise).
-    """
-    Sigma = np.asarray(Sigma, dtype=float)
-    p = Sigma.shape[0]
-    if pool is not None:
-        X = pool.Z[rng.choice(pool.m, size=n, replace=False)]
-    else:
-        X = rng.standard_normal((n, p)) @ np.linalg.cholesky(Sigma).T
+def _label(X: np.ndarray, beta_mode: BetaMode, link: LinkSpec, sigma2: float, rng):
+    """Draw the coefficients, then Y = g(X beta) + Gaussian noise, from rng."""
+    n, p = X.shape
     if beta_mode.kind == "constant":
         beta = np.full(p, beta_mode.value)
     elif beta_mode.kind == "random_iid":
@@ -190,6 +174,20 @@ def draw_dataset(
         raise DataValidationError(f"unknown beta mode {beta_mode.kind!r}")
     Y = link.g(X @ beta) + math.sqrt(sigma2) * rng.standard_normal(n)
     return LabeledSet(X, Y), beta
+
+
+def draw_dataset(
+    Sigma: np.ndarray, n: int, beta_mode: BetaMode, link: LinkSpec, sigma2: float,
+    rng: np.random.Generator, pool: UnlabeledPool | None = None,
+) -> tuple[LabeledSet, np.ndarray]:
+    """Draw one labeled sample with Y = g(X beta) + Gaussian noise.
+
+    X rows come from the pool when one is given, otherwise they are fresh
+    zero-mean Gaussians with the requested covariance.  The rng is consumed
+    in the fixed order (X, beta, noise).
+    """
+    draw_x = pool_sampler(pool, n) if pool is not None else gaussian_sampler(Sigma, n)
+    return _label(draw_x(rng), beta_mode, link, sigma2, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +308,8 @@ def _p_from_rule(rule: str, n: int) -> int:
     raise DataValidationError(f"unknown p rule {rule!r}")
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
-    """Run K replications, tolerating up to 5% failures."""
+    """Run K replications on cfg.threads threads, tolerating up to 5% failures."""
 
     def safe(i):
         try:
@@ -326,7 +317,11 @@ def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
         except (MsslError, np.linalg.LinAlgError):
             return None
 
-    out = _parallel_map(safe, range(k), cfg.threads)
+    if cfg.threads <= 1:
+        out = [safe(i) for i in range(k)]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+            out = list(ex.map(safe, range(k)))
     ok = [r for r in out if r is not None]
     failures = k - len(ok)
     if failures > 0.05 * k:
@@ -335,38 +330,19 @@ def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
 
 
 def _aggregate(
-    grid_name: str,
-    grid_value: float,
-    per_rep: list[dict],
-    estimators: list[str],
+    grid_name: str, grid_value: float, per_rep: list[dict], estimators: list[str]
 ) -> tuple[list[ResultRow], list[PairRow]]:
     errs = {name: np.asarray([r[name] for r in per_rep]) for name in estimators}
     k_eff = len(per_rep)
     rows = [
-        ResultRow(
-            estimator=name,
-            grid_name=grid_name,
-            grid_value=grid_value,
-            mean_error=float(errs[name].mean()),
-            se=float(errs[name].std(ddof=1) / math.sqrt(k_eff)),
-            k_effective=k_eff,
-        )
+        ResultRow(name, grid_name, grid_value, float(errs[name].mean()),
+                  float(errs[name].std(ddof=1) / math.sqrt(k_eff)), k_eff)
         for name in estimators
     ]
     pairs = []
     for a, b in combinations(estimators, 2):
         s = summarize_pairwise(errs[a] - errs[b])
-        pairs.append(
-            PairRow(
-                estimator_a=a,
-                estimator_b=b,
-                grid_value=grid_value,
-                mean_diff=s.mean,
-                se_diff=s.se,
-                t=s.t,
-                p=s.p,
-            )
-        )
+        pairs.append(PairRow(a, b, grid_value, s.mean, s.se, s.t, s.p))
     return rows, pairs
 
 
@@ -375,485 +351,421 @@ def _quad_err(L_eval: np.ndarray, diff: np.ndarray) -> float:
     return float(u @ u)
 
 
-def _gaussian_pool(seed: int, m: int, Sigma: np.ndarray, *idx: int) -> UnlabeledPool:
-    rng = seeded_rng(seed, _S_POOL, *idx)
-    Z = rng.standard_normal((m, Sigma.shape[0])) @ np.linalg.cholesky(Sigma).T
-    return UnlabeledPool(Z)
-
-
-def _batched_argmins(coeffs: np.ndarray, n_batches: int = 10) -> tuple[float, float]:
-    """Continuous argmin of the mean quadratic curve, with a batch-based SE.
+def _alpha_curve(coeffs: np.ndarray, alphas: np.ndarray, n_batches: int = 10) -> dict:
+    """The mean mixed-coefficient error curve on a ratio grid, and its argmins.
 
     ``coeffs`` has one (a, b, c) row per replication for r(alpha) =
-    a alpha^2 + b alpha + c.
+    a alpha^2 + b alpha + c; the continuous argmin gets a batch-based SE.
     """
-    a, b = coeffs[:, 0].mean(), coeffs[:, 1].mean()
-    argmin = float(np.clip(-b / (2.0 * a), 0.0, 1.0))
-    batches = np.array_split(coeffs, n_batches)
-    vals = []
-    for batch in batches:
-        if len(batch) == 0:
-            continue
-        ab, bb = batch[:, 0].mean(), batch[:, 1].mean()
-        vals.append(np.clip(-bb / (2.0 * ab), 0.0, 1.0))
-    se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return argmin, se
+
+    def argmin(c: np.ndarray):
+        return np.clip(-c[:, 1].mean() / (2.0 * c[:, 0].mean()), 0.0, 1.0)
+
+    mean_r = coeffs[:, 0].mean() * alphas**2 + coeffs[:, 1].mean() * alphas + coeffs[:, 2].mean()
+    vals = [argmin(batch) for batch in np.array_split(coeffs, n_batches) if len(batch)]
+    return {
+        "alphas": alphas,
+        "mean_r": mean_r,
+        "argmin_grid": float(alphas[int(np.argmin(mean_r))]),
+        "argmin_cont": float(argmin(coeffs)),
+        "argmin_se": float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
+    }
+
+
+def _select(cfg: ExperimentConfig, table: dict, names: tuple[str, ...], parse=None):
+    """(name, fit) of each requested estimator, checked before any replication.
+
+    ``names`` is the preset's default set, mapped to fits by ``table``;
+    ``parse`` resolves other names (fixed mixing ratios) or returns None.
+    """
+    fits = [
+        (name, table[name] if name in names else parse and parse(name))
+        for name in cfg.estimators or names
+    ]
+    for name, fit in fits:
+        if fit is None:
+            raise DataValidationError(
+                f"unknown estimator {name!r} for preset {cfg.preset!r}; "
+                f"available: {', '.join(names)}"
+            )
+    return fits
+
+
+def _grid(cfg, grid_name, values, fits, run_point, extras: dict) -> ExperimentResult:
+    """Aggregate ``run_point(gi, value)``, the replications of each grid point."""
+    estimators = [name for name, _ in fits]
+    rows, paired = [], []
+    for gi, value in enumerate(values):
+        r, pr = _aggregate(grid_name, value, run_point(gi, value), estimators)
+        rows += r
+        paired += pr
+    return ExperimentResult(cfg.preset, grid_name, tuple(rows), tuple(paired), extras)
+
+
+def _gaussian_pool(seed: int, m: int, Sigma: np.ndarray, *idx: int) -> UnlabeledPool:
+    return UnlabeledPool(gaussian_sampler(Sigma, m)(seeded_rng(seed, _S_POOL, *idx)))
+
+
+def _pool_point(cfg, n: int, Sigma: np.ndarray, m: int, *idx: int):
+    """The Gaussian pool of a grid point and what its replications share.
+
+    Returns the pool moments, the resampling plan of the pool statistics, the
+    factor of the covariance errors are measured in, and the design sampler
+    (pool rows, or fresh Gaussians when ``x_source`` says so).
+    """
+    moments = build_moments(_gaussian_pool(cfg.seed, m, Sigma, *idx), n)
+    spec = ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
+    L_eval = np.linalg.cholesky(moments.Exx if cfg.eval_cov == "pool" else Sigma)
+    if (cfg.x_source or "pool") == "pool":
+        return moments, spec, L_eval, pool_sampler(moments.pool, n)
+    return moments, spec, L_eval, gaussian_sampler(Sigma, n)
+
+
+def _relative_errors(per_rep: list[dict], fits, base: str) -> dict[str, float]:
+    """Mean error of each estimator over that of ``base``; empty without ``base``."""
+    means = {name: float(np.mean([r[name] for r in per_rep])) for name, _ in fits}
+    return {name: e / means[base] for name, e in means.items()} if base in means else {}
 
 
 # ---------------------------------------------------------------------------
 # OLS presets
 # ---------------------------------------------------------------------------
 
-_OLS_CONSTANT_ESTIMATORS = (
-    "supervised",
-    "semisupervised",
-    "linear_mixed_opt",
-    "linear_mixed_est",
-    "adaptive_select",
-    "loss_mixed_est",
-    "loss_mixed_grid",
-    "loss_mixed_opt",
-)
+
+@dataclass(frozen=True)
+class _OlsPoint:
+    """What the replications of one OLS grid point share.
+
+    ``bias_hat`` gives the plug-in bias of a replication; ``bias_tau`` (random
+    coefficients) and ``ddot``/``alpha_ddot`` (constant) serve one preset each.
+    """
+
+    moments: PopulationMoments
+    v_l: float
+    v_u: float
+    alpha_star: float
+    bias_hat: Callable[[_OlsRep], float]
+    bias_tau: float | None = None
+    ddot: DdotRiskModel | None = None
+    alpha_ddot: float | None = None
 
 
-def _parse_fixed_mix(name: str) -> tuple[str, float] | None:
-    for prefix in ("linear_mixed(", "loss_mixed("):
+class _OlsRep:
+    """The library fits of one OLS replication, shared by its estimators."""
+
+    def __init__(self, data: LabeledSet, point: _OlsPoint):
+        self.data, self.point = data, point
+        self.beta_hat = fit_ols_supervised(data)
+        self.beta_breve = fit_ols_semisupervised(data, point.moments)
+        noise = noise_signal_ols(data, self.beta_hat, point.moments)
+        self.sigma2_hat, self.tau2_hat = noise.sigma2_hat, noise.tau2_hat
+
+    @cached_property
+    def B_hat(self) -> float:
+        return self.point.bias_hat(self)
+
+    @cached_property
+    def alpha_hat(self) -> float:
+        return self.ratio(self.B_hat)
+
+    def ratio(self, B: float) -> float:
+        """Formula ratio at the estimated noise and a plug-in bias B."""
+        return alpha_star_ols(self.sigma2_hat, B, self.point.v_l, self.point.v_u)[0]
+
+    def linear(self, alpha: float) -> np.ndarray:
+        return mix_linear(self.beta_hat, self.beta_breve, alpha)
+
+    def loss(self, alpha: float) -> np.ndarray:
+        return fit_loss_mixed_ols(self.data, self.point.moments, alpha)
+
+
+_OLS_FITS = {
+    "supervised": lambda r: r.beta_hat,
+    "semisupervised": lambda r: r.beta_breve,
+    "linear_mixed_opt": lambda r: r.linear(r.point.alpha_star),
+    "linear_mixed_est": lambda r: r.linear(r.alpha_hat),
+    "linear_mixed_est_tau": lambda r: r.linear(r.ratio(r.point.bias_tau)),
+    "adaptive_select": lambda r: (
+        r.beta_breve if r.sigma2_hat > r.B_hat / (r.point.v_l - r.point.v_u) else r.beta_hat
+    ),
+    "loss_mixed_est": lambda r: r.loss(r.alpha_hat),
+    "loss_mixed_grid": lambda r: r.loss(r.point.ddot.argmin_alpha(r.beta_breve, r.sigma2_hat)),
+    "loss_mixed_opt": lambda r: r.loss(r.point.alpha_ddot),
+}
+# each preset's estimators, in the order of its CSV rows
+_OLS_CONSTANT_ESTIMATORS = tuple(name for name in _OLS_FITS if name != "linear_mixed_est_tau")
+_OLS_RANDOM_ESTIMATORS = tuple(_OLS_FITS)[:5]
+
+
+def _ols_fixed_mix(name: str):
+    """The fit of ``linear_mixed(a)`` or ``loss_mixed(a)``, a fixed ratio a."""
+    for prefix, mix in (("linear_mixed(", _OlsRep.linear), ("loss_mixed(", _OlsRep.loss)):
         if name.startswith(prefix) and name.endswith(")"):
-            return prefix[:-1], float(name[len(prefix):-1])
+            try:
+                a = float(name[len(prefix):-1])
+            except ValueError:
+                return None
+            return lambda r: mix(r, a)
     return None
+
+
+def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[dict]:
+    """The K replications of one OLS grid point.
+
+    Besides the estimator errors, each returns the quadratic coefficients of
+    its mixed-coefficient error curve under ``_curve``.
+    """
+
+    def rep(k: int) -> dict:
+        rng = seeded_rng(cfg.seed, _S_REP, gi, k)
+        data, beta = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
+        r = _OlsRep(data, point)
+        out = {name: _quad_err(L_eval, fit(r) - beta) for name, fit in fits}
+        u0 = L_eval.T @ (r.beta_hat - beta)
+        d = L_eval.T @ (r.beta_breve - beta) - u0
+        out["_curve"] = (float(d @ d), float(2.0 * u0 @ d), float(u0 @ u0))
+        return out
+
+    return _run_reps(cfg, rep, cfg.k)
 
 
 def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.n or 100
     p = _p_from_rule(cfg.p_rule or "fixed:50", n)
-    sigma2s = cfg.sigma2_grid or (1.0, 9.0, 25.0, 49.0)
-    m = cfg.pool_size or 20000
-    estimators = list(cfg.estimators or _OLS_CONSTANT_ESTIMATORS)
-    for name in estimators:
-        if name not in _OLS_CONSTANT_ESTIMATORS and _parse_fixed_mix(name) is None:
-            raise DataValidationError(f"unknown estimator {name!r} for this preset")
-
+    fits = _select(cfg, _OLS_FITS, _OLS_CONSTANT_ESTIMATORS, _ols_fixed_mix)
     Sigma = gen_sigma(CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9))
-    beta_true = np.full(p, 1.5)
-    pool = _gaussian_pool(cfg.seed, m, Sigma)
-    moments = build_moments(pool, n)
-    pool_c = moments.pool
-    spec = ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS))
-    model = OlsPoolModel(pool_c, n, spec, moments)
+    beta_mode = constant_beta(1.5)
+    beta_true = np.full(p, beta_mode.value)
+    moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 20000)
+    model = OlsPoolModel(moments.pool, n, spec, moments)
     # uniform grid for the measured mixed-coefficient curve; a zero-anchored
     # geometric grid for the loss-mixed search (the best ratio can sit well
     # below one uniform step at low noise)
     alphas = np.linspace(0.0, 1.0, cfg.alpha_grid_size)
     ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, cfg.alpha_grid_size - 1)])
-    ddot = DdotRiskModel(pool_c, n, ddot_grid, spec, moments)
+    ddot = DdotRiskModel(moments.pool, n, ddot_grid, spec, moments)
     B_true = model.bias_at(beta_true)
+    extras: dict = {"alpha_star": {}, "alpha_ddot_oracle": {}, "alpha_curve": {},
+                    "terms": model.terms(beta_true), "B_true": B_true}
 
-    eval_sigma = moments.Exx if cfg.eval_cov == "pool" else Sigma
-    L_eval = np.linalg.cholesky(eval_sigma)
-    H_factor = cho_factor(moments.H, lower=True)
-    chol_x = np.linalg.cholesky(Sigma)
-    from_pool = (cfg.x_source or "pool") == "pool"
-    v_l, v_u = model.v_l, model.v_u
-
-    rows: list[ResultRow] = []
-    paired: list[PairRow] = []
-    extras: dict = {
-        "alpha_star": {},
-        "alpha_ddot_oracle": {},
-        "alpha_curve": {},
-        "terms": model.terms(beta_true),
-        "B_true": B_true,
-    }
-
-    for gi, sigma2 in enumerate(sigma2s):
-        alpha_star = alpha_star_ols(sigma2, B_true, v_l, v_u)[0]
-        alpha_ddot_oracle = ddot.argmin_alpha(beta_true, sigma2)
-        extras["alpha_star"][sigma2] = alpha_star
-        extras["alpha_ddot_oracle"][sigma2] = alpha_ddot_oracle
-
-        def rep(k: int, sigma2=sigma2, alpha_star=alpha_star, oracle_a=alpha_ddot_oracle):
-            rng = seeded_rng(cfg.seed, _S_REP, gi, k)
-            if from_pool:
-                X = pool_c.Z[rng.choice(pool_c.m, size=n, replace=False)]
-            else:
-                X = rng.standard_normal((n, p)) @ chol_x.T
-            Y = X @ beta_true + math.sqrt(sigma2) * rng.standard_normal(n)
-            xbar, ybar = X.mean(axis=0), Y.mean()
-            G = X.T @ X
-            XtY = X.T @ Y
-            g_factor = cho_factor(G, lower=True)
-            beta_hat = cho_solve(g_factor, XtY)
-            beta_breve = cho_solve(H_factor, XtY - n * xbar * ybar)
-            resid = Y - X @ beta_hat
-            sigma2_hat = float(resid @ resid) / (n - p)
-            B_rep = model.bias_at(beta_breve)
-            alpha_hat = alpha_star_ols(sigma2_hat, B_rep, v_l, v_u)[0]
-
-            def ddot_fit(alpha: float) -> np.ndarray:
-                blend = alpha * moments.H + (1.0 - alpha) * G
-                rhs = XtY - alpha * n * xbar * ybar
-                return cho_solve(cho_factor(blend, lower=True), rhs)
-
-            out: dict[str, float] = {}
-            cache: dict[str, np.ndarray] = {}
-            for name in estimators:
-                parsed = _parse_fixed_mix(name)
-                if name == "supervised":
-                    bt = beta_hat
-                elif name == "semisupervised":
-                    bt = beta_breve
-                elif name == "linear_mixed_opt":
-                    bt = mix_linear(beta_hat, beta_breve, alpha_star)
-                elif name == "linear_mixed_est":
-                    bt = mix_linear(beta_hat, beta_breve, alpha_hat)
-                elif name == "adaptive_select":
-                    bt = beta_breve if sigma2_hat > B_rep / (v_l - v_u) else beta_hat
-                elif name == "loss_mixed_est":
-                    bt = ddot_fit(alpha_hat)
-                elif name == "loss_mixed_grid":
-                    alpha_tilde = ddot.argmin_alpha(beta_breve, sigma2_hat)
-                    bt = ddot_fit(alpha_tilde)
-                elif name == "loss_mixed_opt":
-                    bt = ddot_fit(oracle_a)
-                elif parsed is not None:
-                    kind, a = parsed
-                    bt = (
-                        mix_linear(beta_hat, beta_breve, a)
-                        if kind == "linear_mixed"
-                        else ddot_fit(a)
-                    )
-                cache[name] = bt
-                out[name] = _quad_err(L_eval, bt - beta_true)
-
-            # quadratic coefficients of the mixed-coefficient error curve
-            u0 = L_eval.T @ (beta_hat - beta_true)
-            u1 = L_eval.T @ (beta_breve - beta_true)
-            d = u1 - u0
-            out["_curve"] = (float(d @ d), float(2.0 * u0 @ d), float(u0 @ u0))
-            return out
-
-        per_rep = _run_reps(cfg, rep, cfg.k)
-        r, pr = _aggregate("sigma2", sigma2, per_rep, estimators)
-        rows += r
-        paired += pr
-
-        coeffs = np.asarray([rep["_curve"] for rep in per_rep])
-        curve_mean = (
-            coeffs[:, 0].mean() * alphas**2
-            + coeffs[:, 1].mean() * alphas
-            + coeffs[:, 2].mean()
+    def run_point(gi: int, sigma2: float) -> list[dict]:
+        point = _OlsPoint(
+            moments, model.v_l, model.v_u,
+            alpha_star=alpha_star_ols(sigma2, B_true, model.v_l, model.v_u)[0],
+            bias_hat=lambda r: model.bias_at(r.beta_breve),
+            ddot=ddot,
+            alpha_ddot=ddot.argmin_alpha(beta_true, sigma2),
         )
-        argmin_cont, argmin_se = _batched_argmins(coeffs)
-        extras["alpha_curve"][sigma2] = {
-            "alphas": alphas,
-            "mean_r": curve_mean,
-            "argmin_grid": float(alphas[int(np.argmin(curve_mean))]),
-            "argmin_cont": argmin_cont,
-            "argmin_se": argmin_se,
-        }
+        extras["alpha_star"][sigma2] = point.alpha_star
+        extras["alpha_ddot_oracle"][sigma2] = point.alpha_ddot
+        per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
+        coeffs = np.asarray([rep["_curve"] for rep in per_rep])
+        extras["alpha_curve"][sigma2] = _alpha_curve(coeffs, alphas)
+        return per_rep
 
-    return ExperimentResult(cfg.preset, "sigma2", tuple(rows), tuple(paired), extras)
-
-
-_OLS_RANDOM_ESTIMATORS = (
-    "supervised",
-    "semisupervised",
-    "linear_mixed_opt",
-    "linear_mixed_est",
-    "linear_mixed_est_tau",
-)
+    sigma2s = cfg.sigma2_grid or (1.0, 9.0, 25.0, 49.0)
+    return _grid(cfg, "sigma2", sigma2s, fits, run_point, extras)
 
 
 def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
-    ns = cfg.n_grid or (100, 200, 500)
     sigma2 = (cfg.sigma2_grid or (25.0,))[0]
     tau2 = 1.0
-    estimators = list(cfg.estimators or _OLS_RANDOM_ESTIMATORS)
-    for name in estimators:
-        if name not in _OLS_RANDOM_ESTIMATORS:
-            raise DataValidationError(f"unknown estimator {name!r} for this preset")
-
-    rows: list[ResultRow] = []
-    paired: list[PairRow] = []
+    beta_mode = random_beta(math.sqrt(tau2))
+    fits = _select(cfg, _OLS_FITS, _OLS_RANDOM_ESTIMATORS)
     extras: dict = {"eta_measured": {}, "eta_theory": {}, "alpha_star": {}, "terms": {}}
 
-    for gi, n in enumerate(ns):
+    def run_point(gi: int, n: int) -> list[dict]:
         p = _p_from_rule(cfg.p_rule or "ratio:0.5", n)
         Sigma = gen_sigma(
             CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9, target_trace=25.0)
         )
-        m = cfg.pool_size or 10000
-        pool = _gaussian_pool(cfg.seed, m, Sigma, gi)
-        moments = build_moments(pool, n)
-        pool_c = moments.pool
-        spec = ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, gi))
-        model = OlsPoolModel(pool_c, n, spec, moments, keep_blocks=False)
+        moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 10000, gi)
+        model = OlsPoolModel(moments.pool, n, spec, moments, keep_blocks=False)
         v_l, v_u, b_u = model.v_l, model.v_u, model.b_u_hat
-        tr_sigma = float(np.trace(moments.Sigma))
-        alpha_star = alpha_star_ols(sigma2, tau2 * b_u, v_l, v_u)[0]
-        extras["alpha_star"][n] = alpha_star
+        point = _OlsPoint(
+            moments, v_l, v_u,
+            alpha_star=alpha_star_ols(sigma2, tau2 * b_u, v_l, v_u)[0],
+            bias_hat=lambda r: r.tau2_hat * b_u,
+            bias_tau=tau2 * b_u,
+        )
+        extras["alpha_star"][n] = point.alpha_star
         extras["eta_theory"][n] = eta_from_ols_terms(sigma2, tau2, v_l, v_u, b_u)
         extras["terms"][n] = {"v_l": v_l, "v_u": v_u, "b_u": b_u}
+        per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
+        extras["eta_measured"][n] = _relative_errors(per_rep, fits, "supervised")
+        return per_rep
 
-        eval_sigma = moments.Exx if cfg.eval_cov == "pool" else Sigma
-        L_eval = np.linalg.cholesky(eval_sigma)
-        H_factor = cho_factor(moments.H, lower=True)
-
-        chol_x = np.linalg.cholesky(Sigma)
-        from_pool = (cfg.x_source or "pool") == "pool"
-
-        def rep(k: int, n=n, p=p, alpha_star=alpha_star, pool_c=pool_c,
-                L_eval=L_eval, H_factor=H_factor, v_l=v_l, v_u=v_u, b_u=b_u,
-                tr_sigma=tr_sigma, gi=gi, chol_x=chol_x, from_pool=from_pool):
-            rng = seeded_rng(cfg.seed, _S_REP, gi, k)
-            if from_pool:
-                X = pool_c.Z[rng.choice(pool_c.m, size=n, replace=False)]
-            else:
-                X = rng.standard_normal((n, p)) @ chol_x.T
-            beta = math.sqrt(tau2) * rng.standard_normal(p)
-            Y = X @ beta + math.sqrt(sigma2) * rng.standard_normal(n)
-            G = X.T @ X
-            XtY = X.T @ Y
-            beta_hat = cho_solve(cho_factor(G, lower=True), XtY)
-            beta_breve = cho_solve(H_factor, XtY - n * X.mean(axis=0) * Y.mean())
-            resid = Y - X @ beta_hat
-            sigma2_hat = float(resid @ resid) / (n - p)
-            tau2_hat = max((float(Y @ Y) / n - sigma2_hat) / tr_sigma, 0.0)
-            alpha_tau = alpha_star_ols(sigma2_hat, tau2 * b_u, v_l, v_u)[0]
-            alpha_est = alpha_star_ols(sigma2_hat, tau2_hat * b_u, v_l, v_u)[0]
-            betas = {
-                "supervised": beta_hat,
-                "semisupervised": beta_breve,
-                "linear_mixed_opt": mix_linear(beta_hat, beta_breve, alpha_star),
-                "linear_mixed_est": mix_linear(beta_hat, beta_breve, alpha_est),
-                "linear_mixed_est_tau": mix_linear(beta_hat, beta_breve, alpha_tau),
-            }
-            return {
-                name: _quad_err(L_eval, betas[name] - beta) for name in estimators
-            }
-
-        per_rep = _run_reps(cfg, rep, cfg.k)
-        r, pr = _aggregate("n", n, per_rep, estimators)
-        rows += r
-        paired += pr
-        sup_mean = next(x.mean_error for x in r if x.estimator == "supervised")
-        extras["eta_measured"][n] = {
-            x.estimator: x.mean_error / sup_mean for x in r
-        }
-
-    return ExperimentResult(cfg.preset, "n", tuple(rows), tuple(paired), extras)
+    return _grid(cfg, "n", cfg.n_grid or (100, 200, 500), fits, run_point, extras)
 
 
 # ---------------------------------------------------------------------------
 # GLM presets
 # ---------------------------------------------------------------------------
 
-_GLM_ESTIMATORS = (
-    "supervised",
-    "semisupervised",
-    "linear_mixed_est",
-    "linear_mixed_opt",
-    "loss_mixed_est",
-    "loss_mixed_grid",
-    "loss_mixed_opt",
-)
+
+class _GlmRep:
+    """The library Newton fits of one GLM replication, and the mixing ratios
+    (``alpha``) its preset set for it.  Solves that did not converge are still
+    used, but counted; presets report ``extras["newton_nonconverged"]``."""
+
+    def __init__(self, data: LabeledSet, pool: UnlabeledPool, link: LinkSpec):
+        self.data, self.pool, self.link = data, pool, link
+        self.nonconverged = 0
+        self.alpha: dict[str, float] = {}
+        self.beta_hat = self._beta(fit_glm_supervised(data, link))
+        self.beta_breve = self._beta(fit_glm_semisupervised(data, pool, link))
+
+    def _beta(self, report) -> np.ndarray:
+        self.nonconverged += not report.converged
+        return report.beta
+
+    def linear(self, alpha: float) -> np.ndarray:
+        return mix_linear(self.beta_hat, self.beta_breve, alpha)
+
+    def loss(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
+        """Loss-mixed fit, started at the nearer pure fit unless beta0 is given."""
+        if beta0 is None:
+            beta0 = self.beta_breve if alpha > 0.5 else self.beta_hat
+        return self._beta(fit_glm_loss_mixed(self.data, self.pool, self.link, alpha, beta0=beta0))
+
+    def loss_path(self, alphas: np.ndarray) -> list[np.ndarray]:
+        """Loss-mixed fits along a ratio grid, each warm-started at the previous."""
+        path = [self.beta_hat]
+        for a in alphas:
+            path.append(self.loss(a, beta0=path[-1]))
+        return path[1:]
 
 
-def _glm_pred_error(Z_eval: np.ndarray, mu_true: np.ndarray, link: LinkSpec, beta) -> float:
-    eta = Z_eval @ beta
-    return float(np.mean(link.G(eta) - eta * mu_true))
+_GLM_FITS = {
+    "supervised": lambda r: r.beta_hat,
+    "semisupervised": lambda r: r.beta_breve,
+    "linear_mixed_est": lambda r: r.linear(r.alpha["est"]),
+    "linear_mixed_opt": lambda r: r.linear(r.alpha["dot_oracle"]),
+    "loss_mixed_est": lambda r: r.loss(r.alpha["est"]),
+    "loss_mixed_grid": lambda r: r.loss(r.alpha["grid"]),
+    "loss_mixed_opt": lambda r: r.loss(r.alpha["ddot_oracle"]),
+}
+# glm_alpha_sweep: each estimator is a curve of fits over the ratio grid
+_GLM_SWEEP_CURVES = {
+    "linear_mixed": lambda r, alphas: [r.linear(a) for a in alphas],
+    "loss_mixed": lambda r, alphas: r.loss_path(alphas),
+}
 
 
-def _glm_setup(cfg: ExperimentConfig):
-    n = cfg.n or 50
-    p = _p_from_rule(cfg.p_rule or "fixed:10", n)
-    link = elu_link()
-    Sigma = gen_sigma(CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9))
-    beta_true = np.full(p, 2.0)
-    chol = np.linalg.cholesky(Sigma)
-    m_eval = 10000
-    Z_eval = seeded_rng(cfg.seed, _S_EVAL).standard_normal((m_eval, p)) @ chol.T
-    mu_true = link.g(Z_eval @ beta_true)
-    return n, p, link, Sigma, chol, beta_true, Z_eval, mu_true
+class _GlmStudy:
+    """The ELU study of both GLM presets: the design, the oracle statistics (one
+    large pool at the true coefficients) and the excess-loss error on a fixed
+    evaluation sample."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.seed = cfg.seed
+        self.n = n = cfg.n or 50
+        p = _p_from_rule(cfg.p_rule or "fixed:10", n)
+        self.link = elu_link()
+        Sigma = gen_sigma(CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9))
+        self.beta_mode = constant_beta(2.0)
+        beta_true = np.full(p, self.beta_mode.value)
+        self.Z_eval = gaussian_sampler(Sigma, 10000)(seeded_rng(cfg.seed, _S_EVAL))
+        self.mu_true = self.link.g(self.Z_eval @ beta_true)
+        self.draw_pool = gaussian_sampler(Sigma, cfg.pool_size or 5000)
+        self.draw_x = gaussian_sampler(Sigma, n)
+        self.alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
+        self.oracle = GlmPoolStats(
+            _gaussian_pool(cfg.seed, 20000, Sigma), n, self.link, beta_true,
+            ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
+            alphas=self.alphas,
+        )
+
+    def oracle_ratios(self, sigma2: float) -> tuple[float, float]:
+        """The oracle coefficient-mix (clipped formula) and loss-mix (grid) ratios."""
+        o = self.oracle
+        alpha_dot = clip_alpha(alpha_dot_glm(sigma2, o.B_g_hat, o.v_l_g, o.v_u_g, o.v_s_g)[0])
+        return alpha_dot, o.ddot_curve(sigma2).argmin_alpha
+
+    def draw(self, gi: int, k: int, sigma2: float) -> tuple[LabeledSet, UnlabeledPool]:
+        """The labeled sample and the raw pool of one replication."""
+        rng = seeded_rng(self.seed, _S_REP, gi, k)
+        pool = UnlabeledPool(self.draw_pool(rng))
+        return _label(self.draw_x(rng), self.beta_mode, self.link, sigma2, rng)[0], pool
+
+    def error(self, beta: np.ndarray) -> float:
+        eta = self.Z_eval @ beta
+        return float(np.mean(self.link.G(eta) - eta * self.mu_true))
 
 
-def _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit):
-    rng = seeded_rng(cfg.seed, _S_REP, gi, k)
-    Z = rng.standard_normal((m_fit, p)) @ chol.T
-    X = rng.standard_normal((n, p)) @ chol.T
-    Y = link.g(X @ beta_true) + math.sqrt(sigma2) * rng.standard_normal(n)
-    return LabeledSet(X, Y), UnlabeledPool(Z)
+def _nonconverged(per_rep: list[dict]) -> int:
+    return sum(r["_nonconverged"] for r in per_rep)
 
 
 def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
-    n, p, link, Sigma, chol, beta_true, Z_eval, mu_true = _glm_setup(cfg)
-    sigma2s = cfg.sigma2_grid or (1.0, 9.0, 25.0, 49.0)
-    m_fit = cfg.pool_size or 5000
-    estimators = list(cfg.estimators or _GLM_ESTIMATORS)
-    for name in estimators:
-        if name not in _GLM_ESTIMATORS:
-            raise DataValidationError(f"unknown estimator {name!r} for this preset")
-    alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
+    fits = _select(cfg, _GLM_FITS, tuple(_GLM_FITS))
+    study = _GlmStudy(cfg)
+    n, link = study.n, study.link
+    extras: dict = {"oracle_terms": study.oracle.quadratic(), "alpha_dot_oracle": {},
+                    "alpha_ddot_oracle": {}, "newton_nonconverged": {}}
 
-    # oracle statistics from one large fixed pool at the true coefficients
-    oracle_pool = _gaussian_pool(cfg.seed, 20000, Sigma)
-    oracle_stats = GlmPoolStats(
-        oracle_pool, n, link, beta_true,
-        ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
-        alphas=alphas,
-    )
-    oq = oracle_stats.quadratic()
-
-    rows: list[ResultRow] = []
-    paired: list[PairRow] = []
-    extras: dict = {
-        "oracle_terms": oq,
-        "alpha_dot_oracle": {},
-        "alpha_ddot_oracle": {},
-    }
-
-    for gi, sigma2 in enumerate(sigma2s):
-        alpha_dot = clip_alpha(alpha_dot_glm(sigma2, oq.B_g_hat, oq.v_l_g, oq.v_u_g, oq.v_s_g)[0])
-        alpha_ddot = oracle_stats.ddot_curve(sigma2).argmin_alpha
+    def run_point(gi: int, sigma2: float) -> list[dict]:
+        alpha_dot, alpha_ddot = study.oracle_ratios(sigma2)
         extras["alpha_dot_oracle"][sigma2] = alpha_dot
         extras["alpha_ddot_oracle"][sigma2] = alpha_ddot
 
-        def rep(k: int, sigma2=sigma2, alpha_dot=alpha_dot, alpha_ddot=alpha_ddot, gi=gi):
-            data, raw_pool = _glm_rep_draw(cfg, gi, k, n, p, chol, beta_true, link, sigma2, m_fit)
+        def rep(k: int) -> dict:
+            data, raw_pool = study.draw(gi, k, sigma2)
             moments = build_moments(raw_pool, n)
-            pool = moments.pool
-            prob = GlmProblem(data, pool, link)
-            start = prob.ols_start()
-            rep_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start)
-            rep_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start)
-            beta_hat, beta_breve = rep_hat.beta, rep_breve.beta
-
+            r = _GlmRep(data, moments.pool, link)
             stats = GlmPoolStats(
-                pool, n, link, beta_breve,
+                moments.pool, n, link, r.beta_breve,
                 ResampleSpec(n, cfg.rep_blocks, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
-                alphas=alphas, moments=moments,
+                alphas=study.alphas, moments=moments,
             )
-            denom = stats.sigma2_denominator()
-            if denom <= 0:
-                raise DataValidationError("nonpositive noise denominator")
-            resid = link.g(data.X @ beta_hat) - data.Y
-            sigma2_hat = max(float(resid @ resid) / denom, 0.0)
-            alpha_hat = clip_alpha(
-                alpha_dot_glm(sigma2_hat, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g)[0]
-            )
-            alpha_tilde = stats.ddot_curve(sigma2_hat).argmin_alpha
-
-            def mixed_fit(alpha: float) -> np.ndarray:
-                rpt = _newton(
-                    lambda b: prob.mixed_value(b, alpha),
-                    lambda b: prob.mixed_grad(b, alpha),
-                    lambda b: prob.mixed_hess(b, alpha),
-                    beta_breve if alpha > 0.5 else beta_hat,
-                )
-                return rpt.beta
-
-            betas = {}
-            for name in estimators:
-                if name == "supervised":
-                    betas[name] = beta_hat
-                elif name == "semisupervised":
-                    betas[name] = beta_breve
-                elif name == "linear_mixed_est":
-                    betas[name] = mix_linear(beta_hat, beta_breve, alpha_hat)
-                elif name == "linear_mixed_opt":
-                    betas[name] = mix_linear(beta_hat, beta_breve, alpha_dot)
-                elif name == "loss_mixed_est":
-                    betas[name] = mixed_fit(alpha_hat)
-                elif name == "loss_mixed_grid":
-                    betas[name] = mixed_fit(alpha_tilde)
-                elif name == "loss_mixed_opt":
-                    betas[name] = mixed_fit(alpha_ddot)
-            return {
-                name: _glm_pred_error(Z_eval, mu_true, link, betas[name])
-                for name in estimators
-            }
+            s2 = estimate_noise_glm(data, r.beta_hat, r.beta_breve, moments.pool, link, stats=stats)
+            est = alpha_dot_glm(s2, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g)[0]
+            r.alpha = {"est": clip_alpha(est), "grid": stats.ddot_curve(s2).argmin_alpha,
+                       "dot_oracle": alpha_dot, "ddot_oracle": alpha_ddot}
+            out = {name: study.error(fit(r)) for name, fit in fits}
+            out["_nonconverged"] = r.nonconverged
+            return out
 
         per_rep = _run_reps(cfg, rep, cfg.k)
-        r, pr = _aggregate("sigma2", sigma2, per_rep, estimators)
-        rows += r
-        paired += pr
+        extras["newton_nonconverged"][sigma2] = _nonconverged(per_rep)
+        return per_rep
 
-    return ExperimentResult(cfg.preset, "sigma2", tuple(rows), tuple(paired), extras)
+    sigma2s = cfg.sigma2_grid or (1.0, 9.0, 25.0, 49.0)
+    return _grid(cfg, "sigma2", sigma2s, fits, run_point, extras)
 
 
 def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    n, p, link, Sigma, chol, beta_true, Z_eval, mu_true = _glm_setup(cfg)
     sigma2 = (cfg.sigma2_grid or (25.0,))[0]
-    m_fit = cfg.pool_size or 5000
-    alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
-    estimators = ["linear_mixed", "loss_mixed"]
+    curves = _select(cfg, _GLM_SWEEP_CURVES, tuple(_GLM_SWEEP_CURVES))
+    estimators = [name for name, _ in curves]
+    study = _GlmStudy(cfg)
+    alphas = study.alphas
+    alpha_dot, alpha_ddot = study.oracle_ratios(sigma2)
 
-    oracle_pool = _gaussian_pool(cfg.seed, 20000, Sigma)
-    oracle_stats = GlmPoolStats(
-        oracle_pool, n, link, beta_true,
-        ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
-        alphas=alphas,
-    )
-    oq = oracle_stats.quadratic()
-    alpha_dot = clip_alpha(alpha_dot_glm(sigma2, oq.B_g_hat, oq.v_l_g, oq.v_u_g, oq.v_s_g)[0])
-    alpha_ddot = oracle_stats.ddot_curve(sigma2).argmin_alpha
-
-    def rep(k: int):
-        data, raw_pool = _glm_rep_draw(cfg, 0, k, n, p, chol, beta_true, link, sigma2, m_fit)
-        prob = GlmProblem(data, center_pool(raw_pool)[0], link)
-        start = prob.ols_start()
-        beta_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start).beta
-        beta_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start).beta
-        lin = np.empty(alphas.size)
-        dd = np.empty(alphas.size)
-        warm = beta_hat
-        for j, a in enumerate(alphas):
-            lin[j] = _glm_pred_error(
-                Z_eval, mu_true, link, mix_linear(beta_hat, beta_breve, a)
-            )
-            warm = _newton(
-                lambda b: prob.mixed_value(b, a),
-                lambda b: prob.mixed_grad(b, a),
-                lambda b: prob.mixed_hess(b, a),
-                warm,
-            ).beta
-            dd[j] = _glm_pred_error(Z_eval, mu_true, link, warm)
-        return {"linear_mixed": lin, "loss_mixed": dd}
+    def rep(k: int) -> dict:
+        data, raw_pool = study.draw(0, k, sigma2)
+        r = _GlmRep(data, center_pool(raw_pool)[0], study.link)
+        out = {name: np.array([study.error(b) for b in curve(r, alphas)]) for name, curve in curves}
+        out["_nonconverged"] = r.nonconverged
+        return out
 
     per_rep = _run_reps(cfg, rep, cfg.k)
-    rows: list[ResultRow] = []
-    paired: list[PairRow] = []
-    mean_curves: dict[str, np.ndarray] = {}
-    for name in estimators:
-        stack = np.stack([r[name] for r in per_rep])
-        mean_curves[name] = stack.mean(axis=0)
-        for j, a in enumerate(alphas):
-            col = stack[:, j]
-            rows.append(
-                ResultRow(
-                    estimator=name,
-                    grid_name="alpha",
-                    grid_value=float(a),
-                    mean_error=float(col.mean()),
-                    se=float(col.std(ddof=1) / math.sqrt(col.size)),
-                    k_effective=col.size,
-                )
-            )
-    for j, a in enumerate(alphas):
-        d = np.stack([r["linear_mixed"][j] - r["loss_mixed"][j] for r in per_rep])
-        s = summarize_pairwise(d)
-        paired.append(
-            PairRow("linear_mixed", "loss_mixed", float(a), s.mean, s.se, s.t, s.p)
-        )
+    # one grid point per ratio; the rows are listed estimator by estimator
+    by_alpha = [
+        _aggregate("alpha", float(a), [{e: r[e][j] for e in estimators} for r in per_rep],
+                   estimators)
+        for j, a in enumerate(alphas)
+    ]
+    rows = [row for name in estimators for rs, _ in by_alpha for row in rs if row.estimator == name]
+    paired = [pair for _, prs in by_alpha for pair in prs]
+    mean_curves = {name: np.stack([r[name] for r in per_rep]).mean(axis=0) for name in estimators}
     extras = {
         "alphas": alphas,
         "alpha_dot_oracle": alpha_dot,
         "alpha_ddot_oracle": alpha_ddot,
-        "mc_argmin": {
-            name: float(alphas[int(np.argmin(curve))])
-            for name, curve in mean_curves.items()
-        },
+        "mc_argmin": {name: float(alphas[int(np.argmin(c))]) for name, c in mean_curves.items()},
         "mean_curves": mean_curves,
+        "newton_nonconverged": {sigma2: _nonconverged(per_rep)},
     }
     return ExperimentResult(cfg.preset, "alpha", tuple(rows), tuple(paired), extras)
 
@@ -862,145 +774,116 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # interpolator presets
 # ---------------------------------------------------------------------------
 
-_INTERP_ESTIMATORS = (
-    "min_norm",
-    "min_variance",
-    "interp_mixed_est",
-    "interp_mixed_est_tau",
-    "interp_mixed_opt",
-)
+
+@dataclass(frozen=True)
+class _InterpPoint:
+    """What the replications of one interpolator grid point share."""
+
+    Sigma_fit: np.ndarray
+    sigma_factor: tuple[np.ndarray, bool]
+    terms: InterpRiskTerms
+    sigma2: float
+    tau2: float
 
 
-def _interp_rep(rng, draw_x, Sigma_fit, sig_factor, n, p, tau2, sigma2, terms, L_eval):
-    """One interpolator replication; returns per-estimator errors and the
-    realization-wise variance-dominance slack."""
-    X = draw_x(rng)
-    w_true = math.sqrt(tau2) * rng.standard_normal(p)
-    Y = X @ w_true + math.sqrt(sigma2) * rng.standard_normal(n)
+class _InterpRep:
+    """Both interpolators and the noise estimates of one sample, from one
+    factorization of X X^T (``InterpSample``)."""
 
-    gf = cho_factor(X @ X.T, lower=True)
-    w_hat = X.T @ cho_solve(gf, Y)
-    A = cho_solve(sig_factor, X.T)
-    w_tilde = A @ cho_solve(cho_factor(X @ A, lower=True), Y)
+    def __init__(self, data: LabeledSet, point: _InterpPoint):
+        self.point = point
+        self.sample = InterpSample(data)
+        self.w_hat = self.sample.min_norm
+        self.w_tilde = self.sample.min_variance(point.sigma_factor)
 
-    Gi = cho_solve(gf, np.eye(n))
-    Gi2 = Gi @ Gi
-    yq = float(Y @ Gi2 @ Y)
-    tr1, tr2 = float(np.trace(Gi)), float(np.trace(Gi2))
-    y2 = float(Y @ Y) / n
-    tr_sigma = float(np.trace(Sigma_fit))
+    @cached_property
+    def noise(self):
+        return self.sample.sigma_tau(self.point.Sigma_fit)
 
-    tau2_it = float(w_hat @ Sigma_fit @ w_hat) / tr_sigma
-    sigma2_it = 0.0
-    for _ in range(100):
-        s_new = max((yq - tau2_it * tr1) / tr2, 0.0)
-        t_new = max((y2 - s_new) / tr_sigma, 0.0)
-        done = abs(s_new - sigma2_it) < 1e-10 and abs(t_new - tau2_it) < 1e-10
-        sigma2_it, tau2_it = s_new, t_new
-        if done:
-            break
-    alpha_est = alpha_star_interp(sigma2_it, tau2_it, terms)[0]
-    sigma2_tau = max((yq - tau2 * tr1) / tr2, 0.0)
-    alpha_tau = alpha_star_interp(sigma2_tau, tau2, terms)[0]
-    alpha_opt = alpha_star_interp(sigma2, tau2, terms)[0]
-
-    ws = {
-        "min_norm": w_hat,
-        "min_variance": w_tilde,
-        "interp_mixed_est": mix_linear(w_hat, w_tilde, alpha_est),
-        "interp_mixed_est_tau": mix_linear(w_hat, w_tilde, alpha_tau),
-        "interp_mixed_opt": mix_linear(w_hat, w_tilde, alpha_opt),
-    }
-    out = {name: _quad_err(L_eval, w - w_true) for name, w in ws.items()}
-    var_hat = float(w_hat @ Sigma_fit @ w_hat)
-    var_tilde = float(w_tilde @ Sigma_fit @ w_tilde)
-    out["_dominance_slack"] = var_hat - var_tilde
-    return out
+    def mix(self, sigma2: float, tau2: float) -> np.ndarray:
+        """Coefficient mix at the formula ratio for noise sigma2 and signal tau2."""
+        alpha = alpha_star_interp(sigma2, tau2, self.point.terms)[0]
+        return mix_linear(self.w_hat, self.w_tilde, alpha)
 
 
-def _interp_grid_point(cfg, gi, n, p, sigma2, tau2, Sigma, estimators):
+_INTERP_FITS = {
+    "min_norm": lambda r: r.w_hat,
+    "min_variance": lambda r: r.w_tilde,
+    "interp_mixed_est": lambda r: r.mix(r.noise.sigma2_hat, r.noise.tau2_hat),
+    "interp_mixed_est_tau": lambda r: r.mix(
+        max(r.sample.sigma2_known_tau(r.point.tau2), 0.0), r.point.tau2
+    ),
+    "interp_mixed_opt": lambda r: r.mix(r.point.sigma2, r.point.tau2),
+}
+
+
+def _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits):
+    """The replications of one grid point and its pool risk terms.
+
+    Each replication also returns its realization-wise variance-dominance
+    slack under ``_dominance_slack``.
+    """
     m = cfg.pool_size or 5000
     if m <= p:
         raise DataValidationError(f"pool size {m} must exceed p={p}")
-    pool = _gaussian_pool(cfg.seed, m, Sigma, gi)
-    moments = build_moments(pool, n)
-    pool_c = moments.pool
-    Sigma_fit = moments.Sigma
-    sig_factor = cho_factor(Sigma_fit, lower=True)
-    spec = ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, gi))
-    terms = interp_risk_terms(Sigma_fit, n, p, pool_sampler(pool_c, n), spec)
-    eval_sigma = Sigma_fit if cfg.eval_cov == "pool" else Sigma
-    L_eval = np.linalg.cholesky(eval_sigma)
-    if (cfg.x_source or "pool") == "pool":
-        draw_x = pool_sampler(pool_c, n)
-    else:
-        chol_x = np.linalg.cholesky(Sigma)
+    moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, m, gi)
+    Sigma_fit = moments.Exx
+    terms = interp_risk_terms(Sigma_fit, n, p, pool_sampler(moments.pool, n), spec)
+    point = _InterpPoint(Sigma_fit, spd_factor(Sigma_fit, "Sigma"), terms, sigma2, tau2)
+    beta_mode = random_beta(math.sqrt(tau2))
 
-        def draw_x(rng):
-            return rng.standard_normal((n, p)) @ chol_x.T
-
-    def rep(k: int):
+    def rep(k: int) -> dict:
         rng = seeded_rng(cfg.seed, _S_REP, gi, k)
-        return _interp_rep(
-            rng, draw_x, Sigma_fit, sig_factor, n, p, tau2, sigma2, terms, L_eval
-        )
+        data, w_true = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
+        r = _InterpRep(data, point)
+        out = {name: _quad_err(L_eval, fit(r) - w_true) for name, fit in fits}
+        var_hat = float(r.w_hat @ Sigma_fit @ r.w_hat)
+        out["_dominance_slack"] = var_hat - float(r.w_tilde @ Sigma_fit @ r.w_tilde)
+        return out
 
-    per_rep = _run_reps(cfg, rep, cfg.k)
-    return per_rep, terms
+    return _run_reps(cfg, rep, cfg.k), terms
 
 
 def _run_interp_fixed(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.n or 50
     p = _p_from_rule(cfg.p_rule or "fixed:100", n)
-    sigma2s = cfg.sigma2_grid or (1.0, 4.0, 25.0)
     tau2 = 1.0
-    estimators = list(cfg.estimators or _INTERP_ESTIMATORS)
-    Sigma = gen_sigma(
-        CovarianceSpec("spiked_diagonal", p, spike_fraction=0.8, minor_scale=1.0 / n)
-    )
-
-    rows, paired = [], []
+    fits = _select(cfg, _INTERP_FITS, tuple(_INTERP_FITS))
+    Sigma = gen_sigma(CovarianceSpec("spiked_diagonal", p, spike_fraction=0.8, minor_scale=1 / n))
     extras: dict = {"alpha_oracle": {}, "dominance_min_slack": {}, "terms": None}
-    for gi, sigma2 in enumerate(sigma2s):
-        per_rep, terms = _interp_grid_point(cfg, gi, n, p, sigma2, tau2, Sigma, estimators)
+
+    def run_point(gi: int, sigma2: float) -> list[dict]:
+        per_rep, terms = _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits)
         extras["terms"] = terms
         extras["alpha_oracle"][sigma2] = alpha_star_interp(sigma2, tau2, terms)[0]
-        extras["dominance_min_slack"][sigma2] = min(
-            r["_dominance_slack"] for r in per_rep
-        )
-        r, pr = _aggregate("sigma2", sigma2, per_rep, estimators)
-        rows += r
-        paired += pr
-    return ExperimentResult(cfg.preset, "sigma2", tuple(rows), tuple(paired), extras)
+        extras["dominance_min_slack"][sigma2] = min(r["_dominance_slack"] for r in per_rep)
+        return per_rep
+
+    sigma2s = cfg.sigma2_grid or (1.0, 4.0, 25.0)
+    return _grid(cfg, "sigma2", sigma2s, fits, run_point, extras)
 
 
 def _run_interp_growth(cfg: ExperimentConfig) -> ExperimentResult:
-    ns = cfg.n_grid or (100, 200, 300)
     sigma2 = (cfg.sigma2_grid or (25.0,))[0]
     tau2 = 1.0
-    estimators = list(cfg.estimators or _INTERP_ESTIMATORS)
-
-    rows, paired = [], []
+    fits = _select(cfg, _INTERP_FITS, tuple(_INTERP_FITS))
     extras: dict = {"eta_measured": {}, "terms": {}, "eta_limit": None}
-    for gi, n in enumerate(ns):
+
+    def run_point(gi: int, n: int) -> list[dict]:
         p = _p_from_rule(cfg.p_rule or "ratio:2.0", n)
-        Sigma = gen_sigma(
-            CovarianceSpec(
-                "spiked_diagonal", p, spike_fraction=0.8, minor_scale=1.0 / n,
-                target_trace=25.0,
-            )
-        )
-        per_rep, terms = _interp_grid_point(cfg, gi, n, p, sigma2, tau2, Sigma, estimators)
+        Sigma = gen_sigma(CovarianceSpec(
+            "spiked_diagonal", p, spike_fraction=0.8, minor_scale=1 / n, target_trace=25.0
+        ))
+        per_rep, terms = _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits)
         extras["terms"][n] = terms
-        r, pr = _aggregate("n", n, per_rep, estimators)
-        rows += r
-        paired += pr
-        base = next(x.mean_error for x in r if x.estimator == "min_norm")
-        extras["eta_measured"][n] = {x.estimator: x.mean_error / base for x in r}
+        extras["eta_measured"][n] = _relative_errors(per_rep, fits, "min_norm")
+        return per_rep
+
+    result = _grid(cfg, "n", cfg.n_grid or (100, 200, 300), fits, run_point, extras)
     extras["eta_limit"] = interp_limits(
         AsymptoticSetting(gamma=2.0, gamma_tilde=1.6, sigma2=sigma2, tau2=tau2, c2=25.0)
     ).eta_inf
-    return ExperimentResult(cfg.preset, "n", tuple(rows), tuple(paired), extras)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1064,20 +947,18 @@ def write_result_csv(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
     return main, pairs
 
 
+def _list_of(item):
+    return lambda raw: tuple(item(v.strip()) for v in raw.split(","))
+
+
+# the parser of each key an [experiment] section may set
 _CONFIG_KEYS = {
-    "preset": str,
-    "k": int,
-    "seed": int,
-    "n": int,
-    "pool_size": int,
-    "p_rule": str,
-    "eval_cov": str,
-    "x_source": str,
-    "threads": int,
-    "resample_blocks": int,
-    "rep_blocks": int,
-    "alpha_grid_size": int,
-    "out_dir": str,
+    **dict.fromkeys(("preset", "p_rule", "eval_cov", "x_source", "out_dir"), str),
+    **dict.fromkeys(("k", "seed", "n", "pool_size", "threads", "resample_blocks",
+                     "rep_blocks", "alpha_grid_size"), int),
+    "sigma2_grid": _list_of(float),
+    "n_grid": _list_of(int),
+    "estimators": _list_of(str),
 }
 
 
@@ -1097,16 +978,9 @@ def load_config(path) -> ExperimentConfig:
     section = parser["experiment"]
     kwargs: dict = {}
     for key, raw in section.items():
-        if key in _CONFIG_KEYS:
-            kwargs[key] = _CONFIG_KEYS[key](raw)
-        elif key == "sigma2_grid":
-            kwargs[key] = tuple(float(v) for v in raw.split(","))
-        elif key == "n_grid":
-            kwargs[key] = tuple(int(v) for v in raw.split(","))
-        elif key == "estimators":
-            kwargs[key] = tuple(v.strip() for v in raw.split(","))
-        else:
+        if key not in _CONFIG_KEYS:
             raise DataValidationError(f"{path}: unknown config key {key!r}")
+        kwargs[key] = _CONFIG_KEYS[key](raw)
     if "preset" not in kwargs:
         raise DataValidationError(f"{path}: config must name a preset")
     return ExperimentConfig(**kwargs)

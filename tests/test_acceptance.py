@@ -150,7 +150,7 @@ def test_c1_endpoints_and_numeric_oracle():
         from mssl.core import PopulationMoments
 
         mom = PopulationMoments(
-            mean=np.zeros(p), Exx=H / n, H=H, Sigma=H / n, n=n,
+            mean=np.zeros(p), Exx=H / n, H=H, n=n,
             pool=UnlabeledPool(np.zeros((2, p)), centered=True),
         )
         closed = fit_loss_mixed_ols(LabeledSet(X, Y), mom, alpha)

@@ -124,3 +124,50 @@ def test_resample_blocks_match_pool_moments():
     samples = np.array([(X.T @ X / 20)[0, 0] for X in blocks])
     se = samples.std(ddof=1) / np.sqrt(samples.size)
     assert abs(samples.mean() - mom.Exx[0, 0]) < 3 * se
+
+
+# -- the conditioning policy ---------------------------------------------------------
+
+
+def test_spd_factor_matches_cho_factor_on_a_well_conditioned_matrix():
+    from scipy.linalg import cho_factor
+
+    from mssl.core import spd_factor
+
+    X = seeded_rng(40).standard_normal((30, 6))
+    G = X.T @ X
+    c, lower = spd_factor(G)
+    assert lower
+    np.testing.assert_array_equal(np.tril(c), np.tril(cho_factor(G, lower=True)[0]))
+
+
+@pytest.mark.parametrize(
+    "A, rank",
+    [
+        (np.ones((3, 3)), 1),  # Cholesky breaks down
+        (np.diag([1.0, -1.0, 1.0]), 3),  # indefinite
+        (np.diag([1.0, 1e-13, 1.0]), 3),  # factors, but cond 1e13 > COND_LIMIT
+    ],
+)
+def test_spd_factor_rejects_singular_and_ill_conditioned(A, rank):
+    from mssl import SingularMatrixError
+    from mssl.core import spd_factor
+
+    with pytest.raises(SingularMatrixError, match="what") as info:
+        spd_factor(A, "what")
+    assert info.value.rank == rank
+
+
+def test_spd_factor_accepts_a_condition_number_below_the_limit():
+    from mssl.core import spd_factor
+
+    spd_factor(np.diag([1.0, 1e-11, 1.0]))
+
+
+def test_moments_cache_the_factor_of_h():
+    moments = build_moments(UnlabeledPool(seeded_rng(41).standard_normal((200, 4))), 10)
+    factor = moments.H_factor
+    assert moments.H_factor is factor
+    np.testing.assert_allclose(
+        np.tril(factor[0]) @ np.tril(factor[0]).T, moments.H, rtol=1e-12
+    )

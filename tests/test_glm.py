@@ -25,13 +25,10 @@ from mssl import (
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
-    glm_risk_terms,
-    grid_search_alpha_ddot_glm,
     identity_link,
     ols_risk_terms,
     r_dot_glm_curve,
     seeded_rng,
-    v_M_terms,
 )
 
 
@@ -204,7 +201,7 @@ def test_identity_link_collapses_v_terms():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 80, 1)
-    q = glm_risk_terms(pool, n, identity_link(), np.ones(p), spec)
+    q = GlmPoolStats(pool, n, identity_link(), np.ones(p), spec).quadratic()
     expected = (n - 1) * p / n
     assert q.v_u_g == pytest.approx(expected, rel=1e-10)
     assert q.v_s_g == pytest.approx(expected, rel=1e-10)
@@ -215,7 +212,7 @@ def test_identity_link_v_l_is_n_times_ols_v_l():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 80, 2)
-    q = glm_risk_terms(pool, n, identity_link(), np.zeros(p), spec)
+    q = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec).quadratic()
     ols_terms = ols_risk_terms(pool, n, np.zeros(p), spec)
     assert q.v_l_g == pytest.approx(n * ols_terms.v_l, rel=1e-10)
 
@@ -226,8 +223,8 @@ def test_elu_at_zero_matches_identity_terms():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 60, 3)
-    q_elu = glm_risk_terms(pool, n, elu_link(), np.zeros(p), spec)
-    q_id = glm_risk_terms(pool, n, identity_link(), np.zeros(p), spec)
+    q_elu = GlmPoolStats(pool, n, elu_link(), np.zeros(p), spec).quadratic()
+    q_id = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec).quadratic()
     assert q_elu.v_l_g == pytest.approx(q_id.v_l_g, rel=1e-10)
     assert q_elu.v_s_g == pytest.approx(q_id.v_s_g, rel=1e-10)
     np.testing.assert_allclose(q_elu.Hg_hat, q_id.Hg_hat, rtol=1e-10)
@@ -242,7 +239,7 @@ def test_nonpositive_gprime_rejected():
         G=lambda z: 0.5 * np.maximum(z, 0.0) ** 2,
     )
     with pytest.raises(LinkValidationError):
-        glm_risk_terms(pool, 20, dead, np.ones(2), ResampleSpec(20, 10, 0))
+        GlmPoolStats(pool, 20, dead, np.ones(2), ResampleSpec(20, 10, 0)).quadratic()
 
 
 # -- noise estimation -----------------------------------------------------------
@@ -323,10 +320,10 @@ def test_glm_grid_zero_bias_degenerate():
     # the argmin sits at the semi-supervised end of the grid
     rng = seeded_rng(20)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
-    curve = grid_search_alpha_ddot_glm(
-        pool, 25, identity_link(), np.zeros(3), 1.0,
-        np.linspace(0, 1, 11), ResampleSpec(25, 80, 6),
-    )
+    curve = GlmPoolStats(
+        pool, 25, identity_link(), np.zeros(3), ResampleSpec(25, 80, 6),
+        alphas=np.linspace(0, 1, 11),
+    ).ddot_curve(1.0)
     # pure-variance curve: worst at the supervised end, argmin interior or 1
     assert curve.argmin_alpha >= 0.5
     assert curve.r_hat[0] == max(curve.r_hat)
@@ -335,10 +332,10 @@ def test_glm_grid_zero_bias_degenerate():
 def test_glm_grid_noiseless_prefers_supervised():
     rng = seeded_rng(21)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
-    curve = grid_search_alpha_ddot_glm(
-        pool, 25, elu_link(), np.ones(3), 0.0,
-        np.linspace(0, 1, 11), ResampleSpec(25, 80, 7),
-    )
+    curve = GlmPoolStats(
+        pool, 25, elu_link(), np.ones(3), ResampleSpec(25, 80, 7),
+        alphas=np.linspace(0, 1, 11),
+    ).ddot_curve(0.0)
     assert curve.argmin_alpha == 0.0
 
 
@@ -349,7 +346,8 @@ def test_v_m_identity_ordering():
     rng = seeded_rng(22)
     n, p = 30, 4
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    v_l_M, v_u_M = v_M_terms(pool, n, identity_link(), np.zeros(p), ResampleSpec(n, 200, 8))
+    stats = GlmPoolStats(pool, n, identity_link(), np.zeros(p), ResampleSpec(n, 200, 8))
+    v_l_M, v_u_M = stats.v_l_M, stats.v_u_M
     assert v_l_M > v_u_M
     # identity link: H2 = Hg = H, so v_u_M = (n-1)p/n and v_l_M tracks the
     # Wishart value p n/(n-p-1)
@@ -403,7 +401,7 @@ def test_curvature_condition_on_elu_pool():
     rng = seeded_rng(23)
     n, p = 50, 10
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    q = glm_risk_terms(pool, n, elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9))
+    q = GlmPoolStats(pool, n, elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9)).quadratic()
     assert q.v_l_g + q.v_u_g - 2 * q.v_s_g > 0
     assert q.v_l_g > q.v_u_g
 

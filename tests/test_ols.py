@@ -41,7 +41,6 @@ def _moments_with_H(H, n):
         mean=np.zeros(p),
         Exx=H / n,
         H=H,
-        Sigma=H / n,
         n=n,
         pool=UnlabeledPool(np.zeros((2, p)), centered=True),
     )

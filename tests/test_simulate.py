@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,3 +373,105 @@ def test_gaussian_x_source_switch():
 def test_true_eval_cov_switch():
     res = run_experiment(_tiny_ols_cfg(k=8, eval_cov="true"))
     assert all(r.mean_error >= 0 for r in res.rows)
+
+
+# -- estimator names, Newton convergence, pinned preset numbers -----------------------
+
+# one small configuration per preset; the golden values in
+# data/preset_golden.json were recorded with these at seed 3
+_SMALL = {
+    "ols_constant_beta": dict(
+        k=6, n=30, p_rule="fixed:10", sigma2_grid=(1.0, 25.0), pool_size=1500,
+        resample_blocks=30, alpha_grid_size=11,
+    ),
+    "ols_random_beta": dict(k=6, n_grid=(30, 40), pool_size=1500, resample_blocks=30),
+    "glm_elu": dict(
+        k=3, sigma2_grid=(1.0, 25.0), pool_size=400, resample_blocks=20, rep_blocks=15
+    ),
+    "glm_alpha_sweep": dict(k=3, pool_size=400, resample_blocks=20),
+    "interp_fixed": dict(
+        k=6, n=20, p_rule="fixed:40", sigma2_grid=(1.0, 25.0), pool_size=500,
+        resample_blocks=20,
+    ),
+    "interp_growth": dict(k=6, n_grid=(20, 30), pool_size=500, resample_blocks=20),
+}
+_GOLDEN_PATH = Path(__file__).parent / "data" / "preset_golden.json"
+
+
+def _small_cfg(preset, **kw):
+    return ExperimentConfig(preset=preset, seed=3, **{**_SMALL[preset], **kw})
+
+
+def test_small_configs_cover_every_preset():
+    assert tuple(_SMALL) == preset_names()
+
+
+@pytest.mark.parametrize("preset", list(_SMALL))
+def test_unknown_estimator_rejected_before_any_replication(preset, monkeypatch):
+    import mssl.simulate
+
+    def no_reps(*args, **kwargs):
+        raise AssertionError("replications ran before the estimator names were checked")
+
+    monkeypatch.setattr(mssl.simulate, "_run_reps", no_reps)
+    with pytest.raises(DataValidationError, match="bogus"):
+        run_experiment(_small_cfg(preset, estimators=("bogus",)))
+    from mssl.cli import main
+
+    assert main(["simulate", "--preset", preset, "-k", "2", "--estimators", "bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "preset, estimators, solves_per_rep",
+    [("glm_elu", ("supervised", "loss_mixed_est"), 3), ("glm_alpha_sweep", None, 2 + 21)],
+)
+def test_glm_presets_count_nonconverged_newton_solves(
+    preset, estimators, solves_per_rep, monkeypatch
+):
+    import dataclasses
+
+    import mssl.glm
+
+    cfg = _small_cfg(preset, k=2, sigma2_grid=(9.0,), estimators=estimators)
+    plain = run_experiment(cfg)
+    assert plain.extras["newton_nonconverged"] == {9.0: 0}
+
+    newton = mssl.glm._newton
+    monkeypatch.setattr(
+        mssl.glm, "_newton",
+        lambda *a, **kw: dataclasses.replace(newton(*a, **kw), converged=False),
+    )
+    flagged = run_experiment(cfg)
+    assert flagged.extras["newton_nonconverged"] == {9.0: solves_per_rep * cfg.k}
+    assert flagged.rows == plain.rows  # the count leaves the results alone
+
+
+@pytest.mark.parametrize("preset", list(_SMALL))
+def test_preset_numbers_are_pinned(preset):
+    golden = json.loads(_GOLDEN_PATH.read_text())[preset]
+    res = run_experiment(_small_cfg(preset))
+    assert [[r.estimator, r.grid_value, r.k_effective] for r in res.rows] == [
+        g[:3] for g in golden["rows"]
+    ]
+    assert [[r.estimator_a, r.estimator_b, r.grid_value] for r in res.paired] == [
+        g[:3] for g in golden["pairs"]
+    ]
+    np.testing.assert_allclose(
+        [[r.mean_error, r.se] for r in res.rows], [g[3:] for g in golden["rows"]],
+        rtol=1e-12, atol=0.0,
+    )
+    np.testing.assert_allclose(
+        [r.p for r in res.paired], [g[3] for g in golden["pairs"]], rtol=1e-12, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("preset, names", [
+    ("ols_random_beta", ("semisupervised", "linear_mixed_est")),
+    ("interp_growth", ("min_variance", "interp_mixed_opt")),
+])
+def test_growth_presets_run_without_their_reference_estimator(preset, names):
+    # eta is measured relative to supervised / min_norm; without that
+    # estimator the run still completes and leaves eta empty
+    res = run_experiment(_small_cfg(preset, k=2, estimators=names))
+    assert {r.estimator for r in res.rows} == set(names)
+    assert all(eta == {} for eta in res.extras["eta_measured"].values())
