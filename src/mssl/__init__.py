@@ -93,7 +93,6 @@ from .ols import (
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
-    grid_search_alpha_ddot,
     mix_linear,
     noise_signal_ols,
     ols_risk_terms,

@@ -75,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-grid", help="comma-separated values")
     sim.add_argument("--pool-size", type=int, default=None)
     sim.add_argument("--estimators", help="comma-separated estimator names")
-    sim.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="replication worker threads (not BLAS threads)",
-    )
 
     lim = sub.add_parser("limits", help="closed-form asymptotic limits as JSON")
     lim.add_argument("--mode", required=True, choices=["ols", "interp", "finite_m"])
@@ -165,8 +161,6 @@ def _cmd_simulate(args) -> int:
         overrides["pool_size"] = args.pool_size
     if args.estimators:
         overrides["estimators"] = tuple(v.strip() for v in args.estimators.split(","))
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpocon, dpotrf
 
-from .errors import DataValidationError, SingularMatrixError
+from .errors import DataValidationError, ResampleBudgetError, SingularMatrixError
 
 __all__ = [
     "LabeledSet",
@@ -234,3 +235,30 @@ def resample_block(pool: UnlabeledPool, spec: ResampleSpec, index: int) -> np.nd
     idx = rng.choice(pool.m, size=spec.block_size, replace=False)
     return pool.Z[idx]
 
+
+def _block_pass(
+    spec: ResampleSpec, draw: Callable[[int], np.ndarray], per_block: Callable
+) -> tuple[list, int]:
+    """The one resampling loop: ``per_block(draw(i))`` for each block of the plan.
+
+    A block whose statistics raise SingularMatrixError or LinAlgError is
+    skipped as a whole, so every statistic of a pass averages over the same
+    blocks.  Raises ResampleBudgetError when more than _SKIP_BUDGET of the
+    blocks were skipped, and DataValidationError when fewer than 2 are left.
+    Returns the per-block results in block order and the number skipped.
+    """
+    results = []
+    skipped = 0
+    for i in range(spec.replications):
+        X = draw(i)
+        try:
+            results.append(per_block(X))
+        except (SingularMatrixError, np.linalg.LinAlgError):
+            skipped += 1
+    if skipped > _SKIP_BUDGET * spec.replications:
+        raise ResampleBudgetError(
+            f"{skipped}/{spec.replications} resampled blocks were singular"
+        )
+    if len(results) < 2:
+        raise DataValidationError("not enough usable blocks")
+    return results, skipped

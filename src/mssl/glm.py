@@ -18,11 +18,11 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .core import (
     _DEFAULT_BLOCKS,
-    _SKIP_BUDGET,
     LabeledSet,
     PopulationMoments,
     ResampleSpec,
     UnlabeledPool,
+    _block_pass,
     build_moments,
     resample_block,
     spd_factor,
@@ -31,11 +31,10 @@ from .errors import (
     DataValidationError,
     LinkValidationError,
     RegimeError,
-    ResampleBudgetError,
     SingularMatrixError,
 )
 from .links import LinkSpec
-from .ols import RiskCurve, _blend_denominators, _xi
+from .ols import RiskCurve, _blend_denominators, _ratio_grid, _xi
 
 __all__ = [
     "GlmFitReport",
@@ -270,6 +269,8 @@ class GlmPoolStats:
     variant's v-terms, and (optionally) the loss-mixed risk curve over a
     mixing-ratio grid.  A caller that already holds ``build_moments(pool, n)``
     passes it as ``moments`` so the pool moments are not computed twice.
+    Every statistic averages over the same blocks; ``n_skipped`` counts the
+    blocks skipped as singular.
 
     The curve needs, per block and ratio, S_alpha = (alpha H_g + (1 - alpha) F)^{-1}.
     Each block solves the pencil (F, H_g) once: with H_g = L_g L_g^T,
@@ -327,49 +328,42 @@ class GlmPoolStats:
         Lg = np.linalg.cholesky(self.Hg)
         self.v_u_g = (n - 1) / n * float(np.trace(cho_solve((Lg, True), self.H)))
 
-        self.alphas = None if alphas is None else np.asarray(alphas, dtype=float)
+        self.alphas = None if alphas is None else _ratio_grid(alphas)
         if self.alphas is not None:
             Lg_inv = solve_triangular(Lg, np.eye(self.p), lower=True)
-        v_l_samples, v_s_samples, tr_sigma_samples, v_lM_samples = [], [], [], []
-        cov_vecs = []
-        bias_rows, var_rows = [], []
-        skipped = 0
-        for i in range(spec.replications):
-            Xb = resample_block(pool, spec, i)
+
+        def per_block(Xb: np.ndarray):
             d = link.gprime(Xb @ beta_eval)
             F = (Xb * d[:, None]).T @ Xb
-            try:
-                factor = spd_factor(F, "F")
-            except SingularMatrixError:
-                skipped += 1
-                continue
+            factor = spd_factor(F, "F")
             G = Xb.T @ Xb
             FiG = cho_solve(factor, G)
             FiHg = cho_solve(factor, self.Hg)
-            v_l_samples.append(float(np.einsum("ij,ji->", FiG, FiHg)))
-            v_s_samples.append((n - 1) / n * float(np.trace(FiG)))
             G2 = (Xb * (d**2)[:, None]).T @ Xb
             FiG2 = cho_solve(factor, G2)
-            tr_sigma_samples.append(float(np.einsum("ij,ji->", FiG, FiG2)))
-            v_lM_samples.append(float(np.trace(cho_solve(factor, self.H2))))
             mu = link.g(Xb @ beta_eval)
             c = Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean()
-            cov_vecs.append(c)
+            curve = None
             if self.alphas is not None:
                 # pencil (F, H_g): R^T H_g R = I and R^T F R = diag(mu_k)
                 mu_k, U = np.linalg.eigh(Lg_inv @ F @ Lg_inv.T)
                 R = Lg_inv.T @ U
                 inv_d2 = 1.0 / _blend_denominators(self.alphas, mu_k) ** 2
                 w = R.T @ (self.exmu - c)
-                bias_rows.append(inv_d2 @ (w * w))
-                var_rows.append(inv_d2 @ np.sum(R * (G @ R), axis=0))
-
-        if skipped > _SKIP_BUDGET * spec.replications:
-            raise ResampleBudgetError(
-                f"{skipped}/{spec.replications} blocks skipped estimating risk terms"
+                curve = (inv_d2 @ (w * w), inv_d2 @ np.sum(R * (G @ R), axis=0))
+            return (
+                float(np.einsum("ij,ji->", FiG, FiHg)),  # v_l
+                (n - 1) / n * float(np.trace(FiG)),  # v_s
+                float(np.einsum("ij,ji->", FiG, FiG2)),  # noise-denominator trace
+                float(np.trace(cho_solve(factor, self.H2))),  # v_l_M
+                c,
+                curve,
             )
-        if len(v_l_samples) < 2:
-            raise DataValidationError("not enough usable blocks")
+
+        blocks, self.n_skipped = _block_pass(
+            spec, lambda i: resample_block(pool, spec, i), per_block
+        )
+        v_l_samples, v_s_samples, tr_sigma_samples, v_lM_samples, cov_vecs, curves = zip(*blocks)
 
         def _mean_se(vals):
             arr = np.asarray(vals)
@@ -384,11 +378,12 @@ class GlmPoolStats:
         C = np.stack(cov_vecs)
         self.zeta_hat_mean = self.exmu - C.mean(axis=0)
         zetas = self.exmu[None, :] - C
-        self.zeta_hat_cov = np.cov(zetas.T, ddof=1) if C.shape[0] > 1 else np.zeros((self.p, self.p))
+        self.zeta_hat_cov = np.cov(zetas.T, ddof=1)
         U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
         self.B_g_hat = float(np.sum(U * U) / (C.shape[0] - 1))
-        self._curve_bias = np.array(bias_rows)
-        self._curve_var = np.array(var_rows)
+        if self.alphas is not None:
+            self._curve_bias = np.array([bias for bias, _ in curves])
+            self._curve_var = np.array([var for _, var in curves])
 
     def quadratic(self) -> GlmQuadratic:
         return GlmQuadratic(

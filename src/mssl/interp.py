@@ -13,19 +13,14 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
-    _SKIP_BUDGET,
     LabeledSet,
     ResampleSpec,
     UnlabeledPool,
+    _block_pass,
     seeded_rng,
     spd_factor,
 )
-from .errors import (
-    DataValidationError,
-    RegimeError,
-    ResampleBudgetError,
-    SingularMatrixError,
-)
+from .errors import DataValidationError, RegimeError
 
 __all__ = [
     "InterpSample",
@@ -121,16 +116,9 @@ def interp_risk_terms(
     tr_sigma = float(np.trace(Sigma))
     sig_factor = spd_factor(Sigma, "Sigma")
 
-    rows = []
-    skipped = 0
-    for i in range(spec.replications):
-        X = sampler(seeded_rng(spec.seed, 0x1D4A, i))
+    def per_draw(X: np.ndarray):
         Gn = X @ X.T
-        try:
-            gf = spd_factor(Gn, "X X^T")
-        except SingularMatrixError:
-            skipped += 1
-            continue
+        gf = spd_factor(Gn, "X X^T")
         XSX = X @ Sigma @ X.T
         GiXSX = cho_solve(gf, XSX)
         b_l = tr_sigma - float(np.trace(GiXSX))
@@ -140,10 +128,9 @@ def interp_risk_terms(
         inf_factor = cho_factor(inner, lower=True)
         b_u = tr_sigma - float(np.trace(cho_solve(inf_factor, Gn)))
         v_u = float(np.trace(cho_solve(inf_factor, np.eye(n))))
-        rows.append((b_l, v_l, b_u, v_u))
+        return b_l, v_l, b_u, v_u
 
-    if skipped > _SKIP_BUDGET * spec.replications:
-        raise ResampleBudgetError(f"{skipped}/{spec.replications} draws skipped")
+    rows, _ = _block_pass(spec, lambda i: sampler(seeded_rng(spec.seed, 0x1D4A, i)), per_draw)
     arr = np.asarray(rows)
     mean = arr.mean(axis=0)
     se = arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])

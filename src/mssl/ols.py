@@ -18,21 +18,16 @@ from scipy.linalg import cho_solve, solve_triangular
 from .core import (
     COND_LIMIT,
     _DEFAULT_BLOCKS,
-    _SKIP_BUDGET,
     LabeledSet,
     PopulationMoments,
     ResampleSpec,
     UnlabeledPool,
+    _block_pass,
     build_moments,
     resample_block,
     spd_factor,
 )
-from .errors import (
-    DataValidationError,
-    RegimeError,
-    ResampleBudgetError,
-    SingularMatrixError,
-)
+from .errors import DataValidationError, RegimeError
 
 __all__ = [
     "COND_LIMIT",
@@ -51,7 +46,6 @@ __all__ = [
     "noise_signal_ols",
     "alpha_star_ols",
     "r_dot_curve",
-    "grid_search_alpha_ddot",
     "alpha_star_finite_m",
 ]
 
@@ -179,6 +173,9 @@ class OlsPoolModel:
     the random-coefficient bias factor b_u, and keeps the whitened centered
     scatter of every block so the bias of the semi-supervised estimator can
     be evaluated at any plug-in coefficient vector without re-resampling.
+    Given a ratio ``grid``, the same pass also builds ``ddot``, the
+    loss-mixed risk model over that grid (``DdotRiskModel``), so every
+    statistic averages over the same blocks, each drawn and checked once.
     """
 
     def __init__(
@@ -188,6 +185,7 @@ class OlsPoolModel:
         spec: ResampleSpec | None = None,
         moments: PopulationMoments | None = None,
         keep_blocks: bool = True,
+        grid=None,
     ):
         if n <= pool.p:
             raise RegimeError(
@@ -204,45 +202,45 @@ class OlsPoolModel:
         self.spec = spec
         self.moments = moments
         self.H = moments.H
+        # v_l, b_u and the bias whiten with numpy's factor of H, the curve with
+        # the checked H_factor; the two differ at roundoff, and each statistic
+        # keeps the factor it has always used
         self._L_H = np.linalg.cholesky(self.H)
-
-        v_l_samples: list[float] = []
-        b_u_samples: list[float] = []
-        whitened: list[np.ndarray] = []
-        skipped = 0
         sqrt_H = self._L_H  # lower-triangular factor, H = L L^T
-        for i in range(spec.replications):
-            Xb = resample_block(self.pool, spec, i)
+        alphas = None if grid is None else _ratio_grid(grid)
+        if alphas is not None:
+            L, L_inv = _cholesky_pair(moments)
+
+        def per_block(Xb: np.ndarray):
             G = Xb.T @ Xb
-            try:
-                factor = spd_factor(G, "X^T X")
-            except SingularMatrixError:
-                skipped += 1
-                continue
-            v_l_samples.append(float(np.trace(cho_solve(factor, self.H))) / n)
+            factor = spd_factor(G, "X^T X")
             xbar = Xb.mean(axis=0)
             M = G - n * np.outer(xbar, xbar)
             W = solve_triangular(sqrt_H, M, lower=True)  # L^{-1} M
-            whitened.append(W)
-            # tr(Delta1^T H Delta1) with Delta1 = H^{-1} M - I equals
-            # ||L^{-1} M - L^T||_F^2.
-            b_u_samples.append(float(np.sum((W - sqrt_H.T) ** 2)) / n)
-
-        if skipped > _SKIP_BUDGET * spec.replications:
-            raise ResampleBudgetError(
-                f"{skipped}/{spec.replications} resampled blocks were singular"
+            pencil = None if alphas is None else _ddot_block(G, xbar, L, L_inv, n, alphas)
+            return (
+                float(np.trace(cho_solve(factor, self.H))) / n,
+                # tr(Delta1^T H Delta1) with Delta1 = H^{-1} M - I equals
+                # ||L^{-1} M - L^T||_F^2.
+                float(np.sum((W - sqrt_H.T) ** 2)) / n,
+                W if keep_blocks else None,
+                pencil,
             )
-        if len(v_l_samples) < 2:
-            raise DataValidationError("not enough usable blocks")
 
+        blocks, self.n_skipped = _block_pass(
+            spec, lambda i: resample_block(self.pool, spec, i), per_block
+        )
+        v_l_samples, b_u_samples, whitened, pencils = zip(*blocks)
         arr = np.asarray(v_l_samples)
         self.n_blocks = arr.size
-        self.n_skipped = skipped
         self.v_l = float(arr.mean())
         self.se_v_l = float(arr.std(ddof=1) / math.sqrt(arr.size))
         self.v_u = (n - 1) * pool.p / n**2
         self.b_u_hat = float(np.mean(b_u_samples))
         self._W = np.stack(whitened) if keep_blocks else None
+        self.ddot = None
+        if alphas is not None:
+            self.ddot = DdotRiskModel(alphas, n, *_ddot_operators(pencils))
 
     def bias_at(self, beta: np.ndarray) -> float:
         """Estimated bias of the semi-supervised estimator at a plug-in beta.
@@ -361,6 +359,14 @@ def _xi(alpha, n: int):
     return 1.0 - (2.0 * alpha - alpha**2) / n
 
 
+def _ratio_grid(grid) -> np.ndarray:
+    """A pass's mixing-ratio grid as an array: at least 2 points, all in [0, 1]."""
+    alphas = np.asarray(grid, dtype=float).ravel()
+    if alphas.size < 2 or not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+        raise DataValidationError("a ratio grid needs >= 2 points inside [0, 1]")
+    return alphas
+
+
 def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """alpha + (1 - alpha) lam_k for every ratio (rows) and eigenvalue (columns).
 
@@ -379,17 +385,6 @@ def _cholesky_pair(moments: PopulationMoments) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor L of H and its inverse, for a whole pass."""
     L = np.tril(moments.H_factor[0])
     return L, solve_triangular(L, np.eye(L.shape[0]), lower=True)
-
-
-def _checked_gram(Xb: np.ndarray) -> np.ndarray:
-    """X^T X of a resampled block, checked by the package conditioning policy.
-
-    The pencil kernel does not use the Cholesky factor; it is computed only so
-    that every block passes the same singularity test.
-    """
-    G = Xb.T @ Xb
-    spd_factor(G, "X^T X")
-    return G
 
 
 def _ddot_block(
@@ -422,128 +417,54 @@ def _ddot_block(
     return U.T @ L.T, z, e, a, var_tr
 
 
-def grid_search_alpha_ddot(
-    data: LabeledSet,
-    pool: UnlabeledPool,
-    beta_plugin: np.ndarray,
-    sigma2_hat: float,
-    grid,
-    spec: ResampleSpec | None = None,
-) -> RiskCurve:
-    """Estimate the reducible error of the loss-mixed fit over a ratio grid.
+def _ddot_operators(pencils) -> tuple[np.ndarray, np.ndarray]:
+    """Block averages of Delta_alpha^T H Delta_alpha and of the variance trace.
 
-    For each alpha the bias term (1/n) E_X[beta^T Delta_alpha^T H Delta_alpha
-    beta] at the plug-in beta and the variance term
-    (sigma^2 xi_alpha / n) tr(H E_X[S_alpha X^T X S_alpha]) are averaged over
-    resampled blocks; returns the curve with standard errors and its argmin.
-
-    Each block solves the pencil (X^T X, H) once (see ``_ddot_block``): the bias
-    at beta is ||e * (W beta) - a (z . beta)||^2 and the variance trace
-    sum_k lam_k / d_k^2, so a block costs O(p^3 + A p) for A ratios instead of
-    one factorization of the blend per ratio, O(A p^3).
+    ``pencils`` holds the ``_ddot_block`` pieces of each block.  With
+    Delta_alpha = V M_alpha W, Delta_alpha^T H Delta_alpha = W^T M_alpha^T M_alpha W,
+    which expands to sum_k e_k^2 w_k w_k^T - (r z^T + z r^T) + ||a||^2 z z^T with
+    w_k the rows of W and r = W^T (e * a).  Per block that is one matrix
+    product of the A rows of e^2 with the p outer products w_k w_k^T (upper
+    triangle only) plus O(A p^2) elementwise work, for A ratios.  Returns
+    (Q, V): Q has one exactly symmetric p x p matrix per ratio.
     """
-    alphas = np.asarray(grid, dtype=float)
-    if alphas.size < 5 or alphas.min() < 0 or alphas.max() > 1:
-        raise DataValidationError("grid must have >= 5 points inside [0, 1]")
-    n = data.n
-    moments = build_moments(pool, n)
-    spec = spec if spec is not None else _default_spec(n)
-    beta = np.asarray(beta_plugin, dtype=float)
-    L, L_inv = _cholesky_pair(moments)
-    xi = _xi(alphas, n)
-
-    samples = []
-    skipped = 0
-    for i in range(spec.replications):
-        Xb = resample_block(moments.pool, spec, i)
-        try:
-            G = _checked_gram(Xb)
-            W, z, e, a, var_tr = _ddot_block(G, Xb.mean(axis=0), L, L_inv, n, alphas)
-        except (SingularMatrixError, np.linalg.LinAlgError):
-            skipped += 1
-            continue
-        m = e * (W @ beta) - a * (z @ beta)  # (A, p): M_alpha W beta
-        bias = np.sum(m * m, axis=1)
-        samples.append((bias + sigma2_hat * xi * var_tr) / n)
-
-    if skipped > _SKIP_BUDGET * spec.replications:
-        raise ResampleBudgetError(
-            f"{skipped}/{spec.replications} blocks skipped in the grid search"
-        )
-    S = np.asarray(samples)
-    r_hat = S.mean(axis=0)
-    se = S.std(axis=0, ddof=1) / math.sqrt(S.shape[0])
-    return RiskCurve(
-        alphas=alphas,
-        r_hat=r_hat,
-        se=se,
-        argmin_alpha=float(alphas[int(np.argmin(r_hat))]),
-    )
+    A, p = pencils[0][2].shape
+    iu, ju = np.triu_indices(p)
+    Q_upper = np.zeros((A, iu.size))
+    V = np.zeros(A)
+    for W, z, e, a, var_tr in pencils:
+        r = (e * a) @ W
+        Q_upper += (e * e) @ (W[:, iu] * W[:, ju])
+        Q_upper += np.sum(a * a, axis=1)[:, None] * (z[iu] * z[ju])
+        Q_upper -= r[:, iu] * z[ju] + z[iu] * r[:, ju]
+        V += var_tr
+    Q = np.empty((A, p, p))
+    Q[:, iu, ju] = Q_upper
+    Q[:, ju, iu] = Q_upper
+    return Q / len(pencils), V / len(pencils)
 
 
 class DdotRiskModel:
-    """Reduced pool machinery for evaluating the loss-mixed risk curve fast.
+    """The estimated reducible error of the loss-mixed fit over a ratio grid.
 
-    Precomputes, per grid point, the block-averaged bias operator
-    E_X[Delta_alpha^T H Delta_alpha] and variance trace so the curve can be
-    re-evaluated for many plug-in coefficient vectors (one per Monte Carlo
-    replication) at quadratic-form cost.
-
-    Each block solves the pencil (X^T X, H) once (see ``_ddot_block``), so
-    Delta_alpha^T H Delta_alpha = W^T M_alpha^T M_alpha W for every ratio, which
-    expands to sum_k e_k^2 w_k w_k^T - (r z^T + z r^T) + ||a||^2 z z^T with w_k
-    the rows of W and r = W^T (e * a).  Per block, the pencil solve costs
-    O(p^3), the variance traces O(A p) for A ratios, and the bias operators one
-    matrix product of the A rows of e^2 with the p outer products w_k w_k^T
-    (upper triangle only) plus O(A p^2) elementwise work.  Factoring the blend
-    per ratio cost one Cholesky and three p x p solves each, O(A p^3) in A
-    separate calls.
+    For each alpha the bias term (1/n) E_X[beta^T Delta_alpha^T H Delta_alpha
+    beta] at a plug-in beta and the variance term
+    (sigma^2 xi_alpha / n) tr(H E_X[S_alpha X^T X S_alpha]) are averaged over
+    resampled blocks.  The model holds the block-averaged operators ``_Q``
+    (one p x p matrix per ratio) and ``_V`` (one trace per ratio), so the
+    curve is re-evaluated for many plug-in vectors (one per Monte Carlo
+    replication) at quadratic-form cost.  ``OlsPoolModel(..., grid=...)``
+    builds it in its block pass; each block solves the pencil (X^T X, H) once
+    (see ``_ddot_block``), O(p^3 + A p^2) for A ratios, in place of one
+    factorization of the blend per ratio, O(A p^3).
     """
 
-    def __init__(
-        self,
-        pool: UnlabeledPool,
-        n: int,
-        grid,
-        spec: ResampleSpec | None = None,
-        moments: PopulationMoments | None = None,
-    ):
-        self.alphas = np.asarray(grid, dtype=float)
-        moments = moments if moments is not None else build_moments(pool, n)
-        spec = spec if spec is not None else _default_spec(n)
-        L, L_inv = _cholesky_pair(moments)
+    def __init__(self, alphas: np.ndarray, n: int, Q: np.ndarray, V: np.ndarray):
+        self.alphas = alphas
         self.n = n
-        self._xi = _xi(self.alphas, n)
-        iu, ju = np.triu_indices(pool.p)
-        Q_upper = np.zeros((self.alphas.size, iu.size))
-        V = np.zeros(self.alphas.size)
-        used = 0
-        skipped = 0
-        for i in range(spec.replications):
-            Xb = resample_block(moments.pool, spec, i)
-            try:
-                G = _checked_gram(Xb)
-                W, z, e, a, var_tr = _ddot_block(
-                    G, Xb.mean(axis=0), L, L_inv, n, self.alphas
-                )
-            except (SingularMatrixError, np.linalg.LinAlgError):
-                skipped += 1
-                continue
-            r = (e * a) @ W
-            Q_upper += (e * e) @ (W[:, iu] * W[:, ju])
-            Q_upper += np.sum(a * a, axis=1)[:, None] * (z[iu] * z[ju])
-            Q_upper -= r[:, iu] * z[ju] + z[iu] * r[:, ju]
-            V += var_tr
-            used += 1
-        if skipped > _SKIP_BUDGET * spec.replications:
-            raise ResampleBudgetError(
-                f"{skipped}/{spec.replications} blocks skipped building the model"
-            )
-        Q = np.empty((self.alphas.size, pool.p, pool.p))
-        Q[:, iu, ju] = Q_upper
-        Q[:, ju, iu] = Q_upper
-        self._Q = Q / used
-        self._V = V / used
+        self._xi = _xi(alphas, n)
+        self._Q = Q
+        self._V = V
 
     def curve(self, beta_plugin: np.ndarray, sigma2_hat: float) -> np.ndarray:
         beta = np.asarray(beta_plugin, dtype=float)

@@ -31,7 +31,6 @@ from .interp import (
 )
 from .links import LinkSpec
 from .ols import (
-    DdotRiskModel,
     MixDiagnostics,
     OlsPoolModel,
     alpha_star_ols,
@@ -59,6 +58,15 @@ def _resolve_alpha(policy, alpha_hat, alpha_tilde):
     return fixed, "fixed"
 
 
+def _policy_grid(policy, size: int) -> np.ndarray | None:
+    """The uniform ratio grid the 'grid' policy searches; None for the others."""
+    if policy != "grid":
+        return None
+    if size < 2:
+        raise DataValidationError(f"the ratio grid needs >= 2 points, got grid_size={size}")
+    return np.linspace(0.0, 1.0, size)
+
+
 def _centered(data: LabeledSet, mean: np.ndarray) -> LabeledSet:
     return LabeledSet(data.X - mean, data.Y)
 
@@ -80,8 +88,10 @@ def fit_ols_pipeline(
         )
     moments = build_moments(pool, data.n)
     data_c = _centered(data, moments.mean)
-    spec = ResampleSpec(data.n, blocks, seed)
-    model = OlsPoolModel(moments.pool, data.n, spec, moments)
+    model = OlsPoolModel(
+        moments.pool, data.n, ResampleSpec(data.n, blocks, seed), moments,
+        grid=_policy_grid(alpha_policy, grid_size),
+    )
 
     beta_hat = fit_ols_supervised(data_c)
     beta_breve = fit_ols_semisupervised(data_c, moments)
@@ -90,9 +100,8 @@ def fit_ols_pipeline(
     alpha_hat = alpha_star_ols(ns.sigma2_hat, B_hat, model.v_l, model.v_u)[0]
 
     alpha_tilde = None
-    if alpha_policy == "grid":
-        ddot = DdotRiskModel(moments.pool, data.n, np.linspace(0, 1, grid_size), spec, moments)
-        alpha_tilde = ddot.argmin_alpha(beta_breve, ns.sigma2_hat)
+    if model.ddot is not None:
+        alpha_tilde = model.ddot.argmin_alpha(beta_breve, ns.sigma2_hat)
 
     alpha, source = _resolve_alpha(alpha_policy, alpha_hat, alpha_tilde)
     coeffs = fit_loss_mixed_ols(data_c, moments, alpha)
@@ -141,10 +150,9 @@ def fit_glm_pipeline(
 
     rep_hat = fit_glm_supervised(data_c, link)
     rep_breve = fit_glm_semisupervised(data_c, pool_c, link)
-    alphas = np.linspace(0.0, 1.0, grid_size) if alpha_policy == "grid" else None
     stats = GlmPoolStats(
-        pool_c, data.n, link, rep_breve.beta,
-        ResampleSpec(data.n, blocks, seed), alphas=alphas, moments=moments,
+        pool_c, data.n, link, rep_breve.beta, ResampleSpec(data.n, blocks, seed),
+        alphas=_policy_grid(alpha_policy, grid_size), moments=moments,
     )
     sigma2_hat = estimate_noise_glm(
         data_c, rep_hat.beta, rep_breve.beta, pool_c, link, stats=stats
@@ -153,7 +161,7 @@ def fit_glm_pipeline(
         sigma2_hat, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g
     )[0]
     alpha_tilde = None
-    if alpha_policy == "grid":
+    if stats.alphas is not None:
         alpha_tilde = stats.ddot_curve(sigma2_hat).argmin_alpha
 
     alpha, source = _resolve_alpha(alpha_policy, clip_alpha(alpha_hat), alpha_tilde)

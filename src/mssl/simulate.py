@@ -4,7 +4,9 @@ Each preset reproduces one synthetic study at desk scale: estimators are
 refit on K seeded training draws, errors are aggregated with standard
 errors, and every estimator pair gets a paired t-test.  Replications are
 pure functions of (seed, grid index, replication index), so results are
-bit-reproducible regardless of worker count.
+bit-reproducible from the seed.  They run one after another in a single
+loop (``_run_reps``): they are bound by the interpreter, so a thread pool
+only added contention.
 
 Presets are compositions of the library.  A grid point builds what its
 replications share (pool moments with the cached factor of H, resampled pool
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -255,7 +257,6 @@ class ExperimentConfig:
     alpha_grid_size: int = 51
     eval_cov: str = "pool"
     x_source: str | None = None
-    threads: int = 1
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -309,23 +310,22 @@ def _p_from_rule(rule: str, n: int) -> int:
 
 
 def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
-    """Run K replications on cfg.threads threads, tolerating up to 5% failures."""
+    """Run replications 0..k-1 in order, tolerating up to 5% failures.
 
-    def safe(i):
+    A replication that raises MsslError or LinAlgError is dropped; above the
+    budget the run aborts with the count of each exception class.
+    """
+    ok = []
+    failed: Counter[str] = Counter()
+    for i in range(k):
         try:
-            return rep_fn(i)
-        except (MsslError, np.linalg.LinAlgError):
-            return None
-
-    if cfg.threads <= 1:
-        out = [safe(i) for i in range(k)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            out = list(ex.map(safe, range(k)))
-    ok = [r for r in out if r is not None]
-    failures = k - len(ok)
-    if failures > 0.05 * k:
-        raise RuntimeError(f"{failures}/{k} replications failed; aborting the run")
+            ok.append(rep_fn(i))
+        except (MsslError, np.linalg.LinAlgError) as exc:
+            failed[type(exc).__name__] += 1
+    n_failed = k - len(ok)
+    if n_failed > 0.05 * k:
+        causes = ", ".join(f"{name}: {count}" for name, count in sorted(failed.items()))
+        raise RuntimeError(f"{cfg.preset}: {n_failed}/{k} replications failed ({causes})")
     return ok
 
 
@@ -498,13 +498,22 @@ _OLS_RANDOM_ESTIMATORS = tuple(_OLS_FITS)[:5]
 
 
 def _ols_fixed_mix(name: str):
-    """The fit of ``linear_mixed(a)`` or ``loss_mixed(a)``, a fixed ratio a."""
+    """The fit of ``linear_mixed(a)`` or ``loss_mixed(a)``, a fixed ratio a.
+
+    The ratio is checked here, before any replication runs, against what the
+    library fit accepts: any finite a for the coefficient mix, a in [0, 1]
+    for the loss mix.
+    """
     for prefix, mix in (("linear_mixed(", _OlsRep.linear), ("loss_mixed(", _OlsRep.loss)):
         if name.startswith(prefix) and name.endswith(")"):
             try:
                 a = float(name[len(prefix):-1])
             except ValueError:
                 return None
+            if not math.isfinite(a) or (mix is _OlsRep.loss and not 0.0 <= a <= 1.0):
+                raise DataValidationError(
+                    f"estimator {name!r}: the ratio must be finite, and in [0, 1] for loss_mixed"
+                )
             return lambda r: mix(r, a)
     return None
 
@@ -537,13 +546,13 @@ def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
     beta_mode = constant_beta(1.5)
     beta_true = np.full(p, beta_mode.value)
     moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 20000)
-    model = OlsPoolModel(moments.pool, n, spec, moments)
     # uniform grid for the measured mixed-coefficient curve; a zero-anchored
     # geometric grid for the loss-mixed search (the best ratio can sit well
     # below one uniform step at low noise)
     alphas = np.linspace(0.0, 1.0, cfg.alpha_grid_size)
     ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, cfg.alpha_grid_size - 1)])
-    ddot = DdotRiskModel(moments.pool, n, ddot_grid, spec, moments)
+    model = OlsPoolModel(moments.pool, n, spec, moments, grid=ddot_grid)
+    ddot = model.ddot
     B_true = model.bias_at(beta_true)
     extras: dict = {"alpha_star": {}, "alpha_ddot_oracle": {}, "alpha_curve": {},
                     "terms": model.terms(beta_true), "B_true": B_true}
@@ -954,8 +963,8 @@ def _list_of(item):
 # the parser of each key an [experiment] section may set
 _CONFIG_KEYS = {
     **dict.fromkeys(("preset", "p_rule", "eval_cov", "x_source", "out_dir"), str),
-    **dict.fromkeys(("k", "seed", "n", "pool_size", "threads", "resample_blocks",
-                     "rep_blocks", "alpha_grid_size"), int),
+    **dict.fromkeys(("k", "seed", "n", "pool_size", "resample_blocks", "rep_blocks",
+                     "alpha_grid_size"), int),
     "sigma2_grid": _list_of(float),
     "n_grid": _list_of(int),
     "estimators": _list_of(str),

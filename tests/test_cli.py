@@ -80,6 +80,24 @@ def test_fit_ols_grid_policy(ols_files, capsys):
     assert payload["diagnostics"]["alpha_tilde"] is not None
 
 
+@pytest.mark.parametrize("model", ["ols", "glm"])
+@pytest.mark.parametrize("size", ["-1", "0", "1"])
+def test_fit_grid_size_below_two_is_a_usage_error(ols_files, capsys, model, size):
+    labeled, pool = ols_files
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model,
+                 "--alpha", "grid", "--grid-size", size, "--blocks", "20"])
+    assert code == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def test_fit_interp_single_block_is_a_usage_error(interp_files, capsys):
+    labeled, pool = interp_files
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool),
+                 "--model", "interp", "--blocks", "1"])
+    assert code == 2
+    assert "not enough usable blocks" in capsys.readouterr().err
+
+
 def test_fit_fixed_zero_equals_supervised(ols_files, capsys):
     labeled, pool = ols_files
     assert main(["fit", "--labeled", str(labeled), "--pool", str(pool),
@@ -234,7 +252,6 @@ def test_simulate_smoke_writes_csv(tmp_path, capsys):
     code = main([
         "simulate", "--preset", "glm_elu", "-k", "3", "--seed", "9",
         "--sigma2-grid", "9", "--pool-size", "300", "--out-dir", str(tmp_path),
-        "--threads", "1",
     ])
     assert code == 0
     main_csv = tmp_path / "glm_elu.csv"

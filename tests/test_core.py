@@ -171,3 +171,66 @@ def test_moments_cache_the_factor_of_h():
     np.testing.assert_allclose(
         np.tril(factor[0]) @ np.tril(factor[0]).T, moments.H, rtol=1e-12
     )
+
+
+# -- the block pass -----------------------------------------------------------------
+
+
+def _failing_at(bad, error=None):
+    """A per-block statistic (10 x the block) that raises on the blocks in ``bad``."""
+    from mssl import SingularMatrixError
+
+    def per_block(x):
+        if x in bad:
+            raise error or SingularMatrixError("singular block")
+        return 10 * x
+
+    return per_block
+
+
+def test_block_pass_skips_and_counts_failing_blocks():
+    from mssl.core import _block_pass
+
+    drawn = []
+
+    def draw(i):
+        drawn.append(i)
+        return i
+
+    results, skipped = _block_pass(ResampleSpec(1, 20, 0), draw, _failing_at({3}))
+    assert drawn == list(range(20))
+    assert skipped == 1
+    assert results == [10 * i for i in range(20) if i != 3]
+    _, skipped = _block_pass(
+        ResampleSpec(1, 20, 0), lambda i: i, _failing_at({5}, np.linalg.LinAlgError())
+    )
+    assert skipped == 1
+
+
+def test_block_pass_budget_is_ten_percent_of_the_blocks():
+    from mssl import ResampleBudgetError
+    from mssl.core import _block_pass
+
+    spec = ResampleSpec(1, 20, 0)
+    results, skipped = _block_pass(spec, lambda i: i, _failing_at({0, 7}))
+    assert (len(results), skipped) == (18, 2)
+    with pytest.raises(ResampleBudgetError, match="3/20"):
+        _block_pass(spec, lambda i: i, _failing_at({0, 7, 19}))
+
+
+def test_block_pass_needs_two_usable_blocks():
+    from mssl.core import _block_pass
+
+    with pytest.raises(DataValidationError, match="not enough usable blocks"):
+        _block_pass(ResampleSpec(1, 1, 0), lambda i: i, _failing_at(set()))
+    _block_pass(ResampleSpec(1, 2, 0), lambda i: i, _failing_at(set()))
+
+
+def test_block_pass_lets_other_errors_through():
+    from mssl.core import _block_pass
+
+    with pytest.raises(DataValidationError, match="bad block"):
+        _block_pass(
+            ResampleSpec(1, 20, 0), lambda i: i,
+            _failing_at({4}, DataValidationError("bad block")),
+        )

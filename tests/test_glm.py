@@ -10,6 +10,8 @@ from mssl import (
     GlmProblem,
     LabeledSet,
     LinkValidationError,
+    OlsPoolModel,
+    ResampleBudgetError,
     ResampleSpec,
     UnlabeledPool,
     alpha_M_dispersion,
@@ -493,3 +495,27 @@ def test_pool_stats_curve_finite_and_positive(p, extra_n, sigma2, seed):
     r_hat = stats.ddot_curve(sigma2).r_hat
     assert np.all(np.isfinite(r_hat))
     assert np.all(r_hat > 0)
+
+
+def _line_pool(rng, m, generic):
+    """Pool rows on a line through the origin, but for ``generic`` Gaussian rows
+    (a block of 4 is singular unless it draws a generic row)."""
+    Z = np.outer(rng.standard_normal(m), [1.0, 2.0, -1.0])
+    Z[:generic] = rng.standard_normal((generic, 3))
+    return UnlabeledPool(Z)
+
+
+def test_pool_stats_mostly_singular_blocks_exhaust_the_budget():
+    pool = _line_pool(seeded_rng(5), 200, 8)
+    with pytest.raises(ResampleBudgetError):
+        GlmPoolStats(pool, 4, identity_link(), np.zeros(3), ResampleSpec(4, 40, 0))
+
+
+def test_pool_stats_count_skipped_blocks_like_the_ols_model():
+    # under the identity link F = X^T X, so both passes skip the same blocks
+    pool = _line_pool(seeded_rng(5), 200, 110)
+    spec = ResampleSpec(4, 100, 1)
+    stats = GlmPoolStats(pool, 4, identity_link(), np.zeros(3), spec,
+                         alphas=np.linspace(0, 1, 5))
+    assert stats.n_skipped == OlsPoolModel(pool, 4, spec).n_skipped == 5
+    assert stats._curve_bias.shape == (95, 5)

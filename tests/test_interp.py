@@ -7,6 +7,7 @@ from mssl import (
     DataValidationError,
     LabeledSet,
     RegimeError,
+    ResampleBudgetError,
     ResampleSpec,
     SingularMatrixError,
     UnlabeledPool,
@@ -335,3 +336,23 @@ def test_rff_scaler_standardizes_pool():
     F = rff_features(Z, rff, scaler=scaler)
     np.testing.assert_allclose(F.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(F.std(axis=0), 1.0, atol=1e-12)
+
+
+def test_interp_terms_mostly_singular_draws_exhaust_the_budget():
+    n, p = 5, 12
+    draw = gaussian_sampler(np.eye(p), n)
+
+    def sampler(rng):
+        X = draw(rng)
+        if rng.random() < 0.8:
+            X[1] = X[0]  # a repeated row makes X X^T singular
+        return X
+
+    with pytest.raises(ResampleBudgetError):
+        interp_risk_terms(np.eye(p), n, p, sampler, ResampleSpec(n, 40, 0))
+
+
+def test_interp_terms_need_two_usable_draws():
+    n, p = 5, 12
+    with pytest.raises(DataValidationError, match="not enough usable blocks"):
+        interp_risk_terms(np.eye(p), n, p, gaussian_sampler(np.eye(p), n), ResampleSpec(n, 1, 0))

