@@ -37,6 +37,7 @@ from .glm import (
     GlmPoolStats,
     GlmProblem,
     GlmQuadratic,
+    GlmSample,
     alpha_M_dispersion,
     alpha_dot_glm,
     clip_alpha,
@@ -48,6 +49,7 @@ from .glm import (
 )
 from .interp import (
     InterpRiskTerms,
+    InterpSample,
     NoiseSignalInterp,
     RffMap,
     alpha_star_interp,
@@ -86,6 +88,7 @@ from .ols import (
     NoiseSignalOls,
     OlsPoolModel,
     OlsRiskTerms,
+    OlsSample,
     RiskCurve,
     alpha_star_finite_m,
     alpha_star_ols,

@@ -86,6 +86,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number_list(raw: str, item, flag: str) -> tuple:
+    try:
+        return tuple(item(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise DataValidationError(f"{flag}: expected comma-separated numbers, got {raw!r}") from exc
+
+
 def _read_pool(path: str):
     if str(path).endswith(".bin"):
         return read_pool_binary(path)
@@ -154,9 +161,9 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.sigma2_grid:
-        overrides["sigma2_grid"] = tuple(float(v) for v in args.sigma2_grid.split(","))
+        overrides["sigma2_grid"] = _number_list(args.sigma2_grid, float, "--sigma2-grid")
     if args.n_grid:
-        overrides["n_grid"] = tuple(int(v) for v in args.n_grid.split(","))
+        overrides["n_grid"] = _number_list(args.n_grid, int, "--n-grid")
     if args.pool_size is not None:
         overrides["pool_size"] = args.pool_size
     if args.estimators:

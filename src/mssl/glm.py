@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -34,13 +35,14 @@ from .errors import (
     SingularMatrixError,
 )
 from .links import LinkSpec
-from .ols import RiskCurve, _blend_denominators, _ratio_grid, _xi
+from .ols import RiskCurve, _blend_denominators, _ratio_grid, _xi, mix_linear
 
 __all__ = [
     "GlmFitReport",
     "GlmQuadratic",
     "GlmProblem",
     "GlmPoolStats",
+    "GlmSample",
     "fit_glm_supervised",
     "fit_glm_semisupervised",
     "fit_glm_loss_mixed",
@@ -402,6 +404,10 @@ class GlmPoolStats:
     def sigma2_denominator(self) -> float:
         return self.n - 2 * self.p + self.trace_sigma
 
+    def alpha_dot(self, sigma2: float) -> float:
+        """Formula ratio ``alpha_dot_glm`` at noise level sigma2, unclipped."""
+        return alpha_dot_glm(sigma2, self.B_g_hat, self.v_l_g, self.v_u_g, self.v_s_g)[0]
+
     def ddot_curve(self, sigma2_hat: float) -> RiskCurve:
         if self.alphas is None:
             raise DataValidationError("stats were built without a mixing-ratio grid")
@@ -445,6 +451,78 @@ def estimate_noise_glm(
         warnings.warn("noise estimate clipped at zero", stacklevel=2)
         return 0.0
     return sigma2
+
+
+class GlmSample:
+    """The Newton fits and mixing ratios of one centered labeled sample.
+
+    ``nonconverged`` counts the solves that did not converge (their results
+    are still used).  ``GlmPoolStats`` at beta_breve (plan ``spec``, grid
+    ``alphas``, the caller's ``moments``) is built on first use, and from it
+    the noise estimate and the ratios.  Shared by ``fit_glm_pipeline`` and the
+    GLM presets.
+    """
+
+    def __init__(
+        self,
+        data: LabeledSet,
+        pool: UnlabeledPool,
+        link: LinkSpec,
+        spec: ResampleSpec | None = None,
+        alphas=None,
+        moments: PopulationMoments | None = None,
+    ):
+        self.data, self.pool, self.link = data, pool, link
+        self._plan = dict(spec=spec, alphas=alphas, moments=moments)
+        self.nonconverged = 0
+        self.beta_hat = self._beta(fit_glm_supervised(data, link))
+        self.beta_breve = self._beta(fit_glm_semisupervised(data, pool, link))
+
+    def _beta(self, report: GlmFitReport) -> np.ndarray:
+        self.nonconverged += not report.converged
+        return report.beta
+
+    @cached_property
+    def stats(self) -> GlmPoolStats:
+        return GlmPoolStats(self.pool, self.data.n, self.link, self.beta_breve, **self._plan)
+
+    @cached_property
+    def sigma2_hat(self) -> float:
+        return estimate_noise_glm(
+            self.data, self.beta_hat, self.beta_breve, self.pool, self.link, stats=self.stats
+        )
+
+    @cached_property
+    def alpha_raw(self) -> float:
+        """Formula ratio before clipping to [0, 1]."""
+        return self.stats.alpha_dot(self.sigma2_hat)
+
+    @property
+    def alpha_hat(self) -> float:
+        return clip_alpha(self.alpha_raw)
+
+    @cached_property
+    def alpha_grid(self) -> float | None:
+        """Argmin of the loss-mixed curve; None when the stats have no grid."""
+        if self.stats.alphas is None:
+            return None
+        return self.stats.ddot_curve(self.sigma2_hat).argmin_alpha
+
+    def linear(self, alpha: float) -> np.ndarray:
+        return mix_linear(self.beta_hat, self.beta_breve, alpha)
+
+    def loss(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
+        """Loss-mixed fit, started at the nearer pure fit unless beta0 is given."""
+        if beta0 is None:
+            beta0 = self.beta_breve if alpha > 0.5 else self.beta_hat
+        return self._beta(fit_glm_loss_mixed(self.data, self.pool, self.link, alpha, beta0=beta0))
+
+    def loss_path(self, alphas) -> list[np.ndarray]:
+        """Loss-mixed fits along a ratio grid, each warm-started at the previous."""
+        path = [self.beta_hat]
+        for a in alphas:
+            path.append(self.loss(a, beta0=path[-1]))
+        return path[1:]
 
 
 def alpha_dot_glm(

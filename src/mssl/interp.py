@@ -21,6 +21,7 @@ from .core import (
     spd_factor,
 )
 from .errors import DataValidationError, RegimeError
+from .ols import mix_linear
 
 __all__ = [
     "InterpSample",
@@ -43,11 +44,6 @@ __all__ = [
 ]
 
 
-def _min_variance(data: LabeledSet, sigma_factor) -> np.ndarray:
-    A = cho_solve(sigma_factor, data.X.T)  # Sigma^{-1} X^T, p x n
-    return A @ cho_solve(spd_factor(data.X @ A, "X Sigma^{-1} X^T"), data.Y)
-
-
 def fit_min_norm(data: LabeledSet) -> np.ndarray:
     """Minimum-l2-norm interpolator X^T (X X^T)^{-1} Y (needs p > n)."""
     return InterpSample(data).min_norm
@@ -59,9 +55,7 @@ def fit_min_variance(data: LabeledSet, Sigma: np.ndarray) -> np.ndarray:
     Sigma^{-1} X^T (X Sigma^{-1} X^T)^{-1} Y; among interpolators it
     minimizes w^T Sigma w for every realization of the data.
     """
-    if data.p <= data.n:
-        raise RegimeError(f"interpolation needs p > n, got n={data.n}, p={data.p}")
-    return _min_variance(data, spd_factor(np.asarray(Sigma, dtype=float), "Sigma"))
+    return InterpSample(data, spd_factor(np.asarray(Sigma, dtype=float), "Sigma")).min_variance
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def pool_sampler(pool: UnlabeledPool, n: int):
 
 
 def interp_risk_terms(
-    Sigma: np.ndarray, n: int, p: int, sampler, spec: ResampleSpec
+    Sigma: np.ndarray, n: int, p: int, sampler, spec: ResampleSpec, sigma_factor=None
 ) -> InterpRiskTerms:
     """Monte Carlo estimates of (b_l, v_l, b_u, v_u) over design draws.
 
@@ -109,12 +103,13 @@ def interp_risk_terms(
     v_l = tr(Sigma E[X^T (X X^T)^{-2} X]),
     b_u = tr(Sigma - E[X^T (X Sigma^{-1} X^T)^{-1} X]),
     v_u = tr(E[(X Sigma^{-1} X^T)^{-1}]).
+    ``sigma_factor`` spares the factorization to a caller that holds ``spd_factor(Sigma)``.
     """
     if p <= n + 1:
         raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
     Sigma = np.asarray(Sigma, dtype=float)
     tr_sigma = float(np.trace(Sigma))
-    sig_factor = spd_factor(Sigma, "Sigma")
+    sig_factor = spd_factor(Sigma, "Sigma") if sigma_factor is None else sigma_factor
 
     def per_draw(X: np.ndarray):
         Gn = X @ X.T
@@ -201,29 +196,46 @@ class NoiseSignalInterp:
 
 
 class InterpSample:
-    """A labeled sample of the p > n regime with X X^T factored once.
+    """A labeled sample of the p > n regime; X X^T is factored once, on first use.
 
     The minimum-norm fit and both noise estimators solve against the same
     n x n Gram matrix G = X X^T, so a caller that needs several of them (one
     Monte Carlo replication, say) builds one sample and asks it for each.
-    The module-level functions below are one-call shorthands for the same
-    methods.
+    Given ``sigma_factor`` (``spd_factor(Sigma)``) it also fits and mixes the
+    minimum-variance interpolator.  ``fit_interp_pipeline`` and the presets
+    share it; the module-level functions below are shorthands for its methods.
     """
 
-    def __init__(self, data: LabeledSet):
+    def __init__(self, data: LabeledSet, sigma_factor=None):
         if data.p <= data.n:
             raise RegimeError(f"interpolation needs p > n, got n={data.n}, p={data.p}")
         self.data = data
-        self._gram = spd_factor(data.X @ data.X.T, "X X^T")
+        self._sigma_factor = sigma_factor
+
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, bool]:
+        return spd_factor(self.data.X @ self.data.X.T, "X X^T")
 
     @cached_property
     def min_norm(self) -> np.ndarray:
         """Minimum-l2-norm interpolator X^T G^{-1} Y."""
         return self.data.X.T @ cho_solve(self._gram, self.data.Y)
 
-    def min_variance(self, sigma_factor) -> np.ndarray:
-        """``fit_min_variance`` with the covariance given as its Cholesky factor."""
-        return _min_variance(self.data, sigma_factor)
+    @cached_property
+    def min_variance(self) -> np.ndarray:
+        """``fit_min_variance`` at the covariance of ``sigma_factor``."""
+        if self._sigma_factor is None:
+            raise DataValidationError("the sample was built without a covariance factor")
+        A = cho_solve(self._sigma_factor, self.data.X.T)  # Sigma^{-1} X^T, p x n
+        return A @ cho_solve(spd_factor(self.data.X @ A, "X Sigma^{-1} X^T"), self.data.Y)
+
+    def linear(self, alpha: float) -> np.ndarray:
+        """Coefficient mix (1 - alpha) min_norm + alpha min_variance."""
+        return mix_linear(self.min_norm, self.min_variance, alpha)
+
+    def mix(self, terms: InterpRiskTerms, sigma2: float, tau2: float) -> np.ndarray:
+        """Coefficient mix at the formula ratio ``alpha_star_interp(sigma2, tau2, terms)``."""
+        return self.linear(alpha_star_interp(sigma2, tau2, terms)[0])
 
     @cached_property
     def _inverse_moments(self) -> tuple[float, float, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -35,6 +36,7 @@ __all__ = [
     "RiskCurve",
     "MixDiagnostics",
     "OlsPoolModel",
+    "OlsSample",
     "DdotRiskModel",
     "fit_ols_supervised",
     "fit_ols_semisupervised",
@@ -263,6 +265,47 @@ class OlsPoolModel:
             b_u_hat=self.b_u_hat,
             se_v_l=self.se_v_l,
         )
+
+
+class OlsSample:
+    """The fits, noise estimates and mixing ratios of one centered labeled sample.
+
+    The plug-in bias at beta_breve and the ratios come on first use from
+    ``model``, the ``OlsPoolModel`` of the same pool and n.  Shared by
+    ``fit_ols_pipeline`` and the OLS presets.
+    """
+
+    def __init__(self, data: LabeledSet, moments: PopulationMoments, model: OlsPoolModel):
+        self.data, self.moments, self.model = data, moments, model
+        self.beta_hat = fit_ols_supervised(data)
+        self.beta_breve = fit_ols_semisupervised(data, moments)
+        noise = noise_signal_ols(data, self.beta_hat, moments)
+        self.sigma2_hat, self.tau2_hat = noise.sigma2_hat, noise.tau2_hat
+
+    @cached_property
+    def B_hat(self) -> float:
+        return self.model.bias_at(self.beta_breve)
+
+    @cached_property
+    def alpha_hat(self) -> float:
+        """Formula ratio at the plug-in bias B_hat."""
+        return self.ratio(self.B_hat)
+
+    @cached_property
+    def alpha_grid(self) -> float | None:
+        """Argmin of the model's loss-mixed curve; None when it has no grid."""
+        ddot = self.model.ddot
+        return None if ddot is None else ddot.argmin_alpha(self.beta_breve, self.sigma2_hat)
+
+    def ratio(self, B: float) -> float:
+        """Formula ratio at the estimated noise and a plug-in bias B."""
+        return alpha_star_ols(self.sigma2_hat, B, self.model.v_l, self.model.v_u)[0]
+
+    def linear(self, alpha: float) -> np.ndarray:
+        return mix_linear(self.beta_hat, self.beta_breve, alpha)
+
+    def loss(self, alpha: float) -> np.ndarray:
+        return fit_loss_mixed_ols(self.data, self.moments, alpha)
 
 
 def ols_risk_terms(

@@ -1,74 +1,72 @@
 """End-to-end fitting pipelines behind the CLI.
 
-Each pipeline ingests a labeled sample and a pool, shifts the labeled
-covariates into pool-centered coordinates, fits the pure estimators,
-estimates the risk components, selects a mixing ratio (by formula, grid
-search, or a fixed value), and returns a JSON-ready report.
+Each pipeline checks the mixing policy (formula, grid search, or a fixed
+value) before any work, ingests a labeled sample and a pool, shifts the
+labeled covariates into pool-centered coordinates, builds the family's
+per-sample object (``OlsSample``, ``GlmSample``, ``InterpSample``, shared
+with the presets) for the fits, risk estimates and ratios, and returns a
+JSON-ready report.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import LabeledSet, ResampleSpec, UnlabeledPool, build_moments
+from .core import LabeledSet, ResampleSpec, UnlabeledPool, build_moments, spd_factor
 from .errors import DataValidationError, RegimeError
-from .glm import (
-    GlmPoolStats,
-    alpha_dot_glm,
-    clip_alpha,
-    estimate_noise_glm,
-    fit_glm_loss_mixed,
-    fit_glm_semisupervised,
-    fit_glm_supervised,
-)
-from .interp import (
-    alpha_star_interp,
-    fit_min_norm,
-    fit_min_variance,
-    interp_risk_terms,
-    iterate_sigma_tau,
-    pool_sampler,
-)
+from .glm import GlmSample
+from .interp import InterpSample, alpha_star_interp, interp_risk_terms, pool_sampler
 from .links import LinkSpec
-from .ols import (
-    MixDiagnostics,
-    OlsPoolModel,
-    alpha_star_ols,
-    fit_loss_mixed_ols,
-    fit_ols_semisupervised,
-    fit_ols_supervised,
-    mix_linear,
-    noise_signal_ols,
-)
+from .ols import MixDiagnostics, OlsPoolModel, OlsSample
 
 __all__ = ["fit_ols_pipeline", "fit_glm_pipeline", "fit_interp_pipeline"]
 
 
-def _resolve_alpha(policy, alpha_hat, alpha_tilde):
+def _parse_policy(policy, grid_size: int | None):
+    """(alpha_source, fixed ratio, ratio grid) of a policy; grid_size None: no grid policy."""
     if policy == "auto":
-        return alpha_hat, "formula"
+        return "formula", None, None
     if policy == "grid":
-        return alpha_tilde, "grid"
+        if grid_size is None:
+            raise DataValidationError("grid alpha policy is not defined for interpolators")
+        if grid_size < 2:
+            raise DataValidationError(
+                f"the ratio grid needs >= 2 points, got grid_size={grid_size}"
+            )
+        return "grid", None, np.linspace(0.0, 1.0, grid_size)
     try:
         fixed = float(policy)
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"bad alpha policy {policy!r}") from exc
     if not 0.0 <= fixed <= 1.0:
         raise DataValidationError("fixed alpha must be in [0, 1]")
-    return fixed, "fixed"
+    return "fixed", fixed, None
 
 
-def _policy_grid(policy, size: int) -> np.ndarray | None:
-    """The uniform ratio grid the 'grid' policy searches; None for the others."""
-    if policy != "grid":
-        return None
-    if size < 2:
-        raise DataValidationError(f"the ratio grid needs >= 2 points, got grid_size={size}")
-    return np.linspace(0.0, 1.0, size)
+def _centered(data: LabeledSet, pool: UnlabeledPool):
+    """The pool moments for n = data.n and the labeled sample in their coordinates."""
+    if data.p != pool.p:
+        raise DataValidationError("labeled data and pool disagree on p")
+    moments = build_moments(pool, data.n)
+    return moments, LabeledSet(data.X - moments.mean, data.Y)
 
 
-def _centered(data: LabeledSet, mean: np.ndarray) -> LabeledSet:
-    return LabeledSet(data.X - mean, data.Y)
+def _report(model, link, data, pool, moments, alpha, source, coeffs, diagnostics, **extra):
+    """The JSON fields every family reports; ``extra`` ones precede the diagnostics."""
+    return {
+        "schema_version": 1,
+        "model": model,
+        "link": link,
+        "n": data.n,
+        "p": data.p,
+        "m": pool.m,
+        "alpha": float(alpha),
+        "alpha_source": source,
+        "coefficients": [float(v) for v in coeffs],
+        "center": [float(v) for v in moments.mean],
+        **extra,
+        "diagnostics": diagnostics,
+    }
 
 
 def fit_ols_pipeline(
@@ -80,54 +78,29 @@ def fit_ols_pipeline(
     blocks: int = 200,
 ) -> dict:
     """Squared-loss fit with a data-driven mixing ratio."""
-    if data.p != pool.p:
-        raise DataValidationError("labeled data and pool disagree on p")
+    source, fixed, grid = _parse_policy(alpha_policy, grid_size)
     if data.n <= data.p:
         raise RegimeError(
             f"ols needs n > p, got n={data.n}, p={data.p}; use the interp model"
         )
-    moments = build_moments(pool, data.n)
-    data_c = _centered(data, moments.mean)
+    moments, data_c = _centered(data, pool)
     model = OlsPoolModel(
-        moments.pool, data.n, ResampleSpec(data.n, blocks, seed), moments,
-        grid=_policy_grid(alpha_policy, grid_size),
+        moments.pool, data.n, ResampleSpec(data.n, blocks, seed), moments, grid=grid
     )
-
-    beta_hat = fit_ols_supervised(data_c)
-    beta_breve = fit_ols_semisupervised(data_c, moments)
-    ns = noise_signal_ols(data_c, beta_hat, moments)
-    B_hat = model.bias_at(beta_breve)
-    alpha_hat = alpha_star_ols(ns.sigma2_hat, B_hat, model.v_l, model.v_u)[0]
-
-    alpha_tilde = None
-    if model.ddot is not None:
-        alpha_tilde = model.ddot.argmin_alpha(beta_breve, ns.sigma2_hat)
-
-    alpha, source = _resolve_alpha(alpha_policy, alpha_hat, alpha_tilde)
-    coeffs = fit_loss_mixed_ols(data_c, moments, alpha)
+    s = OlsSample(data_c, moments, model)
+    alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     diags = MixDiagnostics(
         v_l=model.v_l,
         v_u=model.v_u,
-        B_hat=B_hat,
-        sigma2_hat=ns.sigma2_hat,
-        tau2_hat=ns.tau2_hat,
-        alpha_hat=alpha_hat,
-        alpha_tilde=alpha_tilde,
+        B_hat=s.B_hat,
+        sigma2_hat=s.sigma2_hat,
+        tau2_hat=s.tau2_hat,
+        alpha_hat=s.alpha_hat,
+        alpha_tilde=s.alpha_grid,
         se={"v_l": model.se_v_l},
     )
-    return {
-        "schema_version": 1,
-        "model": "ols",
-        "link": "identity",
-        "n": data.n,
-        "p": data.p,
-        "m": pool.m,
-        "alpha": float(alpha),
-        "alpha_source": source,
-        "coefficients": [float(v) for v in coeffs],
-        "center": [float(v) for v in moments.mean],
-        "diagnostics": diags.to_dict(),
-    }
+    return _report("ols", "identity", data, pool, moments, alpha, source, s.loss(alpha),
+                   diags.to_dict())
 
 
 def fit_glm_pipeline(
@@ -140,57 +113,29 @@ def fit_glm_pipeline(
     blocks: int = 200,
 ) -> dict:
     """General-link fit with a data-driven mixing ratio."""
-    if data.p != pool.p:
-        raise DataValidationError("labeled data and pool disagree on p")
+    source, fixed, grid = _parse_policy(alpha_policy, grid_size)
     if data.n <= data.p:
         raise RegimeError(f"glm needs n > p, got n={data.n}, p={data.p}")
-    moments = build_moments(pool, data.n)
-    data_c = _centered(data, moments.mean)
-    pool_c = moments.pool
-
-    rep_hat = fit_glm_supervised(data_c, link)
-    rep_breve = fit_glm_semisupervised(data_c, pool_c, link)
-    stats = GlmPoolStats(
-        pool_c, data.n, link, rep_breve.beta, ResampleSpec(data.n, blocks, seed),
-        alphas=_policy_grid(alpha_policy, grid_size), moments=moments,
+    moments, data_c = _centered(data, pool)
+    s = GlmSample(
+        data_c, moments.pool, link, ResampleSpec(data.n, blocks, seed), grid, moments
     )
-    sigma2_hat = estimate_noise_glm(
-        data_c, rep_hat.beta, rep_breve.beta, pool_c, link, stats=stats
-    )
-    alpha_hat = alpha_dot_glm(
-        sigma2_hat, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g
-    )[0]
-    alpha_tilde = None
-    if stats.alphas is not None:
-        alpha_tilde = stats.ddot_curve(sigma2_hat).argmin_alpha
-
-    alpha, source = _resolve_alpha(alpha_policy, clip_alpha(alpha_hat), alpha_tilde)
-    rep_mix = fit_glm_loss_mixed(data_c, pool_c, link, alpha)
+    alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
+    coeffs = s.loss(alpha)
+    stats = s.stats
     diags = MixDiagnostics(
         v_l=stats.v_l_g,
         v_u=stats.v_u_g,
         B_hat=stats.B_g_hat,
-        sigma2_hat=sigma2_hat,
+        sigma2_hat=s.sigma2_hat,
         tau2_hat=None,
-        alpha_hat=alpha_hat,
-        alpha_tilde=alpha_tilde,
+        alpha_hat=s.alpha_raw,
+        alpha_tilde=s.alpha_grid,
         se={"v_l": stats.se_v_l_g, "v_s": stats.se_v_s_g},
     ).to_dict()
     diags["v_s"] = stats.v_s_g
-    return {
-        "schema_version": 1,
-        "model": "glm",
-        "link": link.kind,
-        "n": data.n,
-        "p": data.p,
-        "m": pool.m,
-        "alpha": float(alpha),
-        "alpha_source": source,
-        "coefficients": [float(v) for v in rep_mix.beta],
-        "center": [float(v) for v in moments.mean],
-        "converged": bool(rep_hat.converged and rep_breve.converged and rep_mix.converged),
-        "diagnostics": diags,
-    }
+    return _report("glm", link.kind, data, pool, moments, alpha, source, coeffs, diags,
+                   converged=s.nonconverged == 0)
 
 
 def fit_interp_pipeline(
@@ -201,26 +146,22 @@ def fit_interp_pipeline(
     blocks: int = 200,
 ) -> dict:
     """Interpolator fit (p > n) with the iterated noise/signal estimates."""
-    if data.p != pool.p:
-        raise DataValidationError("labeled data and pool disagree on p")
+    source, fixed, _ = _parse_policy(alpha_policy, None)
     if data.p <= data.n:
         raise RegimeError(f"interp needs p > n, got n={data.n}, p={data.p}")
     if pool.m <= pool.p:
         raise DataValidationError("pool must have more rows than columns")
-    moments = build_moments(pool, data.n)
-    data_c = _centered(data, moments.mean)
+    moments, data_c = _centered(data, pool)
     Sigma = moments.Exx
-
-    w_hat = fit_min_norm(data_c)
-    w_tilde = fit_min_variance(data_c, Sigma)
-    ns = iterate_sigma_tau(data_c, Sigma)
-    spec = ResampleSpec(data.n, blocks, seed)
-    terms = interp_risk_terms(Sigma, data.n, data.p, pool_sampler(moments.pool, data.n), spec)
+    sigma_factor = spd_factor(Sigma, "Sigma")
+    s = InterpSample(data_c, sigma_factor)
+    ns = s.sigma_tau(Sigma)
+    terms = interp_risk_terms(
+        Sigma, data.n, data.p, pool_sampler(moments.pool, data.n),
+        ResampleSpec(data.n, blocks, seed), sigma_factor=sigma_factor,
+    )
     alpha_hat = alpha_star_interp(ns.sigma2_hat, ns.tau2_hat, terms)[0]
-    alpha, source = _resolve_alpha(alpha_policy, alpha_hat, None)
-    if source == "grid":
-        raise DataValidationError("grid alpha policy is not defined for interpolators")
-    coeffs = mix_linear(w_hat, w_tilde, alpha)
+    alpha = alpha_hat if source == "formula" else fixed
     diags = MixDiagnostics(
         v_l=terms.v_l,
         v_u=terms.v_u,
@@ -234,16 +175,5 @@ def fit_interp_pipeline(
     ).to_dict()
     diags["b_l"] = terms.b_l
     diags["b_u"] = terms.b_u
-    return {
-        "schema_version": 1,
-        "model": "interp",
-        "link": "identity",
-        "n": data.n,
-        "p": data.p,
-        "m": pool.m,
-        "alpha": float(alpha),
-        "alpha_source": source,
-        "coefficients": [float(v) for v in coeffs],
-        "center": [float(v) for v in moments.mean],
-        "diagnostics": diags,
-    }
+    return _report("interp", "identity", data, pool, moments, alpha, source, s.linear(alpha),
+                   diags)

@@ -11,10 +11,10 @@ only added contention.
 Presets are compositions of the library.  A grid point builds what its
 replications share (pool moments with the cached factor of H, resampled pool
 statistics, oracle ratios, the factor of the pool covariance).  A replication
-draws X through ``pool_sampler``/``gaussian_sampler``, fits with the library
-(``fit_ols_*``/``noise_signal_ols``, ``fit_glm_*``/``estimate_noise_glm``,
-``InterpSample``), and maps estimator names to fits through one table per
-family, checked before any replication runs.
+draws X through ``pool_sampler``/``gaussian_sampler`` and builds its family's
+per-sample object, the one ``mssl fit`` uses (``OlsSample``, ``GlmSample``,
+``InterpSample``).  One table per family maps each estimator name to a fit of
+that object and the grid point's data, checked before any replication runs.
 """
 
 from __future__ import annotations
@@ -23,33 +23,25 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import stdtr
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet, PopulationMoments, ResampleSpec, UnlabeledPool, build_moments, center_pool,
-    seeded_rng, spd_factor,
+    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, center_pool, seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
-from .glm import (
-    GlmPoolStats, alpha_dot_glm, clip_alpha, estimate_noise_glm, fit_glm_loss_mixed,
-    fit_glm_semisupervised, fit_glm_supervised,
-)
+from .glm import GlmPoolStats, GlmSample, clip_alpha
 from .interp import (
     InterpRiskTerms, InterpSample, alpha_star_interp, gaussian_sampler, interp_risk_terms,
     pool_sampler,
 )
 from .links import LinkSpec, elu_link, identity_link
-from .ols import (
-    DdotRiskModel, OlsPoolModel, alpha_star_ols, fit_loss_mixed_ols, fit_ols_semisupervised,
-    fit_ols_supervised, mix_linear, noise_signal_ols,
-)
+from .ols import OlsPoolModel, OlsSample, alpha_star_ols
 from .asymptotics import AsymptoticSetting, eta_from_ols_terms, interp_limits
 
 __all__ = [
@@ -268,6 +260,8 @@ class ExperimentConfig:
             raise DataValidationError("n_grid must be nonempty")
         if self.eval_cov not in ("pool", "true"):
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
+        if self.x_source not in (None, "pool", "gaussian"):
+            raise DataValidationError("x_source must be 'pool' or 'gaussian'")
 
 
 @dataclass(frozen=True)
@@ -302,10 +296,13 @@ class ExperimentResult:
 
 def _p_from_rule(rule: str, n: int) -> int:
     kind, _, arg = rule.partition(":")
-    if kind == "fixed":
-        return int(arg)
-    if kind == "ratio":
-        return int(round(float(arg) * n))
+    try:
+        if kind == "fixed":
+            return int(arg)
+        if kind == "ratio":
+            return int(round(float(arg) * n))
+    except ValueError as exc:
+        raise DataValidationError(f"bad p rule {rule!r}: {exc}") from exc
     raise DataValidationError(f"unknown p rule {rule!r}")
 
 
@@ -434,63 +431,33 @@ def _relative_errors(per_rep: list[dict], fits, base: str) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class _OlsPoint:
-    """What the replications of one OLS grid point share.
+    """What the replications of one OLS grid point share besides the pool model:
+    the oracle ratios, and for random coefficients b_u and the bias tau^2 b_u
+    (the estimated ratio then takes the plug-in bias tau_hat^2 b_u)."""
 
-    ``bias_hat`` gives the plug-in bias of a replication; ``bias_tau`` (random
-    coefficients) and ``ddot``/``alpha_ddot`` (constant) serve one preset each.
-    """
-
-    moments: PopulationMoments
-    v_l: float
-    v_u: float
+    model: OlsPoolModel
     alpha_star: float
-    bias_hat: Callable[[_OlsRep], float]
-    bias_tau: float | None = None
-    ddot: DdotRiskModel | None = None
     alpha_ddot: float | None = None
+    b_u: float | None = None
+    bias_tau: float | None = None
+
+    def alpha_est(self, s: OlsSample) -> float:
+        return s.alpha_hat if self.b_u is None else s.ratio(s.tau2_hat * self.b_u)
 
 
-class _OlsRep:
-    """The library fits of one OLS replication, shared by its estimators."""
-
-    def __init__(self, data: LabeledSet, point: _OlsPoint):
-        self.data, self.point = data, point
-        self.beta_hat = fit_ols_supervised(data)
-        self.beta_breve = fit_ols_semisupervised(data, point.moments)
-        noise = noise_signal_ols(data, self.beta_hat, point.moments)
-        self.sigma2_hat, self.tau2_hat = noise.sigma2_hat, noise.tau2_hat
-
-    @cached_property
-    def B_hat(self) -> float:
-        return self.point.bias_hat(self)
-
-    @cached_property
-    def alpha_hat(self) -> float:
-        return self.ratio(self.B_hat)
-
-    def ratio(self, B: float) -> float:
-        """Formula ratio at the estimated noise and a plug-in bias B."""
-        return alpha_star_ols(self.sigma2_hat, B, self.point.v_l, self.point.v_u)[0]
-
-    def linear(self, alpha: float) -> np.ndarray:
-        return mix_linear(self.beta_hat, self.beta_breve, alpha)
-
-    def loss(self, alpha: float) -> np.ndarray:
-        return fit_loss_mixed_ols(self.data, self.point.moments, alpha)
-
-
+# each fit maps (OlsSample, _OlsPoint) to coefficients
 _OLS_FITS = {
-    "supervised": lambda r: r.beta_hat,
-    "semisupervised": lambda r: r.beta_breve,
-    "linear_mixed_opt": lambda r: r.linear(r.point.alpha_star),
-    "linear_mixed_est": lambda r: r.linear(r.alpha_hat),
-    "linear_mixed_est_tau": lambda r: r.linear(r.ratio(r.point.bias_tau)),
-    "adaptive_select": lambda r: (
-        r.beta_breve if r.sigma2_hat > r.B_hat / (r.point.v_l - r.point.v_u) else r.beta_hat
+    "supervised": lambda s, pt: s.beta_hat,
+    "semisupervised": lambda s, pt: s.beta_breve,
+    "linear_mixed_opt": lambda s, pt: s.linear(pt.alpha_star),
+    "linear_mixed_est": lambda s, pt: s.linear(pt.alpha_est(s)),
+    "linear_mixed_est_tau": lambda s, pt: s.linear(s.ratio(pt.bias_tau)),
+    "adaptive_select": lambda s, pt: (
+        s.beta_breve if s.sigma2_hat > s.B_hat / (s.model.v_l - s.model.v_u) else s.beta_hat
     ),
-    "loss_mixed_est": lambda r: r.loss(r.alpha_hat),
-    "loss_mixed_grid": lambda r: r.loss(r.point.ddot.argmin_alpha(r.beta_breve, r.sigma2_hat)),
-    "loss_mixed_opt": lambda r: r.loss(r.point.alpha_ddot),
+    "loss_mixed_est": lambda s, pt: s.loss(s.alpha_hat),
+    "loss_mixed_grid": lambda s, pt: s.loss(s.alpha_grid),
+    "loss_mixed_opt": lambda s, pt: s.loss(pt.alpha_ddot),
 }
 # each preset's estimators, in the order of its CSV rows
 _OLS_CONSTANT_ESTIMATORS = tuple(name for name in _OLS_FITS if name != "linear_mixed_est_tau")
@@ -504,17 +471,17 @@ def _ols_fixed_mix(name: str):
     library fit accepts: any finite a for the coefficient mix, a in [0, 1]
     for the loss mix.
     """
-    for prefix, mix in (("linear_mixed(", _OlsRep.linear), ("loss_mixed(", _OlsRep.loss)):
+    for prefix, mix in (("linear_mixed(", OlsSample.linear), ("loss_mixed(", OlsSample.loss)):
         if name.startswith(prefix) and name.endswith(")"):
             try:
                 a = float(name[len(prefix):-1])
             except ValueError:
                 return None
-            if not math.isfinite(a) or (mix is _OlsRep.loss and not 0.0 <= a <= 1.0):
+            if not math.isfinite(a) or (mix is OlsSample.loss and not 0.0 <= a <= 1.0):
                 raise DataValidationError(
                     f"estimator {name!r}: the ratio must be finite, and in [0, 1] for loss_mixed"
                 )
-            return lambda r: mix(r, a)
+            return lambda s, pt: mix(s, a)
     return None
 
 
@@ -528,10 +495,10 @@ def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[d
     def rep(k: int) -> dict:
         rng = seeded_rng(cfg.seed, _S_REP, gi, k)
         data, beta = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-        r = _OlsRep(data, point)
-        out = {name: _quad_err(L_eval, fit(r) - beta) for name, fit in fits}
-        u0 = L_eval.T @ (r.beta_hat - beta)
-        d = L_eval.T @ (r.beta_breve - beta) - u0
+        s = OlsSample(data, point.model.moments, point.model)
+        out = {name: _quad_err(L_eval, fit(s, point) - beta) for name, fit in fits}
+        u0 = L_eval.T @ (s.beta_hat - beta)
+        d = L_eval.T @ (s.beta_breve - beta) - u0
         out["_curve"] = (float(d @ d), float(2.0 * u0 @ d), float(u0 @ u0))
         return out
 
@@ -559,10 +526,8 @@ def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
 
     def run_point(gi: int, sigma2: float) -> list[dict]:
         point = _OlsPoint(
-            moments, model.v_l, model.v_u,
+            model,
             alpha_star=alpha_star_ols(sigma2, B_true, model.v_l, model.v_u)[0],
-            bias_hat=lambda r: model.bias_at(r.beta_breve),
-            ddot=ddot,
             alpha_ddot=ddot.argmin_alpha(beta_true, sigma2),
         )
         extras["alpha_star"][sigma2] = point.alpha_star
@@ -592,9 +557,9 @@ def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
         model = OlsPoolModel(moments.pool, n, spec, moments, keep_blocks=False)
         v_l, v_u, b_u = model.v_l, model.v_u, model.b_u_hat
         point = _OlsPoint(
-            moments, v_l, v_u,
+            model,
             alpha_star=alpha_star_ols(sigma2, tau2 * b_u, v_l, v_u)[0],
-            bias_hat=lambda r: r.tau2_hat * b_u,
+            b_u=b_u,
             bias_tau=tau2 * b_u,
         )
         extras["alpha_star"][n] = point.alpha_star
@@ -612,52 +577,27 @@ def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-class _GlmRep:
-    """The library Newton fits of one GLM replication, and the mixing ratios
-    (``alpha``) its preset set for it.  Solves that did not converge are still
-    used, but counted; presets report ``extras["newton_nonconverged"]``."""
+class _GlmOracle(NamedTuple):
+    """Oracle ratios: the clipped formula (coefficient mix) and the grid (loss mix)."""
 
-    def __init__(self, data: LabeledSet, pool: UnlabeledPool, link: LinkSpec):
-        self.data, self.pool, self.link = data, pool, link
-        self.nonconverged = 0
-        self.alpha: dict[str, float] = {}
-        self.beta_hat = self._beta(fit_glm_supervised(data, link))
-        self.beta_breve = self._beta(fit_glm_semisupervised(data, pool, link))
-
-    def _beta(self, report) -> np.ndarray:
-        self.nonconverged += not report.converged
-        return report.beta
-
-    def linear(self, alpha: float) -> np.ndarray:
-        return mix_linear(self.beta_hat, self.beta_breve, alpha)
-
-    def loss(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
-        """Loss-mixed fit, started at the nearer pure fit unless beta0 is given."""
-        if beta0 is None:
-            beta0 = self.beta_breve if alpha > 0.5 else self.beta_hat
-        return self._beta(fit_glm_loss_mixed(self.data, self.pool, self.link, alpha, beta0=beta0))
-
-    def loss_path(self, alphas: np.ndarray) -> list[np.ndarray]:
-        """Loss-mixed fits along a ratio grid, each warm-started at the previous."""
-        path = [self.beta_hat]
-        for a in alphas:
-            path.append(self.loss(a, beta0=path[-1]))
-        return path[1:]
+    alpha_dot: float
+    alpha_ddot: float
 
 
+# each fit maps (GlmSample, _GlmOracle) to coefficients
 _GLM_FITS = {
-    "supervised": lambda r: r.beta_hat,
-    "semisupervised": lambda r: r.beta_breve,
-    "linear_mixed_est": lambda r: r.linear(r.alpha["est"]),
-    "linear_mixed_opt": lambda r: r.linear(r.alpha["dot_oracle"]),
-    "loss_mixed_est": lambda r: r.loss(r.alpha["est"]),
-    "loss_mixed_grid": lambda r: r.loss(r.alpha["grid"]),
-    "loss_mixed_opt": lambda r: r.loss(r.alpha["ddot_oracle"]),
+    "supervised": lambda s, o: s.beta_hat,
+    "semisupervised": lambda s, o: s.beta_breve,
+    "linear_mixed_est": lambda s, o: s.linear(s.alpha_hat),
+    "linear_mixed_opt": lambda s, o: s.linear(o.alpha_dot),
+    "loss_mixed_est": lambda s, o: s.loss(s.alpha_hat),
+    "loss_mixed_grid": lambda s, o: s.loss(s.alpha_grid),
+    "loss_mixed_opt": lambda s, o: s.loss(o.alpha_ddot),
 }
 # glm_alpha_sweep: each estimator is a curve of fits over the ratio grid
 _GLM_SWEEP_CURVES = {
-    "linear_mixed": lambda r, alphas: [r.linear(a) for a in alphas],
-    "loss_mixed": lambda r, alphas: r.loss_path(alphas),
+    "linear_mixed": lambda s, alphas: [s.linear(a) for a in alphas],
+    "loss_mixed": lambda s, alphas: s.loss_path(alphas),
 }
 
 
@@ -685,11 +625,10 @@ class _GlmStudy:
             alphas=self.alphas,
         )
 
-    def oracle_ratios(self, sigma2: float) -> tuple[float, float]:
-        """The oracle coefficient-mix (clipped formula) and loss-mix (grid) ratios."""
-        o = self.oracle
-        alpha_dot = clip_alpha(alpha_dot_glm(sigma2, o.B_g_hat, o.v_l_g, o.v_u_g, o.v_s_g)[0])
-        return alpha_dot, o.ddot_curve(sigma2).argmin_alpha
+    def oracle_ratios(self, sigma2: float) -> _GlmOracle:
+        return _GlmOracle(
+            clip_alpha(self.oracle.alpha_dot(sigma2)), self.oracle.ddot_curve(sigma2).argmin_alpha
+        )
 
     def draw(self, gi: int, k: int, sigma2: float) -> tuple[LabeledSet, UnlabeledPool]:
         """The labeled sample and the raw pool of one replication."""
@@ -714,25 +653,20 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
                     "alpha_ddot_oracle": {}, "newton_nonconverged": {}}
 
     def run_point(gi: int, sigma2: float) -> list[dict]:
-        alpha_dot, alpha_ddot = study.oracle_ratios(sigma2)
-        extras["alpha_dot_oracle"][sigma2] = alpha_dot
-        extras["alpha_ddot_oracle"][sigma2] = alpha_ddot
+        oracle = study.oracle_ratios(sigma2)
+        extras["alpha_dot_oracle"][sigma2] = oracle.alpha_dot
+        extras["alpha_ddot_oracle"][sigma2] = oracle.alpha_ddot
 
         def rep(k: int) -> dict:
             data, raw_pool = study.draw(gi, k, sigma2)
             moments = build_moments(raw_pool, n)
-            r = _GlmRep(data, moments.pool, link)
-            stats = GlmPoolStats(
-                moments.pool, n, link, r.beta_breve,
+            s = GlmSample(
+                data, moments.pool, link,
                 ResampleSpec(n, cfg.rep_blocks, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
-                alphas=study.alphas, moments=moments,
+                study.alphas, moments,
             )
-            s2 = estimate_noise_glm(data, r.beta_hat, r.beta_breve, moments.pool, link, stats=stats)
-            est = alpha_dot_glm(s2, stats.B_g_hat, stats.v_l_g, stats.v_u_g, stats.v_s_g)[0]
-            r.alpha = {"est": clip_alpha(est), "grid": stats.ddot_curve(s2).argmin_alpha,
-                       "dot_oracle": alpha_dot, "ddot_oracle": alpha_ddot}
-            out = {name: study.error(fit(r)) for name, fit in fits}
-            out["_nonconverged"] = r.nonconverged
+            out = {name: study.error(fit(s, oracle)) for name, fit in fits}
+            out["_nonconverged"] = s.nonconverged
             return out
 
         per_rep = _run_reps(cfg, rep, cfg.k)
@@ -753,9 +687,9 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
     def rep(k: int) -> dict:
         data, raw_pool = study.draw(0, k, sigma2)
-        r = _GlmRep(data, center_pool(raw_pool)[0], study.link)
-        out = {name: np.array([study.error(b) for b in curve(r, alphas)]) for name, curve in curves}
-        out["_nonconverged"] = r.nonconverged
+        s = GlmSample(data, center_pool(raw_pool)[0], study.link)
+        out = {name: np.array([study.error(b) for b in curve(s, alphas)]) for name, curve in curves}
+        out["_nonconverged"] = s.nonconverged
         return out
 
     per_rep = _run_reps(cfg, rep, cfg.k)
@@ -795,34 +729,20 @@ class _InterpPoint:
     tau2: float
 
 
-class _InterpRep:
-    """Both interpolators and the noise estimates of one sample, from one
-    factorization of X X^T (``InterpSample``)."""
-
-    def __init__(self, data: LabeledSet, point: _InterpPoint):
-        self.point = point
-        self.sample = InterpSample(data)
-        self.w_hat = self.sample.min_norm
-        self.w_tilde = self.sample.min_variance(point.sigma_factor)
-
-    @cached_property
-    def noise(self):
-        return self.sample.sigma_tau(self.point.Sigma_fit)
-
-    def mix(self, sigma2: float, tau2: float) -> np.ndarray:
-        """Coefficient mix at the formula ratio for noise sigma2 and signal tau2."""
-        alpha = alpha_star_interp(sigma2, tau2, self.point.terms)[0]
-        return mix_linear(self.w_hat, self.w_tilde, alpha)
+def _interp_mixed_est(s: InterpSample, pt: _InterpPoint) -> np.ndarray:
+    noise = s.sigma_tau(pt.Sigma_fit)
+    return s.mix(pt.terms, noise.sigma2_hat, noise.tau2_hat)
 
 
+# each fit maps (InterpSample, _InterpPoint) to coefficients
 _INTERP_FITS = {
-    "min_norm": lambda r: r.w_hat,
-    "min_variance": lambda r: r.w_tilde,
-    "interp_mixed_est": lambda r: r.mix(r.noise.sigma2_hat, r.noise.tau2_hat),
-    "interp_mixed_est_tau": lambda r: r.mix(
-        max(r.sample.sigma2_known_tau(r.point.tau2), 0.0), r.point.tau2
+    "min_norm": lambda s, pt: s.min_norm,
+    "min_variance": lambda s, pt: s.min_variance,
+    "interp_mixed_est": _interp_mixed_est,
+    "interp_mixed_est_tau": lambda s, pt: s.mix(
+        pt.terms, max(s.sigma2_known_tau(pt.tau2), 0.0), pt.tau2
     ),
-    "interp_mixed_opt": lambda r: r.mix(r.point.sigma2, r.point.tau2),
+    "interp_mixed_opt": lambda s, pt: s.mix(pt.terms, pt.sigma2, pt.tau2),
 }
 
 
@@ -837,17 +757,18 @@ def _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits):
         raise DataValidationError(f"pool size {m} must exceed p={p}")
     moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, m, gi)
     Sigma_fit = moments.Exx
-    terms = interp_risk_terms(Sigma_fit, n, p, pool_sampler(moments.pool, n), spec)
-    point = _InterpPoint(Sigma_fit, spd_factor(Sigma_fit, "Sigma"), terms, sigma2, tau2)
+    factor = spd_factor(Sigma_fit, "Sigma")
+    terms = interp_risk_terms(Sigma_fit, n, p, pool_sampler(moments.pool, n), spec, factor)
+    point = _InterpPoint(Sigma_fit, factor, terms, sigma2, tau2)
     beta_mode = random_beta(math.sqrt(tau2))
 
     def rep(k: int) -> dict:
         rng = seeded_rng(cfg.seed, _S_REP, gi, k)
         data, w_true = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-        r = _InterpRep(data, point)
-        out = {name: _quad_err(L_eval, fit(r) - w_true) for name, fit in fits}
-        var_hat = float(r.w_hat @ Sigma_fit @ r.w_hat)
-        out["_dominance_slack"] = var_hat - float(r.w_tilde @ Sigma_fit @ r.w_tilde)
+        s = InterpSample(data, point.sigma_factor)
+        out = {name: _quad_err(L_eval, fit(s, point) - w_true) for name, fit in fits}
+        var_hat = float(s.min_norm @ Sigma_fit @ s.min_norm)
+        out["_dominance_slack"] = var_hat - float(s.min_variance @ Sigma_fit @ s.min_variance)
         return out
 
     return _run_reps(cfg, rep, cfg.k), terms
@@ -989,7 +910,10 @@ def load_config(path) -> ExperimentConfig:
     for key, raw in section.items():
         if key not in _CONFIG_KEYS:
             raise DataValidationError(f"{path}: unknown config key {key!r}")
-        kwargs[key] = _CONFIG_KEYS[key](raw)
+        try:
+            kwargs[key] = _CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise DataValidationError(f"{path}: bad value {raw!r} for {key!r}") from exc
     if "preset" not in kwargs:
         raise DataValidationError(f"{path}: config must name a preset")
     return ExperimentConfig(**kwargs)

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -21,10 +22,8 @@ def _schema(name: str) -> dict:
     )
 
 
-@pytest.fixture(scope="module")
-def ols_files(tmp_path_factory):
+def _write_ols_files(tmp):
     """Labeled (n=60, p=5) and pool CSVs in a well-posed OLS regime."""
-    tmp = tmp_path_factory.mktemp("olsdata")
     rng = seeded_rng(1)
     sigma = gen_sigma(CovarianceSpec("block_equicorrelated", 5, blocks=5, rho=0.0))
     Z = rng.standard_normal((4000, 5))
@@ -38,9 +37,8 @@ def ols_files(tmp_path_factory):
     return labeled, pool
 
 
-@pytest.fixture(scope="module")
-def interp_files(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("interpdata")
+def _write_interp_files(tmp):
+    """Labeled (n=12, p=30) and pool CSVs in the interpolation regime."""
     rng = seeded_rng(2)
     p, n = 30, 12
     Z = rng.standard_normal((500, p))
@@ -52,6 +50,16 @@ def interp_files(tmp_path_factory):
     np.savetxt(labeled, np.column_stack([X, Y]), delimiter=",")
     np.savetxt(pool, Z, delimiter=",")
     return labeled, pool
+
+
+@pytest.fixture(scope="module")
+def ols_files(tmp_path_factory):
+    return _write_ols_files(tmp_path_factory.mktemp("olsdata"))
+
+
+@pytest.fixture(scope="module")
+def interp_files(tmp_path_factory):
+    return _write_interp_files(tmp_path_factory.mktemp("interpdata"))
 
 
 def test_fit_ols_auto(ols_files, capsys):
@@ -124,14 +132,14 @@ def test_fit_glm_elu(ols_files, capsys):
 
 def test_fit_glm_negative_formula_ratio_is_clipped(ols_files, capsys, monkeypatch):
     # a negative plug-in ratio used to reach the loss-mixed fit and exit 2
-    import mssl.pipelines
+    import mssl.glm
 
     labeled, pool = ols_files
     args = ["fit", "--labeled", str(labeled), "--pool", str(pool),
             "--model", "glm", "--link", "elu", "--blocks", "60"]
     assert main(args + ["--alpha", "0"]) == 0
     supervised = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(mssl.pipelines, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
+    monkeypatch.setattr(mssl.glm, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
     assert main(args + ["--alpha", "auto"]) == 0
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, _schema("fit_output.schema.json"))
@@ -290,3 +298,100 @@ def test_env_seed_fallback(ols_files, capsys, monkeypatch):
                  "--model", "ols", "--seed", "123"]) == 0
     out2 = capsys.readouterr().out
     assert out1 == out2
+
+
+# -- pinned fit/diagnose outputs ---------------------------------------------------
+
+# each case: its data files and CLI arguments; the outputs in data/fit_golden.json
+# were recorded with these
+_FIT_CASES = {
+    "fit_ols_auto": ("ols_files", ["fit", "--model", "ols"]),
+    "fit_ols_grid": ("ols_files", ["fit", "--model", "ols", "--alpha", "grid",
+                                   "--grid-size", "11"]),
+    "fit_ols_fixed": ("ols_files", ["fit", "--model", "ols", "--alpha", "0.3"]),
+    "fit_glm_auto": ("ols_files", ["fit", "--model", "glm", "--link", "elu", "--blocks", "60"]),
+    "fit_glm_grid": ("ols_files", ["fit", "--model", "glm", "--link", "elu", "--blocks", "60",
+                                   "--alpha", "grid", "--grid-size", "11"]),
+    "fit_interp": ("interp_files", ["fit", "--model", "interp", "--blocks", "60"]),
+    "diagnose_ols": ("ols_files", ["diagnose", "--model", "ols"]),
+    "diagnose_glm": ("ols_files", ["diagnose", "--model", "glm", "--link", "elu",
+                                   "--blocks", "60"]),
+    "diagnose_interp": ("interp_files", ["diagnose", "--model", "interp", "--blocks", "60"]),
+}
+_FIT_GOLDEN_PATH = Path(__file__).parent / "data" / "fit_golden.json"
+
+
+def _argv(files, args) -> list[str]:
+    labeled, pool = files
+    return [args[0], "--labeled", str(labeled), "--pool", str(pool), *args[1:], "--seed", "3"]
+
+
+def _leaves(obj, path="$"):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+@pytest.mark.parametrize("case", list(_FIT_CASES))
+def test_fit_outputs_are_pinned(case, request, capsys):
+    files, args = _FIT_CASES[case]
+    assert main(_argv(request.getfixturevalue(files), args)) == 0
+    got = dict(_leaves(json.loads(capsys.readouterr().out)))
+    want = dict(_leaves(json.loads(_FIT_GOLDEN_PATH.read_text())[case]))
+    assert list(got) == list(want)
+    numbers = [path for path, value in want.items() if isinstance(value, float)]
+    assert {p: v for p, v in got.items() if p not in numbers} == {
+        p: v for p, v in want.items() if p not in numbers
+    }
+    np.testing.assert_allclose(
+        [got[p] for p in numbers], [want[p] for p in numbers], rtol=1e-12, atol=0.0
+    )
+
+
+# -- usage errors before any work ---------------------------------------------------
+
+
+@pytest.mark.parametrize("model, alpha", [
+    ("interp", "grid"), ("ols", "abc"), ("ols", "1.5"), ("glm", "-0.1"), ("interp", "nan"),
+])
+def test_alpha_policy_is_checked_before_any_work(
+    model, alpha, ols_files, interp_files, capsys, monkeypatch
+):
+    import mssl.pipelines
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("pool statistics were computed before the policy was checked")
+
+    for name in ("build_moments", "OlsPoolModel", "interp_risk_terms"):
+        monkeypatch.setattr(mssl.pipelines, name, no_work)
+    labeled, pool = interp_files if model == "interp" else ols_files
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model,
+                 "--alpha", alpha])
+    assert code == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma2-grid", "1,abc"), ("--n-grid", "x")])
+def test_simulate_malformed_grid_flag_is_a_usage_error(flag, value, tmp_path, capsys):
+    code = main(["simulate", "--preset", "ols_random_beta", flag, value,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
+@pytest.mark.parametrize("line, code, message", [
+    ("k = abc", 1, "bad value 'abc' for 'k'"),
+    ("p_rule = ratio:x", 2, "bad p rule 'ratio:x'"),
+])
+def test_simulate_malformed_config_number(line, code, message, tmp_path, capsys):
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(f"[experiment]\npreset = ols_constant_beta\n{line}\n")
+    assert main(["simulate", "--config", str(cfgfile), "-k", "2",
+                 "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -279,9 +279,9 @@ def test_glm_elu_smoke():
 
 def test_glm_elu_negative_formula_ratio_is_clipped(monkeypatch):
     # with the ratio clipped to 0 the linear mixes equal the supervised fit
-    import mssl.simulate
+    import mssl.glm
 
-    monkeypatch.setattr(mssl.simulate, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
+    monkeypatch.setattr(mssl.glm, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
     cfg = ExperimentConfig(
         preset="glm_elu",
         k=4,
@@ -358,6 +358,9 @@ def test_config_validation():
         ExperimentConfig(preset="glm_elu", sigma2_grid=())
     with pytest.raises(DataValidationError):
         ExperimentConfig(preset="glm_elu", eval_cov="other")
+    # a misspelt design source used to draw Gaussian designs silently
+    with pytest.raises(DataValidationError, match="x_source"):
+        ExperimentConfig(preset="glm_elu", x_source="gausian")
 
 
 def test_gaussian_x_source_switch():
