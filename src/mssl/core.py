@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpocon, dpotrf
 
+from ._blas import pocon, potrf
 from .errors import DataValidationError, ResampleBudgetError, SingularMatrixError
 
 __all__ = [
@@ -51,13 +51,12 @@ def spd_factor(A: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, bool]:
     matrix counts as singular when the factorization fails or the estimate
     says cond > COND_LIMIT; the numerical rank is computed only then, and
     carried on the SingularMatrixError.  Returns the ``cho_factor`` pair
-    (lower triangle).  LAPACK is called directly, as ``cho_factor`` would
-    call it, to keep Python overhead off the small matrices of the
-    per-block and per-replication loops.
+    (lower triangle).  Non-finite entries raise ValueError.  Both LAPACK
+    calls go through ``mssl._blas``.
     """
-    A = np.asarray_chkfinite(A, dtype=float)
-    c, info = dpotrf(A, lower=1, clean=0)
-    rcond = dpocon(c, np.abs(A).sum(axis=0).max(), uplo="L")[0] if info == 0 else 0.0
+    c, info = potrf(A)  # checks A
+    A = np.asarray(A, dtype=float)
+    rcond = pocon(c, np.abs(A).sum(axis=0).max()) if info == 0 else 0.0
     if rcond * COND_LIMIT >= 1.0:
         return c, True
     rank = int(np.linalg.matrix_rank(A))

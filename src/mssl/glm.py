@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from ._blas import cho_factor, cho_solve, solve_lower
 from .core import (
     _DEFAULT_BLOCKS,
     LabeledSet,
@@ -162,7 +162,7 @@ def _newton(value, grad, hess, beta0, max_iter: int = 100, tol: float = 1e-10) -
         ridge = 0.0
         for attempt in range(4):
             try:
-                step = cho_solve(cho_factor(Hm + ridge * np.eye(Hm.shape[0]), lower=True), g)
+                step = cho_solve(cho_factor(Hm + ridge * np.eye(Hm.shape[0])), g)
                 break
             except np.linalg.LinAlgError:
                 base = max(np.trace(Hm) / Hm.shape[0], 1.0)
@@ -332,7 +332,7 @@ class GlmPoolStats:
 
         self.alphas = None if alphas is None else _ratio_grid(alphas)
         if self.alphas is not None:
-            Lg_inv = solve_triangular(Lg, np.eye(self.p), lower=True)
+            Lg_inv = solve_lower(Lg, np.eye(self.p))
 
         def per_block(Xb: np.ndarray):
             d = link.gprime(Xb @ beta_eval)
@@ -512,7 +512,15 @@ class GlmSample:
         return mix_linear(self.beta_hat, self.beta_breve, alpha)
 
     def loss(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
-        """Loss-mixed fit, started at the nearer pure fit unless beta0 is given."""
+        """Loss-mixed fit, started at the nearer pure fit unless beta0 is given.
+
+        The endpoints are the pure fits themselves: alpha = 0 is beta_hat and
+        alpha = 1 is beta_breve, with no further Newton solve.
+        """
+        if alpha == 0.0:
+            return self.beta_hat
+        if alpha == 1.0:
+            return self.beta_breve
         if beta0 is None:
             beta0 = self.beta_breve if alpha > 0.5 else self.beta_hat
         return self._beta(fit_glm_loss_mixed(self.data, self.pool, self.link, alpha, beta0=beta0))

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._blas import cho_factor, cho_solve
 from .core import (
     LabeledSet,
     ResampleSpec,
@@ -120,7 +120,7 @@ def interp_risk_terms(
         v_l = float(np.trace(cho_solve(gf, GiXSX.T)))
         A = cho_solve(sig_factor, X.T)
         inner = X @ A
-        inf_factor = cho_factor(inner, lower=True)
+        inf_factor = cho_factor(inner)
         b_u = tr_sigma - float(np.trace(cho_solve(inf_factor, Gn)))
         v_u = float(np.trace(cho_solve(inf_factor, np.eye(n))))
         return b_l, v_l, b_u, v_u

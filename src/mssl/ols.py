@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
+from ._blas import cho_solve, solve_lower
 from .core import (
     COND_LIMIT,
     _DEFAULT_BLOCKS,
@@ -218,7 +218,7 @@ class OlsPoolModel:
             factor = spd_factor(G, "X^T X")
             xbar = Xb.mean(axis=0)
             M = G - n * np.outer(xbar, xbar)
-            W = solve_triangular(sqrt_H, M, lower=True)  # L^{-1} M
+            W = solve_lower(sqrt_H, M)  # L^{-1} M
             pencil = None if alphas is None else _ddot_block(G, xbar, L, L_inv, n, alphas)
             return (
                 float(np.trace(cho_solve(factor, self.H))) / n,
@@ -427,7 +427,7 @@ def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _cholesky_pair(moments: PopulationMoments) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor L of H and its inverse, for a whole pass."""
     L = np.tril(moments.H_factor[0])
-    return L, solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    return L, solve_lower(L, np.eye(L.shape[0]))
 
 
 def _ddot_block(

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import stdtr
 
 from ._blas import single_blas_thread
 from .core import (
@@ -214,7 +213,10 @@ def summarize_pairwise(diffs) -> PairSummary:
         return PairSummary(mean=mean, se=0.0, t=math.copysign(math.inf, mean), p=0.0)
     t = mean / se
     # stdtr(df, -|t|) is the upper tail scipy.stats.t.sf computes, without
-    # the start-up cost of importing scipy.stats
+    # the start-up cost of importing scipy.stats; scipy.special itself is
+    # imported here, so that a process that computes no p-value never loads it
+    from scipy.special import stdtr
+
     p = float(2.0 * stdtr(d.size - 1, -abs(t)))
     return PairSummary(mean=mean, se=se, t=float(t), p=p)
 
@@ -222,6 +224,17 @@ def summarize_pairwise(diffs) -> PairSummary:
 # ---------------------------------------------------------------------------
 # experiment configuration and results
 # ---------------------------------------------------------------------------
+
+
+# the grid each preset sweeps; it runs at one sigma2 and one n otherwise
+_SWEEPS = {
+    "ols_constant_beta": "sigma2",
+    "ols_random_beta": "n",
+    "glm_elu": "sigma2",
+    "glm_alpha_sweep": "alpha",
+    "interp_fixed": "sigma2",
+    "interp_growth": "n",
+}
 
 
 @dataclass(frozen=True)
@@ -254,6 +267,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k < 2:
             raise DataValidationError("k must be >= 2")
+        # a block pass averages over at least 2 usable blocks
+        if self.rep_blocks < 2:
+            raise DataValidationError("rep_blocks must be >= 2")
+        if self.resample_blocks < 2:
+            raise DataValidationError("resample_blocks must be >= 2")
         if self.sigma2_grid is not None and len(self.sigma2_grid) == 0:
             raise DataValidationError("sigma2_grid must be nonempty")
         if self.n_grid is not None and len(self.n_grid) == 0:
@@ -262,6 +280,13 @@ class ExperimentConfig:
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
         if self.x_source not in (None, "pool", "gaussian"):
             raise DataValidationError("x_source must be 'pool' or 'gaussian'")
+        sweep = _SWEEPS.get(self.preset)
+        if sweep not in (None, "sigma2") and len(self.sigma2_grid or ()) > 1:
+            raise DataValidationError(
+                f"{self.preset} runs at one sigma2 and does not sweep sigma2_grid; give one value"
+            )
+        if sweep not in (None, "n") and self.n_grid is not None:
+            raise DataValidationError(f"{self.preset} does not sweep n_grid; set n instead")
 
 
 @dataclass(frozen=True)

@@ -395,3 +395,38 @@ def test_simulate_malformed_config_number(line, code, message, tmp_path, capsys)
                  "--out-dir", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("preset", ["ols_random_beta", "glm_alpha_sweep", "interp_growth"])
+def test_simulate_rejects_a_sigma2_grid_the_preset_does_not_sweep(
+    preset, tmp_path, capsys, monkeypatch
+):
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its grids were checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, preset, no_work)
+    code = main(["simulate", "--preset", preset, "--sigma2-grid", "1,9", "-k", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "sigma2_grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("preset", ["ols_constant_beta", "glm_elu", "glm_alpha_sweep",
+                                    "interp_fixed"])
+def test_simulate_rejects_an_n_grid_the_preset_does_not_sweep(
+    preset, tmp_path, capsys, monkeypatch
+):
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its grids were checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, preset, no_work)
+    code = main(["simulate", "--preset", preset, "--n-grid", "7,9", "-k", "3",
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "n_grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -107,8 +107,8 @@ def _glm_sample(seed: int, n: int = 40, p: int = 3, m: int = 600, **kw) -> GlmSa
 @settings(max_examples=15, deadline=None)
 def test_glm_sample_loss_endpoints_are_the_pure_fits(seed):
     s = _glm_sample(seed)
-    np.testing.assert_allclose(s.loss(0.0), s.beta_hat, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(s.loss(1.0), s.beta_breve, rtol=1e-9, atol=1e-9)
+    np.testing.assert_array_equal(s.loss(0.0), s.beta_hat)
+    np.testing.assert_array_equal(s.loss(1.0), s.beta_breve)
     np.testing.assert_array_equal(s.linear(0.0), s.beta_hat)
     np.testing.assert_array_equal(s.linear(1.0), s.beta_breve)
     assert s.nonconverged == 0

@@ -363,6 +363,19 @@ def test_config_validation():
         ExperimentConfig(preset="glm_elu", x_source="gausian")
 
 
+@pytest.mark.parametrize("field", ["rep_blocks", "resample_blocks"])
+def test_block_budget_below_two_is_rejected(field, tmp_path):
+    # a block pass needs 2 usable blocks; one block used to fail in every
+    # replication, after the oracle statistics had been computed
+    with pytest.raises(DataValidationError, match=field):
+        ExperimentConfig(preset="glm_elu", **{field: 1})
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(f"[experiment]\npreset = glm_elu\n{field} = 1\n")
+    with pytest.raises(DataValidationError, match=field):
+        load_config(cfgfile)
+    ExperimentConfig(preset="glm_elu", **{field: 2})
+
+
 def test_gaussian_x_source_switch():
     res_pool = run_experiment(_tiny_ols_cfg(k=8))
     res_iid = run_experiment(_tiny_ols_cfg(k=8, x_source="gaussian"))
@@ -405,7 +418,10 @@ def _small_cfg(preset, **kw):
 
 
 def test_small_configs_cover_every_preset():
+    from mssl.simulate import _SWEEPS
+
     assert tuple(_SMALL) == preset_names()
+    assert tuple(_SWEEPS) == preset_names()
 
 
 @pytest.mark.parametrize("preset", list(_SMALL))
@@ -476,7 +492,7 @@ def test_failures_within_budget_are_dropped_in_order():
 
 @pytest.mark.parametrize(
     "preset, estimators, solves_per_rep",
-    [("glm_elu", ("supervised", "loss_mixed_est"), 3), ("glm_alpha_sweep", None, 2 + 21)],
+    [("glm_elu", ("supervised", "loss_mixed_est"), 3), ("glm_alpha_sweep", None, 2 + 19)],
 )
 def test_glm_presets_count_nonconverged_newton_solves(
     preset, estimators, solves_per_rep, monkeypatch
