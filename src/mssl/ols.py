@@ -351,7 +351,9 @@ def alpha_star_ols(
     """Best mixing ratio for the coefficient mix, and the risk it attains.
 
     alpha* = sigma^2 (v_l - v_u) / (B + sigma^2 (v_l - v_u)), with minimum
-    reducible error sigma^2 v_l - sigma^4 (v_l - v_u)^2 / (B + sigma^2 (v_l - v_u)).
+    reducible error sigma^2 v_u + alpha* B: the same value as
+    sigma^2 v_l - sigma^4 (v_l - v_u)^2 / (B + sigma^2 (v_l - v_u)), without
+    its cancellation.
     """
     if v_u < 0 or B < 0 or sigma2 < 0:
         raise DataValidationError("sigma2, B and v_u must be nonnegative")
@@ -365,15 +367,16 @@ def alpha_star_ols(
     if denom <= 0:
         raise DataValidationError("B + sigma^2 (v_l - v_u) must be positive")
     alpha = gap / denom
-    r_min = sigma2 * v_l - sigma2 * gap * (v_l - v_u) / denom
+    r_min = sigma2 * v_u + alpha * B
     return float(alpha), float(r_min)
 
 
 def r_dot_curve(alpha, sigma2: float, B: float, v_l: float, v_u: float):
     """Reducible error of the coefficient mix as a function of alpha.
 
-    Quadratic alpha^2 (B + sigma^2 (v_l - v_u)) - 2 alpha sigma^2 (v_l - v_u)
-    + sigma^2 v_l; accepts a scalar or an array of mixing ratios.
+    sigma^2 v_u + alpha^2 B + (1 - alpha)^2 sigma^2 (v_l - v_u), a sum of
+    nonnegative terms (the expanded quadratic cancels near its minimum);
+    accepts a scalar or an array of mixing ratios.
     """
     if v_l <= v_u:
         raise DataValidationError(f"v_l={v_l} <= v_u={v_u}")
@@ -381,7 +384,7 @@ def r_dot_curve(alpha, sigma2: float, B: float, v_l: float, v_u: float):
         raise DataValidationError("sigma2 and B must be nonnegative")
     alpha = np.asarray(alpha, dtype=float)
     gap = sigma2 * (v_l - v_u)
-    out = alpha**2 * (B + gap) - 2.0 * alpha * gap + sigma2 * v_l
+    out = sigma2 * v_u + alpha**2 * B + gap * (1.0 - alpha) ** 2
     return float(out) if out.ndim == 0 else out
 
 

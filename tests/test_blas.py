@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
 from scipy.linalg import lapack as scipy_lapack
 from test_cli import _write_interp_files, _write_ols_files
+from test_simulate import _SMALL
 
 import mssl
 from mssl import _blas, cli, simulate
@@ -137,24 +138,53 @@ def test_cli_import_leaves_scipy_stats_out():
     assert _scipy_modules("import mssl.cli") == []
 
 
+def _needs_openblas_lapack():
+    if not isinstance(_blas._lapack(), _blas._OpenBlasLapack):
+        pytest.skip("no loaded OpenBLAS exports the LAPACK routines")
+
+
 @pytest.mark.parametrize("command", [
     ["limits", "--mode", "ols", "--gamma", "0.5"],
     ["fit", "--model", "ols"],
     ["fit", "--model", "glm", "--alpha", "grid", "--blocks", "20"],
     ["fit", "--model", "interp"],
     ["diagnose", "--model", "ols", "--blocks", "20"],
+    ["simulate", "--preset", "ols_constant_beta", "-k", "3", "--pool-size", "500"],
+    ["simulate", "--preset", "glm_elu", "-k", "3", "--pool-size", "400"],
+    ["simulate", "--preset", "interp_growth", "-k", "3", "--pool-size", "300",
+     "--n-grid", "20,30"],
 ])
 def test_cli_commands_load_no_scipy(command, tmp_path):
-    # every LAPACK call goes through numpy's OpenBLAS; scipy is imported only
-    # for the p-values of simulate
-    if not isinstance(_blas._lapack(), _blas._OpenBlasLapack):
-        pytest.skip("no loaded OpenBLAS exports the LAPACK routines")
-    if command[0] != "limits":
+    # every LAPACK call goes through numpy's OpenBLAS, and the paired-test
+    # p-values of simulate come from mssl's own Student-t tail
+    _needs_openblas_lapack()
+    if command[0] == "simulate":
+        command = command + ["--out-dir", str(tmp_path)]
+    elif command[0] != "limits":
         write = _write_interp_files if "interp" in command else _write_ols_files
         labeled, pool = write(tmp_path)
         command = command + ["--labeled", str(labeled), "--pool", str(pool)]
     code = "import contextlib, io\nfrom mssl.cli import main\n"
     code += f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({command!r}) == 0"
+    assert _scipy_modules(code) == []
+
+
+def test_every_preset_runs_with_scipy_imports_blocked():
+    # a finder in front of sys.meta_path fails every scipy import, so any
+    # preset that still reaches for scipy fails the child process
+    _needs_openblas_lapack()
+    code = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from mssl.simulate import ExperimentConfig, run_experiment\n"
+    )
+    for preset, kw in _SMALL.items():
+        kw = {**kw, "k": 3}
+        code += f"assert run_experiment(ExperimentConfig(preset={preset!r}, **{kw!r})).paired\n"
     assert _scipy_modules(code) == []
 
 

@@ -366,6 +366,17 @@ def test_alpha_star_interior_and_consistent_with_curve(sigma2, B, gap):
     assert r_min <= r_dot_curve(1.0, sigma2, B, v_l, v_u) + 1e-12
 
 
+def test_alpha_star_minimum_without_cancellation():
+    # hypothesis found this example: the expanded sigma^2 v_l - ... form of
+    # r_min came out 5.8e-11 above the curve at alpha = 1, which lies above it
+    sigma2, B, v_u = 600.4375, 0.001953125, 0.5
+    v_l = v_u + 617.4375
+    alpha, r_min = alpha_star_ols(sigma2, B, v_l, v_u)
+    assert r_dot_curve(alpha, sigma2, B, v_l, v_u) == pytest.approx(r_min, rel=1e-15)
+    assert r_min <= r_dot_curve(0.0, sigma2, B, v_l, v_u)
+    assert r_min <= r_dot_curve(1.0, sigma2, B, v_l, v_u)
+
+
 def test_r_dot_curve_endpoints():
     sigma2, B, v_l, v_u = 2.0, 1.0, 1.0, 0.5
     assert r_dot_curve(0.0, sigma2, B, v_l, v_u) == pytest.approx(sigma2 * v_l)

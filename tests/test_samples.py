@@ -17,6 +17,7 @@ from mssl import (
     UnlabeledPool,
     build_moments,
     elu_link,
+    fit_glm_loss_mixed,
     seeded_rng,
 )
 from mssl.core import spd_factor
@@ -57,7 +58,8 @@ def test_ols_sample_is_equivariant_under_linear_maps(seed, a_seed, alpha):
     X, Y, Z = _ols_draw(seed)
     A = _well_conditioned(a_seed, X.shape[1])
     s, t = _ols_sample(X, Y, Z), _ols_sample(X @ A, Y, Z @ A)
-    for fit in (lambda r: r.beta_hat, lambda r: r.beta_breve, lambda r: r.loss(alpha)):
+    for fit in (lambda r: r.beta_hat, lambda r: r.beta_breve, lambda r: r.loss(alpha),
+                lambda r: r.linear(alpha)):
         np.testing.assert_allclose(fit(t), np.linalg.solve(A, fit(s)), rtol=1e-8, atol=1e-10)
     for value in ("sigma2_hat", "B_hat", "alpha_hat"):
         assert getattr(t, value) == pytest.approx(getattr(s, value), rel=1e-8, abs=1e-12)
@@ -87,6 +89,17 @@ def test_ols_sample_ignores_the_order_of_labeled_rows(seed, perm_seed, alpha):
         assert getattr(t, value) == pytest.approx(getattr(s, value), rel=1e-9, abs=1e-12)
 
 
+@given(seeds)
+@settings(max_examples=25, deadline=None)
+def test_ols_mix_endpoints_are_the_pure_fits(seed):
+    X, Y, Z = _ols_draw(seed)
+    s = _ols_sample(X, Y, Z)
+    np.testing.assert_array_equal(s.linear(0.0), s.beta_hat)
+    np.testing.assert_array_equal(s.linear(1.0), s.beta_breve)
+    np.testing.assert_allclose(s.loss(0.0), s.beta_hat, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(s.loss(1.0), s.beta_breve, rtol=1e-12, atol=1e-14)
+
+
 def test_ols_sample_without_a_grid_has_no_grid_ratio():
     X, Y, Z = _ols_draw(0)
     s = _ols_sample(X, Y, Z)
@@ -112,6 +125,18 @@ def test_glm_sample_loss_endpoints_are_the_pure_fits(seed):
     np.testing.assert_array_equal(s.linear(0.0), s.beta_hat)
     np.testing.assert_array_equal(s.linear(1.0), s.beta_breve)
     assert s.nonconverged == 0
+
+
+@given(seeds)
+@settings(max_examples=10, deadline=None)
+def test_glm_loss_mixed_solve_at_the_endpoints_is_the_pure_fits(seed):
+    # GlmSample.loss returns the pure fits at 0 and 1 without a solve; the
+    # Newton solve it skips lands there too, even started at the other end
+    s = _glm_sample(seed)
+    for alpha, pure, start in ((0.0, s.beta_hat, s.beta_breve), (1.0, s.beta_breve, s.beta_hat)):
+        report = fit_glm_loss_mixed(s.data, s.pool, s.link, alpha, beta0=start)
+        assert report.converged
+        np.testing.assert_allclose(report.beta, pure, rtol=1e-8, atol=1e-10)
 
 
 def test_glm_sample_builds_pool_stats_on_first_use():

@@ -23,6 +23,7 @@ from mssl import (
     summarize_pairwise,
     write_result_csv,
 )
+from mssl.simulate import _t_tail
 
 
 # -- covariance generation ------------------------------------------------------
@@ -159,6 +160,43 @@ def test_pairwise_matches_scipy_oracle():
     ref = ttest_rel(a, b)
     assert ours.t == pytest.approx(ref.statistic, rel=1e-12)
     assert ours.p == pytest.approx(ref.pvalue, rel=1e-12)
+
+
+_TAIL_DFS = [1, 2, 3, 5, 9, 19, 29, 59, 99, 299, 999, 1999, 4999, 9999]
+
+
+@pytest.mark.parametrize("df", _TAIL_DFS)
+def test_t_tail_matches_scipy_stdtr(df):
+    from scipy.special import stdtr
+
+    # |t| from 1e-3 to 500, plus a dense run just past the switch to the
+    # fraction in x, x = (a + 1) / (a + 2.5), where forward evaluation loses most
+    switch = math.sqrt(1.5 * df / (0.5 * df + 1.0))
+    t = np.concatenate([np.geomspace(1e-3, 500.0, 400), np.linspace(switch, 1.5 * switch, 200)])
+    ours = np.array([_t_tail(df, float(v)) for v in t])
+    ref = stdtr(df, -t)
+    normal = ref >= 1e-300  # below that scipy's tail is subnormal or 0
+    np.testing.assert_allclose(ours[normal], ref[normal], rtol=1e-12, atol=0.0)
+    assert np.all(ours[~normal] < 1e-299)
+    if df >= 299:  # these tails pass through 1e-300 before |t| = 500
+        assert ref[normal].min() < 1e-280
+
+
+@pytest.mark.parametrize("t", np.geomspace(1e-12, 1e-3, 19))
+def test_t_tail_near_zero_matches_closed_forms(t):
+    # scipy's stdtr is off here (stdtr(1, -1e-8) = 0.4999999952568 against
+    # the exact 0.4999999968169), so the oracles are the closed forms
+    assert _t_tail(1, t) == pytest.approx(math.atan2(1.0, t) / math.pi, rel=1e-15)
+    assert _t_tail(2, t) == pytest.approx(0.5 * (1.0 - t / math.sqrt(2.0 + t * t)), rel=1e-15)
+
+
+@pytest.mark.parametrize("df", _TAIL_DFS)
+def test_t_tail_edge_cases(df):
+    assert _t_tail(df, 0.0) == _t_tail(df, -0.0) == 0.5  # so p = 1 exactly
+    assert _t_tail(df, 1e200) == _t_tail(df, -math.inf) == 0.0  # t^2 overflows: 0, not nan
+    assert math.isnan(_t_tail(df, math.nan))
+    for t in (1e-7, 0.3, 2.0, 40.0):
+        assert _t_tail(df, -t) == _t_tail(df, t)
 
 
 # -- experiment engine -------------------------------------------------------------------
