@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -36,6 +36,10 @@ COND_LIMIT = 1e12
 # that may be skipped as singular before a pass gives up.
 _DEFAULT_BLOCKS = 200
 _SKIP_BUDGET = 0.10
+
+# Bytes of drawn blocks a pass stacks into one chunk for its kernel; this
+# bounds the memory of the stacked kernels whatever the block count.
+_CHUNK_BYTES = 1 << 20
 
 # Stream tags keep independently-consumed RNG streams from colliding when
 # they are derived from one user-facing seed.
@@ -235,29 +239,61 @@ def resample_block(pool: UnlabeledPool, spec: ResampleSpec, index: int) -> np.nd
     return pool.Z[idx]
 
 
-def _block_pass(
-    spec: ResampleSpec, draw: Callable[[int], np.ndarray], per_block: Callable
-) -> tuple[list, int]:
-    """The one resampling loop: ``per_block(draw(i))`` for each block of the plan.
+def _chunk_len(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` each fit in one chunk (at least one)."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
-    A block whose statistics raise SingularMatrixError or LinAlgError is
-    skipped as a whole, so every statistic of a pass averages over the same
-    blocks.  Raises ResampleBudgetError when more than _SKIP_BUDGET of the
-    blocks were skipped, and DataValidationError when fewer than 2 are left.
-    Returns the per-block results in block order and the number skipped.
+
+def _each_block(fn: Callable, stack: Iterable) -> tuple[np.ndarray, list]:
+    """``fn`` on each block of a stack: (usable mask, results of the usable blocks).
+
+    The skip rule of every pass: a block on which ``fn`` raises
+    SingularMatrixError or LinAlgError is masked out; other errors propagate.
     """
-    results = []
-    skipped = 0
-    for i in range(spec.replications):
-        X = draw(i)
+    ok, results = [], []
+    for X in stack:
         try:
-            results.append(per_block(X))
+            results.append(fn(X))
+            ok.append(True)
         except (SingularMatrixError, np.linalg.LinAlgError):
-            skipped += 1
+            ok.append(False)
+    return np.array(ok, dtype=bool), results
+
+
+def _block_pass(
+    spec: ResampleSpec, draw: Callable[[int], np.ndarray], kernel: Callable
+) -> tuple[dict, int]:
+    """The one resampling loop: ``kernel`` on chunks of the blocks ``draw(i)``.
+
+    Blocks are drawn one at a time, in plan order, and stacked into chunks of
+    at most _CHUNK_BYTES (one block at least).  ``kernel`` takes a chunk of b
+    blocks (an array of shape (b, *block.shape)) and returns ``(ok, stats)``:
+    a length-b mask of the usable blocks and a dict of arrays whose leading
+    axis runs over the usable ones.  A kernel masks a block whose statistics
+    would raise SingularMatrixError or LinAlgError (see ``_each_block``), so
+    every statistic of a pass averages over the same blocks.  Raises
+    ResampleBudgetError when more than _SKIP_BUDGET of the blocks were
+    skipped, and DataValidationError when fewer than 2 are left.  Returns the
+    statistics of the usable blocks in block order and the number skipped.
+    """
+    chunks = []
+    skipped = 0
+    start = 0
+    while start < spec.replications:
+        first = np.asarray(draw(start))
+        b = min(_chunk_len(first.nbytes), spec.replications - start)
+        stack = np.empty((b,) + first.shape, dtype=first.dtype)
+        stack[0] = first
+        for j in range(1, b):
+            stack[j] = draw(start + j)
+        ok, stats = kernel(stack)
+        skipped += b - int(np.count_nonzero(ok))
+        chunks.append(stats)
+        start += b
     if skipped > _SKIP_BUDGET * spec.replications:
         raise ResampleBudgetError(
             f"{skipped}/{spec.replications} resampled blocks were singular"
         )
-    if len(results) < 2:
+    if spec.replications - skipped < 2:
         raise DataValidationError("not enough usable blocks")
-    return results, skipped
+    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, skipped

@@ -24,6 +24,7 @@ from .core import (
     ResampleSpec,
     UnlabeledPool,
     _block_pass,
+    _each_block,
     build_moments,
     resample_block,
     spd_factor,
@@ -274,6 +275,13 @@ class GlmPoolStats:
     Every statistic averages over the same blocks; ``n_skipped`` counts the
     blocks skipped as singular.
 
+    The pass hands each chunk of resampled blocks (see ``core._block_pass``)
+    to one stacked kernel: F = X^T D X, X^T X, X^T D^2 X and the c vectors of
+    every block by batched products, F^{-1} by one batched inverse, and the
+    traces by ``einsum``.  Whether a block is usable is still decided per
+    block, by ``spd_factor`` of its F; a block whose blend (below) is not
+    positive definite is masked as well.
+
     The curve needs, per block and ratio, S_alpha = (alpha H_g + (1 - alpha) F)^{-1}.
     Each block solves the pencil (F, H_g) once: with H_g = L_g L_g^T,
     eigh(L_g^{-1} F L_g^{-T}) = U diag(mu) U^T and R = L_g^{-T} U give
@@ -281,7 +289,8 @@ class GlmPoolStats:
     zeta^T S_alpha H_g S_alpha zeta is sum_k w_k^2 / d_k^2 with w = R^T zeta and
     the variance tr(S_alpha H_g S_alpha X^T X) is sum_k (R^T X^T X R)_kk / d_k^2.
     The grid then costs O(p^3 + A p) per block for A ratios, in place of one
-    factorization and three solves of the blend per ratio, O(A p^3).
+    factorization and three solves of the blend per ratio, O(A p^3); the
+    eigendecompositions of a chunk are one batched ``eigh``.
     """
 
     def __init__(
@@ -318,74 +327,75 @@ class GlmPoolStats:
                 "g' is nonpositive somewhere on the pool; the quadratic "
                 "expansion needs a strictly increasing link there"
             )
-        mu_pool = link.g(eta_pool)
-        Zd = Z * d_pool[:, None]
-        self.Hg = n * (Zd.T @ Z) / m
+        # each m x p weighted copy of the pool is released before the next
+        self.Hg = n * ((Z * d_pool[:, None]).T @ Z) / m
         self.Hg = 0.5 * (self.Hg + self.Hg.T)
         self.H = moments.H
-        Zd2 = Z * (d_pool**2)[:, None]
-        self.H2 = n * (Zd2.T @ Z) / m
-        self.exmu = n * (Z.T @ mu_pool) / m  # total-information E_X[X^T mu]
+        self.H2 = n * ((Z * (d_pool**2)[:, None]).T @ Z) / m
+        self.exmu = n * (Z.T @ link.g(eta_pool)) / m  # total-information E_X[X^T mu]
 
-        Lg = np.linalg.cholesky(self.Hg)
+        Lg = np.tril(spd_factor(self.Hg, "H_g")[0])
         self.v_u_g = (n - 1) / n * float(np.trace(cho_solve((Lg, True), self.H)))
 
         self.alphas = None if alphas is None else _ratio_grid(alphas)
         if self.alphas is not None:
             Lg_inv = solve_lower(Lg, np.eye(self.p))
 
-        def per_block(Xb: np.ndarray):
-            d = link.gprime(Xb @ beta_eval)
-            F = (Xb * d[:, None]).T @ Xb
-            factor = spd_factor(F, "F")
-            G = Xb.T @ Xb
-            FiG = cho_solve(factor, G)
-            FiHg = cho_solve(factor, self.Hg)
-            G2 = (Xb * (d**2)[:, None]).T @ Xb
-            FiG2 = cho_solve(factor, G2)
-            mu = link.g(Xb @ beta_eval)
-            c = Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean()
-            curve = None
+        def kernel(X: np.ndarray):
+            # X is a chunk of blocks (b, n, p); every statistic is a stack over it
+            eta = X @ beta_eval
+            d = link.gprime(eta)
+            F = (X * d[..., None]).transpose(0, 2, 1) @ X
+            ok, _ = _each_block(lambda Fb: spd_factor(Fb, "F"), F)
+            X, d, eta, F = X[ok], d[ok], eta[ok], F[ok]
+            Fi = np.linalg.inv(F)
+            G = X.transpose(0, 2, 1) @ X
+            FiG = Fi @ G
+            FiG2 = Fi @ ((X * (d**2)[..., None]).transpose(0, 2, 1) @ X)
+            mu = link.g(eta)
+            c = (mu[:, None, :] @ X)[:, 0] - n * X.mean(axis=1) * mu.mean(axis=1)[:, None]
+            stats = {
+                "v_l": np.einsum("bij,bji->b", FiG, Fi @ self.Hg),
+                "v_s": (n - 1) / n * np.einsum("bii->b", FiG),
+                "trace_sigma": np.einsum("bij,bji->b", FiG, FiG2),  # noise-denominator trace
+                "v_l_M": np.einsum("bij,ji->b", Fi, self.H2),
+                "c": c,
+            }
             if self.alphas is not None:
                 # pencil (F, H_g): R^T H_g R = I and R^T F R = diag(mu_k)
                 mu_k, U = np.linalg.eigh(Lg_inv @ F @ Lg_inv.T)
                 R = Lg_inv.T @ U
-                inv_d2 = 1.0 / _blend_denominators(self.alphas, mu_k) ** 2
-                w = R.T @ (self.exmu - c)
-                curve = (inv_d2 @ (w * w), inv_d2 @ np.sum(R * (G @ R), axis=0))
-            return (
-                float(np.einsum("ij,ji->", FiG, FiHg)),  # v_l
-                (n - 1) / n * float(np.trace(FiG)),  # v_s
-                float(np.einsum("ij,ji->", FiG, FiG2)),  # noise-denominator trace
-                float(np.trace(cho_solve(factor, self.H2))),  # v_l_M
-                c,
-                curve,
-            )
+                den = _blend_denominators(self.alphas, mu_k)
+                keep = np.all(den > 0.0, axis=(1, 2))
+                inv_d2 = 1.0 / den**2
+                w = ((self.exmu - c)[:, None, :] @ R)[:, 0]  # w = R^T zeta
+                stats["bias"] = (inv_d2 @ (w * w)[..., None])[..., 0]
+                stats["var"] = (inv_d2 @ np.sum(R * (G @ R), axis=1)[..., None])[..., 0]
+                ok[ok] = keep
+                stats = {key: value[keep] for key, value in stats.items()}
+            return ok, stats
 
-        blocks, self.n_skipped = _block_pass(
-            spec, lambda i: resample_block(pool, spec, i), per_block
+        stats, self.n_skipped = _block_pass(
+            spec, lambda i: resample_block(pool, spec, i), kernel
         )
-        v_l_samples, v_s_samples, tr_sigma_samples, v_lM_samples, cov_vecs, curves = zip(*blocks)
 
-        def _mean_se(vals):
-            arr = np.asarray(vals)
+        def _mean_se(arr):
             return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
-        self.v_l_g, self.se_v_l_g = _mean_se(v_l_samples)
-        self.v_s_g, self.se_v_s_g = _mean_se(v_s_samples)
-        self.trace_sigma = float(np.mean(tr_sigma_samples))
-        self.v_l_M = float(np.mean(v_lM_samples))
+        self.v_l_g, self.se_v_l_g = _mean_se(stats["v_l"])
+        self.v_s_g, self.se_v_s_g = _mean_se(stats["v_s"])
+        self.trace_sigma = float(np.mean(stats["trace_sigma"]))
+        self.v_l_M = float(np.mean(stats["v_l_M"]))
         self.v_u_M = (n - 1) / n * float(np.trace(cho_solve((Lg, True), self.H2)))
 
-        C = np.stack(cov_vecs)
+        C = stats["c"]
         self.zeta_hat_mean = self.exmu - C.mean(axis=0)
         zetas = self.exmu[None, :] - C
         self.zeta_hat_cov = np.cov(zetas.T, ddof=1)
         U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
         self.B_g_hat = float(np.sum(U * U) / (C.shape[0] - 1))
         if self.alphas is not None:
-            self._curve_bias = np.array([bias for bias, _ in curves])
-            self._curve_var = np.array([var for _, var in curves])
+            self._curve_bias, self._curve_var = stats["bias"], stats["var"]
 
     def quadratic(self) -> GlmQuadratic:
         return GlmQuadratic(

@@ -17,6 +17,7 @@ from .core import (
     ResampleSpec,
     UnlabeledPool,
     _block_pass,
+    _each_block,
     seeded_rng,
     spd_factor,
 )
@@ -125,8 +126,12 @@ def interp_risk_terms(
         v_u = float(np.trace(cho_solve(inf_factor, np.eye(n))))
         return b_l, v_l, b_u, v_u
 
-    rows, _ = _block_pass(spec, lambda i: sampler(seeded_rng(spec.seed, 0x1D4A, i)), per_draw)
-    arr = np.asarray(rows)
+    def kernel(Xs: np.ndarray):
+        ok, rows = _each_block(per_draw, Xs)
+        return ok, {"terms": np.array(rows, dtype=float).reshape(len(rows), 4)}
+
+    stats, _ = _block_pass(spec, lambda i: sampler(seeded_rng(spec.seed, 0x1D4A, i)), kernel)
+    arr = stats["terms"]
     mean = arr.mean(axis=0)
     se = arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
     return InterpRiskTerms(

@@ -24,6 +24,7 @@ from .core import (
     ResampleSpec,
     UnlabeledPool,
     _block_pass,
+    _each_block,
     build_moments,
     resample_block,
     spd_factor,
@@ -178,6 +179,14 @@ class OlsPoolModel:
     Given a ratio ``grid``, the same pass also builds ``ddot``, the
     loss-mixed risk model over that grid (``DdotRiskModel``), so every
     statistic averages over the same blocks, each drawn and checked once.
+    The pass hands each chunk of resampled blocks (see ``core._block_pass``)
+    to one stacked kernel: X^T X of every block by a batched product, and the
+    whitened scatter L^{-1} M by one product with L^{-1}, where H = L L^T is
+    ``moments.H_factor``, the one checked factor of H that every statistic
+    uses.  Whether a block is usable is still decided per block, by
+    ``spd_factor`` of its X^T X, and that factor also gives the block's v_l
+    (at the sizes this pass runs, p of 50 and more, one solve against a
+    Cholesky factor costs fewer flops than a batched inverse).
     """
 
     def __init__(
@@ -204,45 +213,45 @@ class OlsPoolModel:
         self.spec = spec
         self.moments = moments
         self.H = moments.H
-        # v_l, b_u and the bias whiten with numpy's factor of H, the curve with
-        # the checked H_factor; the two differ at roundoff, and each statistic
-        # keeps the factor it has always used
-        self._L_H = np.linalg.cholesky(self.H)
-        sqrt_H = self._L_H  # lower-triangular factor, H = L L^T
+        L, L_inv = _cholesky_pair(moments)  # H = L L^T, one factor for every statistic
         alphas = None if grid is None else _ratio_grid(grid)
-        if alphas is not None:
-            L, L_inv = _cholesky_pair(moments)
 
-        def per_block(Xb: np.ndarray):
-            G = Xb.T @ Xb
-            factor = spd_factor(G, "X^T X")
-            xbar = Xb.mean(axis=0)
-            M = G - n * np.outer(xbar, xbar)
-            W = solve_lower(sqrt_H, M)  # L^{-1} M
-            pencil = None if alphas is None else _ddot_block(G, xbar, L, L_inv, n, alphas)
-            return (
-                float(np.trace(cho_solve(factor, self.H))) / n,
+        def kernel(X: np.ndarray):
+            # X is a chunk of blocks (b, n, p); every statistic is a stack over it
+            G = X.transpose(0, 2, 1) @ X
+            ok, v_l = _each_block(  # the checked factor of each X^T X gives its v_l
+                lambda Gb: np.trace(cho_solve(spd_factor(Gb, "X^T X"), self.H)) / n, G
+            )
+            X, G = X[ok], G[ok]
+            xbar = X.mean(axis=1)
+            W = L_inv @ (G - n * (xbar[:, :, None] * xbar[:, None, :]))  # L^{-1} M
+            stats = {
+                "v_l": np.array(v_l, dtype=float),
                 # tr(Delta1^T H Delta1) with Delta1 = H^{-1} M - I equals
                 # ||L^{-1} M - L^T||_F^2.
-                float(np.sum((W - sqrt_H.T) ** 2)) / n,
-                W if keep_blocks else None,
-                pencil,
-            )
+                "b_u": np.sum((W - L.T) ** 2, axis=(1, 2)) / n,
+            }
+            if keep_blocks:
+                stats["W"] = W
+            if alphas is not None:
+                keep, pencil = _ddot_block(G, xbar, L, L_inv, n, alphas)
+                ok[ok] = keep
+                stats = {key: value[keep] for key, value in (stats | pencil).items()}
+            return ok, stats
 
-        blocks, self.n_skipped = _block_pass(
-            spec, lambda i: resample_block(self.pool, spec, i), per_block
+        stats, self.n_skipped = _block_pass(
+            spec, lambda i: resample_block(self.pool, spec, i), kernel
         )
-        v_l_samples, b_u_samples, whitened, pencils = zip(*blocks)
-        arr = np.asarray(v_l_samples)
+        arr = stats["v_l"]
         self.n_blocks = arr.size
         self.v_l = float(arr.mean())
         self.se_v_l = float(arr.std(ddof=1) / math.sqrt(arr.size))
         self.v_u = (n - 1) * pool.p / n**2
-        self.b_u_hat = float(np.mean(b_u_samples))
-        self._W = np.stack(whitened) if keep_blocks else None
+        self.b_u_hat = float(np.mean(stats["b_u"]))
+        self._W = stats["W"] if keep_blocks else None
         self.ddot = None
         if alphas is not None:
-            self.ddot = DdotRiskModel(alphas, n, *_ddot_operators(pencils))
+            self.ddot = DdotRiskModel(alphas, n, *_ddot_operators(stats))
 
     def bias_at(self, beta: np.ndarray) -> float:
         """Estimated bias of the semi-supervised estimator at a plug-in beta.
@@ -416,15 +425,14 @@ def _ratio_grid(grid) -> np.ndarray:
 def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """alpha + (1 - alpha) lam_k for every ratio (rows) and eigenvalue (columns).
 
-    With V^T A V = I and V^T B V = diag(lam), the blend alpha A + (1 - alpha) B
-    equals V^{-T} diag(d) V^{-1}, so it is positive definite exactly when every
-    d is positive; otherwise this raises the LinAlgError a Cholesky factorization
-    of the blend would.
+    ``lam`` holds one row of eigenvalues per block, and the result one
+    (ratios x eigenvalues) matrix per block.  With V^T A V = I and
+    V^T B V = diag(lam), the blend alpha A + (1 - alpha) B equals
+    V^{-T} diag(d) V^{-1}, so it is positive definite exactly when every d is
+    positive: a block with any other d is masked, as a failed Cholesky
+    factorization of its blend would skip it.
     """
-    d = alphas[:, None] + (1.0 - alphas)[:, None] * lam[None, :]
-    if not np.all(d > 0.0):
-        raise np.linalg.LinAlgError("blend matrix is not positive definite")
-    return d
+    return alphas[:, None] + (1.0 - alphas)[:, None] * lam[..., None, :]
 
 
 def _cholesky_pair(moments: PopulationMoments) -> tuple[np.ndarray, np.ndarray]:
@@ -440,54 +448,61 @@ def _ddot_block(
     L_inv: np.ndarray,
     n: int,
     alphas: np.ndarray,
-):
-    """Loss-mixed risk pieces of one block for every ratio, from one pencil solve.
+) -> tuple[np.ndarray, dict]:
+    """Loss-mixed risk pieces of a chunk of blocks for every ratio, one pencil solve each.
 
+    ``G`` stacks X^T X and ``xbar`` the column means of b blocks.  Per block,
     eigh(L^{-1} G L^{-T}) = U diag(lam) U^T gives V = L^{-T} U with V^T H V = I
-    and V^T G V = diag(lam) (G = X^T X).  Then, with d = alpha + (1 - alpha) lam,
+    and V^T G V = diag(lam).  Then, with d = alpha + (1 - alpha) lam,
     S_alpha = V diag(1/d) V^T, the variance trace tr(H S_alpha G S_alpha) is
     sum_k lam_k / d_k^2, and Delta_alpha = S_alpha (G - alpha z z^T) - I equals
     V M_alpha W with W = V^{-1} = U^T L^T, z = sqrt(n) Xbar and the diagonal plus
     rank-one M_alpha = diag(e) - a u^T, where e = alpha (lam - 1) / d,
-    a = alpha u / d and u = V^T z.  Returns (W, z, e, a, var_tr); e, a and
-    var_tr carry one row per ratio.  Cost O(p^3 + A p) for A ratios.
+    a = alpha u / d and u = V^T z.  Returns the mask of the blocks whose blends
+    are positive definite and the stacks W, z, e, a and var_tr (keys "Wd",
+    "z", "e", "a", "var_tr"); e, a and var_tr carry one row per ratio.  Cost
+    O(p^3 + A p) per block for A ratios.
     """
     lam, U = np.linalg.eigh(L_inv @ G @ L_inv.T)
     z = math.sqrt(n) * xbar
-    u = U.T @ (L_inv @ z)
+    u = ((z @ L_inv.T)[:, None, :] @ U)[:, 0]
     d = _blend_denominators(alphas, lam)
+    keep = np.all(d > 0.0, axis=(1, 2))
     a_col = alphas[:, None]
-    e = a_col * (lam - 1.0) / d
-    a = a_col * u / d
-    var_tr = (1.0 / d**2) @ lam
-    return U.T @ L.T, z, e, a, var_tr
+    e = a_col * (lam[:, None, :] - 1.0) / d
+    a = a_col * u[:, None, :] / d
+    var_tr = ((1.0 / d**2) @ lam[..., None])[..., 0]
+    Wd = U.transpose(0, 2, 1) @ L.T
+    return keep, {"Wd": Wd, "z": z, "e": e, "a": a, "var_tr": var_tr}
 
 
-def _ddot_operators(pencils) -> tuple[np.ndarray, np.ndarray]:
+def _ddot_operators(stacks: dict) -> tuple[np.ndarray, np.ndarray]:
     """Block averages of Delta_alpha^T H Delta_alpha and of the variance trace.
 
-    ``pencils`` holds the ``_ddot_block`` pieces of each block.  With
+    ``stacks`` holds the ``_ddot_block`` stacks of every usable block.  With
     Delta_alpha = V M_alpha W, Delta_alpha^T H Delta_alpha = W^T M_alpha^T M_alpha W,
     which expands to sum_k e_k^2 w_k w_k^T - (r z^T + z r^T) + ||a||^2 z z^T with
-    w_k the rows of W and r = W^T (e * a).  Per block that is one matrix
-    product of the A rows of e^2 with the p outer products w_k w_k^T (upper
-    triangle only) plus O(A p^2) elementwise work, for A ratios.  Returns
-    (Q, V): Q has one exactly symmetric p x p matrix per ratio.
+    w_k the rows of W and r = W^T (e * a).  Per block, the first sum is one
+    matrix product of the A rows of e^2 with the p outer products w_k w_k^T
+    (upper triangle only); the rest is O(A p^2) per block, for A ratios, and
+    runs over all blocks at once.  Returns (Q, V): Q has one exactly symmetric
+    p x p matrix per ratio.
     """
-    A, p = pencils[0][2].shape
+    Wd, z, e, a = (stacks[key] for key in ("Wd", "z", "e", "a"))
+    B, A, p = e.shape
     iu, ju = np.triu_indices(p)
     Q_upper = np.zeros((A, iu.size))
-    V = np.zeros(A)
-    for W, z, e, a, var_tr in pencils:
-        r = (e * a) @ W
-        Q_upper += (e * e) @ (W[:, iu] * W[:, ju])
-        Q_upper += np.sum(a * a, axis=1)[:, None] * (z[iu] * z[ju])
-        Q_upper -= r[:, iu] * z[ju] + z[iu] * r[:, ju]
-        V += var_tr
+    for W, e_b in zip(Wd, e):  # one block at a time: its outer products hold p^3 / 2 numbers
+        Q_upper += (e_b * e_b) @ (W[:, iu] * W[:, ju])
+    r = (e * a) @ Wd  # (B, A, p)
+    rz = r.transpose(1, 2, 0) @ z  # sum over blocks of r z^T, per ratio
+    aa = np.sum(a * a, axis=2).T  # (A, B)
+    azz = (aa[:, :, None] * z).transpose(0, 2, 1) @ z  # sum of ||a||^2 z z^T
+    Q_upper += (azz - rz - rz.transpose(0, 2, 1))[:, iu, ju]
     Q = np.empty((A, p, p))
     Q[:, iu, ju] = Q_upper
     Q[:, ju, iu] = Q_upper
-    return Q / len(pencils), V / len(pencils)
+    return Q / B, stacks["var_tr"].mean(axis=0)
 
 
 class DdotRiskModel:
@@ -514,7 +529,7 @@ class DdotRiskModel:
 
     def curve(self, beta_plugin: np.ndarray, sigma2_hat: float) -> np.ndarray:
         beta = np.asarray(beta_plugin, dtype=float)
-        bias = np.einsum("aij,i,j->a", self._Q, beta, beta)
+        bias = (self._Q @ beta) @ beta
         return (bias + sigma2_hat * self._xi * self._V) / self.n
 
     def argmin_alpha(self, beta_plugin: np.ndarray, sigma2_hat: float) -> float:

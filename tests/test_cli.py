@@ -188,6 +188,23 @@ def test_regime_mismatch_exit_2(interp_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["ols", "glm"])
+def test_fit_on_a_pool_with_equal_columns_reports_a_singular_matrix(model, tmp_path, capsys):
+    # two equal pool columns make H (and H_g) singular
+    rng = seeded_rng(0)
+    Z = rng.standard_normal((3000, 4))
+    Z[:, 3] = Z[:, 2]
+    X = rng.standard_normal((60, 4))
+    labeled = tmp_path / "train.csv"
+    pool = tmp_path / "pool.csv"
+    np.savetxt(labeled, np.column_stack([X, X @ np.arange(4.0) + rng.standard_normal(60)]),
+               delimiter=",")
+    np.savetxt(pool, Z, delimiter=",")
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model])
+    assert code == 2
+    assert "singular" in capsys.readouterr().err
+
+
 def test_parse_failure_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,numeric,data\n1,2,x\n")

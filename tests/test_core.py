@@ -177,15 +177,20 @@ def test_moments_cache_the_factor_of_h():
 
 
 def _failing_at(bad, error=None):
-    """A per-block statistic (10 x the block) that raises on the blocks in ``bad``."""
+    """A chunk kernel (10 x each block) whose check raises on the blocks in ``bad``."""
     from mssl import SingularMatrixError
+    from mssl.core import _each_block
 
-    def per_block(x):
+    def check(x):
         if x in bad:
             raise error or SingularMatrixError("singular block")
         return 10 * x
 
-    return per_block
+    def kernel(chunk):
+        ok, results = _each_block(check, chunk)
+        return ok, {"x10": np.array(results, dtype=int)}
+
+    return kernel
 
 
 def test_block_pass_skips_and_counts_failing_blocks():
@@ -200,11 +205,38 @@ def test_block_pass_skips_and_counts_failing_blocks():
     results, skipped = _block_pass(ResampleSpec(1, 20, 0), draw, _failing_at({3}))
     assert drawn == list(range(20))
     assert skipped == 1
-    assert results == [10 * i for i in range(20) if i != 3]
+    assert list(results["x10"]) == [10 * i for i in range(20) if i != 3]
     _, skipped = _block_pass(
         ResampleSpec(1, 20, 0), lambda i: i, _failing_at({5}, np.linalg.LinAlgError())
     )
     assert skipped == 1
+
+
+def test_block_pass_hands_the_kernel_chunks_within_the_byte_budget(monkeypatch):
+    import mssl.core
+    from mssl.core import _block_pass
+
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 7 * 8)
+    sizes = []
+
+    def kernel(chunk):
+        sizes.append(chunk.shape)
+        return np.ones(len(chunk), dtype=bool), {"x": chunk[:, 0]}
+
+    results, _ = _block_pass(ResampleSpec(1, 20, 0), lambda i: np.array([i, -i]), kernel)
+    assert sizes == [(3, 2)] * 6 + [(2, 2)]  # a block is 16 bytes
+    assert list(results["x"]) == list(range(20))
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_block_pass_results_do_not_depend_on_the_chunking(budget, monkeypatch):
+    import mssl.core
+    from mssl.core import _block_pass
+
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", budget)  # one block, or all, per chunk
+    results, skipped = _block_pass(ResampleSpec(1, 20, 0), lambda i: i, _failing_at({2, 3}))
+    assert skipped == 2
+    assert list(results["x10"]) == [10 * i for i in range(20) if i not in (2, 3)]
 
 
 def test_block_pass_budget_is_ten_percent_of_the_blocks():
@@ -213,7 +245,7 @@ def test_block_pass_budget_is_ten_percent_of_the_blocks():
 
     spec = ResampleSpec(1, 20, 0)
     results, skipped = _block_pass(spec, lambda i: i, _failing_at({0, 7}))
-    assert (len(results), skipped) == (18, 2)
+    assert (len(results["x10"]), skipped) == (18, 2)
     with pytest.raises(ResampleBudgetError, match="3/20"):
         _block_pass(spec, lambda i: i, _failing_at({0, 7, 19}))
 

@@ -519,3 +519,111 @@ def test_pool_stats_count_skipped_blocks_like_the_ols_model():
                          alphas=np.linspace(0, 1, 5))
     assert stats.n_skipped == OlsPoolModel(pool, 4, spec).n_skipped == 5
     assert stats._curve_bias.shape == (95, 5)
+
+
+# -- the stacked block pass -----------------------------------------------------
+
+
+def _glm_per_block_reference(stats, pool_c, spec):
+    """Per-block v_l, v_s, noise trace, v_l_M, c vectors and pencil curves, by the
+    one-block-at-a-time formulas."""
+    from mssl import resample_block
+    from mssl._blas import cho_solve, solve_lower
+    from mssl.core import spd_factor
+
+    n, link, beta, alphas = stats.n, stats.link, stats.beta_eval, stats.alphas
+    Lg = np.linalg.cholesky(stats.Hg)
+    Lg_inv = solve_lower(Lg, np.eye(stats.p))
+    terms, cs, bias, var = [], [], [], []
+    for i in range(spec.replications):
+        Xb = resample_block(pool_c, spec, i)
+        d = link.gprime(Xb @ beta)
+        F = (Xb * d[:, None]).T @ Xb
+        factor = spd_factor(F, "F")
+        G = Xb.T @ Xb
+        FiG = cho_solve(factor, G)
+        FiG2 = cho_solve(factor, (Xb * (d**2)[:, None]).T @ Xb)
+        terms.append((
+            np.einsum("ij,ji->", FiG, cho_solve(factor, stats.Hg)),
+            (n - 1) / n * np.trace(FiG),
+            np.einsum("ij,ji->", FiG, FiG2),
+            np.trace(cho_solve(factor, stats.H2)),
+        ))
+        mu = link.g(Xb @ beta)
+        c = Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean()
+        cs.append(c)
+        mu_k, U = np.linalg.eigh(Lg_inv @ F @ Lg_inv.T)
+        R = Lg_inv.T @ U
+        inv_d2 = 1.0 / (alphas[:, None] + (1.0 - alphas)[:, None] * mu_k) ** 2
+        w = R.T @ (stats.exmu - c)
+        bias.append(inv_d2 @ (w * w))
+        var.append(inv_d2 @ np.sum(R * (G @ R), axis=0))
+    return np.array(terms), np.array(cs), np.array(bias), np.array(var), Lg
+
+
+def test_pool_stats_match_the_per_block_formulas():
+    rng = seeded_rng(34)
+    n, p = 40, 6
+    mix = np.eye(p) + 0.3 * rng.standard_normal((p, p))
+    moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) @ mix.T), n)
+    spec = ResampleSpec(n, 30, 5)
+    stats = GlmPoolStats(moments.pool, n, elu_link(), 0.4 * rng.standard_normal(p), spec,
+                         alphas=np.round(np.linspace(0.0, 1.0, 21), 10), moments=moments)
+    terms, C, bias, var, Lg = _glm_per_block_reference(stats, moments.pool, spec)
+    mean = terms.mean(axis=0)
+    se = terms.std(axis=0, ddof=1) / np.sqrt(terms.shape[0])
+    got = [stats.v_l_g, stats.v_s_g, stats.trace_sigma, stats.v_l_M]
+    np.testing.assert_allclose(got, mean, rtol=1e-12)
+    np.testing.assert_allclose([stats.se_v_l_g, stats.se_v_s_g], se[:2], rtol=1e-12)
+    np.testing.assert_allclose(stats.zeta_hat_mean, stats.exmu - C.mean(axis=0), rtol=1e-12)
+    U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
+    assert stats.B_g_hat == pytest.approx(np.sum(U * U) / (C.shape[0] - 1), rel=1e-12)
+    np.testing.assert_allclose(stats._curve_bias, bias, rtol=1e-12)
+    np.testing.assert_allclose(stats._curve_var, var, rtol=1e-12)
+
+
+def _pool_stats_numbers(pool, n, link, beta, spec, alphas):
+    stats = GlmPoolStats(pool, n, link, beta, spec, alphas=alphas)
+    numbers = [stats.v_l_g, stats.se_v_l_g, stats.v_s_g, stats.se_v_s_g, stats.B_g_hat,
+               stats.trace_sigma, stats.v_l_M, *stats.zeta_hat_mean,
+               *stats.zeta_hat_cov.ravel(), *stats._curve_bias.ravel(),
+               *stats._curve_var.ravel()]
+    return stats.n_skipped, np.array(numbers)
+
+
+def test_pool_stats_do_not_depend_on_the_chunking(monkeypatch):
+    import mssl.core
+
+    rng = seeded_rng(35)
+    n, p = 30, 5
+    pool = UnlabeledPool(rng.standard_normal((3000, p)) + 0.3)
+    args = (pool, n, elu_link(), np.full(p, 0.6), ResampleSpec(n, 25, 6), np.linspace(0, 1, 7))
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)  # one block per chunk
+    _, one = _pool_stats_numbers(*args)
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1 << 30)  # every block in one chunk
+    _, all_ = _pool_stats_numbers(*args)
+    np.testing.assert_allclose(one, all_, rtol=1e-13)
+
+
+def test_pool_stats_skip_singular_blocks_inside_a_chunk(monkeypatch):
+    import mssl.core
+
+    pool = _line_pool(seeded_rng(5), 200, 110)
+    args = (pool, 4, identity_link(), np.zeros(3), ResampleSpec(4, 100, 1), np.linspace(0, 1, 5))
+    runs = []
+    for budget in (1, 1 << 30):  # one block per chunk, then every block in one chunk
+        monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", budget)
+        runs.append(_pool_stats_numbers(*args))
+    assert runs[0][0] == runs[1][0] == 5
+    np.testing.assert_allclose(runs[0][1], runs[1][1], rtol=1e-13,
+                               atol=1e-13 * np.abs(runs[1][1]).max())
+
+
+def test_singular_pool_hessian_is_a_singular_matrix_error():
+    from mssl import SingularMatrixError
+
+    rng = seeded_rng(36)
+    Z = rng.standard_normal((500, 3))
+    Z[:, 2] = Z[:, 1]  # H_g = n Z^T D Z / m has rank 2
+    with pytest.raises(SingularMatrixError, match="H_g"):
+        GlmPoolStats(UnlabeledPool(Z), 20, elu_link(), np.zeros(3), ResampleSpec(20, 10, 0))

@@ -640,3 +640,81 @@ def test_pool_model_rejects_a_bad_ratio_grid(grid):
     pool = UnlabeledPool(seeded_rng(6).standard_normal((500, 3)))
     with pytest.raises(DataValidationError, match="ratio grid"):
         OlsPoolModel(pool, 10, ResampleSpec(10, 20, 0), grid=grid)
+
+
+# -- the stacked block pass -----------------------------------------------------
+
+
+def _ols_per_block_reference(mom, n, spec):
+    """Per-block v_l, b_u and whitened scatter, by the one-block-at-a-time formulas."""
+    from mssl import resample_block
+    from mssl._blas import cho_solve, solve_lower
+    from mssl.core import spd_factor
+
+    L = np.linalg.cholesky(mom.H)
+    v_l, b_u, W = [], [], []
+    for i in range(spec.replications):
+        Xb = resample_block(mom.pool, spec, i)
+        G = Xb.T @ Xb
+        xbar = Xb.mean(axis=0)
+        Wb = solve_lower(L, G - n * np.outer(xbar, xbar))
+        v_l.append(np.trace(cho_solve(spd_factor(G, "X^T X"), mom.H)) / n)
+        b_u.append(np.sum((Wb - L.T) ** 2) / n)
+        W.append(Wb)
+    return np.array(v_l), np.array(b_u), np.stack(W)
+
+
+def test_pool_model_matches_the_per_block_formulas():
+    rng = seeded_rng(26)
+    n, p = 40, 6
+    mom = build_moments(_correlated_pool(rng, 4000, p), n)
+    spec = ResampleSpec(n, 30, 13)
+    model = OlsPoolModel(mom.pool, n, spec, mom)
+    v_l, b_u, W = _ols_per_block_reference(mom, n, spec)
+    assert model.v_l == pytest.approx(v_l.mean(), rel=1e-12)
+    assert model.se_v_l == pytest.approx(v_l.std(ddof=1) / math.sqrt(v_l.size), rel=1e-12)
+    assert model.b_u_hat == pytest.approx(b_u.mean(), rel=1e-12)
+    np.testing.assert_allclose(model._W, W, rtol=0, atol=1e-12 * np.abs(W).max())
+    beta = rng.standard_normal(p)
+    U = W @ beta
+    U -= U.mean(axis=0)
+    assert model.bias_at(beta) == pytest.approx(np.sum(U * U) / (U.shape[0] - 1) / n, rel=1e-12)
+
+
+def _pool_model_numbers(pool, n, spec, grid, beta, moments=None):
+    model = OlsPoolModel(pool, n, spec, moments, grid=grid)
+    numbers = [model.v_l, model.se_v_l, model.b_u_hat, model.bias_at(beta)]
+    if grid is not None:
+        numbers += [*model.ddot._V, *model.ddot._Q.ravel()]
+    return model.n_skipped, np.array(numbers)
+
+
+@pytest.mark.parametrize("grid", [None, np.linspace(0, 1, 7)])
+def test_pool_model_does_not_depend_on_the_chunking(grid, monkeypatch):
+    import mssl.core
+
+    rng = seeded_rng(27)
+    n, p = 30, 5
+    mom = build_moments(_correlated_pool(rng, 3000, p), n)
+    spec = ResampleSpec(n, 25, 14)
+    beta = rng.standard_normal(p)
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)  # one block per chunk
+    _, one = _pool_model_numbers(mom.pool, n, spec, grid, beta, mom)
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1 << 30)  # every block in one chunk
+    _, all_ = _pool_model_numbers(mom.pool, n, spec, grid, beta, mom)
+    np.testing.assert_allclose(one, all_, rtol=1e-13, atol=1e-13 * np.abs(all_).max())
+
+
+def test_pool_model_skips_singular_blocks_inside_a_chunk(monkeypatch):
+    import mssl.core
+
+    pool = _line_pool(seeded_rng(5), 200, 110)
+    spec = ResampleSpec(4, 100, 1)
+    grid, beta = np.linspace(0, 1, 5), np.array([1.0, -0.5, 2.0])
+    runs = []
+    for budget in (1, 1 << 30):  # one block per chunk, then every block in one chunk
+        monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", budget)
+        runs.append(_pool_model_numbers(pool, 4, spec, grid, beta))
+    assert runs[0][0] == runs[1][0] == 5
+    np.testing.assert_allclose(runs[0][1], runs[1][1], rtol=1e-13,
+                               atol=1e-13 * np.abs(runs[1][1]).max())
