@@ -138,8 +138,13 @@ class UnlabeledPool:
         if not np.all(np.isfinite(Z)):
             raise DataValidationError("pool entries must be finite")
         if self.centered:
-            scale = np.maximum(np.max(np.abs(Z), axis=0), 1.0)
-            if np.any(np.abs(Z.mean(axis=0)) > 1e-12 * scale):
+            # |mean| may reach 1e-12 * max(column max of |Z|, 1); the column max
+            # is needed only past 1e-12, and comes from the column extremes,
+            # with no m x p temporary
+            mean = np.abs(Z.mean(axis=0))
+            if np.any(mean > 1e-12) and np.any(
+                mean > 1e-12 * np.maximum(np.maximum(Z.max(axis=0), -Z.min(axis=0)), 1.0)
+            ):
                 raise DataValidationError(
                     "pool flagged as centered but column means are not ~0"
                 )
@@ -187,7 +192,11 @@ class PopulationMoments:
 
 
 def center_pool(pool: UnlabeledPool) -> tuple[UnlabeledPool, np.ndarray]:
-    """Return a column-centered view of the pool and the removed means."""
+    """Return a column-centered view of the pool and the removed means.
+
+    The centered copy keeps the memory layout of ``pool.Z`` (a column-major
+    pool stays column-major).
+    """
     if pool.centered:
         return pool, np.zeros(pool.p)
     mean = pool.Z.mean(axis=0)
@@ -242,6 +251,23 @@ def resample_block(pool: UnlabeledPool, spec: ResampleSpec, index: int) -> np.nd
 def _chunk_len(item_bytes: int) -> int:
     """How many items of ``item_bytes`` each fit in one chunk (at least one)."""
     return max(1, _CHUNK_BYTES // item_bytes)
+
+
+def _weighted_gram(Z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Z^T diag(s^2) Z, summed over row chunks of at most _CHUNK_BYTES.
+
+    Each chunk forms W_c = diag(s_c) Z_c and adds W_c^T W_c, which numpy hands
+    to BLAS as a symmetric rank-k update (SYRK), so the result is exactly
+    symmetric and no m x p weighted copy of Z is made.  A weighted Gram
+    Z^T diag(w) Z with w >= 0 is ``_weighted_gram(Z, np.sqrt(w))``.
+    """
+    m, p = Z.shape
+    rows = _chunk_len(8 * p)
+    G = np.zeros((p, p))
+    for start in range(0, m, rows):
+        W = Z[start:start + rows] * s[start:start + rows, None]
+        G += W.T @ W
+    return G
 
 
 def _each_block(fn: Callable, stack: Iterable) -> tuple[np.ndarray, list]:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import cho_factor, cho_solve, solve_lower
+from ._blas import cho_solve, solve_lower
 from .core import (
     _DEFAULT_BLOCKS,
     LabeledSet,
@@ -25,6 +25,7 @@ from .core import (
     UnlabeledPool,
     _block_pass,
     _each_block,
+    _weighted_gram,
     build_moments,
     resample_block,
     spd_factor,
@@ -91,6 +92,8 @@ class GlmProblem:
             self.Z = None
             self.m = 0
             self.zbar = None
+        self._eta_at = None  # the last point whose pool product is kept
+        self._eta = None
         # gradient of the sample covariance term Cov(X beta, Y)
         self._cov_xy = (data.xty - self.n * data.xbar * data.ybar) / self.n
         self._ybar = data.ybar
@@ -108,28 +111,41 @@ class GlmProblem:
         return (self.X * d[:, None]).T @ self.X / self.n
 
     # -- semi-supervised loss ----------------------------------------------
-    def _require_pool(self):
+    def _pool_eta(self, beta: np.ndarray) -> np.ndarray:
+        """eta = Z beta, kept for the last point evaluated.
+
+        The value, gradient and Hessian at one beta share one pool product,
+        and Newton's accepted line-search point (the last one it evaluated)
+        hands its eta to the next iterate's gradient and Hessian.
+        """
         if self.Z is None:
             raise DataValidationError("this objective needs an unlabeled pool")
+        if self._eta_at is None or not np.array_equal(beta, self._eta_at):
+            self._eta_at = np.array(beta, dtype=float)
+            self._eta = self.Z @ self._eta_at
+        return self._eta
 
     def semi_value(self, beta: np.ndarray) -> float:
-        self._require_pool()
-        zeta = self.Z @ beta
+        zeta = self._pool_eta(beta)
         lin = (self.zbar @ beta) * self._ybar + self._cov_xy @ beta
         return float(np.mean(self.link.G(zeta)) - lin)
 
     def semi_grad(self, beta: np.ndarray) -> np.ndarray:
-        self._require_pool()
         return (
-            self.Z.T @ self.link.g(self.Z @ beta) / self.m
+            self.Z.T @ self.link.g(self._pool_eta(beta)) / self.m
             - self.zbar * self._ybar
             - self._cov_xy
         )
 
     def semi_hess(self, beta: np.ndarray) -> np.ndarray:
-        self._require_pool()
-        d = self.link.gprime(self.Z @ beta)
-        return (self.Z * d[:, None]).T @ self.Z / self.m
+        """Z^T D Z / m, D = diag(g'(Z beta)); g' < 0 on the pool is rejected."""
+        d = self.link.gprime(self._pool_eta(beta))
+        if np.min(d) < 0.0:
+            raise LinkValidationError(
+                "g' is negative somewhere on the pool; the semi-supervised loss "
+                "needs a nondecreasing link there"
+            )
+        return _weighted_gram(self.Z, np.sqrt(d)) / self.m
 
     # -- blended loss --------------------------------------------------------
     def mixed_value(self, beta: np.ndarray, alpha: float) -> float:
@@ -148,8 +164,12 @@ class GlmProblem:
 def _newton(value, grad, hess, beta0, max_iter: int = 100, tol: float = 1e-10) -> GlmFitReport:
     """Damped Newton minimization of a smooth convex objective.
 
-    Steps are halved until the objective stops increasing; five successive
-    step-norm growths without convergence end in a non-converged report.
+    Each step solves against the checked factor of the Hessian (``spd_factor``,
+    the package's one conditioning policy); a Hessian that fails the check
+    is damped by a growing ridge, up to three times, before Newton gives up
+    with SingularMatrixError.  Steps are halved until the objective stops
+    increasing; five successive step-norm growths without convergence end in
+    a non-converged report.
     """
     beta = np.asarray(beta0, dtype=float).copy()
     f = value(beta)
@@ -163,9 +183,10 @@ def _newton(value, grad, hess, beta0, max_iter: int = 100, tol: float = 1e-10) -
         ridge = 0.0
         for attempt in range(4):
             try:
-                step = cho_solve(cho_factor(Hm + ridge * np.eye(Hm.shape[0])), g)
+                factor = spd_factor(Hm + ridge * np.eye(Hm.shape[0]), "Newton Hessian")
+                step = cho_solve(factor, g)
                 break
-            except np.linalg.LinAlgError:
+            except (SingularMatrixError, np.linalg.LinAlgError):
                 base = max(np.trace(Hm) / Hm.shape[0], 1.0)
                 ridge = base * (1e-10 if ridge == 0.0 else 1e4 * ridge / base)
         if step is None:
@@ -327,11 +348,9 @@ class GlmPoolStats:
                 "g' is nonpositive somewhere on the pool; the quadratic "
                 "expansion needs a strictly increasing link there"
             )
-        # each m x p weighted copy of the pool is released before the next
-        self.Hg = n * ((Z * d_pool[:, None]).T @ Z) / m
-        self.Hg = 0.5 * (self.Hg + self.Hg.T)
+        self.Hg = n * _weighted_gram(Z, np.sqrt(d_pool)) / m
         self.H = moments.H
-        self.H2 = n * ((Z * (d_pool**2)[:, None]).T @ Z) / m
+        self.H2 = n * _weighted_gram(Z, d_pool) / m
         self.exmu = n * (Z.T @ link.g(eta_pool)) / m  # total-information E_X[X^T mu]
 
         Lg = np.tril(spd_factor(self.Hg, "H_g")[0])

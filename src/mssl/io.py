@@ -63,17 +63,25 @@ def write_pool_binary(pool: UnlabeledPool, path) -> None:
 
 
 def read_pool_binary(path) -> UnlabeledPool:
-    """Read a pool written by :func:`write_pool_binary`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+    """Read a pool written by :func:`write_pool_binary`.
+
+    The header and the file size are checked before any payload is read.
+    The payload is then read once, by one ``np.fromfile``, into the
+    column-major (m, p) array the pool keeps, with no further copy.
+    """
+    size = Path(path).stat().st_size
+    if size < _HEADER.size:
         raise DataValidationError(f"{path}: file shorter than the 16-byte header")
-    magic, m, p, _ = _HEADER.unpack_from(raw)
-    if magic != POOL_MAGIC:
-        raise DataValidationError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + 8 * m * p
-    if len(raw) != expected:
-        raise DataValidationError(
-            f"{path}: expected {expected} bytes for an {m}x{p} pool, got {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    return UnlabeledPool(flat.reshape((m, p), order="F").copy())
+    with open(path, "rb") as fh:
+        magic, m, p, _ = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != POOL_MAGIC:
+            raise DataValidationError(f"{path}: bad magic {magic!r}")
+        expected = _HEADER.size + 8 * m * p
+        if size != expected:
+            raise DataValidationError(
+                f"{path}: expected {expected} bytes for an {m}x{p} pool, got {size}"
+            )
+        flat = np.fromfile(fh, dtype="<f8", count=m * p)
+    if flat.size != m * p:  # the file shrank after it was measured
+        raise DataValidationError(f"{path}: payload ended after {flat.size} of {m * p} values")
+    return UnlabeledPool(flat.reshape((m, p), order="F"))

@@ -344,8 +344,8 @@ def test_shape_mismatch_raises_value_error(provider):
 
 
 def test_newton_ridge_retry_still_triggers(provider):
-    # _newton damps a Hessian that the Cholesky factor rejects; the LinAlgError
-    # of cho_factor is what sends it to the ridge
+    # _newton damps a Hessian that the checked factor rejects; the
+    # SingularMatrixError of spd_factor is what sends it to the ridge
     from mssl.glm import _newton
 
     H = np.diag([1.0, 0.0])  # singular: the first factor fails, the ridged one works

@@ -188,20 +188,33 @@ def test_regime_mismatch_exit_2(interp_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model", ["ols", "glm"])
-def test_fit_on_a_pool_with_equal_columns_reports_a_singular_matrix(model, tmp_path, capsys):
-    # two equal pool columns make H (and H_g) singular
+def _fit_on_a_collinear_pool(tmp_path, model, gap):
+    """``mssl fit`` on a pool whose last two columns differ by ``gap`` times noise."""
     rng = seeded_rng(0)
     Z = rng.standard_normal((3000, 4))
-    Z[:, 3] = Z[:, 2]
+    Z[:, 3] = Z[:, 2] + gap * rng.standard_normal(3000)
     X = rng.standard_normal((60, 4))
     labeled = tmp_path / "train.csv"
     pool = tmp_path / "pool.csv"
     np.savetxt(labeled, np.column_stack([X, X @ np.arange(4.0) + rng.standard_normal(60)]),
                delimiter=",")
     np.savetxt(pool, Z, delimiter=",")
-    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model])
-    assert code == 2
+    return main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model])
+
+
+@pytest.mark.parametrize("model", ["ols", "glm"])
+def test_fit_on_a_pool_with_equal_columns_reports_a_singular_matrix(model, tmp_path, capsys):
+    # two equal pool columns make H (and H_g) singular
+    assert _fit_on_a_collinear_pool(tmp_path, model, 0.0) == 2
+    assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["ols", "glm"])
+def test_fit_on_a_pool_with_nearly_collinear_columns_exits_2(model, tmp_path, capsys):
+    # the glm Newton fits damp the ill-conditioned pool Hessian with a ridge;
+    # the checked factor of H (H_g) then stops the fit with exit 2, not a traceback
+    with np.errstate(over="ignore"):
+        assert _fit_on_a_collinear_pool(tmp_path, model, 1e-7) == 2
     assert "singular" in capsys.readouterr().err
 
 

@@ -26,6 +26,13 @@ def test_pool_centered_flag_checked():
     with pytest.raises(DataValidationError):
         UnlabeledPool(np.array([[5.0, 5.0], [5.0, 5.0]]), centered=True)
     UnlabeledPool(np.array([[1.0, -1.0], [-1.0, 1.0]]), centered=True)
+    # the tolerance scales with the column max of |Z|, here its negative extreme:
+    # a mean of 7e-7 passes against 1e-12 * 1e6, not against 1e-12 * 5e5
+    col = np.array([-1e6, 5e5, 5e5]) + 7e-7
+    for Z in (col[:, None], np.asfortranarray(np.column_stack([col, -col]))):
+        UnlabeledPool(Z, centered=True)
+    with pytest.raises(DataValidationError):
+        UnlabeledPool(np.array([[0.0], [np.nan]]), centered=True)
 
 
 def test_build_moments_hand_example():
@@ -266,3 +273,20 @@ def test_block_pass_lets_other_errors_through():
             ResampleSpec(1, 20, 0), lambda i: i,
             _failing_at({4}, DataValidationError("bad block")),
         )
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("m", [100, 2 * 8192 + 37])  # below one chunk; not a multiple of one
+def test_weighted_gram_matches_the_one_shot_product(order, m):
+    from mssl.core import _CHUNK_BYTES, _weighted_gram
+
+    p = 16
+    assert _CHUNK_BYTES // (8 * p) == 8192  # rows per chunk
+    rng = seeded_rng(41)
+    Z = np.asarray(rng.standard_normal((m, p)) + 0.5, order=order)
+    w = rng.exponential(size=m)
+    w[::7] = 0.0
+    want = (Z * w[:, None]).T @ Z
+    got = _weighted_gram(Z, np.sqrt(w))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    np.testing.assert_array_equal(got, got.T)

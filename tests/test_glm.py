@@ -13,6 +13,7 @@ from mssl import (
     OlsPoolModel,
     ResampleBudgetError,
     ResampleSpec,
+    SingularMatrixError,
     UnlabeledPool,
     alpha_M_dispersion,
     alpha_dot_glm,
@@ -607,9 +608,15 @@ def test_pool_stats_do_not_depend_on_the_chunking(monkeypatch):
 
 def test_pool_stats_skip_singular_blocks_inside_a_chunk(monkeypatch):
     import mssl.core
+    import mssl.glm
 
     pool = _line_pool(seeded_rng(5), 200, 110)
     args = (pool, 4, identity_link(), np.zeros(3), ResampleSpec(4, 100, 1), np.linspace(0, 1, 5))
+    # The pool-level Grams are summed in row chunks of the same byte budget, and
+    # the near-singular blocks here amplify their roundoff past 1e-13; compute
+    # them one way in both runs, so that only the chunking of the blocks differs.
+    monkeypatch.setattr(mssl.glm, "_weighted_gram",
+                        lambda Z, s: (Z * s[:, None]).T @ (Z * s[:, None]))
     runs = []
     for budget in (1, 1 << 30):  # one block per chunk, then every block in one chunk
         monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", budget)
@@ -627,3 +634,105 @@ def test_singular_pool_hessian_is_a_singular_matrix_error():
     Z[:, 2] = Z[:, 1]  # H_g = n Z^T D Z / m has rank 2
     with pytest.raises(SingularMatrixError, match="H_g"):
         GlmPoolStats(UnlabeledPool(Z), 20, elu_link(), np.zeros(3), ResampleSpec(20, 10, 0))
+
+
+
+# -- Newton on the pool ---------------------------------------------------------
+
+
+def test_semisupervised_fit_rejects_a_decreasing_link_on_the_pool():
+    # g = sin decreases where |eta| > pi / 2, so the pool loss is not convex there
+    data, pool = _random_instance(37, m=400)
+    wide = UnlabeledPool(3.0 * pool.Z, centered=True)
+    sine = custom_link(g=np.sin, gprime=np.cos, G=lambda z: -np.cos(z))
+    with pytest.raises(LinkValidationError, match="negative"):
+        fit_glm_semisupervised(data, wide, sine)
+
+
+def _exp_instance():
+    # an exponential link from a wide labeled design: the first Newton steps
+    # overshoot, so the line search rejects trial points
+    rng = seeded_rng(1)
+    X = 4.0 * rng.standard_normal((40, 3))
+    Y = np.exp(0.2 * X.sum(axis=1)) + 0.3 * rng.standard_normal(40)
+    return LabeledSet(X, Y), build_moments(UnlabeledPool(rng.standard_normal((400, 3))), 40).pool
+
+
+def test_newton_takes_one_pool_product_per_iterate():
+    from mssl.glm import _newton
+
+    data, pool = _exp_instance()
+    Z, m = pool.Z, pool.m
+    calls = []  # (function, argument) for every call on a pool-length array
+
+    def counted(name):
+        def fn(z):
+            if np.ndim(z) == 1 and len(z) == m:
+                calls.append((name, z))
+            return np.exp(z)
+        return fn
+
+    report = fit_glm_semisupervised(data, pool, custom_link(counted("g"), counted("gprime"),
+                                                            counted("G")))
+
+    # the reference: three closures, each forming Z beta itself
+    zbar = Z.mean(axis=0)
+    cov_xy = (data.xty - data.n * data.xbar * data.ybar) / data.n
+    values = []
+
+    def value(b):
+        values.append(b)
+        return float(np.mean(np.exp(Z @ b)) - ((zbar @ b) * data.ybar + cov_xy @ b))
+
+    def grad(b):
+        return Z.T @ np.exp(Z @ b) / m - zbar * data.ybar - cov_xy
+
+    def hess(b):
+        return (Z * np.exp(Z @ b)[:, None]).T @ Z / m
+
+    start = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]
+    ref = _newton(value, grad, hess, start)
+    assert ref.converged and len(values) > ref.iterations + 1  # some trials were rejected
+    assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
+    np.testing.assert_allclose(report.beta, ref.beta, rtol=1e-12)
+
+    names = [name for name, _ in calls]
+    # one G per point evaluated (start, accepted and rejected trials), and one g
+    # and one g' per iterate
+    assert names.count("G") == len(values)
+    assert names.count("g") == names.count("gprime") == report.iterations
+    # the gradient and the Hessian take the eta of the last point evaluated
+    for k, (name, eta) in enumerate(calls):
+        if name != "G":
+            last_G = next(z for n_, z in reversed(calls[:k]) if n_ == "G")
+            assert eta is last_G
+
+
+def test_newton_damps_a_nearly_singular_pool_hessian(monkeypatch):
+    import mssl.glm
+
+    rng = seeded_rng(38)
+
+    def collinear(rows):
+        A = rng.standard_normal((rows, 4))
+        A[:, 3] = A[:, 2] + 1e-7 * rng.standard_normal(rows)
+        return A
+
+    X = collinear(60)
+    data = LabeledSet(X, elu_link().g(X @ np.arange(4.0)) + rng.standard_normal(60))
+    pool = build_moments(UnlabeledPool(collinear(3000)), 60).pool
+    rejected = []
+    checked = mssl.glm.spd_factor
+
+    def spy(A, what="matrix"):
+        try:
+            return checked(A, what)
+        except SingularMatrixError:
+            rejected.append(what)
+            raise
+
+    monkeypatch.setattr(mssl.glm, "spd_factor", spy)
+    with np.errstate(over="ignore"):
+        report = fit_glm_semisupervised(data, pool, elu_link())
+    assert "Newton Hessian" in rejected  # the ridge retry ran
+    assert np.all(np.isfinite(report.beta))

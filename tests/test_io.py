@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,13 +48,15 @@ def test_csv_parse_failure(tmp_path):
 def test_binary_roundtrip(tmp_path):
     rng = seeded_rng(5)
     Z = rng.standard_normal((7, 3))
+    Z[0, 0], Z[1, 1], Z[2, 2] = -0.0, 5e-324, 1.7e308  # signed zero, subnormal, near max
     path = tmp_path / "pool.bin"
     write_pool_binary(UnlabeledPool(Z), path)
     raw = path.read_bytes()
     assert raw[:4] == POOL_MAGIC
     assert len(raw) == 16 + 8 * Z.size  # 16-byte header then column-major f64
     back = read_pool_binary(path)
-    np.testing.assert_array_equal(back.Z, Z)
+    assert back.Z.flags.f_contiguous
+    assert back.Z.tobytes(order="F") == Z.tobytes(order="F")  # bit for bit
 
 
 def test_binary_is_column_major(tmp_path):
@@ -76,4 +80,39 @@ def test_binary_truncated(tmp_path):
     write_pool_binary(UnlabeledPool(rng.standard_normal((4, 2))), path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataValidationError):
+        read_pool_binary(path)
+
+
+def _raw_pool(path, m, p, payload: bytes):
+    path.write_bytes(struct.pack("<4sIII", POOL_MAGIC, m, p, 0) + payload)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_binary_nonfinite_payload(tmp_path, value):
+    Z = seeded_rng(7).standard_normal((5, 3))
+    Z[3, 1] = value
+    path = tmp_path / "pool.bin"
+    _raw_pool(path, 5, 3, Z.astype("<f8").tobytes(order="F"))
+    with pytest.raises(DataValidationError, match="finite"):
+        read_pool_binary(path)
+
+
+def test_binary_trailing_byte(tmp_path):
+    rng = seeded_rng(8)
+    path = tmp_path / "pool.bin"
+    write_pool_binary(UnlabeledPool(rng.standard_normal((4, 2))), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DataValidationError, match="expected 80 bytes"):
+        read_pool_binary(path)
+
+
+def test_binary_header_claiming_more_rows_is_rejected_before_the_payload(tmp_path, monkeypatch):
+    path = tmp_path / "pool.bin"
+    _raw_pool(path, 2**31, 3, np.zeros(6).tobytes())
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("payload read before the size check")
+
+    monkeypatch.setattr(np, "fromfile", no_read)
+    with pytest.raises(DataValidationError, match="2147483648x3"):
         read_pool_binary(path)
