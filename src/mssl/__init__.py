@@ -36,7 +36,6 @@ from .glm import (
     GlmFitReport,
     GlmPoolStats,
     GlmProblem,
-    GlmQuadratic,
     GlmSample,
     alpha_M_dispersion,
     alpha_dot_glm,
@@ -64,7 +63,6 @@ from .interp import (
     pool_sampler,
     rff_features,
     rff_scaler,
-    sigma2_known_tau,
 )
 from .io import (
     read_labeled_csv,
@@ -87,7 +85,6 @@ from .ols import (
     MixDiagnostics,
     NoiseSignalOls,
     OlsPoolModel,
-    OlsRiskTerms,
     OlsSample,
     RiskCurve,
     alpha_star_finite_m,
@@ -98,7 +95,6 @@ from .ols import (
     fit_ols_supervised,
     mix_linear,
     noise_signal_ols,
-    ols_risk_terms,
     r_dot_curve,
 )
 from .simulate import (
@@ -110,7 +106,6 @@ from .simulate import (
     PairSummary,
     ResultRow,
     constant_beta,
-    draw_dataset,
     gen_sigma,
     load_config,
     preset_names,

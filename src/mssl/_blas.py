@@ -18,21 +18,19 @@ nothing either.  It never raises.  The thread count is a process-wide
 setting: concurrent contexts on several threads share it, and the last one
 to exit restores its own saved counts.
 
-**LAPACK.**  Every Cholesky factor, Cholesky solve, condition estimate and
-triangular solve of the package goes through the four wrappers below
-(``potrf``, ``pocon``, ``cho_solve``, ``solve_lower``, plus ``cho_factor``,
-which raises where ``potrf`` reports).  They call ``dpotrf``, ``dpocon``,
-``dpotrs`` and ``dtrtrs`` of an OpenBLAS that is already loaded, through
-ctypes: numpy's wheels bundle the full LAPACK in their OpenBLAS, so the
-package needs no scipy import to factor a matrix.  An ILP64 build is
-preferred (numpy's), and the integer width is read from the library's own
-configuration string.  When no loaded OpenBLAS exports the four routines,
-the wrappers fall back to ``scipy.linalg.lapack``, imported only then.
-Both providers keep scipy.linalg's checks: non-finite input raises
-ValueError, and a singular triangle raises LinAlgError.  Results are laid
-out as scipy's (Fortran order, lower triangle) and computed the same way,
-so they agree with ``scipy.linalg`` up to the roundoff of the two OpenBLAS
-builds.
+**LAPACK.**  Every Cholesky factor, Cholesky solve and condition estimate
+of the package goes through the three wrappers below (``potrf``, ``pocon``
+and ``cho_solve``).  They call ``dpotrf``, ``dpocon`` and ``dpotrs`` of an
+OpenBLAS that is already loaded, through ctypes: numpy's wheels bundle the
+full LAPACK in their OpenBLAS, so the package needs no scipy import to
+factor a matrix.  An ILP64 build is preferred (numpy's), and the integer
+width is read from the library's own configuration string.  When no loaded
+OpenBLAS exports the three routines, the wrappers fall back to
+``scipy.linalg.lapack``, imported only then.  Both providers keep
+scipy.linalg's checks: non-finite input raises ValueError.  Results are
+laid out as scipy's (Fortran order, lower triangle) and computed the same
+way, so they agree with ``scipy.linalg`` up to the roundoff of the two
+OpenBLAS builds.
 
 Every array whose address is handed to LAPACK is held by a local name for
 the whole call; the routines write only into arrays created here.
@@ -49,7 +47,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["single_blas_thread", "potrf", "pocon", "cho_factor", "cho_solve", "solve_lower"]
+__all__ = ["single_blas_thread", "potrf", "pocon", "cho_solve"]
 
 THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -167,7 +165,7 @@ def _address(a: np.ndarray):
 
 
 class _OpenBlasLapack:
-    """dpotrf, dpocon, dpotrs and dtrtrs of one loaded OpenBLAS, via ctypes.
+    """dpotrf, dpocon and dpotrs of one loaded OpenBLAS, via ctypes.
 
     Fortran calling convention: the character arguments come first, every
     argument is passed by reference, and one hidden ``size_t`` length per
@@ -184,7 +182,6 @@ class _OpenBlasLapack:
         self._potrf = self._routine(handle, "dpotrf_", 1, 4)
         self._pocon = self._routine(handle, "dpocon_", 1, 8)
         self._potrs = self._routine(handle, "dpotrs_", 1, 7)
-        self._trtrs = self._routine(handle, "dtrtrs_", 3, 7)
 
     @staticmethod
     def _routine(handle: OpenBlasHandle, name: str, chars: int, pointers: int):
@@ -224,18 +221,9 @@ class _OpenBlasLapack:
                     ctypes.byref(info), 1)
         return x, info.value
 
-    def trtrs(self, a: np.ndarray, x: np.ndarray, lower: bool, trans: bool
-              ) -> tuple[np.ndarray, int]:
-        n = self._ref(a.shape[0])
-        nrhs = self._ref(1 if x.ndim == 1 else x.shape[1])
-        info = self._int(0)
-        self._trtrs(b"L" if lower else b"U", b"T" if trans else b"N", b"N", n, nrhs,
-                    _address(a), n, _address(x), n, ctypes.byref(info), 1, 1, 1)
-        return x, info.value
-
 
 class _ScipyLapack:
-    """The same four routines from ``scipy.linalg.lapack``: the fallback."""
+    """The same three routines from ``scipy.linalg.lapack``: the fallback."""
 
     def __init__(self):
         from scipy.linalg import lapack
@@ -251,16 +239,13 @@ class _ScipyLapack:
     def potrs(self, c, x, lower):
         return self._lapack.dpotrs(c, x, lower=int(lower), overwrite_b=1)
 
-    def trtrs(self, a, x, lower, trans):
-        return self._lapack.dtrtrs(a, x, lower=int(lower), trans=int(trans), overwrite_b=1)
-
 
 def _find_lapack() -> _OpenBlasLapack | None:
-    """A loaded OpenBLAS that exports the four routines; ILP64 builds first."""
+    """A loaded OpenBLAS that exports the three routines; ILP64 builds first."""
     handles = sorted(_find_openblas(), key=lambda h: h.suffix != "64_")
     for handle in handles:
         try:
-            for name in ("dpotrf_", "dpocon_", "dpotrs_", "dtrtrs_"):
+            for name in ("dpotrf_", "dpocon_", "dpotrs_"):
                 handle.symbol(name)
             config = handle.symbol("openblas_get_config")
         except AttributeError:
@@ -312,7 +297,7 @@ def potrf(A) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor of A, with LAPACK's ``info``.
 
     Returns a Fortran-ordered copy of A whose lower triangle holds L; its
-    strict upper triangle keeps A's entries, as ``cho_factor(A, lower=True)``
+    strict upper triangle keeps A's entries, as scipy's ``cho_factor(A, lower=True)``
     leaves them.  ``info > 0`` is the order of the first leading minor that
     is not positive definite (the factor is then incomplete).
     """
@@ -334,43 +319,14 @@ def pocon(c, anorm: float) -> float:
     return float(rcond)
 
 
-def cho_factor(A) -> tuple[np.ndarray, bool]:
-    """``scipy.linalg.cho_factor(A, lower=True)``: LinAlgError when A is not PD."""
-    c, info = potrf(A)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return c, True
-
-
 def cho_solve(factor: tuple[np.ndarray, bool], b) -> np.ndarray:
     """Solve A x = b from the factor pair ``(c, lower)`` of A.
 
-    ``factor`` is what ``cho_factor``, ``core.spd_factor``,
-    ``scipy.linalg.cho_factor`` or ``(L, True)`` with
-    ``L = np.linalg.cholesky(A)`` give.  ``b`` is a vector or a matrix.
+    ``factor`` is what ``core.spd_factor``, ``scipy.linalg.cho_factor`` or ``(L, True)``
+    with ``L = np.linalg.cholesky(A)`` give.  ``b`` is a vector or a matrix.
     """
     c, lower = factor
     c = np.asfortranarray(_square(_finite(c)))
     x, info = _lapack().potrs(c, _rhs(b, c.shape[0]), bool(lower))
     _check(info, "dpotrs")
-    return x
-
-
-def solve_lower(L, b) -> np.ndarray:
-    """Solve L x = b for lower-triangular L; LinAlgError when L is singular.
-
-    Only the lower triangle of L is read.  A C-ordered L is handed to LAPACK
-    as its transpose, an upper triangle solved transposed, with no copy, as
-    ``scipy.linalg.solve_triangular`` does.
-    """
-    L = _square(_finite(L))
-    x = _rhs(b, L.shape[0])
-    if L.flags.f_contiguous:
-        x, info = _lapack().trtrs(L, x, lower=True, trans=False)
-    else:
-        a = np.ascontiguousarray(L).T  # Fortran-ordered, the upper triangle of L^T
-        x, info = _lapack().trtrs(a, x, lower=False, trans=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-    _check(info, "dtrtrs")
     return x

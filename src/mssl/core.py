@@ -32,9 +32,8 @@ __all__ = [
 # Condition number beyond which a matrix is treated as singular (float64).
 COND_LIMIT = 1e12
 
-# Resampling passes: the default number of blocks, and the share of blocks
-# that may be skipped as singular before a pass gives up.
-_DEFAULT_BLOCKS = 200
+# The share of a resampling pass's blocks that may be skipped as singular
+# before the pass gives up.
 _SKIP_BUDGET = 0.10
 
 # Bytes of drawn blocks a pass stacks into one chunk for its kernel; this
@@ -54,7 +53,7 @@ def spd_factor(A: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, bool]:
     that factor (Higham's estimator, O(p^2) against O(p^3) for an SVD).  The
     matrix counts as singular when the factorization fails or the estimate
     says cond > COND_LIMIT; the numerical rank is computed only then, and
-    carried on the SingularMatrixError.  Returns the ``cho_factor`` pair
+    carried on the SingularMatrixError.  Returns the ``(c, lower)`` factor pair
     (lower triangle).  Non-finite entries raise ValueError.  Both LAPACK
     calls go through ``mssl._blas``.
     """

@@ -16,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import cho_solve, solve_lower
+from ._blas import cho_solve
 from .core import (
-    _DEFAULT_BLOCKS,
     LabeledSet,
     PopulationMoments,
     ResampleSpec,
@@ -27,6 +26,7 @@ from .core import (
     _each_block,
     _weighted_gram,
     build_moments,
+    center_pool,
     resample_block,
     spd_factor,
 )
@@ -41,7 +41,6 @@ from .ols import RiskCurve, _blend_denominators, _ratio_grid, _xi, mix_linear
 
 __all__ = [
     "GlmFitReport",
-    "GlmQuadratic",
     "GlmProblem",
     "GlmPoolStats",
     "GlmSample",
@@ -84,7 +83,7 @@ class GlmProblem:
             if pool.p != data.p:
                 raise DataValidationError("pool and labeled data disagree on p")
             if not pool.centered:
-                pool = build_moments(pool, data.n).pool
+                pool = center_pool(pool)[0]
             self.Z = pool.Z
             self.m = pool.m
             self.zbar = self.Z.mean(axis=0)
@@ -264,27 +263,6 @@ def fit_glm_loss_mixed(
     )
 
 
-@dataclass(frozen=True)
-class GlmQuadratic:
-    """Risk factors of the quadratic loss expansion at ``beta_eval``.
-
-    The v-terms and the bias factor here carry the n-scaled normalization
-    (they are n times their squared-loss counterparts under the identity
-    link); the mixing-ratio formula is invariant to that common scale.
-    """
-
-    beta_eval: np.ndarray
-    Hg_hat: np.ndarray
-    v_l_g: float
-    v_u_g: float
-    v_s_g: float
-    B_g_hat: float
-    zeta_hat_mean: np.ndarray
-    zeta_hat_cov: np.ndarray
-    se_v_l_g: float = 0.0
-    se_v_s_g: float = 0.0
-
-
 class GlmPoolStats:
     """One resampling pass computing every pool statistic at ``beta_eval``.
 
@@ -294,7 +272,8 @@ class GlmPoolStats:
     mixing-ratio grid.  A caller that already holds ``build_moments(pool, n)``
     passes it as ``moments`` so the pool moments are not computed twice.
     Every statistic averages over the same blocks; ``n_skipped`` counts the
-    blocks skipped as singular.
+    blocks skipped as singular.  The v-terms and ``B_g_hat`` are n times their
+    squared-loss counterparts under the identity link, a scale the ratio formula ignores.
 
     The pass hands each chunk of resampled blocks (see ``core._block_pass``)
     to one stacked kernel: F = X^T D X, X^T X, X^T D^2 X and the c vectors of
@@ -320,7 +299,7 @@ class GlmPoolStats:
         n: int,
         link: LinkSpec,
         beta_eval: np.ndarray,
-        spec: ResampleSpec | None = None,
+        spec: ResampleSpec,
         alphas=None,
         moments: PopulationMoments | None = None,
     ):
@@ -331,7 +310,6 @@ class GlmPoolStats:
         elif moments.n != n:
             raise DataValidationError(f"moments were built for n={moments.n}, not n={n}")
         pool = moments.pool
-        spec = spec if spec is not None else ResampleSpec(n, _DEFAULT_BLOCKS, 0)
         if spec.block_size != n:
             raise DataValidationError("resample block_size must equal n")
         beta_eval = np.asarray(beta_eval, dtype=float)
@@ -358,7 +336,7 @@ class GlmPoolStats:
 
         self.alphas = None if alphas is None else _ratio_grid(alphas)
         if self.alphas is not None:
-            Lg_inv = solve_lower(Lg, np.eye(self.p))
+            Lg_inv = np.linalg.inv(Lg)
 
         def kernel(X: np.ndarray):
             # X is a chunk of blocks (b, n, p); every statistic is a stack over it
@@ -416,20 +394,6 @@ class GlmPoolStats:
         if self.alphas is not None:
             self._curve_bias, self._curve_var = stats["bias"], stats["var"]
 
-    def quadratic(self) -> GlmQuadratic:
-        return GlmQuadratic(
-            beta_eval=self.beta_eval,
-            Hg_hat=self.Hg,
-            v_l_g=self.v_l_g,
-            v_u_g=self.v_u_g,
-            v_s_g=self.v_s_g,
-            B_g_hat=self.B_g_hat,
-            zeta_hat_mean=self.zeta_hat_mean,
-            zeta_hat_cov=self.zeta_hat_cov,
-            se_v_l_g=self.se_v_l_g,
-            se_v_s_g=self.se_v_s_g,
-        )
-
     def sigma2_denominator(self) -> float:
         return self.n - 2 * self.p + self.trace_sigma
 
@@ -453,22 +417,14 @@ class GlmPoolStats:
 
 
 def estimate_noise_glm(
-    data: LabeledSet,
-    beta_hat: np.ndarray,
-    beta_breve: np.ndarray,
-    pool: UnlabeledPool,
-    link: LinkSpec,
-    spec: ResampleSpec | None = None,
-    stats: GlmPoolStats | None = None,
+    data: LabeledSet, beta_hat: np.ndarray, link: LinkSpec, stats: GlmPoolStats
 ) -> float:
     """Approximately unbiased noise estimate for a general link.
 
-    RSS of the supervised fit divided by n - 2p + an estimated trace, with
-    the local derivative weights evaluated at the semi-supervised fit.
-    Negative raw values are clipped at zero with a warning.
+    RSS of the supervised fit divided by n - 2p + the trace of ``stats``, the
+    pool statistics at the semi-supervised fit.  Negative raw values are
+    clipped at zero with a warning.
     """
-    if stats is None:
-        stats = GlmPoolStats(pool, data.n, link, beta_breve, spec)
     denom = stats.sigma2_denominator()
     if denom <= 0:
         raise DataValidationError(
@@ -488,8 +444,8 @@ class GlmSample:
     ``nonconverged`` counts the solves that did not converge (their results
     are still used).  ``GlmPoolStats`` at beta_breve (plan ``spec``, grid
     ``alphas``, the caller's ``moments``) is built on first use, and from it
-    the noise estimate and the ratios.  Shared by ``fit_glm_pipeline`` and the
-    GLM presets.
+    the noise estimate and the ratios; a sample built without ``spec`` has
+    the fits only.  Shared by ``fit_glm_pipeline`` and the GLM presets.
     """
 
     def __init__(
@@ -513,13 +469,13 @@ class GlmSample:
 
     @cached_property
     def stats(self) -> GlmPoolStats:
+        if self._plan["spec"] is None:
+            raise DataValidationError("the sample was built without a resampling plan")
         return GlmPoolStats(self.pool, self.data.n, self.link, self.beta_breve, **self._plan)
 
     @cached_property
     def sigma2_hat(self) -> float:
-        return estimate_noise_glm(
-            self.data, self.beta_hat, self.beta_breve, self.pool, self.link, stats=self.stats
-        )
+        return estimate_noise_glm(self.data, self.beta_hat, self.link, self.stats)
 
     @cached_property
     def alpha_raw(self) -> float:

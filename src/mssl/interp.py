@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import cho_factor, cho_solve
+from ._blas import cho_solve
 from .core import (
     LabeledSet,
     ResampleSpec,
@@ -35,7 +35,6 @@ __all__ = [
     "interp_terms_spiked_closed_form",
     "alpha_star_interp",
     "interp_eta",
-    "sigma2_known_tau",
     "iterate_sigma_tau",
     "make_rff_map",
     "rff_features",
@@ -104,7 +103,8 @@ def interp_risk_terms(
     v_l = tr(Sigma E[X^T (X X^T)^{-2} X]),
     b_u = tr(Sigma - E[X^T (X Sigma^{-1} X^T)^{-1} X]),
     v_u = tr(E[(X Sigma^{-1} X^T)^{-1}]).
-    ``sigma_factor`` spares the factorization to a caller that holds ``spd_factor(Sigma)``.
+    A draw whose X X^T or X Sigma^{-1} X^T fails ``spd_factor`` is skipped and
+    counted.  ``sigma_factor`` spares the factorization to a caller that holds ``spd_factor(Sigma)``.
     """
     if p <= n + 1:
         raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
@@ -120,8 +120,7 @@ def interp_risk_terms(
         b_l = tr_sigma - float(np.trace(GiXSX))
         v_l = float(np.trace(cho_solve(gf, GiXSX.T)))
         A = cho_solve(sig_factor, X.T)
-        inner = X @ A
-        inf_factor = cho_factor(inner)
+        inf_factor = spd_factor(X @ A, "X Sigma^{-1} X^T")
         b_u = tr_sigma - float(np.trace(cho_solve(inf_factor, Gn)))
         v_u = float(np.trace(cho_solve(inf_factor, np.eye(n))))
         return b_l, v_l, b_u, v_u
@@ -208,7 +207,7 @@ class InterpSample:
     Monte Carlo replication, say) builds one sample and asks it for each.
     Given ``sigma_factor`` (``spd_factor(Sigma)``) it also fits and mixes the
     minimum-variance interpolator.  ``fit_interp_pipeline`` and the presets
-    share it; the module-level functions below are shorthands for its methods.
+    share it; ``fit_min_norm``, ``fit_min_variance`` and ``iterate_sigma_tau`` are its shorthands.
     """
 
     def __init__(self, data: LabeledSet, sigma_factor=None):
@@ -286,14 +285,6 @@ class InterpSample:
             if done:
                 return NoiseSignalInterp(sigma2, tau2, it, True)
         return NoiseSignalInterp(sigma2, tau2, max_iter, False)
-
-
-def sigma2_known_tau(data: LabeledSet, tau2: float) -> float:
-    """Unbiased noise estimate when the signal level tau^2 is known (p > n).
-
-    See ``InterpSample.sigma2_known_tau``.
-    """
-    return InterpSample(data).sigma2_known_tau(tau2)
 
 
 def iterate_sigma_tau(

@@ -15,10 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import cho_solve, solve_lower
+from ._blas import cho_solve
 from .core import (
     COND_LIMIT,
-    _DEFAULT_BLOCKS,
     LabeledSet,
     PopulationMoments,
     ResampleSpec,
@@ -33,7 +32,6 @@ from .errors import DataValidationError, RegimeError
 
 __all__ = [
     "COND_LIMIT",
-    "OlsRiskTerms",
     "RiskCurve",
     "MixDiagnostics",
     "OlsPoolModel",
@@ -44,7 +42,6 @@ __all__ = [
     "fit_finite_m_semisupervised",
     "mix_linear",
     "fit_loss_mixed_ols",
-    "ols_risk_terms",
     "NoiseSignalOls",
     "noise_signal_ols",
     "alpha_star_ols",
@@ -103,23 +100,6 @@ def fit_loss_mixed_ols(
 
 
 @dataclass(frozen=True)
-class OlsRiskTerms:
-    """Risk factors of the pure estimators, estimated from the pool.
-
-    v_l scales the supervised variance, v_u = (n-1)p/n^2 the semi-supervised
-    one; B_hat is the estimated squared bias of the semi-supervised fit at a
-    plug-in coefficient vector, and b_u_hat its per-unit-signal analogue for
-    the random-coefficient setting.
-    """
-
-    v_l: float
-    v_u: float
-    B_hat: float
-    b_u_hat: float
-    se_v_l: float
-
-
-@dataclass(frozen=True)
 class RiskCurve:
     """A grid of estimated reducible errors over mixing ratios."""
 
@@ -165,10 +145,6 @@ class MixDiagnostics:
         }
 
 
-def _default_spec(n: int, seed: int = 0) -> ResampleSpec:
-    return ResampleSpec(block_size=n, replications=_DEFAULT_BLOCKS, seed=seed)
-
-
 class OlsPoolModel:
     """Pool statistics for the squared-loss risk formulas.
 
@@ -193,7 +169,7 @@ class OlsPoolModel:
         self,
         pool: UnlabeledPool,
         n: int,
-        spec: ResampleSpec | None = None,
+        spec: ResampleSpec,
         moments: PopulationMoments | None = None,
         keep_blocks: bool = True,
         grid=None,
@@ -203,7 +179,6 @@ class OlsPoolModel:
                 f"n={n} <= p={pool.p}: these risk terms need n > p "
                 "(use the interpolators module in the over-parameterized regime)"
             )
-        spec = spec if spec is not None else _default_spec(n)
         if spec.block_size != n:
             raise DataValidationError("resample block_size must equal n")
         moments = moments if moments is not None else build_moments(pool, n)
@@ -266,15 +241,6 @@ class OlsPoolModel:
         U = U - U.mean(axis=0)
         return float(np.sum(U * U) / (U.shape[0] - 1) / self.n)
 
-    def terms(self, beta_plugin: np.ndarray) -> OlsRiskTerms:
-        return OlsRiskTerms(
-            v_l=self.v_l,
-            v_u=self.v_u,
-            B_hat=self.bias_at(beta_plugin),
-            b_u_hat=self.b_u_hat,
-            se_v_l=self.se_v_l,
-        )
-
 
 class OlsSample:
     """The fits, noise estimates and mixing ratios of one centered labeled sample.
@@ -315,16 +281,6 @@ class OlsSample:
 
     def loss(self, alpha: float) -> np.ndarray:
         return fit_loss_mixed_ols(self.data, self.moments, alpha)
-
-
-def ols_risk_terms(
-    pool: UnlabeledPool,
-    n: int,
-    beta_plugin: np.ndarray,
-    spec: ResampleSpec | None = None,
-) -> OlsRiskTerms:
-    """Block-resampling estimates of (v_l, v_u, B_hat, b_u_hat)."""
-    return OlsPoolModel(pool, n, spec).terms(beta_plugin)
 
 
 @dataclass(frozen=True)
@@ -438,7 +394,7 @@ def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def _cholesky_pair(moments: PopulationMoments) -> tuple[np.ndarray, np.ndarray]:
     """The lower Cholesky factor L of H and its inverse, for a whole pass."""
     L = np.tril(moments.H_factor[0])
-    return L, solve_lower(L, np.eye(L.shape[0]))
+    return L, np.linalg.inv(L)
 
 
 def _ddot_block(

@@ -45,7 +45,7 @@ from .asymptotics import AsymptoticSetting, eta_from_ols_terms, interp_limits
 
 __all__ = [
     "CovarianceSpec", "BetaMode", "constant_beta", "random_beta", "ExperimentConfig",
-    "ResultRow", "PairRow", "PairSummary", "ExperimentResult", "gen_sigma", "draw_dataset",
+    "ResultRow", "PairRow", "PairSummary", "ExperimentResult", "gen_sigma",
     "summarize_pairwise", "run_experiment", "write_result_csv", "load_config", "preset_names",
     "PRESETS",
 ]
@@ -169,20 +169,6 @@ def _label(X: np.ndarray, beta_mode: BetaMode, link: LinkSpec, sigma2: float, rn
     return LabeledSet(X, Y), beta
 
 
-def draw_dataset(
-    Sigma: np.ndarray, n: int, beta_mode: BetaMode, link: LinkSpec, sigma2: float,
-    rng: np.random.Generator, pool: UnlabeledPool | None = None,
-) -> tuple[LabeledSet, np.ndarray]:
-    """Draw one labeled sample with Y = g(X beta) + Gaussian noise.
-
-    X rows come from the pool when one is given, otherwise they are fresh
-    zero-mean Gaussians with the requested covariance.  The rng is consumed
-    in the fixed order (X, beta, noise).
-    """
-    draw_x = pool_sampler(pool, n) if pool is not None else gaussian_sampler(Sigma, n)
-    return _label(draw_x(rng), beta_mode, link, sigma2, rng)
-
-
 # ---------------------------------------------------------------------------
 # pairwise summaries
 # ---------------------------------------------------------------------------
@@ -300,13 +286,14 @@ _SWEEPS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Preset name plus the knobs every preset understands.
+    """Preset name plus the knobs of the presets.
 
-    Unset fields fall back to the preset's defaults.  ``eval_cov`` picks the
-    quadratic form used for reducible errors ("pool" moments or the "true"
-    generating covariance); ``rep_blocks`` is the per-replication resampling
-    budget for data-driven mixing ratios, ``resample_blocks`` the one-time
-    budget for pool-level statistics.
+    Unset fields fall back to the preset's defaults, and a field the preset
+    does not read is rejected.  ``eval_cov`` picks the quadratic form used for
+    reducible errors ("pool" moments or the "true" generating covariance);
+    ``rep_blocks`` is the per-replication resampling budget for data-driven
+    mixing ratios, ``resample_blocks`` the one-time budget for pool-level
+    statistics.
     """
 
     preset: str
@@ -319,25 +306,26 @@ class ExperimentConfig:
     pool_size: int | None = None
     estimators: tuple[str, ...] | None = None
     resample_blocks: int = 200
-    rep_blocks: int = 40
-    alpha_grid_size: int = 51
-    eval_cov: str = "pool"
+    rep_blocks: int | None = None
+    alpha_grid_size: int | None = None
+    eval_cov: str | None = None
     x_source: str | None = None
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.k < 2:
             raise DataValidationError("k must be >= 2")
         # a block pass averages over at least 2 usable blocks
-        if self.rep_blocks < 2:
+        if self.rep_blocks is not None and self.rep_blocks < 2:
             raise DataValidationError("rep_blocks must be >= 2")
         if self.resample_blocks < 2:
             raise DataValidationError("resample_blocks must be >= 2")
+        if self.alpha_grid_size is not None and self.alpha_grid_size < 2:
+            raise DataValidationError("alpha_grid_size must be >= 2")
         if self.sigma2_grid is not None and len(self.sigma2_grid) == 0:
             raise DataValidationError("sigma2_grid must be nonempty")
         if self.n_grid is not None and len(self.n_grid) == 0:
             raise DataValidationError("n_grid must be nonempty")
-        if self.eval_cov not in ("pool", "true"):
+        if self.eval_cov not in (None, "pool", "true"):
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
         if self.x_source not in (None, "pool", "gaussian"):
             raise DataValidationError("x_source must be 'pool' or 'gaussian'")
@@ -348,6 +336,12 @@ class ExperimentConfig:
             )
         if sweep not in (None, "n") and self.n_grid is not None:
             raise DataValidationError(f"{self.preset} does not sweep n_grid; set n instead")
+        glm = self.preset.startswith("glm_")
+        reads = {"x_source": not glm, "eval_cov": not glm, "rep_blocks": self.preset == "glm_elu",
+                 "alpha_grid_size": self.preset == "ols_constant_beta"}
+        ignored = [key for key, read in reads.items() if not read and getattr(self, key) is not None]
+        if sweep is not None and ignored:
+            raise DataValidationError(f"{self.preset} does not read {', '.join(ignored)}")
 
 
 @dataclass(frozen=True)
@@ -498,7 +492,7 @@ def _pool_point(cfg, n: int, Sigma: np.ndarray, m: int, *idx: int):
     """
     moments = build_moments(_gaussian_pool(cfg.seed, m, Sigma, *idx), n)
     spec = ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
-    L_eval = np.linalg.cholesky(moments.Exx if cfg.eval_cov == "pool" else Sigma)
+    L_eval = np.linalg.cholesky(Sigma if cfg.eval_cov == "true" else moments.Exx)
     if (cfg.x_source or "pool") == "pool":
         return moments, spec, L_eval, pool_sampler(moments.pool, n)
     return moments, spec, L_eval, gaussian_sampler(Sigma, n)
@@ -602,13 +596,15 @@ def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
     # uniform grid for the measured mixed-coefficient curve; a zero-anchored
     # geometric grid for the loss-mixed search (the best ratio can sit well
     # below one uniform step at low noise)
-    alphas = np.linspace(0.0, 1.0, cfg.alpha_grid_size)
-    ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, cfg.alpha_grid_size - 1)])
+    size = cfg.alpha_grid_size or 51
+    alphas = np.linspace(0.0, 1.0, size)
+    ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, size - 1)])
     model = OlsPoolModel(moments.pool, n, spec, moments, grid=ddot_grid)
     ddot = model.ddot
     B_true = model.bias_at(beta_true)
     extras: dict = {"alpha_star": {}, "alpha_ddot_oracle": {}, "alpha_curve": {},
-                    "terms": model.terms(beta_true), "B_true": B_true}
+                    "terms": {"v_l": model.v_l, "v_u": model.v_u, "b_u": model.b_u_hat},
+                    "B_true": B_true}
 
     def run_point(gi: int, sigma2: float) -> list[dict]:
         point = _OlsPoint(
@@ -735,7 +731,7 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
     fits = _select(cfg, _GLM_FITS, tuple(_GLM_FITS))
     study = _GlmStudy(cfg)
     n, link = study.n, study.link
-    extras: dict = {"oracle_terms": study.oracle.quadratic(), "alpha_dot_oracle": {},
+    extras: dict = {"oracle_terms": study.oracle, "alpha_dot_oracle": {},
                     "alpha_ddot_oracle": {}, "newton_nonconverged": {}}
 
     def run_point(gi: int, sigma2: float) -> list[dict]:
@@ -748,7 +744,7 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
             moments = build_moments(raw_pool, n)
             s = GlmSample(
                 data, moments.pool, link,
-                ResampleSpec(n, cfg.rep_blocks, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
+                ResampleSpec(n, cfg.rep_blocks or 40, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
                 study.alphas, moments,
             )
             out = {name: study.error(fit(s, oracle)) for name, fit in fits}
@@ -969,7 +965,7 @@ def _list_of(item):
 
 # the parser of each key an [experiment] section may set
 _CONFIG_KEYS = {
-    **dict.fromkeys(("preset", "p_rule", "eval_cov", "x_source", "out_dir"), str),
+    **dict.fromkeys(("preset", "p_rule", "eval_cov", "x_source"), str),
     **dict.fromkeys(("k", "seed", "n", "pool_size", "resample_blocks", "rep_blocks",
                      "alpha_grid_size"), int),
     "sigma2_grid": _list_of(float),

@@ -19,7 +19,9 @@ from scipy.optimize import minimize
 from mssl import (
     ExperimentConfig,
     GlmProblem,
+    InterpSample,
     LabeledSet,
+    OlsPoolModel,
     ResampleSpec,
     UnlabeledPool,
     AsymptoticSetting,
@@ -37,10 +39,8 @@ from mssl import (
     interp_risk_terms,
     mix_linear,
     ols_limits,
-    ols_risk_terms,
     run_experiment,
     seeded_rng,
-    sigma2_known_tau,
 )
 from mssl.glm import GlmPoolStats, _newton
 
@@ -297,7 +297,7 @@ def test_c5_noise_unbiasedness():
         X = r.standard_normal((n_i, p_i)) * scale
         w = math.sqrt(tau2) * r.standard_normal(p_i)
         Y = X @ w + 2.0 * r.standard_normal(n_i)
-        vals.append(sigma2_known_tau(LabeledSet(X, Y), tau2))
+        vals.append(InterpSample(LabeledSet(X, Y)).sigma2_known_tau(tau2))
     vals = np.asarray(vals)
     se_int = vals.std(ddof=1) / math.sqrt(K)
     dev_int = abs(vals.mean() - sigma2)
@@ -322,9 +322,9 @@ def test_c6_wishart_closed_forms():
     t0 = time.time()
     n, p = 100, 50
     pool = UnlabeledPool(seeded_rng(601).standard_normal((20000, p)))
-    terms = ols_risk_terms(pool, n, np.zeros(p), ResampleSpec(n, 400, 602))
+    model = OlsPoolModel(pool, n, ResampleSpec(n, 400, 602))
     target = 50.0 / 49.0
-    dev_vl = abs(terms.v_l - target) / target
+    dev_vl = abs(model.v_l - target) / target
 
     n_i, p_i = 50, 100
     t_interp = interp_risk_terms(
@@ -336,7 +336,7 @@ def test_c6_wishart_closed_forms():
     ok = dev_vl < 0.02 and dev_vu < 0.02
     _report(
         "6", ok,
-        f"v_l={terms.v_l:.5f} vs 50/49 (rel {dev_vl:.4f}); "
+        f"v_l={model.v_l:.5f} vs 50/49 (rel {dev_vl:.4f}); "
         f"interp v_u={t_interp.v_u:.5f} (rel {dev_vu:.4f})", t0,
     )
     assert dev_vl < 0.02

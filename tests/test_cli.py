@@ -460,3 +460,32 @@ def test_simulate_rejects_an_n_grid_the_preset_does_not_sweep(
     assert code == 2
     assert "n_grid" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_simulate_config_out_dir_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    # a config's out_dir was ignored: the CSVs went to the current directory
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[experiment]\npreset = ols_constant_beta\nk = 2\nout_dir = wanted\n")
+    assert main(["simulate", "--config", str(cfgfile)]) == 1
+    assert "unknown config key 'out_dir'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+
+def test_simulate_config_fields_glm_elu_does_not_read_fail_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    # x_source, eval_cov and alpha_grid_size used to be ignored by glm_elu
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its config was checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, "glm_elu", no_work)
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[experiment]\npreset = glm_elu\nk = 3\nx_source = pool\n"
+                       "eval_cov = true\nalpha_grid_size = 3\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "glm_elu does not read x_source, eval_cov, alpha_grid_size" in err
+    assert not (tmp_path / "out").exists()

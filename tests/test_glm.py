@@ -18,6 +18,7 @@ from mssl import (
     alpha_M_dispersion,
     alpha_dot_glm,
     build_moments,
+    center_pool,
     clip_alpha,
     custom_link,
     elu_link,
@@ -29,7 +30,6 @@ from mssl import (
     fit_ols_semisupervised,
     fit_ols_supervised,
     identity_link,
-    ols_risk_terms,
     r_dot_glm_curve,
     seeded_rng,
 )
@@ -105,6 +105,23 @@ def test_semisupervised_constant_response_symmetric_pool():
     rpt = fit_glm_semisupervised(ds, pool, elu_link())
     assert rpt.converged
     np.testing.assert_allclose(rpt.beta, np.zeros(2), atol=1e-7)
+
+
+def test_semisupervised_centers_an_uncentered_pool_without_pool_moments(monkeypatch):
+    # GlmProblem needs only the centered pool, not Exx and its eigenvalues
+    import mssl.glm
+
+    rng = seeded_rng(5)
+    raw = UnlabeledPool(rng.standard_normal((500, 3)) + 0.7)
+    ds = LabeledSet(rng.standard_normal((30, 3)), rng.standard_normal(30))
+    want = fit_glm_semisupervised(ds, build_moments(raw, ds.n).pool, elu_link()).beta
+
+    def no_moments(*args, **kwargs):
+        raise AssertionError("pool moments were computed to center the pool")
+
+    monkeypatch.setattr(mssl.glm, "build_moments", no_moments)
+    np.testing.assert_array_equal(fit_glm_semisupervised(ds, raw, elu_link()).beta, want)
+    np.testing.assert_array_equal(center_pool(raw)[0].Z, build_moments(raw, ds.n).pool.Z)
 
 
 def test_semisupervised_is_the_minimizer():
@@ -204,7 +221,7 @@ def test_identity_link_collapses_v_terms():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 80, 1)
-    q = GlmPoolStats(pool, n, identity_link(), np.ones(p), spec).quadratic()
+    q = GlmPoolStats(pool, n, identity_link(), np.ones(p), spec)
     expected = (n - 1) * p / n
     assert q.v_u_g == pytest.approx(expected, rel=1e-10)
     assert q.v_s_g == pytest.approx(expected, rel=1e-10)
@@ -215,8 +232,8 @@ def test_identity_link_v_l_is_n_times_ols_v_l():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 80, 2)
-    q = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec).quadratic()
-    ols_terms = ols_risk_terms(pool, n, np.zeros(p), spec)
+    q = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec)
+    ols_terms = OlsPoolModel(pool, n, spec)
     assert q.v_l_g == pytest.approx(n * ols_terms.v_l, rel=1e-10)
 
 
@@ -226,11 +243,11 @@ def test_elu_at_zero_matches_identity_terms():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 60, 3)
-    q_elu = GlmPoolStats(pool, n, elu_link(), np.zeros(p), spec).quadratic()
-    q_id = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec).quadratic()
+    q_elu = GlmPoolStats(pool, n, elu_link(), np.zeros(p), spec)
+    q_id = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec)
     assert q_elu.v_l_g == pytest.approx(q_id.v_l_g, rel=1e-10)
     assert q_elu.v_s_g == pytest.approx(q_id.v_s_g, rel=1e-10)
-    np.testing.assert_allclose(q_elu.Hg_hat, q_id.Hg_hat, rtol=1e-10)
+    np.testing.assert_allclose(q_elu.Hg, q_id.Hg, rtol=1e-10)
 
 
 def test_nonpositive_gprime_rejected():
@@ -242,7 +259,7 @@ def test_nonpositive_gprime_rejected():
         G=lambda z: 0.5 * np.maximum(z, 0.0) ** 2,
     )
     with pytest.raises(LinkValidationError):
-        GlmPoolStats(pool, 20, dead, np.ones(2), ResampleSpec(20, 10, 0)).quadratic()
+        GlmPoolStats(pool, 20, dead, np.ones(2), ResampleSpec(20, 10, 0))
 
 
 # -- noise estimation -----------------------------------------------------------
@@ -253,7 +270,8 @@ def test_noise_identity_matches_ols_form():
     beta_hat = fit_ols_supervised(ds)
     beta_breve = fit_ols_semisupervised(ds, build_moments(pool, ds.n))
     spec = ResampleSpec(ds.n, 400, 4)
-    sigma2 = estimate_noise_glm(ds, beta_hat, beta_breve, pool, identity_link(), spec)
+    stats = GlmPoolStats(pool, ds.n, identity_link(), beta_breve, spec)
+    sigma2 = estimate_noise_glm(ds, beta_hat, identity_link(), stats)
     resid = ds.Y - ds.X @ beta_hat
     direct = float(resid @ resid) / (ds.n - ds.p)
     # the trace term concentrates on p, so the denominators agree closely
@@ -267,8 +285,8 @@ def test_noise_zero_for_noiseless_data():
     ds = LabeledSet(X, elu_link().g(X @ beta0))
     pool = UnlabeledPool(rng.standard_normal((1000, 3)))
     beta_hat = fit_glm_supervised(ds, elu_link()).beta
-    sigma2 = estimate_noise_glm(ds, beta_hat, beta_hat, pool, elu_link(),
-                                ResampleSpec(30, 50, 5))
+    stats = GlmPoolStats(pool, 30, elu_link(), beta_hat, ResampleSpec(30, 50, 5))
+    sigma2 = estimate_noise_glm(ds, beta_hat, elu_link(), stats)
     assert sigma2 <= 1e-10
 
 
@@ -404,7 +422,7 @@ def test_curvature_condition_on_elu_pool():
     rng = seeded_rng(23)
     n, p = 50, 10
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    q = GlmPoolStats(pool, n, elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9)).quadratic()
+    q = GlmPoolStats(pool, n, elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9))
     assert q.v_l_g + q.v_u_g - 2 * q.v_s_g > 0
     assert q.v_l_g > q.v_u_g
 
@@ -529,12 +547,14 @@ def _glm_per_block_reference(stats, pool_c, spec):
     """Per-block v_l, v_s, noise trace, v_l_M, c vectors and pencil curves, by the
     one-block-at-a-time formulas."""
     from mssl import resample_block
-    from mssl._blas import cho_solve, solve_lower
+    from scipy.linalg import solve_triangular
+
+    from mssl._blas import cho_solve
     from mssl.core import spd_factor
 
     n, link, beta, alphas = stats.n, stats.link, stats.beta_eval, stats.alphas
     Lg = np.linalg.cholesky(stats.Hg)
-    Lg_inv = solve_lower(Lg, np.eye(stats.p))
+    Lg_inv = solve_triangular(Lg, np.eye(stats.p), lower=True)
     terms, cs, bias, var = [], [], [], []
     for i in range(spec.replications):
         Xb = resample_block(pool_c, spec, i)

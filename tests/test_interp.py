@@ -5,6 +5,7 @@ import pytest
 
 from mssl import (
     DataValidationError,
+    InterpSample,
     LabeledSet,
     RegimeError,
     ResampleBudgetError,
@@ -24,8 +25,8 @@ from mssl import (
     rff_features,
     rff_scaler,
     seeded_rng,
-    sigma2_known_tau,
 )
+from mssl.core import spd_factor
 from mssl.interp import InterpRiskTerms
 
 
@@ -229,8 +230,8 @@ def test_interp_eta_below_one():
 
 def test_sigma2_known_tau_hand_examples():
     ds = LabeledSet([[1.0, 1.0]], [3.0])
-    assert sigma2_known_tau(ds, 0.0) == pytest.approx(9.0)
-    assert sigma2_known_tau(ds, 1.0) == pytest.approx(7.0)
+    assert InterpSample(ds).sigma2_known_tau(0.0) == pytest.approx(9.0)
+    assert InterpSample(ds).sigma2_known_tau(1.0) == pytest.approx(7.0)
 
 
 def test_sigma2_known_tau_unbiased():
@@ -242,7 +243,7 @@ def test_sigma2_known_tau_unbiased():
         X = r.standard_normal((n, p))
         w = math.sqrt(tau2) * r.standard_normal(p)
         Y = X @ w + math.sqrt(sigma2) * r.standard_normal(n)
-        vals.append(sigma2_known_tau(LabeledSet(X, Y), tau2))
+        vals.append(InterpSample(LabeledSet(X, Y)).sigma2_known_tau(tau2))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - sigma2) < 3 * se
@@ -356,3 +357,38 @@ def test_interp_terms_need_two_usable_draws():
     n, p = 5, 12
     with pytest.raises(DataValidationError, match="not enough usable blocks"):
         interp_risk_terms(np.eye(p), n, p, gaussian_sampler(np.eye(p), n), ResampleSpec(n, 1, 0))
+
+
+# Sigma = diag(1, 1, 1, 1e-8) (cond 1e8) and a draw whose X X^T passes the
+# condition check (cond 2.2e5) while X Sigma^{-1} X^T = diag(1 + 1e8, 9e-6)
+# fails it (cond 1.1e13 > COND_LIMIT).
+_INNER_SIGMA = np.diag([1.0, 1.0, 1.0, 1e-8])
+_INNER_BAD = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 3e-3, 0.0, 0.0]])
+
+
+def _listed(draws):
+    """A sampler that hands out the given designs in plan order."""
+    it = iter(draws)
+    return lambda rng: next(it)
+
+
+def _inner_draws(count: int, bad: set[int]) -> list[np.ndarray]:
+    draw = gaussian_sampler(_INNER_SIGMA, 2)
+    return [_INNER_BAD if i in bad else draw(seeded_rng(31, i)) for i in range(count)]
+
+
+def test_interp_terms_skip_a_draw_whose_inner_gram_fails_the_check():
+    with pytest.raises(SingularMatrixError):
+        spd_factor(_INNER_BAD @ np.linalg.solve(_INNER_SIGMA, _INNER_BAD.T), "inner")
+    spd_factor(_INNER_BAD @ _INNER_BAD.T, "X X^T")  # the outer Gram passes
+    draws = _inner_draws(20, bad={5, 13})  # 2 of 20 skipped: within the 10% budget
+    good = [X for i, X in enumerate(draws) if i not in {5, 13}]
+    got = interp_risk_terms(_INNER_SIGMA, 2, 4, _listed(draws), ResampleSpec(2, 20, 0))
+    want = interp_risk_terms(_INNER_SIGMA, 2, 4, _listed(good), ResampleSpec(2, 18, 0))
+    assert got == want
+
+
+def test_interp_terms_inner_gram_failures_count_against_the_budget():
+    draws = _inner_draws(20, bad={2, 5, 13})  # 3 of 20 is over the 10% budget
+    with pytest.raises(ResampleBudgetError, match="3/20"):
+        interp_risk_terms(_INNER_SIGMA, 2, 4, _listed(draws), ResampleSpec(2, 20, 0))

@@ -24,7 +24,6 @@ from mssl import (
     fit_ols_supervised,
     mix_linear,
     noise_signal_ols,
-    ols_risk_terms,
     r_dot_curve,
     seeded_rng,
 )
@@ -226,8 +225,8 @@ def test_loss_mixed_matches_numeric_minimizer():
 def test_v_u_exact_value():
     rng = seeded_rng(7)
     pool = UnlabeledPool(rng.standard_normal((3000, 50)))
-    terms = ols_risk_terms(pool, 100, np.zeros(50), ResampleSpec(100, 50, 1))
-    assert terms.v_u == 99 * 50 / 100**2  # 0.495 exactly
+    model = OlsPoolModel(pool, 100, ResampleSpec(100, 50, 1))
+    assert model.v_u == 99 * 50 / 100**2  # 0.495 exactly
 
 
 def test_v_l_matches_wishart_closed_form():
@@ -235,17 +234,17 @@ def test_v_l_matches_wishart_closed_form():
     rng = seeded_rng(8)
     n, p = 60, 12
     pool = UnlabeledPool(rng.standard_normal((20000, p)))
-    terms = ols_risk_terms(pool, n, np.zeros(p), ResampleSpec(n, 400, 2))
+    model = OlsPoolModel(pool, n, ResampleSpec(n, 400, 2))
     expected = p / (n - p - 1)
-    assert abs(terms.v_l - expected) < max(3 * terms.se_v_l, 0.02 * expected)
+    assert abs(model.v_l - expected) < max(3 * model.se_v_l, 0.02 * expected)
 
 
 def test_bias_zero_for_zero_plugin():
     rng = seeded_rng(9)
     pool = UnlabeledPool(rng.standard_normal((500, 4)))
-    terms = ols_risk_terms(pool, 20, np.zeros(4), ResampleSpec(20, 30, 3))
-    assert terms.B_hat == 0.0
-    assert terms.b_u_hat > 0.0
+    model = OlsPoolModel(pool, 20, ResampleSpec(20, 30, 3))
+    assert model.bias_at(np.zeros(4)) == 0.0
+    assert model.b_u_hat > 0.0
 
 
 def test_bias_matches_wishart_oracle():
@@ -256,9 +255,9 @@ def test_bias_matches_wishart_oracle():
     n, p = 40, 5
     pool = UnlabeledPool(rng.standard_normal((40000, p)))
     beta = np.ones(p)
-    terms = ols_risk_terms(pool, n, beta, ResampleSpec(n, 2000, 4))
+    model = OlsPoolModel(pool, n, ResampleSpec(n, 2000, 4))
     expected = (n - 1) * (p + 1) / n**2 * float(beta @ beta)
-    assert terms.B_hat == pytest.approx(expected, rel=0.1)
+    assert model.bias_at(beta) == pytest.approx(expected, rel=0.1)
 
 
 def test_b_u_matches_random_beta_oracle():
@@ -267,16 +266,16 @@ def test_b_u_matches_random_beta_oracle():
     rng = seeded_rng(11)
     n, p = 40, 5
     pool = UnlabeledPool(rng.standard_normal((40000, p)))
-    terms = ols_risk_terms(pool, n, np.zeros(p), ResampleSpec(n, 2000, 5))
+    model = OlsPoolModel(pool, n, ResampleSpec(n, 2000, 5))
     expected = ((n - 1) * p + n) / n**2 * p
-    assert terms.b_u_hat == pytest.approx(expected, rel=0.1)
+    assert model.b_u_hat == pytest.approx(expected, rel=0.1)
 
 
 def test_risk_terms_need_n_above_p():
     rng = seeded_rng(12)
     pool = UnlabeledPool(rng.standard_normal((100, 10)))
     with pytest.raises(RegimeError):
-        ols_risk_terms(pool, 10, np.zeros(10), ResampleSpec(10, 10, 0))
+        OlsPoolModel(pool, 10, ResampleSpec(10, 10, 0))
 
 
 # -- noise and signal ----------------------------------------------------------
@@ -446,9 +445,9 @@ def test_grid_search_endpoints_match_pure_risks():
     beta = np.array([1.0, -1.0, 0.5, 2.0])
     spec = ResampleSpec(n, 800, 8)
     r_hat = OlsPoolModel(pool, n, spec, grid=np.linspace(0, 1, 5)).ddot.curve(beta, sigma2)
-    terms = ols_risk_terms(pool, n, beta, spec)
-    assert r_hat[0] == pytest.approx(sigma2 * terms.v_l, rel=0.05)
-    expected_end = terms.B_hat + sigma2 * terms.v_u
+    model = OlsPoolModel(pool, n, spec)
+    assert r_hat[0] == pytest.approx(sigma2 * model.v_l, rel=0.05)
+    expected_end = model.bias_at(beta) + sigma2 * model.v_u
     assert r_hat[-1] == pytest.approx(expected_end, rel=0.05)
 
 
@@ -602,8 +601,8 @@ def test_v_l_exceeds_v_u_across_configurations():
     rng = seeded_rng(22)
     for n, p in ((20, 4), (40, 15), (100, 50)):
         pool = UnlabeledPool(rng.standard_normal((4000, p)))
-        terms = ols_risk_terms(pool, n, np.zeros(p), ResampleSpec(n, 100, n))
-        assert terms.v_l > terms.v_u
+        model = OlsPoolModel(pool, n, ResampleSpec(n, 100, n))
+        assert model.v_l > model.v_u
 
 
 def _line_pool(rng, m, generic):
@@ -647,8 +646,10 @@ def test_pool_model_rejects_a_bad_ratio_grid(grid):
 
 def _ols_per_block_reference(mom, n, spec):
     """Per-block v_l, b_u and whitened scatter, by the one-block-at-a-time formulas."""
+    from scipy.linalg import solve_triangular
+
     from mssl import resample_block
-    from mssl._blas import cho_solve, solve_lower
+    from mssl._blas import cho_solve
     from mssl.core import spd_factor
 
     L = np.linalg.cholesky(mom.H)
@@ -657,7 +658,7 @@ def _ols_per_block_reference(mom, n, spec):
         Xb = resample_block(mom.pool, spec, i)
         G = Xb.T @ Xb
         xbar = Xb.mean(axis=0)
-        Wb = solve_lower(L, G - n * np.outer(xbar, xbar))
+        Wb = solve_triangular(L, G - n * np.outer(xbar, xbar), lower=True)
         v_l.append(np.trace(cho_solve(spd_factor(G, "X^T X"), mom.H)) / n)
         b_u.append(np.sum((Wb - L.T) ** 2) / n)
         W.append(Wb)

@@ -11,11 +11,12 @@ from mssl import (
     ExperimentConfig,
     UnlabeledPool,
     constant_beta,
-    draw_dataset,
     elu_link,
+    gaussian_sampler,
     gen_sigma,
     identity_link,
     load_config,
+    pool_sampler,
     preset_names,
     random_beta,
     run_experiment,
@@ -23,7 +24,7 @@ from mssl import (
     summarize_pairwise,
     write_result_csv,
 )
-from mssl.simulate import _t_tail
+from mssl.simulate import _label, _t_tail
 
 
 # -- covariance generation ------------------------------------------------------
@@ -76,32 +77,38 @@ def test_gen_sigma_custom_psd_check():
         gen_sigma(CovarianceSpec("custom", 2, matrix=bad))
 
 
-# -- dataset draws -----------------------------------------------------------------
+# -- dataset draws: a design sampler, then _label (the presets' draw) ---------------
 
 
 def test_draw_noiseless():
     sigma = np.eye(3)
-    ds, beta = draw_dataset(sigma, 5, constant_beta(1.5), elu_link(), 0.0, seeded_rng(1))
+    rng = seeded_rng(1)
+    ds, beta = _label(gaussian_sampler(sigma, 5)(rng), constant_beta(1.5), elu_link(), 0.0, rng)
     np.testing.assert_array_equal(beta, np.full(3, 1.5))
     np.testing.assert_allclose(ds.Y, elu_link().g(ds.X @ beta), atol=1e-12)
 
 
 def test_draw_constant_beta_value():
-    _, beta = draw_dataset(np.eye(2), 3, constant_beta(1.5), identity_link(), 1.0, seeded_rng(2))
+    rng = seeded_rng(2)
+    _, beta = _label(gaussian_sampler(np.eye(2), 3)(rng), constant_beta(1.5), identity_link(), 1.0,
+                     rng)
     np.testing.assert_array_equal(beta, [1.5, 1.5])
 
 
 def test_draw_deterministic_per_seed():
     sigma = gen_sigma(CovarianceSpec("block_equicorrelated", 4, blocks=2, rho=0.5))
-    a, _ = draw_dataset(sigma, 6, random_beta(1.0), identity_link(), 2.0, seeded_rng(3))
-    b, _ = draw_dataset(sigma, 6, random_beta(1.0), identity_link(), 2.0, seeded_rng(3))
+    ra, rb = seeded_rng(3), seeded_rng(3)
+    a, _ = _label(gaussian_sampler(sigma, 6)(ra), random_beta(1.0), identity_link(), 2.0, ra)
+    b, _ = _label(gaussian_sampler(sigma, 6)(rb), random_beta(1.0), identity_link(), 2.0, rb)
     np.testing.assert_array_equal(a.X, b.X)
     np.testing.assert_array_equal(a.Y, b.Y)
 
 
 def test_draw_sample_covariance_matches_sigma():
     sigma = gen_sigma(CovarianceSpec("block_equicorrelated", 4, blocks=2, rho=0.7))
-    ds, _ = draw_dataset(sigma, 100000, constant_beta(0.0), identity_link(), 0.0, seeded_rng(4))
+    rng = seeded_rng(4)
+    ds, _ = _label(gaussian_sampler(sigma, 100000)(rng), constant_beta(0.0), identity_link(), 0.0,
+                   rng)
     emp = ds.X.T @ ds.X / ds.n
     # entrywise within 3 standard errors (var of x_i x_j products ~ 1+rho^2)
     assert np.max(np.abs(emp - sigma)) < 3 * 2.0 / math.sqrt(ds.n)
@@ -109,8 +116,8 @@ def test_draw_sample_covariance_matches_sigma():
 
 def test_draw_from_pool_rows():
     pool = UnlabeledPool(seeded_rng(5).standard_normal((40, 3)))
-    ds, _ = draw_dataset(np.eye(3), 10, constant_beta(1.0), identity_link(), 1.0,
-                         seeded_rng(6), pool=pool)
+    rng = seeded_rng(6)
+    ds, _ = _label(pool_sampler(pool, 10)(rng), constant_beta(1.0), identity_link(), 1.0, rng)
     for row in ds.X:
         assert np.any(np.all(np.isclose(pool.Z, row), axis=1))
 
@@ -399,6 +406,33 @@ def test_config_validation():
     # a misspelt design source used to draw Gaussian designs silently
     with pytest.raises(DataValidationError, match="x_source"):
         ExperimentConfig(preset="glm_elu", x_source="gausian")
+
+
+@pytest.mark.parametrize("preset, field, value", [
+    ("glm_elu", "x_source", "pool"),
+    ("glm_alpha_sweep", "x_source", "gaussian"),
+    ("glm_elu", "eval_cov", "true"),
+    ("glm_alpha_sweep", "eval_cov", "pool"),
+    ("glm_elu", "alpha_grid_size", 3),
+    ("ols_random_beta", "alpha_grid_size", 11),
+    ("interp_fixed", "alpha_grid_size", 11),
+    ("ols_constant_beta", "rep_blocks", 20),
+    ("glm_alpha_sweep", "rep_blocks", 20),
+    ("interp_growth", "rep_blocks", 20),
+])
+def test_config_field_the_preset_does_not_read_is_rejected(preset, field, value):
+    # each of these configs used to run, and exit 0, with the field ignored
+    with pytest.raises(DataValidationError, match=f"{preset} does not read {field}"):
+        ExperimentConfig(preset=preset, **{field: value})
+
+
+def test_config_fields_are_accepted_where_the_preset_reads_them():
+    ExperimentConfig(preset="ols_constant_beta", alpha_grid_size=11, eval_cov="true",
+                     x_source="gaussian")
+    ExperimentConfig(preset="interp_growth", eval_cov="pool", x_source="pool")
+    ExperimentConfig(preset="glm_elu", rep_blocks=20)
+    with pytest.raises(DataValidationError, match="alpha_grid_size"):
+        ExperimentConfig(preset="ols_constant_beta", alpha_grid_size=1)
 
 
 @pytest.mark.parametrize("field", ["rep_blocks", "resample_blocks"])
