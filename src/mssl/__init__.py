@@ -50,7 +50,6 @@ from .interp import (
     InterpRiskTerms,
     InterpSample,
     NoiseSignalInterp,
-    RffMap,
     alpha_star_interp,
     fit_min_norm,
     fit_min_variance,
@@ -59,10 +58,7 @@ from .interp import (
     interp_risk_terms,
     interp_terms_spiked_closed_form,
     iterate_sigma_tau,
-    make_rff_map,
     pool_sampler,
-    rff_features,
-    rff_scaler,
 )
 from .io import (
     read_labeled_csv,
@@ -82,7 +78,6 @@ from .links import (
 )
 from .ols import (
     DdotRiskModel,
-    MixDiagnostics,
     NoiseSignalOls,
     OlsPoolModel,
     OlsSample,

@@ -25,7 +25,6 @@ from .core import (
     _block_pass,
     _each_block,
     _weighted_gram,
-    build_moments,
     center_pool,
     resample_block,
     spd_factor,
@@ -37,7 +36,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .links import LinkSpec
-from .ols import RiskCurve, _blend_denominators, _ratio_grid, _xi, mix_linear
+from .ols import RiskCurve, _blend_denominators, _check_n, _ratio_grid, _xi, mix_linear
 
 __all__ = [
     "GlmFitReport",
@@ -269,11 +268,11 @@ class GlmPoolStats:
     Collects the v-terms of the quadratic risk expansion, the bias factor,
     the trace appearing in the noise-estimator denominator, the dispersion
     variant's v-terms, and (optionally) the loss-mixed risk curve over a
-    mixing-ratio grid.  A caller that already holds ``build_moments(pool, n)``
-    passes it as ``moments`` so the pool moments are not computed twice.
-    Every statistic averages over the same blocks; ``n_skipped`` counts the
-    blocks skipped as singular.  The v-terms and ``B_g_hat`` are n times their
-    squared-loss counterparts under the identity link, a scale the ratio formula ignores.
+    mixing-ratio grid.  ``moments``, the pool's moments for one labeled size,
+    gives the centered pool, n and H.  Every statistic averages over the same
+    blocks; ``n_skipped`` counts the blocks skipped as singular.  The v-terms
+    and ``B_g_hat`` are n times their squared-loss counterparts under the
+    identity link, a scale the ratio formula ignores.
 
     The pass hands each chunk of resampled blocks (see ``core._block_pass``)
     to one stacked kernel: F = X^T D X, X^T X, X^T D^2 X and the c vectors of
@@ -295,21 +294,15 @@ class GlmPoolStats:
 
     def __init__(
         self,
-        pool: UnlabeledPool,
-        n: int,
+        moments: PopulationMoments,
         link: LinkSpec,
         beta_eval: np.ndarray,
         spec: ResampleSpec,
         alphas=None,
-        moments: PopulationMoments | None = None,
     ):
+        n, pool = moments.n, moments.pool
         if n <= pool.p:
             raise RegimeError(f"need n > p, got n={n}, p={pool.p}")
-        if moments is None:
-            moments = build_moments(pool, n)
-        elif moments.n != n:
-            raise DataValidationError(f"moments were built for n={moments.n}, not n={n}")
-        pool = moments.pool
         if spec.block_size != n:
             raise DataValidationError("resample block_size must equal n")
         beta_eval = np.asarray(beta_eval, dtype=float)
@@ -327,12 +320,11 @@ class GlmPoolStats:
                 "expansion needs a strictly increasing link there"
             )
         self.Hg = n * _weighted_gram(Z, np.sqrt(d_pool)) / m
-        self.H = moments.H
         self.H2 = n * _weighted_gram(Z, d_pool) / m
         self.exmu = n * (Z.T @ link.g(eta_pool)) / m  # total-information E_X[X^T mu]
 
         Lg = np.tril(spd_factor(self.Hg, "H_g")[0])
-        self.v_u_g = (n - 1) / n * float(np.trace(cho_solve((Lg, True), self.H)))
+        self.v_u_g = (n - 1) / n * float(np.trace(cho_solve((Lg, True), moments.H)))
 
         self.alphas = None if alphas is None else _ratio_grid(alphas)
         if self.alphas is not None:
@@ -423,8 +415,9 @@ def estimate_noise_glm(
 
     RSS of the supervised fit divided by n - 2p + the trace of ``stats``, the
     pool statistics at the semi-supervised fit.  Negative raw values are
-    clipped at zero with a warning.
+    clipped at zero with a warning.  ``stats`` must be built for the sample's n.
     """
+    _check_n(data.n, stats.n)
     denom = stats.sigma2_denominator()
     if denom <= 0:
         raise DataValidationError(
@@ -441,27 +434,28 @@ def estimate_noise_glm(
 class GlmSample:
     """The Newton fits and mixing ratios of one centered labeled sample.
 
-    ``nonconverged`` counts the solves that did not converge (their results
-    are still used).  ``GlmPoolStats`` at beta_breve (plan ``spec``, grid
-    ``alphas``, the caller's ``moments``) is built on first use, and from it
-    the noise estimate and the ratios; a sample built without ``spec`` has
-    the fits only.  Shared by ``fit_glm_pipeline`` and the GLM presets.
+    The fits use the centered pool of ``moments``, which must be built for
+    the sample's n.  ``nonconverged`` counts the solves that did not converge
+    (their results are still used).  ``GlmPoolStats`` at beta_breve (plan
+    ``spec``, grid ``alphas``) is built on first use, and from it the noise
+    estimate and the ratios; a sample built without ``spec`` has the fits
+    only.  Shared by ``fit_glm_pipeline`` and the GLM presets.
     """
 
     def __init__(
         self,
         data: LabeledSet,
-        pool: UnlabeledPool,
+        moments: PopulationMoments,
         link: LinkSpec,
         spec: ResampleSpec | None = None,
         alphas=None,
-        moments: PopulationMoments | None = None,
     ):
-        self.data, self.pool, self.link = data, pool, link
-        self._plan = dict(spec=spec, alphas=alphas, moments=moments)
+        _check_n(data.n, moments.n)
+        self.data, self.moments, self.link = data, moments, link
+        self.pool, self.spec, self.alphas = moments.pool, spec, alphas
         self.nonconverged = 0
         self.beta_hat = self._beta(fit_glm_supervised(data, link))
-        self.beta_breve = self._beta(fit_glm_semisupervised(data, pool, link))
+        self.beta_breve = self._beta(fit_glm_semisupervised(data, self.pool, link))
 
     def _beta(self, report: GlmFitReport) -> np.ndarray:
         self.nonconverged += not report.converged
@@ -469,9 +463,9 @@ class GlmSample:
 
     @cached_property
     def stats(self) -> GlmPoolStats:
-        if self._plan["spec"] is None:
+        if self.spec is None:
             raise DataValidationError("the sample was built without a resampling plan")
-        return GlmPoolStats(self.pool, self.data.n, self.link, self.beta_breve, **self._plan)
+        return GlmPoolStats(self.moments, self.link, self.beta_breve, self.spec, self.alphas)
 
     @cached_property
     def sigma2_hat(self) -> float:

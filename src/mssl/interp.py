@@ -1,6 +1,5 @@
 """Over-parameterized estimators: minimum-norm and minimum-variance
-interpolators, their mixing rule, risk terms, noise/signal estimation, and
-the random-feature map used in the synthetic feature-expansion demos.
+interpolators, their mixing rule, risk terms and noise/signal estimation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "InterpSample",
     "InterpRiskTerms",
     "NoiseSignalInterp",
-    "RffMap",
     "fit_min_norm",
     "fit_min_variance",
     "interp_risk_terms",
@@ -36,9 +34,6 @@ __all__ = [
     "alpha_star_interp",
     "interp_eta",
     "iterate_sigma_tau",
-    "make_rff_map",
-    "rff_features",
-    "rff_scaler",
     "gaussian_sampler",
     "pool_sampler",
 ]
@@ -60,7 +55,10 @@ def fit_min_variance(data: LabeledSet, Sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InterpRiskTerms:
-    """Bias/variance factors of the two interpolators with their MC errors."""
+    """Bias/variance factors of the two interpolators with their MC errors.
+
+    ``n_skipped`` counts the design draws the Monte Carlo pass skipped.
+    """
 
     b_l: float
     v_l: float
@@ -70,6 +68,7 @@ class InterpRiskTerms:
     se_v_l: float = 0.0
     se_b_u: float = 0.0
     se_v_u: float = 0.0
+    n_skipped: int = 0
 
 
 def gaussian_sampler(Sigma: np.ndarray, n: int):
@@ -104,7 +103,8 @@ def interp_risk_terms(
     b_u = tr(Sigma - E[X^T (X Sigma^{-1} X^T)^{-1} X]),
     v_u = tr(E[(X Sigma^{-1} X^T)^{-1}]).
     A draw whose X X^T or X Sigma^{-1} X^T fails ``spd_factor`` is skipped and
-    counted.  ``sigma_factor`` spares the factorization to a caller that holds ``spd_factor(Sigma)``.
+    counted in ``n_skipped``.  ``sigma_factor`` spares the factorization to a
+    caller that holds ``spd_factor(Sigma)``.
     """
     if p <= n + 1:
         raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
@@ -129,13 +129,15 @@ def interp_risk_terms(
         ok, rows = _each_block(per_draw, Xs)
         return ok, {"terms": np.array(rows, dtype=float).reshape(len(rows), 4)}
 
-    stats, _ = _block_pass(spec, lambda i: sampler(seeded_rng(spec.seed, 0x1D4A, i)), kernel)
+    stats, n_skipped = _block_pass(
+        spec, lambda i: sampler(seeded_rng(spec.seed, 0x1D4A, i)), kernel
+    )
     arr = stats["terms"]
     mean = arr.mean(axis=0)
     se = arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
     return InterpRiskTerms(
         b_l=mean[0], v_l=mean[1], b_u=mean[2], v_u=mean[3],
-        se_b_l=se[0], se_v_l=se[1], se_b_u=se[2], se_v_u=se[3],
+        se_b_l=se[0], se_v_l=se[1], se_b_u=se[2], se_v_u=se[3], n_skipped=n_skipped,
     )
 
 
@@ -293,64 +295,3 @@ def iterate_sigma_tau(
     """Iterated noise/signal estimates (p > n); see ``InterpSample.sigma_tau``."""
     return InterpSample(data).sigma_tau(Sigma, tol, max_iter)
 
-
-# -- random feature map -------------------------------------------------------
-
-_ACTIVATIONS = {
-    "tanh": np.tanh,
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-    "elu": lambda z: np.where(z < 0.0, np.expm1(z), z),
-}
-
-
-@dataclass(frozen=True)
-class RffMap:
-    """A fixed random first layer: h x p Gaussian weights plus activations."""
-
-    C: np.ndarray
-    activations: tuple[str, ...]
-    seed: int
-
-    @property
-    def out_dim(self) -> int:
-        return self.C.shape[0] * len(self.activations)
-
-
-def make_rff_map(
-    p: int,
-    h: int,
-    activations: tuple[str, ...] = ("tanh", "sigmoid", "elu"),
-    seed: int = 0,
-) -> RffMap:
-    for a in activations:
-        if a not in _ACTIVATIONS:
-            raise DataValidationError(f"unknown activation {a!r}")
-    C = seeded_rng(seed, 0x0FF).standard_normal((h, p))
-    return RffMap(C=C, activations=tuple(activations), seed=seed)
-
-
-def rff_features(X: np.ndarray, rff: RffMap, scaler=None) -> np.ndarray:
-    """Nonlinear random features: each activation applied to X C^T, concatenated.
-
-    ``scaler`` is an optional (mean, std) pair, normally computed from the
-    transformed pool, applied columnwise to the concatenated features.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != rff.C.shape[1]:
-        raise DataValidationError(
-            f"X has {X.shape[1]} columns but the map expects {rff.C.shape[1]}"
-        )
-    Z = X @ rff.C.T
-    F = np.concatenate([_ACTIVATIONS[a](Z) for a in rff.activations], axis=1)
-    if scaler is not None:
-        mean, std = scaler
-        F = (F - mean) / std
-    return F
-
-
-def rff_scaler(pool_X: np.ndarray, rff: RffMap) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise standardization statistics of the transformed pool."""
-    F = rff_features(pool_X, rff)
-    std = F.std(axis=0)
-    std[std < 1e-12] = 1.0
-    return F.mean(axis=0), std

@@ -10,7 +10,7 @@ every variance/bias factor those formulas need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ from .core import (
     UnlabeledPool,
     _block_pass,
     _each_block,
-    build_moments,
     resample_block,
     spd_factor,
 )
@@ -33,7 +32,6 @@ from .errors import DataValidationError, RegimeError
 __all__ = [
     "COND_LIMIT",
     "RiskCurve",
-    "MixDiagnostics",
     "OlsPoolModel",
     "OlsSample",
     "DdotRiskModel",
@@ -55,12 +53,22 @@ def fit_ols_supervised(data: LabeledSet) -> np.ndarray:
     return cho_solve(spd_factor(data.gram, "X^T X"), data.xty)
 
 
+def _check_n(n: int, built_for: int) -> None:
+    """A labeled sample of size n against statistics built for ``built_for`` rows."""
+    if n != built_for:
+        raise DataValidationError(
+            f"the labeled sample has n={n}, but its pool statistics were built for n={built_for}"
+        )
+
+
 def fit_ols_semisupervised(data: LabeledSet, moments: PopulationMoments) -> np.ndarray:
     """Semi-supervised coefficients H^{-1}(X^T Y - n Xbar Ybar).
 
     Solves against ``moments.H_factor``, so H is factored once per moments
-    object however many samples are fit against it.
+    object however many samples are fit against it.  H = n Exx must be built
+    for the sample's n.
     """
+    _check_n(data.n, moments.n)
     return cho_solve(moments.H_factor, data.xty - data.n * data.xbar * data.ybar)
 
 
@@ -94,6 +102,7 @@ def fit_loss_mixed_ols(
     """
     if not 0.0 <= alpha <= 1.0:
         raise DataValidationError(f"alpha must be in [0, 1], got {alpha}")
+    _check_n(data.n, moments.n)
     blend = alpha * moments.H + (1.0 - alpha) * data.gram
     rhs = data.xty - alpha * data.n * data.xbar * data.ybar
     return cho_solve(spd_factor(blend, "alpha H + (1-alpha) X^T X"), rhs)
@@ -119,32 +128,6 @@ class RiskCurve:
         object.__setattr__(self, "se", se)
 
 
-@dataclass(frozen=True)
-class MixDiagnostics:
-    """Estimated risk components and the resulting mixing ratios."""
-
-    v_l: float
-    v_u: float
-    B_hat: float
-    sigma2_hat: float
-    tau2_hat: float | None
-    alpha_hat: float
-    alpha_tilde: float | None
-    se: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "v_l": self.v_l,
-            "v_u": self.v_u,
-            "B_hat": self.B_hat,
-            "sigma2_hat": self.sigma2_hat,
-            "tau2_hat": self.tau2_hat,
-            "alpha_hat": self.alpha_hat,
-            "alpha_tilde": self.alpha_tilde,
-            "se": dict(self.se),
-        }
-
-
 class OlsPoolModel:
     """Pool statistics for the squared-loss risk formulas.
 
@@ -152,9 +135,10 @@ class OlsPoolModel:
     the random-coefficient bias factor b_u, and keeps the whitened centered
     scatter of every block so the bias of the semi-supervised estimator can
     be evaluated at any plug-in coefficient vector without re-resampling.
-    Given a ratio ``grid``, the same pass also builds ``ddot``, the
-    loss-mixed risk model over that grid (``DdotRiskModel``), so every
-    statistic averages over the same blocks, each drawn and checked once.
+    ``moments``, the pool's moments for one labeled size, gives the centered
+    pool, n and H.  Given a ratio ``grid``, the same pass also builds
+    ``ddot``, the loss-mixed risk model over that grid (``DdotRiskModel``), so
+    every statistic averages over the same blocks, each drawn and checked once.
     The pass hands each chunk of resampled blocks (see ``core._block_pass``)
     to one stacked kernel: X^T X of every block by a batched product, and the
     whitened scatter L^{-1} M by one product with L^{-1}, where H = L L^T is
@@ -166,28 +150,20 @@ class OlsPoolModel:
     """
 
     def __init__(
-        self,
-        pool: UnlabeledPool,
-        n: int,
-        spec: ResampleSpec,
-        moments: PopulationMoments | None = None,
-        keep_blocks: bool = True,
-        grid=None,
+        self, moments: PopulationMoments, spec: ResampleSpec, keep_blocks: bool = True, grid=None
     ):
-        if n <= pool.p:
+        n, p = moments.n, moments.pool.p
+        if n <= p:
             raise RegimeError(
-                f"n={n} <= p={pool.p}: these risk terms need n > p "
+                f"n={n} <= p={p}: these risk terms need n > p "
                 "(use the interpolators module in the over-parameterized regime)"
             )
         if spec.block_size != n:
             raise DataValidationError("resample block_size must equal n")
-        moments = moments if moments is not None else build_moments(pool, n)
-        self.pool = moments.pool
         self.n = n
-        self.p = pool.p
+        self.p = p
         self.spec = spec
         self.moments = moments
-        self.H = moments.H
         L, L_inv = _cholesky_pair(moments)  # H = L L^T, one factor for every statistic
         alphas = None if grid is None else _ratio_grid(grid)
 
@@ -195,7 +171,7 @@ class OlsPoolModel:
             # X is a chunk of blocks (b, n, p); every statistic is a stack over it
             G = X.transpose(0, 2, 1) @ X
             ok, v_l = _each_block(  # the checked factor of each X^T X gives its v_l
-                lambda Gb: np.trace(cho_solve(spd_factor(Gb, "X^T X"), self.H)) / n, G
+                lambda Gb: np.trace(cho_solve(spd_factor(Gb, "X^T X"), moments.H)) / n, G
             )
             X, G = X[ok], G[ok]
             xbar = X.mean(axis=1)
@@ -215,13 +191,13 @@ class OlsPoolModel:
             return ok, stats
 
         stats, self.n_skipped = _block_pass(
-            spec, lambda i: resample_block(self.pool, spec, i), kernel
+            spec, lambda i: resample_block(moments.pool, spec, i), kernel
         )
         arr = stats["v_l"]
         self.n_blocks = arr.size
         self.v_l = float(arr.mean())
         self.se_v_l = float(arr.std(ddof=1) / math.sqrt(arr.size))
-        self.v_u = (n - 1) * pool.p / n**2
+        self.v_u = (n - 1) * p / n**2
         self.b_u_hat = float(np.mean(stats["b_u"]))
         self._W = stats["W"] if keep_blocks else None
         self.ddot = None
@@ -245,16 +221,17 @@ class OlsPoolModel:
 class OlsSample:
     """The fits, noise estimates and mixing ratios of one centered labeled sample.
 
-    The plug-in bias at beta_breve and the ratios come on first use from
-    ``model``, the ``OlsPoolModel`` of the same pool and n.  Shared by
-    ``fit_ols_pipeline`` and the OLS presets.
+    ``model`` is the ``OlsPoolModel`` of the sample's pool and n; the fits
+    solve against its moments, and the plug-in bias at beta_breve and the
+    ratios come from it on first use.  Shared by ``fit_ols_pipeline`` and the
+    OLS presets.
     """
 
-    def __init__(self, data: LabeledSet, moments: PopulationMoments, model: OlsPoolModel):
-        self.data, self.moments, self.model = data, moments, model
+    def __init__(self, data: LabeledSet, model: OlsPoolModel):
+        self.data, self.model, self.moments = data, model, model.moments
         self.beta_hat = fit_ols_supervised(data)
-        self.beta_breve = fit_ols_semisupervised(data, moments)
-        noise = noise_signal_ols(data, self.beta_hat, moments)
+        self.beta_breve = fit_ols_semisupervised(data, self.moments)
+        noise = noise_signal_ols(data, self.beta_hat, self.moments)
         self.sigma2_hat, self.tau2_hat = noise.sigma2_hat, noise.tau2_hat
 
     @cached_property

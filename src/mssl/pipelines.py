@@ -17,7 +17,7 @@ from .errors import DataValidationError, RegimeError
 from .glm import GlmSample
 from .interp import InterpSample, alpha_star_interp, interp_risk_terms, pool_sampler
 from .links import LinkSpec
-from .ols import MixDiagnostics, OlsPoolModel, OlsSample
+from .ols import OlsPoolModel, OlsSample
 
 __all__ = ["fit_ols_pipeline", "fit_glm_pipeline", "fit_interp_pipeline"]
 
@@ -51,15 +51,19 @@ def _centered(data: LabeledSet, pool: UnlabeledPool):
     return moments, LabeledSet(data.X - moments.mean, data.Y)
 
 
-def _report(model, link, data, pool, moments, alpha, source, coeffs, diagnostics, **extra):
-    """The JSON fields every family reports; ``extra`` ones precede the diagnostics."""
+def _report(model, link, data, moments, alpha, source, coeffs, diagnostics, **extra):
+    """The JSON fields every family reports; ``extra`` ones precede the diagnostics.
+
+    Every family's ``diagnostics`` start with the keys v_l, v_u, B_hat,
+    sigma2_hat, tau2_hat, alpha_hat, alpha_tilde and se, in that order.
+    """
     return {
         "schema_version": 1,
         "model": model,
         "link": link,
         "n": data.n,
         "p": data.p,
-        "m": pool.m,
+        "m": moments.pool.m,
         "alpha": float(alpha),
         "alpha_source": source,
         "coefficients": [float(v) for v in coeffs],
@@ -84,23 +88,20 @@ def fit_ols_pipeline(
             f"ols needs n > p, got n={data.n}, p={data.p}; use the interp model"
         )
     moments, data_c = _centered(data, pool)
-    model = OlsPoolModel(
-        moments.pool, data.n, ResampleSpec(data.n, blocks, seed), moments, grid=grid
-    )
-    s = OlsSample(data_c, moments, model)
+    model = OlsPoolModel(moments, ResampleSpec(data.n, blocks, seed), grid=grid)
+    s = OlsSample(data_c, model)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
-    diags = MixDiagnostics(
-        v_l=model.v_l,
-        v_u=model.v_u,
-        B_hat=s.B_hat,
-        sigma2_hat=s.sigma2_hat,
-        tau2_hat=s.tau2_hat,
-        alpha_hat=s.alpha_hat,
-        alpha_tilde=s.alpha_grid,
-        se={"v_l": model.se_v_l},
-    )
-    return _report("ols", "identity", data, pool, moments, alpha, source, s.loss(alpha),
-                   diags.to_dict())
+    diags = {
+        "v_l": model.v_l,
+        "v_u": model.v_u,
+        "B_hat": s.B_hat,
+        "sigma2_hat": s.sigma2_hat,
+        "tau2_hat": s.tau2_hat,
+        "alpha_hat": s.alpha_hat,
+        "alpha_tilde": s.alpha_grid,
+        "se": {"v_l": model.se_v_l},
+    }
+    return _report("ols", "identity", data, moments, alpha, source, s.loss(alpha), diags)
 
 
 def fit_glm_pipeline(
@@ -117,24 +118,22 @@ def fit_glm_pipeline(
     if data.n <= data.p:
         raise RegimeError(f"glm needs n > p, got n={data.n}, p={data.p}")
     moments, data_c = _centered(data, pool)
-    s = GlmSample(
-        data_c, moments.pool, link, ResampleSpec(data.n, blocks, seed), grid, moments
-    )
+    s = GlmSample(data_c, moments, link, ResampleSpec(data.n, blocks, seed), grid)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     coeffs = s.loss(alpha)
     stats = s.stats
-    diags = MixDiagnostics(
-        v_l=stats.v_l_g,
-        v_u=stats.v_u_g,
-        B_hat=stats.B_g_hat,
-        sigma2_hat=s.sigma2_hat,
-        tau2_hat=None,
-        alpha_hat=s.alpha_raw,
-        alpha_tilde=s.alpha_grid,
-        se={"v_l": stats.se_v_l_g, "v_s": stats.se_v_s_g},
-    ).to_dict()
-    diags["v_s"] = stats.v_s_g
-    return _report("glm", link.kind, data, pool, moments, alpha, source, coeffs, diags,
+    diags = {
+        "v_l": stats.v_l_g,
+        "v_u": stats.v_u_g,
+        "B_hat": stats.B_g_hat,
+        "sigma2_hat": s.sigma2_hat,
+        "tau2_hat": None,
+        "alpha_hat": s.alpha_raw,
+        "alpha_tilde": s.alpha_grid,
+        "se": {"v_l": stats.se_v_l_g, "v_s": stats.se_v_s_g},
+        "v_s": stats.v_s_g,
+    }
+    return _report("glm", link.kind, data, moments, alpha, source, coeffs, diags,
                    converged=s.nonconverged == 0)
 
 
@@ -162,18 +161,17 @@ def fit_interp_pipeline(
     )
     alpha_hat = alpha_star_interp(ns.sigma2_hat, ns.tau2_hat, terms)[0]
     alpha = alpha_hat if source == "formula" else fixed
-    diags = MixDiagnostics(
-        v_l=terms.v_l,
-        v_u=terms.v_u,
-        B_hat=ns.tau2_hat * max(terms.b_u - terms.b_l, 0.0),
-        sigma2_hat=ns.sigma2_hat,
-        tau2_hat=ns.tau2_hat,
-        alpha_hat=alpha_hat,
-        alpha_tilde=None,
-        se={"v_l": terms.se_v_l, "v_u": terms.se_v_u,
-            "b_l": terms.se_b_l, "b_u": terms.se_b_u},
-    ).to_dict()
-    diags["b_l"] = terms.b_l
-    diags["b_u"] = terms.b_u
-    return _report("interp", "identity", data, pool, moments, alpha, source, s.linear(alpha),
-                   diags)
+    diags = {
+        "v_l": terms.v_l,
+        "v_u": terms.v_u,
+        "B_hat": ns.tau2_hat * max(terms.b_u - terms.b_l, 0.0),
+        "sigma2_hat": ns.sigma2_hat,
+        "tau2_hat": ns.tau2_hat,
+        "alpha_hat": alpha_hat,
+        "alpha_tilde": None,
+        "se": {"v_l": terms.se_v_l, "v_u": terms.se_v_u, "b_l": terms.se_b_l,
+               "b_u": terms.se_b_u},
+        "b_l": terms.b_l,
+        "b_u": terms.b_u,
+    }
+    return _report("interp", "identity", data, moments, alpha, source, s.linear(alpha), diags)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, center_pool, seeded_rng, spd_factor,
+    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
 from .glm import GlmPoolStats, GlmSample, clip_alpha
@@ -325,6 +325,11 @@ class ExperimentConfig:
             raise DataValidationError("sigma2_grid must be nonempty")
         if self.n_grid is not None and len(self.n_grid) == 0:
             raise DataValidationError("n_grid must be nonempty")
+        # a zero size would otherwise fall back to the preset's default
+        for name, values in (("n", (self.n,)), ("pool_size", (self.pool_size,)),
+                             ("n_grid", self.n_grid or ())):
+            if any(v is not None and v < 1 for v in values):
+                raise DataValidationError(f"{name} must be >= 1")
         if self.eval_cov not in (None, "pool", "true"):
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
         if self.x_source not in (None, "pool", "gaussian"):
@@ -575,7 +580,7 @@ def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[d
     def rep(k: int) -> dict:
         rng = seeded_rng(cfg.seed, _S_REP, gi, k)
         data, beta = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-        s = OlsSample(data, point.model.moments, point.model)
+        s = OlsSample(data, point.model)
         out = {name: _quad_err(L_eval, fit(s, point) - beta) for name, fit in fits}
         u0 = L_eval.T @ (s.beta_hat - beta)
         d = L_eval.T @ (s.beta_breve - beta) - u0
@@ -599,7 +604,7 @@ def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
     size = cfg.alpha_grid_size or 51
     alphas = np.linspace(0.0, 1.0, size)
     ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, size - 1)])
-    model = OlsPoolModel(moments.pool, n, spec, moments, grid=ddot_grid)
+    model = OlsPoolModel(moments, spec, grid=ddot_grid)
     ddot = model.ddot
     B_true = model.bias_at(beta_true)
     extras: dict = {"alpha_star": {}, "alpha_ddot_oracle": {}, "alpha_curve": {},
@@ -636,7 +641,7 @@ def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
             CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9, target_trace=25.0)
         )
         moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 10000, gi)
-        model = OlsPoolModel(moments.pool, n, spec, moments, keep_blocks=False)
+        model = OlsPoolModel(moments, spec, keep_blocks=False)
         v_l, v_u, b_u = model.v_l, model.v_u, model.b_u_hat
         point = _OlsPoint(
             model,
@@ -702,7 +707,7 @@ class _GlmStudy:
         self.draw_x = gaussian_sampler(Sigma, n)
         self.alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
         self.oracle = GlmPoolStats(
-            _gaussian_pool(cfg.seed, 20000, Sigma), n, self.link, beta_true,
+            build_moments(_gaussian_pool(cfg.seed, 20000, Sigma), n), self.link, beta_true,
             ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
             alphas=self.alphas,
         )
@@ -741,11 +746,10 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
 
         def rep(k: int) -> dict:
             data, raw_pool = study.draw(gi, k, sigma2)
-            moments = build_moments(raw_pool, n)
             s = GlmSample(
-                data, moments.pool, link,
+                data, build_moments(raw_pool, n), link,
                 ResampleSpec(n, cfg.rep_blocks or 40, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
-                study.alphas, moments,
+                study.alphas,
             )
             out = {name: study.error(fit(s, oracle)) for name, fit in fits}
             out["_nonconverged"] = s.nonconverged
@@ -769,7 +773,7 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
     def rep(k: int) -> dict:
         data, raw_pool = study.draw(0, k, sigma2)
-        s = GlmSample(data, center_pool(raw_pool)[0], study.link)
+        s = GlmSample(data, build_moments(raw_pool, study.n), study.link)
         out = {name: np.array([study.error(b) for b in curve(s, alphas)]) for name, curve in curves}
         out["_nonconverged"] = s.nonconverged
         return out

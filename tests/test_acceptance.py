@@ -274,12 +274,12 @@ def test_c5_noise_unbiasedness():
         X = r.standard_normal((n, p))
         Y = link.g(X @ beta_true) + 2.0 * r.standard_normal(n)
         data = LabeledSet(X, Y)
-        pool = build_moments(UnlabeledPool(Z), n).pool
-        prob = GlmProblem(data, pool, link)
+        moments = build_moments(UnlabeledPool(Z), n)
+        prob = GlmProblem(data, moments.pool, link)
         start = prob.ols_start()
         b_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start).beta
         b_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start).beta
-        stats = GlmPoolStats(pool, n, link, b_breve, ResampleSpec(n, 40, 50000 + k))
+        stats = GlmPoolStats(moments, link, b_breve, ResampleSpec(n, 40, 50000 + k))
         resid = link.g(X @ b_hat) - Y
         vals.append(float(resid @ resid) / stats.sigma2_denominator())
     vals = np.asarray(vals)
@@ -322,7 +322,7 @@ def test_c6_wishart_closed_forms():
     t0 = time.time()
     n, p = 100, 50
     pool = UnlabeledPool(seeded_rng(601).standard_normal((20000, p)))
-    model = OlsPoolModel(pool, n, ResampleSpec(n, 400, 602))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 400, 602))
     target = 50.0 / 49.0
     dev_vl = abs(model.v_l - target) / target
 

@@ -462,6 +462,25 @@ def test_simulate_rejects_an_n_grid_the_preset_does_not_sweep(
     assert not list(tmp_path.iterdir())
 
 
+def test_simulate_rejects_a_pool_size_below_one(tmp_path, capsys, monkeypatch):
+    # --pool-size 0 used to exit 0 after running on the preset's 5000-row pool
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its sizes were checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, "interp_fixed", no_work)
+    code = main(["simulate", "--preset", "interp_fixed", "-k", "2", "--pool-size", "0",
+                 "--sigma2-grid", "4", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "pool_size must be >= 1" in capsys.readouterr().err
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[experiment]\npreset = interp_fixed\nk = 2\npool_size = 0\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "pool_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_config_out_dir_is_an_unknown_key(tmp_path, capsys, monkeypatch):
     # a config's out_dir was ignored: the CSVs went to the current directory
     monkeypatch.chdir(tmp_path)

@@ -109,7 +109,10 @@ def test_semisupervised_constant_response_symmetric_pool():
 
 def test_semisupervised_centers_an_uncentered_pool_without_pool_moments(monkeypatch):
     # GlmProblem needs only the centered pool, not Exx and its eigenvalues
+    import mssl.core
     import mssl.glm
+
+    assert not hasattr(mssl.glm, "build_moments")  # else the patch below would not reach it
 
     rng = seeded_rng(5)
     raw = UnlabeledPool(rng.standard_normal((500, 3)) + 0.7)
@@ -119,7 +122,7 @@ def test_semisupervised_centers_an_uncentered_pool_without_pool_moments(monkeypa
     def no_moments(*args, **kwargs):
         raise AssertionError("pool moments were computed to center the pool")
 
-    monkeypatch.setattr(mssl.glm, "build_moments", no_moments)
+    monkeypatch.setattr(mssl.core, "build_moments", no_moments)
     np.testing.assert_array_equal(fit_glm_semisupervised(ds, raw, elu_link()).beta, want)
     np.testing.assert_array_equal(center_pool(raw)[0].Z, build_moments(raw, ds.n).pool.Z)
 
@@ -221,7 +224,7 @@ def test_identity_link_collapses_v_terms():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 80, 1)
-    q = GlmPoolStats(pool, n, identity_link(), np.ones(p), spec)
+    q = GlmPoolStats(build_moments(pool, n), identity_link(), np.ones(p), spec)
     expected = (n - 1) * p / n
     assert q.v_u_g == pytest.approx(expected, rel=1e-10)
     assert q.v_s_g == pytest.approx(expected, rel=1e-10)
@@ -232,8 +235,8 @@ def test_identity_link_v_l_is_n_times_ols_v_l():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 80, 2)
-    q = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec)
-    ols_terms = OlsPoolModel(pool, n, spec)
+    q = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p), spec)
+    ols_terms = OlsPoolModel(build_moments(pool, n), spec)
     assert q.v_l_g == pytest.approx(n * ols_terms.v_l, rel=1e-10)
 
 
@@ -243,8 +246,8 @@ def test_elu_at_zero_matches_identity_terms():
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(n, 60, 3)
-    q_elu = GlmPoolStats(pool, n, elu_link(), np.zeros(p), spec)
-    q_id = GlmPoolStats(pool, n, identity_link(), np.zeros(p), spec)
+    q_elu = GlmPoolStats(build_moments(pool, n), elu_link(), np.zeros(p), spec)
+    q_id = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p), spec)
     assert q_elu.v_l_g == pytest.approx(q_id.v_l_g, rel=1e-10)
     assert q_elu.v_s_g == pytest.approx(q_id.v_s_g, rel=1e-10)
     np.testing.assert_allclose(q_elu.Hg, q_id.Hg, rtol=1e-10)
@@ -259,7 +262,7 @@ def test_nonpositive_gprime_rejected():
         G=lambda z: 0.5 * np.maximum(z, 0.0) ** 2,
     )
     with pytest.raises(LinkValidationError):
-        GlmPoolStats(pool, 20, dead, np.ones(2), ResampleSpec(20, 10, 0))
+        GlmPoolStats(build_moments(pool, 20), dead, np.ones(2), ResampleSpec(20, 10, 0))
 
 
 # -- noise estimation -----------------------------------------------------------
@@ -270,7 +273,7 @@ def test_noise_identity_matches_ols_form():
     beta_hat = fit_ols_supervised(ds)
     beta_breve = fit_ols_semisupervised(ds, build_moments(pool, ds.n))
     spec = ResampleSpec(ds.n, 400, 4)
-    stats = GlmPoolStats(pool, ds.n, identity_link(), beta_breve, spec)
+    stats = GlmPoolStats(build_moments(pool, ds.n), identity_link(), beta_breve, spec)
     sigma2 = estimate_noise_glm(ds, beta_hat, identity_link(), stats)
     resid = ds.Y - ds.X @ beta_hat
     direct = float(resid @ resid) / (ds.n - ds.p)
@@ -285,9 +288,23 @@ def test_noise_zero_for_noiseless_data():
     ds = LabeledSet(X, elu_link().g(X @ beta0))
     pool = UnlabeledPool(rng.standard_normal((1000, 3)))
     beta_hat = fit_glm_supervised(ds, elu_link()).beta
-    stats = GlmPoolStats(pool, 30, elu_link(), beta_hat, ResampleSpec(30, 50, 5))
+    stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(30, 50, 5))
     sigma2 = estimate_noise_glm(ds, beta_hat, elu_link(), stats)
     assert sigma2 <= 1e-10
+
+
+def test_noise_rejects_pool_stats_built_for_another_n():
+    ds, pool = _random_instance(20, n=60, p=3, m=2000)
+    beta_hat = fit_glm_supervised(ds, elu_link()).beta
+    stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(30, 30, 6))
+    with pytest.raises(DataValidationError, match="n=60.*n=30"):
+        estimate_noise_glm(ds, beta_hat, elu_link(), stats)
+
+
+def test_pool_stats_reject_a_plan_for_another_n():
+    moments = build_moments(UnlabeledPool(seeded_rng(31).standard_normal((3000, 6)) + 1.0), 40)
+    with pytest.raises(DataValidationError, match="block_size"):
+        GlmPoolStats(moments, elu_link(), np.full(6, 0.5), ResampleSpec(41, 30, 2))
 
 
 # -- mixing formulas --------------------------------------------------------------
@@ -342,7 +359,7 @@ def test_glm_grid_zero_bias_degenerate():
     rng = seeded_rng(20)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
     curve = GlmPoolStats(
-        pool, 25, identity_link(), np.zeros(3), ResampleSpec(25, 80, 6),
+        build_moments(pool, 25), identity_link(), np.zeros(3), ResampleSpec(25, 80, 6),
         alphas=np.linspace(0, 1, 11),
     ).ddot_curve(1.0)
     # pure-variance curve: worst at the supervised end, argmin interior or 1
@@ -354,7 +371,7 @@ def test_glm_grid_noiseless_prefers_supervised():
     rng = seeded_rng(21)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
     curve = GlmPoolStats(
-        pool, 25, elu_link(), np.ones(3), ResampleSpec(25, 80, 7),
+        build_moments(pool, 25), elu_link(), np.ones(3), ResampleSpec(25, 80, 7),
         alphas=np.linspace(0, 1, 11),
     ).ddot_curve(0.0)
     assert curve.argmin_alpha == 0.0
@@ -367,7 +384,8 @@ def test_v_m_identity_ordering():
     rng = seeded_rng(22)
     n, p = 30, 4
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    stats = GlmPoolStats(pool, n, identity_link(), np.zeros(p), ResampleSpec(n, 200, 8))
+    stats = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p),
+                         ResampleSpec(n, 200, 8))
     v_l_M, v_u_M = stats.v_l_M, stats.v_u_M
     assert v_l_M > v_u_M
     # identity link: H2 = Hg = H, so v_u_M = (n-1)p/n and v_l_M tracks the
@@ -404,12 +422,12 @@ def test_noise_estimate_at_large_signal_documented_bias():
         X = r.standard_normal((n, p)) @ chol.T
         Y = link.g(X @ beta_true) + math.sqrt(sigma2) * r.standard_normal(n)
         data = LabeledSet(X, Y)
-        pool = build_moments(UnlabeledPool(Z), n).pool
-        prob = GlmProblem(data, pool, link)
+        moments = build_moments(UnlabeledPool(Z), n)
+        prob = GlmProblem(data, moments.pool, link)
         s = prob.ols_start()
         bh = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, s).beta
         bb = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, s).beta
-        stats = GlmPoolStats(pool, n, link, bb, ResampleSpec(n, 40, 1000 + k))
+        stats = GlmPoolStats(moments, link, bb, ResampleSpec(n, 40, 1000 + k))
         resid = link.g(X @ bh) - data.Y
         vals.append(float(resid @ resid) / stats.sigma2_denominator())
     mean = float(np.mean(vals))
@@ -422,29 +440,9 @@ def test_curvature_condition_on_elu_pool():
     rng = seeded_rng(23)
     n, p = 50, 10
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    q = GlmPoolStats(pool, n, elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9))
+    q = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9))
     assert q.v_l_g + q.v_u_g - 2 * q.v_s_g > 0
     assert q.v_l_g > q.v_u_g
-
-
-def test_pool_stats_reuse_caller_moments_bit_identically():
-    from mssl.glm import GlmPoolStats
-
-    rng = seeded_rng(31)
-    n, p = 40, 6
-    moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) + 1.0), n)
-    beta = np.full(p, 0.5)
-    spec = ResampleSpec(n, 30, 2)
-    alphas = np.linspace(0.0, 1.0, 5)
-    own = GlmPoolStats(moments.pool, n, elu_link(), beta, spec, alphas=alphas)
-    shared = GlmPoolStats(moments.pool, n, elu_link(), beta, spec, alphas=alphas,
-                          moments=moments)
-    for name in ("v_l_g", "v_u_g", "v_s_g", "B_g_hat", "trace_sigma", "v_l_M", "v_u_M"):
-        assert getattr(shared, name) == getattr(own, name), name
-    assert np.array_equal(shared.ddot_curve(2.0).r_hat, own.ddot_curve(2.0).r_hat)
-    with pytest.raises(DataValidationError):
-        GlmPoolStats(moments.pool, n + 1, elu_link(), beta, ResampleSpec(n + 1, 30, 2),
-                     moments=moments)
 
 
 def _glm_curve_per_ratio_reference(stats, pool_c, spec, sigma2):
@@ -478,8 +476,8 @@ def test_pool_stats_curve_matches_per_ratio_factorization():
     n, p = 40, 6
     moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) + 0.5), n)
     spec = ResampleSpec(n, 5, 3)
-    stats = GlmPoolStats(moments.pool, n, elu_link(), np.full(p, 0.7), spec,
-                         alphas=np.round(np.linspace(0.0, 1.0, 21), 10), moments=moments)
+    stats = GlmPoolStats(moments, elu_link(), np.full(p, 0.7), spec,
+                         alphas=np.round(np.linspace(0.0, 1.0, 21), 10))
     r_ref, se_ref = _glm_curve_per_ratio_reference(stats, moments.pool, spec, 2.5)
     curve = stats.ddot_curve(2.5)
     np.testing.assert_allclose(curve.r_hat, r_ref, rtol=1e-10)
@@ -491,8 +489,8 @@ def test_pool_stats_curve_supervised_endpoint():
     rng = seeded_rng(33)
     n, p = 50, 5
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    stats = GlmPoolStats(pool, n, elu_link(), np.full(p, 1.5), ResampleSpec(n, 30, 4),
-                         alphas=np.linspace(0.0, 1.0, 11))
+    stats = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 1.5),
+                         ResampleSpec(n, 30, 4), alphas=np.linspace(0.0, 1.0, 11))
     s2 = 3.0
     assert stats.ddot_curve(s2).r_hat[0] == pytest.approx(s2 * stats.v_l_g, rel=1e-10)
 
@@ -509,7 +507,7 @@ def test_pool_stats_curve_finite_and_positive(p, extra_n, sigma2, seed):
     n = p + extra_n
     mix = np.eye(p) + 0.4 * rng.standard_normal((p, p))
     pool = UnlabeledPool(rng.standard_normal((60 * n, p)) @ mix.T)
-    stats = GlmPoolStats(pool, n, elu_link(), 0.5 * rng.standard_normal(p),
+    stats = GlmPoolStats(build_moments(pool, n), elu_link(), 0.5 * rng.standard_normal(p),
                          ResampleSpec(n, 8, seed % 1000), alphas=np.linspace(0, 1, 6))
     r_hat = stats.ddot_curve(sigma2).r_hat
     assert np.all(np.isfinite(r_hat))
@@ -527,16 +525,16 @@ def _line_pool(rng, m, generic):
 def test_pool_stats_mostly_singular_blocks_exhaust_the_budget():
     pool = _line_pool(seeded_rng(5), 200, 8)
     with pytest.raises(ResampleBudgetError):
-        GlmPoolStats(pool, 4, identity_link(), np.zeros(3), ResampleSpec(4, 40, 0))
+        GlmPoolStats(build_moments(pool, 4), identity_link(), np.zeros(3), ResampleSpec(4, 40, 0))
 
 
 def test_pool_stats_count_skipped_blocks_like_the_ols_model():
     # under the identity link F = X^T X, so both passes skip the same blocks
     pool = _line_pool(seeded_rng(5), 200, 110)
     spec = ResampleSpec(4, 100, 1)
-    stats = GlmPoolStats(pool, 4, identity_link(), np.zeros(3), spec,
+    stats = GlmPoolStats(build_moments(pool, 4), identity_link(), np.zeros(3), spec,
                          alphas=np.linspace(0, 1, 5))
-    assert stats.n_skipped == OlsPoolModel(pool, 4, spec).n_skipped == 5
+    assert stats.n_skipped == OlsPoolModel(build_moments(pool, 4), spec).n_skipped == 5
     assert stats._curve_bias.shape == (95, 5)
 
 
@@ -588,8 +586,8 @@ def test_pool_stats_match_the_per_block_formulas():
     mix = np.eye(p) + 0.3 * rng.standard_normal((p, p))
     moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) @ mix.T), n)
     spec = ResampleSpec(n, 30, 5)
-    stats = GlmPoolStats(moments.pool, n, elu_link(), 0.4 * rng.standard_normal(p), spec,
-                         alphas=np.round(np.linspace(0.0, 1.0, 21), 10), moments=moments)
+    stats = GlmPoolStats(moments, elu_link(), 0.4 * rng.standard_normal(p), spec,
+                         alphas=np.round(np.linspace(0.0, 1.0, 21), 10))
     terms, C, bias, var, Lg = _glm_per_block_reference(stats, moments.pool, spec)
     mean = terms.mean(axis=0)
     se = terms.std(axis=0, ddof=1) / np.sqrt(terms.shape[0])
@@ -604,7 +602,7 @@ def test_pool_stats_match_the_per_block_formulas():
 
 
 def _pool_stats_numbers(pool, n, link, beta, spec, alphas):
-    stats = GlmPoolStats(pool, n, link, beta, spec, alphas=alphas)
+    stats = GlmPoolStats(build_moments(pool, n), link, beta, spec, alphas=alphas)
     numbers = [stats.v_l_g, stats.se_v_l_g, stats.v_s_g, stats.se_v_s_g, stats.B_g_hat,
                stats.trace_sigma, stats.v_l_M, *stats.zeta_hat_mean,
                *stats.zeta_hat_cov.ravel(), *stats._curve_bias.ravel(),
@@ -653,7 +651,8 @@ def test_singular_pool_hessian_is_a_singular_matrix_error():
     Z = rng.standard_normal((500, 3))
     Z[:, 2] = Z[:, 1]  # H_g = n Z^T D Z / m has rank 2
     with pytest.raises(SingularMatrixError, match="H_g"):
-        GlmPoolStats(UnlabeledPool(Z), 20, elu_link(), np.zeros(3), ResampleSpec(20, 10, 0))
+        GlmPoolStats(build_moments(UnlabeledPool(Z), 20), elu_link(), np.zeros(3),
+                     ResampleSpec(20, 10, 0))
 
 
 

@@ -225,7 +225,7 @@ def test_loss_mixed_matches_numeric_minimizer():
 def test_v_u_exact_value():
     rng = seeded_rng(7)
     pool = UnlabeledPool(rng.standard_normal((3000, 50)))
-    model = OlsPoolModel(pool, 100, ResampleSpec(100, 50, 1))
+    model = OlsPoolModel(build_moments(pool, 100), ResampleSpec(100, 50, 1))
     assert model.v_u == 99 * 50 / 100**2  # 0.495 exactly
 
 
@@ -234,7 +234,7 @@ def test_v_l_matches_wishart_closed_form():
     rng = seeded_rng(8)
     n, p = 60, 12
     pool = UnlabeledPool(rng.standard_normal((20000, p)))
-    model = OlsPoolModel(pool, n, ResampleSpec(n, 400, 2))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 400, 2))
     expected = p / (n - p - 1)
     assert abs(model.v_l - expected) < max(3 * model.se_v_l, 0.02 * expected)
 
@@ -242,7 +242,7 @@ def test_v_l_matches_wishart_closed_form():
 def test_bias_zero_for_zero_plugin():
     rng = seeded_rng(9)
     pool = UnlabeledPool(rng.standard_normal((500, 4)))
-    model = OlsPoolModel(pool, 20, ResampleSpec(20, 30, 3))
+    model = OlsPoolModel(build_moments(pool, 20), ResampleSpec(20, 30, 3))
     assert model.bias_at(np.zeros(4)) == 0.0
     assert model.b_u_hat > 0.0
 
@@ -255,7 +255,7 @@ def test_bias_matches_wishart_oracle():
     n, p = 40, 5
     pool = UnlabeledPool(rng.standard_normal((40000, p)))
     beta = np.ones(p)
-    model = OlsPoolModel(pool, n, ResampleSpec(n, 2000, 4))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 2000, 4))
     expected = (n - 1) * (p + 1) / n**2 * float(beta @ beta)
     assert model.bias_at(beta) == pytest.approx(expected, rel=0.1)
 
@@ -266,7 +266,7 @@ def test_b_u_matches_random_beta_oracle():
     rng = seeded_rng(11)
     n, p = 40, 5
     pool = UnlabeledPool(rng.standard_normal((40000, p)))
-    model = OlsPoolModel(pool, n, ResampleSpec(n, 2000, 5))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 2000, 5))
     expected = ((n - 1) * p + n) / n**2 * p
     assert model.b_u_hat == pytest.approx(expected, rel=0.1)
 
@@ -275,7 +275,7 @@ def test_risk_terms_need_n_above_p():
     rng = seeded_rng(12)
     pool = UnlabeledPool(rng.standard_normal((100, 10)))
     with pytest.raises(RegimeError):
-        OlsPoolModel(pool, 10, ResampleSpec(10, 10, 0))
+        OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 10, 0))
 
 
 # -- noise and signal ----------------------------------------------------------
@@ -411,7 +411,8 @@ def test_alpha_star_finite_m_bad_denominator():
 def test_grid_search_zero_bias_plugin():
     rng = seeded_rng(15)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
-    ddot = OlsPoolModel(pool, 20, ResampleSpec(20, 60, 6), grid=np.linspace(0, 1, 11)).ddot
+    mom = build_moments(pool, 20)
+    ddot = OlsPoolModel(mom, ResampleSpec(20, 60, 6), grid=np.linspace(0, 1, 11)).ddot
     r_hat = ddot.curve(np.zeros(4), 1.0)
     assert np.all(r_hat[0] >= r_hat)  # alpha=0 is the worst point
     assert ddot.argmin_alpha(np.zeros(4), 1.0) >= 0.5
@@ -433,7 +434,8 @@ def test_grid_search_argmin_mechanics():
 def test_grid_search_noiseless_prefers_supervised():
     rng = seeded_rng(16)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
-    ddot = OlsPoolModel(pool, 20, ResampleSpec(20, 60, 7), grid=np.linspace(0, 1, 11)).ddot
+    mom = build_moments(pool, 20)
+    ddot = OlsPoolModel(mom, ResampleSpec(20, 60, 7), grid=np.linspace(0, 1, 11)).ddot
     assert ddot.argmin_alpha(np.ones(4), 0.0) == 0.0
 
 
@@ -444,8 +446,9 @@ def test_grid_search_endpoints_match_pure_risks():
     pool = UnlabeledPool(rng.standard_normal((20000, p)))
     beta = np.array([1.0, -1.0, 0.5, 2.0])
     spec = ResampleSpec(n, 800, 8)
-    r_hat = OlsPoolModel(pool, n, spec, grid=np.linspace(0, 1, 5)).ddot.curve(beta, sigma2)
-    model = OlsPoolModel(pool, n, spec)
+    mom = build_moments(pool, n)
+    r_hat = OlsPoolModel(mom, spec, grid=np.linspace(0, 1, 5)).ddot.curve(beta, sigma2)
+    model = OlsPoolModel(mom, spec)
     assert r_hat[0] == pytest.approx(sigma2 * model.v_l, rel=0.05)
     expected_end = model.bias_at(beta) + sigma2 * model.v_u
     assert r_hat[-1] == pytest.approx(expected_end, rel=0.05)
@@ -464,7 +467,7 @@ def test_ddot_model_matches_grid_search_curve():
     Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
     xi = 1.0 - (2.0 * grid - grid**2) / n
     search_curve = (np.einsum("aij,i,j->a", Q_ref, beta, beta) + 1.7 * xi * V_ref) / n
-    model = OlsPoolModel(mom.pool, n, spec, mom, grid=grid).ddot
+    model = OlsPoolModel(mom, spec, grid=grid).ddot
     np.testing.assert_allclose(model.curve(beta, 1.7), search_curve, rtol=1e-10)
 
 
@@ -501,7 +504,7 @@ def test_ddot_model_matches_per_ratio_factorization():
     mom = build_moments(_correlated_pool(rng, 3000, p), n)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 12)])
     spec = ResampleSpec(n, 5, 11)
-    model = OlsPoolModel(mom.pool, n, spec, mom, grid=grid).ddot
+    model = OlsPoolModel(mom, spec, grid=grid).ddot
     Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
     np.testing.assert_allclose(model._V, V_ref, rtol=1e-10)
     for j in range(1, grid.size):
@@ -517,7 +520,7 @@ def test_ddot_model_supervised_endpoint():
     n, p = 40, 5
     mom = build_moments(_correlated_pool(rng, 4000, p), n)
     spec = ResampleSpec(n, 30, 12)
-    pool_model = OlsPoolModel(mom.pool, n, spec, mom, grid=np.linspace(0, 1, 6))
+    pool_model = OlsPoolModel(mom, spec, grid=np.linspace(0, 1, 6))
     model = pool_model.ddot
     assert np.abs(model._Q[0]).max() <= 1e-12 * np.abs(model._Q[-1]).max()
     assert model._V[0] == pytest.approx(n * pool_model.v_l, rel=1e-10)
@@ -538,9 +541,9 @@ def test_ddot_curves_finite_and_positive(p, extra_n, sigma2, seed):
     grid = np.linspace(0, 1, 6)
     spec = ResampleSpec(n, 8, seed % 1000)
     beta = rng.standard_normal(p)
-    model_curve = OlsPoolModel(mom.pool, n, spec, mom, grid=grid).ddot.curve(beta, sigma2)
+    model_curve = OlsPoolModel(mom, spec, grid=grid).ddot.curve(beta, sigma2)
     # built from the raw pool, as the grid search did
-    search_curve = OlsPoolModel(pool, n, spec, grid=grid).ddot.curve(beta, sigma2)
+    search_curve = OlsPoolModel(build_moments(pool, n), spec, grid=grid).ddot.curve(beta, sigma2)
     for curve in (model_curve, search_curve):
         assert np.all(np.isfinite(curve))
         assert np.all(curve > 0)
@@ -553,7 +556,7 @@ def test_mc_argmin_agrees_with_alpha_star():
     pool = UnlabeledPool(rng.standard_normal((8000, p)))
     mom = build_moments(pool, n)
     beta_true = 0.6 * np.ones(p)
-    model = OlsPoolModel(mom.pool, n, ResampleSpec(n, 400, 10), mom)
+    model = OlsPoolModel(mom, ResampleSpec(n, 400, 10))
     alpha_star = alpha_star_ols(sigma2, model.bias_at(beta_true), model.v_l, model.v_u)[0]
 
     alphas = np.linspace(0, 1, 51)
@@ -579,29 +582,30 @@ def test_mc_argmin_agrees_with_alpha_star():
     assert abs(mc_argmin - alpha_star) <= 0.02 + 2 * se
 
 
-def test_mix_diagnostics_json_contract():
-    from mssl import MixDiagnostics
+def _sample_and_moments_for_half_n(n: int = 60, p: int = 3):
+    rng = seeded_rng(23)
+    X = rng.standard_normal((n, p))
+    data = LabeledSet(X, X @ np.ones(p) + rng.standard_normal(n))
+    return data, build_moments(UnlabeledPool(rng.standard_normal((2000, p))), n // 2)
 
-    d = MixDiagnostics(
-        v_l=1.02, v_u=0.495, B_hat=517.0, sigma2_hat=24.0, tau2_hat=2.1,
-        alpha_hat=0.024, alpha_tilde=None, se={"v_l": 0.003},
-    ).to_dict()
-    assert set(d) == {
-        "v_l", "v_u", "B_hat", "sigma2_hat", "tau2_hat",
-        "alpha_hat", "alpha_tilde", "se",
-    }
-    assert d["alpha_tilde"] is None
-    assert d["se"] == {"v_l": 0.003}
-    import json
 
-    json.dumps(d)  # serializable as-is
+def test_semisupervised_fit_rejects_moments_built_for_another_n():
+    data, moments = _sample_and_moments_for_half_n()
+    with pytest.raises(DataValidationError, match="n=60.*n=30"):
+        fit_ols_semisupervised(data, moments)
+
+
+def test_loss_mixed_fit_rejects_moments_built_for_another_n():
+    data, moments = _sample_and_moments_for_half_n()
+    with pytest.raises(DataValidationError, match="n=60.*n=30"):
+        fit_loss_mixed_ols(data, moments, 0.5)
 
 
 def test_v_l_exceeds_v_u_across_configurations():
     rng = seeded_rng(22)
     for n, p in ((20, 4), (40, 15), (100, 50)):
         pool = UnlabeledPool(rng.standard_normal((4000, p)))
-        model = OlsPoolModel(pool, n, ResampleSpec(n, 100, n))
+        model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 100, n))
         assert model.v_l > model.v_u
 
 
@@ -620,7 +624,7 @@ def _line_pool(rng, m, generic):
 def test_pool_model_mostly_singular_blocks_exhaust_the_budget(grid):
     pool = _line_pool(seeded_rng(5), 200, 8)
     with pytest.raises(ResampleBudgetError):
-        OlsPoolModel(pool, 4, ResampleSpec(4, 40, 0), grid=grid)
+        OlsPoolModel(build_moments(pool, 4), ResampleSpec(4, 40, 0), grid=grid)
 
 
 def test_pool_model_skips_a_block_for_every_statistic():
@@ -628,7 +632,7 @@ def test_pool_model_skips_a_block_for_every_statistic():
     # the curve's alpha = 0 variance trace is n v_l on the same blocks
     pool = _line_pool(seeded_rng(5), 200, 110)
     spec = ResampleSpec(4, 100, 1)
-    model = OlsPoolModel(pool, 4, spec, grid=np.linspace(0, 1, 5))
+    model = OlsPoolModel(build_moments(pool, 4), spec, grid=np.linspace(0, 1, 5))
     assert model.n_skipped == 5
     assert model.n_blocks == 95
     assert model.ddot._V[0] == pytest.approx(4 * model.v_l, rel=1e-10)
@@ -638,7 +642,7 @@ def test_pool_model_skips_a_block_for_every_statistic():
 def test_pool_model_rejects_a_bad_ratio_grid(grid):
     pool = UnlabeledPool(seeded_rng(6).standard_normal((500, 3)))
     with pytest.raises(DataValidationError, match="ratio grid"):
-        OlsPoolModel(pool, 10, ResampleSpec(10, 20, 0), grid=grid)
+        OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 20, 0), grid=grid)
 
 
 # -- the stacked block pass -----------------------------------------------------
@@ -670,7 +674,7 @@ def test_pool_model_matches_the_per_block_formulas():
     n, p = 40, 6
     mom = build_moments(_correlated_pool(rng, 4000, p), n)
     spec = ResampleSpec(n, 30, 13)
-    model = OlsPoolModel(mom.pool, n, spec, mom)
+    model = OlsPoolModel(mom, spec)
     v_l, b_u, W = _ols_per_block_reference(mom, n, spec)
     assert model.v_l == pytest.approx(v_l.mean(), rel=1e-12)
     assert model.se_v_l == pytest.approx(v_l.std(ddof=1) / math.sqrt(v_l.size), rel=1e-12)
@@ -682,8 +686,8 @@ def test_pool_model_matches_the_per_block_formulas():
     assert model.bias_at(beta) == pytest.approx(np.sum(U * U) / (U.shape[0] - 1) / n, rel=1e-12)
 
 
-def _pool_model_numbers(pool, n, spec, grid, beta, moments=None):
-    model = OlsPoolModel(pool, n, spec, moments, grid=grid)
+def _pool_model_numbers(moments, spec, grid, beta):
+    model = OlsPoolModel(moments, spec, grid=grid)
     numbers = [model.v_l, model.se_v_l, model.b_u_hat, model.bias_at(beta)]
     if grid is not None:
         numbers += [*model.ddot._V, *model.ddot._Q.ravel()]
@@ -700,9 +704,9 @@ def test_pool_model_does_not_depend_on_the_chunking(grid, monkeypatch):
     spec = ResampleSpec(n, 25, 14)
     beta = rng.standard_normal(p)
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)  # one block per chunk
-    _, one = _pool_model_numbers(mom.pool, n, spec, grid, beta, mom)
+    _, one = _pool_model_numbers(mom, spec, grid, beta)
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1 << 30)  # every block in one chunk
-    _, all_ = _pool_model_numbers(mom.pool, n, spec, grid, beta, mom)
+    _, all_ = _pool_model_numbers(mom, spec, grid, beta)
     np.testing.assert_allclose(one, all_, rtol=1e-13, atol=1e-13 * np.abs(all_).max())
 
 
@@ -715,7 +719,7 @@ def test_pool_model_skips_singular_blocks_inside_a_chunk(monkeypatch):
     runs = []
     for budget in (1, 1 << 30):  # one block per chunk, then every block in one chunk
         monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", budget)
-        runs.append(_pool_model_numbers(pool, 4, spec, grid, beta))
+        runs.append(_pool_model_numbers(build_moments(pool, 4), spec, grid, beta))
     assert runs[0][0] == runs[1][0] == 5
     np.testing.assert_allclose(runs[0][1], runs[1][1], rtol=1e-13,
                                atol=1e-13 * np.abs(runs[1][1]).max())

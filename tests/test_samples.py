@@ -38,8 +38,8 @@ def _ols_draw(seed: int, n: int = 25, p: int = 3, m: int = 400):
 def _ols_sample(X, Y, Z, grid=None) -> OlsSample:
     n = X.shape[0]
     moments = build_moments(UnlabeledPool(Z), n)
-    model = OlsPoolModel(moments.pool, n, ResampleSpec(n, 30, 5), moments, grid=grid)
-    return OlsSample(LabeledSet(X - moments.mean, Y), moments, model)
+    model = OlsPoolModel(moments, ResampleSpec(n, 30, 5), grid=grid)
+    return OlsSample(LabeledSet(X - moments.mean, Y), model)
 
 
 def _well_conditioned(seed: int, p: int) -> np.ndarray:
@@ -100,6 +100,27 @@ def test_ols_mix_endpoints_are_the_pure_fits(seed):
     np.testing.assert_allclose(s.loss(1.0), s.beta_breve, rtol=1e-12, atol=1e-14)
 
 
+def _pool_moments_for_half_n(seed: int = 3, n: int = 60, p: int = 3):
+    """A centered labeled sample of size n and pool moments built for n // 2."""
+    X, Y, Z = _ols_draw(seed, n=n, p=p)
+    moments = build_moments(UnlabeledPool(Z), n // 2)
+    return LabeledSet(X - moments.mean, Y), moments
+
+
+def test_ols_sample_rejects_a_model_built_for_another_n():
+    # H = n Exx for the wrong n would scale beta_breve by the ratio of the sizes
+    data, moments = _pool_moments_for_half_n()
+    model = OlsPoolModel(moments, ResampleSpec(moments.n, 30, 5))
+    with pytest.raises(DataValidationError, match="n=60.*n=30"):
+        OlsSample(data, model)
+
+
+def test_glm_sample_rejects_moments_built_for_another_n():
+    data, moments = _pool_moments_for_half_n()
+    with pytest.raises(DataValidationError, match="n=60.*n=30"):
+        GlmSample(data, moments, elu_link(), ResampleSpec(moments.n, 30, 5))
+
+
 def test_ols_sample_without_a_grid_has_no_grid_ratio():
     X, Y, Z = _ols_draw(0)
     s = _ols_sample(X, Y, Z)
@@ -113,7 +134,7 @@ def _glm_sample(seed: int, n: int = 40, p: int = 3, m: int = 600, **kw) -> GlmSa
     X = rng.standard_normal((n, p))
     Y = link.g(X @ np.ones(p)) + rng.standard_normal(n)
     moments = build_moments(UnlabeledPool(rng.standard_normal((m, p))), n)
-    return GlmSample(LabeledSet(X - moments.mean, Y), moments.pool, link, moments=moments, **kw)
+    return GlmSample(LabeledSet(X - moments.mean, Y), moments, link, **kw)
 
 
 @given(seeds)

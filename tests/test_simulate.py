@@ -448,6 +448,25 @@ def test_block_budget_below_two_is_rejected(field, tmp_path):
     ExperimentConfig(preset="glm_elu", **{field: 2})
 
 
+@pytest.mark.parametrize("preset, fields, name", [
+    ("ols_constant_beta", dict(n=0, pool_size=0), "n"),
+    ("ols_constant_beta", dict(n=-3), "n"),
+    ("interp_fixed", dict(pool_size=-1), "pool_size"),
+    ("ols_random_beta", dict(n_grid=(0, 100)), "n_grid"),
+])
+def test_sizes_below_one_are_rejected(preset, fields, name, tmp_path):
+    # a zero n or pool_size used to run on the preset's default size
+    with pytest.raises(DataValidationError, match=f"{name} must be >= 1"):
+        ExperimentConfig(preset=preset, **fields)
+    lines = [f"{key} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+             for key, v in fields.items()]
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("\n".join(["[experiment]", f"preset = {preset}", *lines]) + "\n")
+    with pytest.raises(DataValidationError, match=f"{name} must be >= 1"):
+        load_config(cfgfile)
+    ExperimentConfig(preset="ols_random_beta", n_grid=(1, 100), pool_size=1)
+
+
 def test_gaussian_x_source_switch():
     res_pool = run_experiment(_tiny_ols_cfg(k=8))
     res_iid = run_experiment(_tiny_ols_cfg(k=8, x_source="gaussian"))

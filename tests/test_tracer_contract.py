@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mssl import LabeledSet, OlsPoolModel, ResampleSpec, UnlabeledPool, seeded_rng
+from mssl import (
+    LabeledSet, OlsPoolModel, ResampleSpec, UnlabeledPool, build_moments, seeded_rng,
+)
 from mssl.glm import _newton
 from mssl.interp import iterate_sigma_tau
 from mssl.simulate import ExperimentConfig, _run_reps
@@ -58,7 +60,7 @@ def test_library_modules_exist(tracer):
 
 def test_pool_model_exposes_its_skip_count(tracer):
     pool = UnlabeledPool(seeded_rng(1).standard_normal((300, 3)))
-    model = OlsPoolModel(pool, 10, ResampleSpec(10, 5, 0))
+    model = OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 5, 0))
     assert tracer._counters("ols.pool_model", (model,), {}, None) == {"skipped": model.n_skipped}
     assert model.n_skipped == 0
 
