@@ -21,6 +21,8 @@ from .core import (
     UnlabeledPool,
     build_moments,
     center_pool,
+    gaussian_sampler,
+    pool_sampler,
     resample_block,
     seeded_rng,
 )
@@ -53,12 +55,10 @@ from .interp import (
     alpha_star_interp,
     fit_min_norm,
     fit_min_variance,
-    gaussian_sampler,
     interp_eta,
     interp_risk_terms,
     interp_terms_spiked_closed_form,
     iterate_sigma_tau,
-    pool_sampler,
 )
 from .io import (
     read_labeled_csv,

@@ -25,6 +25,8 @@ __all__ = [
     "ResampleSpec",
     "center_pool",
     "build_moments",
+    "gaussian_sampler",
+    "pool_sampler",
     "resample_block",
     "seeded_rng",
 ]
@@ -223,28 +225,49 @@ def build_moments(pool: UnlabeledPool, n: int) -> PopulationMoments:
 
 @dataclass(frozen=True)
 class ResampleSpec:
-    """Deterministic block-resampling plan: k blocks of block_size pool rows."""
+    """Deterministic block-resampling plan: ``replications`` blocks from ``seed``.
 
-    block_size: int
+    The plan fixes how many blocks a pass draws and from which streams; the
+    size of a block comes from the pass's inputs (the ``n`` of the pool
+    moments, or the rows of a sampler's draws).
+    """
+
     replications: int
     seed: int
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise DataValidationError("block_size must be >= 1")
         if self.replications < 1:
             raise DataValidationError("replications must be >= 1")
 
 
-def resample_block(pool: UnlabeledPool, spec: ResampleSpec, index: int) -> np.ndarray:
-    """The index-th resampled block; depends only on (spec.seed, index)."""
-    if spec.block_size > pool.m:
-        raise DataValidationError(
-            f"block_size {spec.block_size} exceeds pool size {pool.m}"
-        )
-    rng = seeded_rng(spec.seed, _STREAM_BLOCKS, index)
-    idx = rng.choice(pool.m, size=spec.block_size, replace=False)
-    return pool.Z[idx]
+def gaussian_sampler(Sigma: np.ndarray, n: int):
+    """Factory: draws n x p Gaussian designs with the given covariance."""
+    L = np.linalg.cholesky(np.asarray(Sigma, dtype=float))
+    p = L.shape[0]
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal((n, p)) @ L.T
+
+    return draw
+
+
+def pool_sampler(pool: UnlabeledPool, n: int):
+    """Factory: draws n pool rows without replacement."""
+    if n > pool.m:
+        raise DataValidationError(f"n={n} exceeds pool size {pool.m}")
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        return pool.Z[rng.choice(pool.m, size=n, replace=False)]
+
+    return draw
+
+
+def resample_block(moments: PopulationMoments, spec: ResampleSpec, index: int) -> np.ndarray:
+    """The index-th block of a pool pass: ``moments.n`` rows of ``moments.pool``.
+
+    The rows are drawn by ``pool_sampler`` and depend only on (spec.seed, index).
+    """
+    return pool_sampler(moments.pool, moments.n)(seeded_rng(spec.seed, _STREAM_BLOCKS, index))
 
 
 def _chunk_len(item_bytes: int) -> int:

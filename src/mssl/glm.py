@@ -303,8 +303,6 @@ class GlmPoolStats:
         n, pool = moments.n, moments.pool
         if n <= pool.p:
             raise RegimeError(f"need n > p, got n={n}, p={pool.p}")
-        if spec.block_size != n:
-            raise DataValidationError("resample block_size must equal n")
         beta_eval = np.asarray(beta_eval, dtype=float)
         self.n, self.p = n, pool.p
         self.beta_eval = beta_eval
@@ -365,7 +363,7 @@ class GlmPoolStats:
             return ok, stats
 
         stats, self.n_skipped = _block_pass(
-            spec, lambda i: resample_block(pool, spec, i), kernel
+            spec, lambda i: resample_block(moments, spec, i), kernel
         )
 
         def _mean_se(arr):
@@ -435,11 +433,13 @@ class GlmSample:
     """The Newton fits and mixing ratios of one centered labeled sample.
 
     The fits use the centered pool of ``moments``, which must be built for
-    the sample's n.  ``nonconverged`` counts the solves that did not converge
-    (their results are still used).  ``GlmPoolStats`` at beta_breve (plan
-    ``spec``, grid ``alphas``) is built on first use, and from it the noise
-    estimate and the ratios; a sample built without ``spec`` has the fits
-    only.  Shared by ``fit_glm_pipeline`` and the GLM presets.
+    the sample's n; a pool whose Gram H fails ``moments.H_factor`` raises
+    SingularMatrixError before any fit.  ``nonconverged`` counts the solves
+    that did not converge (their results are still used).  ``GlmPoolStats``
+    at beta_breve (plan ``spec``, grid ``alphas``) is built on first use, and
+    from it the noise estimate and the ratios; a sample built without
+    ``spec`` has the fits only.  Shared by ``fit_glm_pipeline`` and the GLM
+    presets.
     """
 
     def __init__(
@@ -451,6 +451,7 @@ class GlmSample:
         alphas=None,
     ):
         _check_n(data.n, moments.n)
+        moments.H_factor  # checked once, before any Newton solve
         self.data, self.moments, self.link = data, moments, link
         self.pool, self.spec, self.alphas = moments.pool, spec, alphas
         self.nonconverged = 0

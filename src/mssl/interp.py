@@ -14,7 +14,6 @@ from ._blas import cho_solve
 from .core import (
     LabeledSet,
     ResampleSpec,
-    UnlabeledPool,
     _block_pass,
     _each_block,
     seeded_rng,
@@ -34,8 +33,6 @@ __all__ = [
     "alpha_star_interp",
     "interp_eta",
     "iterate_sigma_tau",
-    "gaussian_sampler",
-    "pool_sampler",
 ]
 
 
@@ -71,30 +68,8 @@ class InterpRiskTerms:
     n_skipped: int = 0
 
 
-def gaussian_sampler(Sigma: np.ndarray, n: int):
-    """Factory: draws n x p Gaussian designs with the given covariance."""
-    L = np.linalg.cholesky(np.asarray(Sigma, dtype=float))
-    p = L.shape[0]
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal((n, p)) @ L.T
-
-    return draw
-
-
-def pool_sampler(pool: UnlabeledPool, n: int):
-    """Factory: draws n pool rows without replacement."""
-    if n > pool.m:
-        raise DataValidationError(f"n={n} exceeds pool size {pool.m}")
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        return pool.Z[rng.choice(pool.m, size=n, replace=False)]
-
-    return draw
-
-
 def interp_risk_terms(
-    Sigma: np.ndarray, n: int, p: int, sampler, spec: ResampleSpec, sigma_factor=None
+    Sigma: np.ndarray, sampler, spec: ResampleSpec, sigma_factor=None
 ) -> InterpRiskTerms:
     """Monte Carlo estimates of (b_l, v_l, b_u, v_u) over design draws.
 
@@ -102,13 +77,15 @@ def interp_risk_terms(
     v_l = tr(Sigma E[X^T (X X^T)^{-2} X]),
     b_u = tr(Sigma - E[X^T (X Sigma^{-1} X^T)^{-1} X]),
     v_u = tr(E[(X Sigma^{-1} X^T)^{-1}]).
-    A draw whose X X^T or X Sigma^{-1} X^T fails ``spd_factor`` is skipped and
-    counted in ``n_skipped``.  ``sigma_factor`` spares the factorization to a
-    caller that holds ``spd_factor(Sigma)``.
+    ``sampler(rng)`` draws one n x p design; p is the order of Sigma and n is
+    read from the draws.  A draw of another width raises DataValidationError,
+    and p <= n + 1 raises RegimeError, both on the first chunk of draws,
+    before any draw is factored.  A draw whose X X^T or X Sigma^{-1} X^T fails
+    ``spd_factor`` is skipped and counted in ``n_skipped``.  ``sigma_factor``
+    spares the factorization to a caller that holds ``spd_factor(Sigma)``.
     """
-    if p <= n + 1:
-        raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
     Sigma = np.asarray(Sigma, dtype=float)
+    p = Sigma.shape[0]
     tr_sigma = float(np.trace(Sigma))
     sig_factor = spd_factor(Sigma, "Sigma") if sigma_factor is None else sigma_factor
 
@@ -122,10 +99,15 @@ def interp_risk_terms(
         A = cho_solve(sig_factor, X.T)
         inf_factor = spd_factor(X @ A, "X Sigma^{-1} X^T")
         b_u = tr_sigma - float(np.trace(cho_solve(inf_factor, Gn)))
-        v_u = float(np.trace(cho_solve(inf_factor, np.eye(n))))
+        v_u = float(np.trace(cho_solve(inf_factor, np.eye(X.shape[0]))))
         return b_l, v_l, b_u, v_u
 
     def kernel(Xs: np.ndarray):
+        n, width = Xs.shape[1:]
+        if width != p:
+            raise DataValidationError(f"a draw has {width} columns but Sigma has order {p}")
+        if p <= n + 1:
+            raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
         ok, rows = _each_block(per_draw, Xs)
         return ok, {"terms": np.array(rows, dtype=float).reshape(len(rows), 4)}
 

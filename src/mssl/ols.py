@@ -158,11 +158,7 @@ class OlsPoolModel:
                 f"n={n} <= p={p}: these risk terms need n > p "
                 "(use the interpolators module in the over-parameterized regime)"
             )
-        if spec.block_size != n:
-            raise DataValidationError("resample block_size must equal n")
         self.n = n
-        self.p = p
-        self.spec = spec
         self.moments = moments
         L, L_inv = _cholesky_pair(moments)  # H = L L^T, one factor for every statistic
         alphas = None if grid is None else _ratio_grid(grid)
@@ -191,7 +187,7 @@ class OlsPoolModel:
             return ok, stats
 
         stats, self.n_skipped = _block_pass(
-            spec, lambda i: resample_block(moments.pool, spec, i), kernel
+            spec, lambda i: resample_block(moments, spec, i), kernel
         )
         arr = stats["v_l"]
         self.n_blocks = arr.size

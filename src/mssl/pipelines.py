@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LabeledSet, ResampleSpec, UnlabeledPool, build_moments, spd_factor
+from .core import (
+    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, pool_sampler, spd_factor,
+)
 from .errors import DataValidationError, RegimeError
 from .glm import GlmSample
-from .interp import InterpSample, alpha_star_interp, interp_risk_terms, pool_sampler
+from .interp import InterpSample, alpha_star_interp, interp_risk_terms
 from .links import LinkSpec
 from .ols import OlsPoolModel, OlsSample
 
@@ -88,7 +90,7 @@ def fit_ols_pipeline(
             f"ols needs n > p, got n={data.n}, p={data.p}; use the interp model"
         )
     moments, data_c = _centered(data, pool)
-    model = OlsPoolModel(moments, ResampleSpec(data.n, blocks, seed), grid=grid)
+    model = OlsPoolModel(moments, ResampleSpec(blocks, seed), grid=grid)
     s = OlsSample(data_c, model)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     diags = {
@@ -118,7 +120,7 @@ def fit_glm_pipeline(
     if data.n <= data.p:
         raise RegimeError(f"glm needs n > p, got n={data.n}, p={data.p}")
     moments, data_c = _centered(data, pool)
-    s = GlmSample(data_c, moments, link, ResampleSpec(data.n, blocks, seed), grid)
+    s = GlmSample(data_c, moments, link, ResampleSpec(blocks, seed), grid)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     coeffs = s.loss(alpha)
     stats = s.stats
@@ -156,8 +158,8 @@ def fit_interp_pipeline(
     s = InterpSample(data_c, sigma_factor)
     ns = s.sigma_tau(Sigma)
     terms = interp_risk_terms(
-        Sigma, data.n, data.p, pool_sampler(moments.pool, data.n),
-        ResampleSpec(data.n, blocks, seed), sigma_factor=sigma_factor,
+        Sigma, pool_sampler(moments.pool, data.n), ResampleSpec(blocks, seed),
+        sigma_factor=sigma_factor,
     )
     alpha_hat = alpha_star_interp(ns.sigma2_hat, ns.tau2_hat, terms)[0]
     alpha = alpha_hat if source == "formula" else fixed

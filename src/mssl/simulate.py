@@ -31,14 +31,12 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, seeded_rng, spd_factor,
+    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, gaussian_sampler, pool_sampler,
+    seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
 from .glm import GlmPoolStats, GlmSample, clip_alpha
-from .interp import (
-    InterpRiskTerms, InterpSample, alpha_star_interp, gaussian_sampler, interp_risk_terms,
-    pool_sampler,
-)
+from .interp import InterpRiskTerms, InterpSample, alpha_star_interp, interp_risk_terms
 from .links import LinkSpec, elu_link, identity_link
 from .ols import OlsPoolModel, OlsSample, alpha_star_ols
 from .asymptotics import AsymptoticSetting, eta_from_ols_terms, interp_limits
@@ -76,9 +74,9 @@ class CovarianceSpec:
     """Recipe for a p x p covariance matrix.
 
     kinds: "block_equicorrelated" (equal-size blocks, pairwise correlation
-    rho inside each), "spiked_diagonal" (unit variances on the first
-    spike_fraction of coordinates, minor_scale elsewhere), "identity", or
-    "custom" (explicit matrix).  ``target_trace`` rescales the result.
+    rho inside each) or "spiked_diagonal" (unit variances on the first
+    spike_fraction of coordinates, minor_scale elsewhere).  ``target_trace``
+    rescales the result.
     """
 
     kind: str
@@ -87,7 +85,6 @@ class CovarianceSpec:
     rho: float = 0.0
     spike_fraction: float = 0.8
     minor_scale: float = 0.0
-    matrix: np.ndarray | None = None
     target_trace: float | None = None
 
 
@@ -115,18 +112,6 @@ def gen_sigma(spec: CovarianceSpec) -> np.ndarray:
         diag = np.full(spec.p, spec.minor_scale)
         diag[:n_major] = 1.0
         sigma = np.diag(diag)
-    elif spec.kind == "identity":
-        sigma = np.eye(spec.p)
-    elif spec.kind == "custom":
-        if spec.matrix is None:
-            raise DataValidationError("custom covariance needs a matrix")
-        sigma = np.asarray(spec.matrix, dtype=float)
-        if sigma.shape != (spec.p, spec.p):
-            raise DataValidationError("custom matrix shape mismatch")
-        if np.max(np.abs(sigma - sigma.T)) > 1e-10:
-            raise DataValidationError("custom matrix must be symmetric")
-        if np.linalg.eigvalsh(sigma).min() < -1e-10 * max(np.trace(sigma), 1.0):
-            raise DataValidationError("custom matrix is not PSD")
     else:
         raise DataValidationError(f"unknown covariance kind {spec.kind!r}")
     if spec.target_trace is not None:
@@ -496,7 +481,7 @@ def _pool_point(cfg, n: int, Sigma: np.ndarray, m: int, *idx: int):
     (pool rows, or fresh Gaussians when ``x_source`` says so).
     """
     moments = build_moments(_gaussian_pool(cfg.seed, m, Sigma, *idx), n)
-    spec = ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
+    spec = ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
     L_eval = np.linalg.cholesky(Sigma if cfg.eval_cov == "true" else moments.Exx)
     if (cfg.x_source or "pool") == "pool":
         return moments, spec, L_eval, pool_sampler(moments.pool, n)
@@ -708,7 +693,7 @@ class _GlmStudy:
         self.alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
         self.oracle = GlmPoolStats(
             build_moments(_gaussian_pool(cfg.seed, 20000, Sigma), n), self.link, beta_true,
-            ResampleSpec(n, cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
+            ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
             alphas=self.alphas,
         )
 
@@ -748,7 +733,7 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
             data, raw_pool = study.draw(gi, k, sigma2)
             s = GlmSample(
                 data, build_moments(raw_pool, n), link,
-                ResampleSpec(n, cfg.rep_blocks or 40, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
+                ResampleSpec(cfg.rep_blocks or 40, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
                 study.alphas,
             )
             out = {name: study.error(fit(s, oracle)) for name, fit in fits}
@@ -844,7 +829,7 @@ def _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits):
     moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, m, gi)
     Sigma_fit = moments.Exx
     factor = spd_factor(Sigma_fit, "Sigma")
-    terms = interp_risk_terms(Sigma_fit, n, p, pool_sampler(moments.pool, n), spec, factor)
+    terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec, factor)
     point = _InterpPoint(Sigma_fit, factor, terms, sigma2, tau2)
     beta_mode = random_beta(math.sqrt(tau2))
 

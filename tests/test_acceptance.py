@@ -279,7 +279,7 @@ def test_c5_noise_unbiasedness():
         start = prob.ols_start()
         b_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start).beta
         b_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start).beta
-        stats = GlmPoolStats(moments, link, b_breve, ResampleSpec(n, 40, 50000 + k))
+        stats = GlmPoolStats(moments, link, b_breve, ResampleSpec(40, 50000 + k))
         resid = link.g(X @ b_hat) - Y
         vals.append(float(resid @ resid) / stats.sigma2_denominator())
     vals = np.asarray(vals)
@@ -322,14 +322,14 @@ def test_c6_wishart_closed_forms():
     t0 = time.time()
     n, p = 100, 50
     pool = UnlabeledPool(seeded_rng(601).standard_normal((20000, p)))
-    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 400, 602))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(400, 602))
     target = 50.0 / 49.0
     dev_vl = abs(model.v_l - target) / target
 
     n_i, p_i = 50, 100
     t_interp = interp_risk_terms(
-        np.eye(p_i), n_i, p_i, gaussian_sampler(np.eye(p_i), n_i),
-        ResampleSpec(n_i, 600, 603),
+        np.eye(p_i), gaussian_sampler(np.eye(p_i), n_i),
+        ResampleSpec(600, 603),
     )
     dev_vu = abs(t_interp.v_u - target) / target
 

@@ -8,6 +8,7 @@ from mssl import (
     UnlabeledPool,
     build_moments,
     center_pool,
+    pool_sampler,
     resample_block,
     seeded_rng,
 )
@@ -87,10 +88,10 @@ def test_center_pool_roundtrip():
 
 def test_resample_determinism():
     rng = seeded_rng(11)
-    pool = UnlabeledPool(rng.standard_normal((4, 3)))
-    spec = ResampleSpec(block_size=2, replications=3, seed=7)
+    mom = build_moments(UnlabeledPool(rng.standard_normal((4, 3))), n=2)
+    spec = ResampleSpec(replications=3, seed=7)
     runs = [
-        [resample_block(pool, spec, i) for i in range(spec.replications)] for _ in range(2)
+        [resample_block(mom, spec, i) for i in range(spec.replications)] for _ in range(2)
     ]
     for a, b in zip(*runs):
         np.testing.assert_array_equal(a, b)
@@ -98,26 +99,39 @@ def test_resample_determinism():
 
 def test_resample_independent_of_consumption_order():
     rng = seeded_rng(12)
-    pool = UnlabeledPool(rng.standard_normal((10, 2)))
-    spec = ResampleSpec(block_size=4, replications=5, seed=99)
-    forward = [resample_block(pool, spec, i) for i in range(5)]
-    backward = [resample_block(pool, spec, i) for i in reversed(range(5))][::-1]
+    mom = build_moments(UnlabeledPool(rng.standard_normal((10, 2))), n=4)
+    spec = ResampleSpec(replications=5, seed=99)
+    forward = [resample_block(mom, spec, i) for i in range(5)]
+    backward = [resample_block(mom, spec, i) for i in reversed(range(5))][::-1]
     for a, b in zip(forward, backward):
         np.testing.assert_array_equal(a, b)
 
 
 def test_resample_single_block_shape():
-    pool = UnlabeledPool(np.arange(12.0).reshape(6, 2))
-    spec = ResampleSpec(3, 1, 0)
-    blocks = [resample_block(pool, spec, i) for i in range(spec.replications)]
+    mom = build_moments(UnlabeledPool(np.arange(12.0).reshape(6, 2)), n=3)
+    spec = ResampleSpec(1, 0)
+    blocks = [resample_block(mom, spec, i) for i in range(spec.replications)]
     assert len(blocks) == 1
     assert blocks[0].shape == (3, 2)
 
 
 def test_resample_block_too_large():
-    pool = UnlabeledPool(np.ones((3, 2)))
-    with pytest.raises(DataValidationError):
-        resample_block(pool, ResampleSpec(4, 1, 0), 0)
+    mom = build_moments(UnlabeledPool(np.ones((3, 2))), n=4)
+    with pytest.raises(DataValidationError, match="exceeds pool size 3"):
+        resample_block(mom, ResampleSpec(1, 0), 0)
+
+
+def test_resample_block_draws_n_pool_rows_at_its_stream():
+    # the block is pool_sampler's draw of moments.n rows, from the generator of
+    # (seed, block stream, index): the rows a plan draws do not depend on the
+    # pass that draws them
+    mom = build_moments(UnlabeledPool(seeded_rng(13).standard_normal((50, 3))), n=7)
+    spec = ResampleSpec(4, 21)
+    for i in range(spec.replications):
+        rows = seeded_rng(21, 0xB10C, i).choice(50, size=7, replace=False)
+        np.testing.assert_array_equal(resample_block(mom, spec, i), mom.pool.Z[rows])
+        want = pool_sampler(mom.pool, 7)(seeded_rng(21, 0xB10C, i))
+        np.testing.assert_array_equal(resample_block(mom, spec, i), want)
 
 
 def test_resample_blocks_match_pool_moments():
@@ -126,8 +140,8 @@ def test_resample_blocks_match_pool_moments():
     rng = seeded_rng(21)
     Z = rng.standard_normal((2000, 3))
     mom = build_moments(UnlabeledPool(Z), n=20)
-    spec = ResampleSpec(block_size=20, replications=10000, seed=5)
-    blocks = (resample_block(mom.pool, spec, i) for i in range(spec.replications))
+    spec = ResampleSpec(replications=10000, seed=5)
+    blocks = (resample_block(mom, spec, i) for i in range(spec.replications))
     samples = np.array([(X.T @ X / 20)[0, 0] for X in blocks])
     se = samples.std(ddof=1) / np.sqrt(samples.size)
     assert abs(samples.mean() - mom.Exx[0, 0]) < 3 * se
@@ -209,12 +223,12 @@ def test_block_pass_skips_and_counts_failing_blocks():
         drawn.append(i)
         return i
 
-    results, skipped = _block_pass(ResampleSpec(1, 20, 0), draw, _failing_at({3}))
+    results, skipped = _block_pass(ResampleSpec(20, 0), draw, _failing_at({3}))
     assert drawn == list(range(20))
     assert skipped == 1
     assert list(results["x10"]) == [10 * i for i in range(20) if i != 3]
     _, skipped = _block_pass(
-        ResampleSpec(1, 20, 0), lambda i: i, _failing_at({5}, np.linalg.LinAlgError())
+        ResampleSpec(20, 0), lambda i: i, _failing_at({5}, np.linalg.LinAlgError())
     )
     assert skipped == 1
 
@@ -230,7 +244,7 @@ def test_block_pass_hands_the_kernel_chunks_within_the_byte_budget(monkeypatch):
         sizes.append(chunk.shape)
         return np.ones(len(chunk), dtype=bool), {"x": chunk[:, 0]}
 
-    results, _ = _block_pass(ResampleSpec(1, 20, 0), lambda i: np.array([i, -i]), kernel)
+    results, _ = _block_pass(ResampleSpec(20, 0), lambda i: np.array([i, -i]), kernel)
     assert sizes == [(3, 2)] * 6 + [(2, 2)]  # a block is 16 bytes
     assert list(results["x"]) == list(range(20))
 
@@ -241,7 +255,7 @@ def test_block_pass_results_do_not_depend_on_the_chunking(budget, monkeypatch):
     from mssl.core import _block_pass
 
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", budget)  # one block, or all, per chunk
-    results, skipped = _block_pass(ResampleSpec(1, 20, 0), lambda i: i, _failing_at({2, 3}))
+    results, skipped = _block_pass(ResampleSpec(20, 0), lambda i: i, _failing_at({2, 3}))
     assert skipped == 2
     assert list(results["x10"]) == [10 * i for i in range(20) if i not in (2, 3)]
 
@@ -250,7 +264,7 @@ def test_block_pass_budget_is_ten_percent_of_the_blocks():
     from mssl import ResampleBudgetError
     from mssl.core import _block_pass
 
-    spec = ResampleSpec(1, 20, 0)
+    spec = ResampleSpec(20, 0)
     results, skipped = _block_pass(spec, lambda i: i, _failing_at({0, 7}))
     assert (len(results["x10"]), skipped) == (18, 2)
     with pytest.raises(ResampleBudgetError, match="3/20"):
@@ -261,8 +275,8 @@ def test_block_pass_needs_two_usable_blocks():
     from mssl.core import _block_pass
 
     with pytest.raises(DataValidationError, match="not enough usable blocks"):
-        _block_pass(ResampleSpec(1, 1, 0), lambda i: i, _failing_at(set()))
-    _block_pass(ResampleSpec(1, 2, 0), lambda i: i, _failing_at(set()))
+        _block_pass(ResampleSpec(1, 0), lambda i: i, _failing_at(set()))
+    _block_pass(ResampleSpec(2, 0), lambda i: i, _failing_at(set()))
 
 
 def test_block_pass_lets_other_errors_through():
@@ -270,7 +284,7 @@ def test_block_pass_lets_other_errors_through():
 
     with pytest.raises(DataValidationError, match="bad block"):
         _block_pass(
-            ResampleSpec(1, 20, 0), lambda i: i,
+            ResampleSpec(20, 0), lambda i: i,
             _failing_at({4}, DataValidationError("bad block")),
         )
 

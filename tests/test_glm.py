@@ -223,7 +223,7 @@ def test_identity_link_collapses_v_terms():
     rng = seeded_rng(14)
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
-    spec = ResampleSpec(n, 80, 1)
+    spec = ResampleSpec(80, 1)
     q = GlmPoolStats(build_moments(pool, n), identity_link(), np.ones(p), spec)
     expected = (n - 1) * p / n
     assert q.v_u_g == pytest.approx(expected, rel=1e-10)
@@ -234,7 +234,7 @@ def test_identity_link_v_l_is_n_times_ols_v_l():
     rng = seeded_rng(15)
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
-    spec = ResampleSpec(n, 80, 2)
+    spec = ResampleSpec(80, 2)
     q = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p), spec)
     ols_terms = OlsPoolModel(build_moments(pool, n), spec)
     assert q.v_l_g == pytest.approx(n * ols_terms.v_l, rel=1e-10)
@@ -245,7 +245,7 @@ def test_elu_at_zero_matches_identity_terms():
     rng = seeded_rng(16)
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
-    spec = ResampleSpec(n, 60, 3)
+    spec = ResampleSpec(60, 3)
     q_elu = GlmPoolStats(build_moments(pool, n), elu_link(), np.zeros(p), spec)
     q_id = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p), spec)
     assert q_elu.v_l_g == pytest.approx(q_id.v_l_g, rel=1e-10)
@@ -262,7 +262,7 @@ def test_nonpositive_gprime_rejected():
         G=lambda z: 0.5 * np.maximum(z, 0.0) ** 2,
     )
     with pytest.raises(LinkValidationError):
-        GlmPoolStats(build_moments(pool, 20), dead, np.ones(2), ResampleSpec(20, 10, 0))
+        GlmPoolStats(build_moments(pool, 20), dead, np.ones(2), ResampleSpec(10, 0))
 
 
 # -- noise estimation -----------------------------------------------------------
@@ -272,7 +272,7 @@ def test_noise_identity_matches_ols_form():
     ds, pool = _random_instance(18, n=30, p=4, m=3000, link=identity_link(), sigma=2.0)
     beta_hat = fit_ols_supervised(ds)
     beta_breve = fit_ols_semisupervised(ds, build_moments(pool, ds.n))
-    spec = ResampleSpec(ds.n, 400, 4)
+    spec = ResampleSpec(400, 4)
     stats = GlmPoolStats(build_moments(pool, ds.n), identity_link(), beta_breve, spec)
     sigma2 = estimate_noise_glm(ds, beta_hat, identity_link(), stats)
     resid = ds.Y - ds.X @ beta_hat
@@ -288,7 +288,7 @@ def test_noise_zero_for_noiseless_data():
     ds = LabeledSet(X, elu_link().g(X @ beta0))
     pool = UnlabeledPool(rng.standard_normal((1000, 3)))
     beta_hat = fit_glm_supervised(ds, elu_link()).beta
-    stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(30, 50, 5))
+    stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(50, 5))
     sigma2 = estimate_noise_glm(ds, beta_hat, elu_link(), stats)
     assert sigma2 <= 1e-10
 
@@ -296,15 +296,9 @@ def test_noise_zero_for_noiseless_data():
 def test_noise_rejects_pool_stats_built_for_another_n():
     ds, pool = _random_instance(20, n=60, p=3, m=2000)
     beta_hat = fit_glm_supervised(ds, elu_link()).beta
-    stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(30, 30, 6))
+    stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(30, 6))
     with pytest.raises(DataValidationError, match="n=60.*n=30"):
         estimate_noise_glm(ds, beta_hat, elu_link(), stats)
-
-
-def test_pool_stats_reject_a_plan_for_another_n():
-    moments = build_moments(UnlabeledPool(seeded_rng(31).standard_normal((3000, 6)) + 1.0), 40)
-    with pytest.raises(DataValidationError, match="block_size"):
-        GlmPoolStats(moments, elu_link(), np.full(6, 0.5), ResampleSpec(41, 30, 2))
 
 
 # -- mixing formulas --------------------------------------------------------------
@@ -359,7 +353,7 @@ def test_glm_grid_zero_bias_degenerate():
     rng = seeded_rng(20)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
     curve = GlmPoolStats(
-        build_moments(pool, 25), identity_link(), np.zeros(3), ResampleSpec(25, 80, 6),
+        build_moments(pool, 25), identity_link(), np.zeros(3), ResampleSpec(80, 6),
         alphas=np.linspace(0, 1, 11),
     ).ddot_curve(1.0)
     # pure-variance curve: worst at the supervised end, argmin interior or 1
@@ -371,7 +365,7 @@ def test_glm_grid_noiseless_prefers_supervised():
     rng = seeded_rng(21)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
     curve = GlmPoolStats(
-        build_moments(pool, 25), elu_link(), np.ones(3), ResampleSpec(25, 80, 7),
+        build_moments(pool, 25), elu_link(), np.ones(3), ResampleSpec(80, 7),
         alphas=np.linspace(0, 1, 11),
     ).ddot_curve(0.0)
     assert curve.argmin_alpha == 0.0
@@ -385,7 +379,7 @@ def test_v_m_identity_ordering():
     n, p = 30, 4
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
     stats = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p),
-                         ResampleSpec(n, 200, 8))
+                         ResampleSpec(200, 8))
     v_l_M, v_u_M = stats.v_l_M, stats.v_u_M
     assert v_l_M > v_u_M
     # identity link: H2 = Hg = H, so v_u_M = (n-1)p/n and v_l_M tracks the
@@ -427,7 +421,7 @@ def test_noise_estimate_at_large_signal_documented_bias():
         s = prob.ols_start()
         bh = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, s).beta
         bb = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, s).beta
-        stats = GlmPoolStats(moments, link, bb, ResampleSpec(n, 40, 1000 + k))
+        stats = GlmPoolStats(moments, link, bb, ResampleSpec(40, 1000 + k))
         resid = link.g(X @ bh) - data.Y
         vals.append(float(resid @ resid) / stats.sigma2_denominator())
     mean = float(np.mean(vals))
@@ -440,12 +434,12 @@ def test_curvature_condition_on_elu_pool():
     rng = seeded_rng(23)
     n, p = 50, 10
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    q = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 2.0), ResampleSpec(n, 150, 9))
+    q = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 2.0), ResampleSpec(150, 9))
     assert q.v_l_g + q.v_u_g - 2 * q.v_s_g > 0
     assert q.v_l_g > q.v_u_g
 
 
-def _glm_curve_per_ratio_reference(stats, pool_c, spec, sigma2):
+def _glm_curve_per_ratio_reference(stats, moments, spec, sigma2):
     """Loss-mixed GLM risk curve by factoring the blend once per ratio and block."""
     from scipy.linalg import cho_factor, cho_solve
 
@@ -455,7 +449,7 @@ def _glm_curve_per_ratio_reference(stats, pool_c, spec, sigma2):
     n, alphas, beta = stats.n, stats.alphas, stats.beta_eval
     rows = []
     for i in range(spec.replications):
-        Xb = resample_block(pool_c, spec, i)
+        Xb = resample_block(moments, spec, i)
         F = (Xb * stats.link.gprime(Xb @ beta)[:, None]).T @ Xb
         G = Xb.T @ Xb
         mu = stats.link.g(Xb @ beta)
@@ -475,10 +469,10 @@ def test_pool_stats_curve_matches_per_ratio_factorization():
     rng = seeded_rng(32)
     n, p = 40, 6
     moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) + 0.5), n)
-    spec = ResampleSpec(n, 5, 3)
+    spec = ResampleSpec(5, 3)
     stats = GlmPoolStats(moments, elu_link(), np.full(p, 0.7), spec,
                          alphas=np.round(np.linspace(0.0, 1.0, 21), 10))
-    r_ref, se_ref = _glm_curve_per_ratio_reference(stats, moments.pool, spec, 2.5)
+    r_ref, se_ref = _glm_curve_per_ratio_reference(stats, moments, spec, 2.5)
     curve = stats.ddot_curve(2.5)
     np.testing.assert_allclose(curve.r_hat, r_ref, rtol=1e-10)
     np.testing.assert_allclose(curve.se, se_ref, rtol=1e-10)
@@ -490,7 +484,7 @@ def test_pool_stats_curve_supervised_endpoint():
     n, p = 50, 5
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
     stats = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 1.5),
-                         ResampleSpec(n, 30, 4), alphas=np.linspace(0.0, 1.0, 11))
+                         ResampleSpec(30, 4), alphas=np.linspace(0.0, 1.0, 11))
     s2 = 3.0
     assert stats.ddot_curve(s2).r_hat[0] == pytest.approx(s2 * stats.v_l_g, rel=1e-10)
 
@@ -508,7 +502,7 @@ def test_pool_stats_curve_finite_and_positive(p, extra_n, sigma2, seed):
     mix = np.eye(p) + 0.4 * rng.standard_normal((p, p))
     pool = UnlabeledPool(rng.standard_normal((60 * n, p)) @ mix.T)
     stats = GlmPoolStats(build_moments(pool, n), elu_link(), 0.5 * rng.standard_normal(p),
-                         ResampleSpec(n, 8, seed % 1000), alphas=np.linspace(0, 1, 6))
+                         ResampleSpec(8, seed % 1000), alphas=np.linspace(0, 1, 6))
     r_hat = stats.ddot_curve(sigma2).r_hat
     assert np.all(np.isfinite(r_hat))
     assert np.all(r_hat > 0)
@@ -525,13 +519,13 @@ def _line_pool(rng, m, generic):
 def test_pool_stats_mostly_singular_blocks_exhaust_the_budget():
     pool = _line_pool(seeded_rng(5), 200, 8)
     with pytest.raises(ResampleBudgetError):
-        GlmPoolStats(build_moments(pool, 4), identity_link(), np.zeros(3), ResampleSpec(4, 40, 0))
+        GlmPoolStats(build_moments(pool, 4), identity_link(), np.zeros(3), ResampleSpec(40, 0))
 
 
 def test_pool_stats_count_skipped_blocks_like_the_ols_model():
     # under the identity link F = X^T X, so both passes skip the same blocks
     pool = _line_pool(seeded_rng(5), 200, 110)
-    spec = ResampleSpec(4, 100, 1)
+    spec = ResampleSpec(100, 1)
     stats = GlmPoolStats(build_moments(pool, 4), identity_link(), np.zeros(3), spec,
                          alphas=np.linspace(0, 1, 5))
     assert stats.n_skipped == OlsPoolModel(build_moments(pool, 4), spec).n_skipped == 5
@@ -541,7 +535,7 @@ def test_pool_stats_count_skipped_blocks_like_the_ols_model():
 # -- the stacked block pass -----------------------------------------------------
 
 
-def _glm_per_block_reference(stats, pool_c, spec):
+def _glm_per_block_reference(stats, moments, spec):
     """Per-block v_l, v_s, noise trace, v_l_M, c vectors and pencil curves, by the
     one-block-at-a-time formulas."""
     from mssl import resample_block
@@ -555,7 +549,7 @@ def _glm_per_block_reference(stats, pool_c, spec):
     Lg_inv = solve_triangular(Lg, np.eye(stats.p), lower=True)
     terms, cs, bias, var = [], [], [], []
     for i in range(spec.replications):
-        Xb = resample_block(pool_c, spec, i)
+        Xb = resample_block(moments, spec, i)
         d = link.gprime(Xb @ beta)
         F = (Xb * d[:, None]).T @ Xb
         factor = spd_factor(F, "F")
@@ -585,10 +579,10 @@ def test_pool_stats_match_the_per_block_formulas():
     n, p = 40, 6
     mix = np.eye(p) + 0.3 * rng.standard_normal((p, p))
     moments = build_moments(UnlabeledPool(rng.standard_normal((3000, p)) @ mix.T), n)
-    spec = ResampleSpec(n, 30, 5)
+    spec = ResampleSpec(30, 5)
     stats = GlmPoolStats(moments, elu_link(), 0.4 * rng.standard_normal(p), spec,
                          alphas=np.round(np.linspace(0.0, 1.0, 21), 10))
-    terms, C, bias, var, Lg = _glm_per_block_reference(stats, moments.pool, spec)
+    terms, C, bias, var, Lg = _glm_per_block_reference(stats, moments, spec)
     mean = terms.mean(axis=0)
     se = terms.std(axis=0, ddof=1) / np.sqrt(terms.shape[0])
     got = [stats.v_l_g, stats.v_s_g, stats.trace_sigma, stats.v_l_M]
@@ -616,7 +610,7 @@ def test_pool_stats_do_not_depend_on_the_chunking(monkeypatch):
     rng = seeded_rng(35)
     n, p = 30, 5
     pool = UnlabeledPool(rng.standard_normal((3000, p)) + 0.3)
-    args = (pool, n, elu_link(), np.full(p, 0.6), ResampleSpec(n, 25, 6), np.linspace(0, 1, 7))
+    args = (pool, n, elu_link(), np.full(p, 0.6), ResampleSpec(25, 6), np.linspace(0, 1, 7))
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)  # one block per chunk
     _, one = _pool_stats_numbers(*args)
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1 << 30)  # every block in one chunk
@@ -629,7 +623,7 @@ def test_pool_stats_skip_singular_blocks_inside_a_chunk(monkeypatch):
     import mssl.glm
 
     pool = _line_pool(seeded_rng(5), 200, 110)
-    args = (pool, 4, identity_link(), np.zeros(3), ResampleSpec(4, 100, 1), np.linspace(0, 1, 5))
+    args = (pool, 4, identity_link(), np.zeros(3), ResampleSpec(100, 1), np.linspace(0, 1, 5))
     # The pool-level Grams are summed in row chunks of the same byte budget, and
     # the near-singular blocks here amplify their roundoff past 1e-13; compute
     # them one way in both runs, so that only the chunking of the blocks differs.
@@ -652,7 +646,7 @@ def test_singular_pool_hessian_is_a_singular_matrix_error():
     Z[:, 2] = Z[:, 1]  # H_g = n Z^T D Z / m has rank 2
     with pytest.raises(SingularMatrixError, match="H_g"):
         GlmPoolStats(build_moments(UnlabeledPool(Z), 20), elu_link(), np.zeros(3),
-                     ResampleSpec(20, 10, 0))
+                     ResampleSpec(10, 0))
 
 
 
@@ -755,3 +749,29 @@ def test_newton_damps_a_nearly_singular_pool_hessian(monkeypatch):
         report = fit_glm_semisupervised(data, pool, elu_link())
     assert "Newton Hessian" in rejected  # the ridge retry ran
     assert np.all(np.isfinite(report.beta))
+
+
+def test_glm_sample_rejects_a_singular_pool_before_any_newton_solve(monkeypatch):
+    # the pool of the ridge-retry test above: two columns 1e-7 apart make
+    # H = n E[xx^T] fail the condition check, so the sample fails on H before
+    # Newton runs (the fits alone would iterate and then fail on H_g)
+    import mssl.glm
+    from mssl import GlmSample
+
+    rng = seeded_rng(38)
+
+    def collinear(rows):
+        A = rng.standard_normal((rows, 4))
+        A[:, 3] = A[:, 2] + 1e-7 * rng.standard_normal(rows)
+        return A
+
+    X = collinear(60)
+    data = LabeledSet(X, elu_link().g(X @ np.arange(4.0)) + rng.standard_normal(60))
+    moments = build_moments(UnlabeledPool(collinear(3000)), 60)
+
+    def newton(*args, **kwargs):
+        raise AssertionError("Newton ran on a singular pool")
+
+    monkeypatch.setattr(mssl.glm, "_newton", newton)
+    with pytest.raises(SingularMatrixError, match=r"^H is singular"):
+        GlmSample(data, moments, elu_link(), ResampleSpec(20, 0))

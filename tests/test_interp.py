@@ -122,7 +122,7 @@ def test_interp_terms_gaussian_isotropic():
     # coincide so b_l = b_u and v_l = v_u
     n, p = 20, 45
     terms = interp_risk_terms(
-        np.eye(p), n, p, gaussian_sampler(np.eye(p), n), ResampleSpec(n, 600, 1)
+        np.eye(p), gaussian_sampler(np.eye(p), n), ResampleSpec(600, 1)
     )
     expected = n / (p - n - 1)
     assert terms.v_u == pytest.approx(expected, rel=0.05)
@@ -137,7 +137,7 @@ def test_interp_terms_spiked_match_closed_form():
     diag = np.concatenate([np.ones(p_tilde), np.full(p - p_tilde, 1e-8)])
     sigma = np.diag(diag)
     terms = interp_risk_terms(
-        sigma, n, p, gaussian_sampler(sigma, n), ResampleSpec(n, 800, 2)
+        sigma, gaussian_sampler(sigma, n), ResampleSpec(800, 2)
     )
     closed = interp_terms_spiked_closed_form(n, p, p_tilde, 1.0, float(diag.sum()))
     assert terms.v_u == pytest.approx(closed.v_u, rel=0.02)
@@ -153,7 +153,7 @@ def test_interp_terms_spiked_working_config():
     diag = np.concatenate([np.ones(p_tilde), np.full(p - p_tilde, 1.0 / n)])
     sigma = np.diag(diag)
     terms = interp_risk_terms(
-        sigma, n, p, gaussian_sampler(sigma, n), ResampleSpec(n, 600, 4)
+        sigma, gaussian_sampler(sigma, n), ResampleSpec(600, 4)
     )
     closed = interp_terms_spiked_closed_form(n, p, p_tilde, 1.0, float(diag.sum()))
     assert closed.v_l == pytest.approx(50.0 / 29.0)
@@ -168,7 +168,7 @@ def test_interp_terms_ordering_properties():
     diag = np.concatenate([np.ones(40), np.full(20, 0.02)])
     sigma = np.diag(diag)
     terms = interp_risk_terms(
-        sigma, n, p, gaussian_sampler(sigma, n), ResampleSpec(n, 400, 3)
+        sigma, gaussian_sampler(sigma, n), ResampleSpec(400, 3)
     )
     assert terms.b_l <= terms.b_u + 3 * (terms.se_b_l + terms.se_b_u)
     assert terms.v_l >= terms.v_u - 3 * (terms.se_v_l + terms.se_v_u)
@@ -176,7 +176,36 @@ def test_interp_terms_ordering_properties():
 
 def test_interp_terms_regime_check():
     with pytest.raises(RegimeError):
-        interp_risk_terms(np.eye(4), 4, 4, gaussian_sampler(np.eye(4), 4), ResampleSpec(4, 5, 0))
+        interp_risk_terms(np.eye(4), gaussian_sampler(np.eye(4), 4), ResampleSpec(5, 0))
+
+
+def _no_factoring(monkeypatch):
+    """Make any factorization inside the pass fail the test."""
+    import mssl.interp
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a draw was factored")
+
+    monkeypatch.setattr(mssl.interp, "spd_factor", fail)
+    monkeypatch.setattr(mssl.interp, "cho_solve", fail)
+
+
+def test_interp_terms_read_n_from_the_draws(monkeypatch):
+    # p = 6 needs n <= 4: the same Sigma passes with 4-row draws and is
+    # rejected with 5-row ones, before any draw is factored
+    factor = spd_factor(np.eye(6), "Sigma")
+    terms = interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(6), 4), ResampleSpec(5, 0), factor)
+    assert terms.v_u > 0
+    _no_factoring(monkeypatch)
+    with pytest.raises(RegimeError, match="n=5, p=6"):
+        interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(6), 5), ResampleSpec(5, 0), factor)
+
+
+def test_interp_terms_reject_draws_of_another_width(monkeypatch):
+    factor = spd_factor(np.eye(6), "Sigma")
+    _no_factoring(monkeypatch)
+    with pytest.raises(DataValidationError, match="7 columns but Sigma has order 6"):
+        interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(7), 2), ResampleSpec(5, 0), factor)
 
 
 def test_pool_sampler_draws_rows():
@@ -306,13 +335,13 @@ def test_interp_terms_mostly_singular_draws_exhaust_the_budget():
         return X
 
     with pytest.raises(ResampleBudgetError):
-        interp_risk_terms(np.eye(p), n, p, sampler, ResampleSpec(n, 40, 0))
+        interp_risk_terms(np.eye(p), sampler, ResampleSpec(40, 0))
 
 
 def test_interp_terms_need_two_usable_draws():
     n, p = 5, 12
     with pytest.raises(DataValidationError, match="not enough usable blocks"):
-        interp_risk_terms(np.eye(p), n, p, gaussian_sampler(np.eye(p), n), ResampleSpec(n, 1, 0))
+        interp_risk_terms(np.eye(p), gaussian_sampler(np.eye(p), n), ResampleSpec(1, 0))
 
 
 # Sigma = diag(1, 1, 1, 1e-8) (cond 1e8) and a draw whose X X^T passes the
@@ -339,8 +368,8 @@ def test_interp_terms_skip_a_draw_whose_inner_gram_fails_the_check():
     spd_factor(_INNER_BAD @ _INNER_BAD.T, "X X^T")  # the outer Gram passes
     draws = _inner_draws(20, bad={5, 13})  # 2 of 20 skipped: within the 10% budget
     good = [X for i, X in enumerate(draws) if i not in {5, 13}]
-    got = interp_risk_terms(_INNER_SIGMA, 2, 4, _listed(draws), ResampleSpec(2, 20, 0))
-    want = interp_risk_terms(_INNER_SIGMA, 2, 4, _listed(good), ResampleSpec(2, 18, 0))
+    got = interp_risk_terms(_INNER_SIGMA, _listed(draws), ResampleSpec(20, 0))
+    want = interp_risk_terms(_INNER_SIGMA, _listed(good), ResampleSpec(18, 0))
     assert dataclasses.replace(got, n_skipped=0) == want
     assert got.n_skipped == 2
 
@@ -348,4 +377,4 @@ def test_interp_terms_skip_a_draw_whose_inner_gram_fails_the_check():
 def test_interp_terms_inner_gram_failures_count_against_the_budget():
     draws = _inner_draws(20, bad={2, 5, 13})  # 3 of 20 is over the 10% budget
     with pytest.raises(ResampleBudgetError, match="3/20"):
-        interp_risk_terms(_INNER_SIGMA, 2, 4, _listed(draws), ResampleSpec(2, 20, 0))
+        interp_risk_terms(_INNER_SIGMA, _listed(draws), ResampleSpec(20, 0))

@@ -225,7 +225,7 @@ def test_loss_mixed_matches_numeric_minimizer():
 def test_v_u_exact_value():
     rng = seeded_rng(7)
     pool = UnlabeledPool(rng.standard_normal((3000, 50)))
-    model = OlsPoolModel(build_moments(pool, 100), ResampleSpec(100, 50, 1))
+    model = OlsPoolModel(build_moments(pool, 100), ResampleSpec(50, 1))
     assert model.v_u == 99 * 50 / 100**2  # 0.495 exactly
 
 
@@ -234,7 +234,7 @@ def test_v_l_matches_wishart_closed_form():
     rng = seeded_rng(8)
     n, p = 60, 12
     pool = UnlabeledPool(rng.standard_normal((20000, p)))
-    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 400, 2))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(400, 2))
     expected = p / (n - p - 1)
     assert abs(model.v_l - expected) < max(3 * model.se_v_l, 0.02 * expected)
 
@@ -242,7 +242,7 @@ def test_v_l_matches_wishart_closed_form():
 def test_bias_zero_for_zero_plugin():
     rng = seeded_rng(9)
     pool = UnlabeledPool(rng.standard_normal((500, 4)))
-    model = OlsPoolModel(build_moments(pool, 20), ResampleSpec(20, 30, 3))
+    model = OlsPoolModel(build_moments(pool, 20), ResampleSpec(30, 3))
     assert model.bias_at(np.zeros(4)) == 0.0
     assert model.b_u_hat > 0.0
 
@@ -255,7 +255,7 @@ def test_bias_matches_wishart_oracle():
     n, p = 40, 5
     pool = UnlabeledPool(rng.standard_normal((40000, p)))
     beta = np.ones(p)
-    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 2000, 4))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(2000, 4))
     expected = (n - 1) * (p + 1) / n**2 * float(beta @ beta)
     assert model.bias_at(beta) == pytest.approx(expected, rel=0.1)
 
@@ -266,7 +266,7 @@ def test_b_u_matches_random_beta_oracle():
     rng = seeded_rng(11)
     n, p = 40, 5
     pool = UnlabeledPool(rng.standard_normal((40000, p)))
-    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 2000, 5))
+    model = OlsPoolModel(build_moments(pool, n), ResampleSpec(2000, 5))
     expected = ((n - 1) * p + n) / n**2 * p
     assert model.b_u_hat == pytest.approx(expected, rel=0.1)
 
@@ -275,7 +275,7 @@ def test_risk_terms_need_n_above_p():
     rng = seeded_rng(12)
     pool = UnlabeledPool(rng.standard_normal((100, 10)))
     with pytest.raises(RegimeError):
-        OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 10, 0))
+        OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 0))
 
 
 # -- noise and signal ----------------------------------------------------------
@@ -412,7 +412,7 @@ def test_grid_search_zero_bias_plugin():
     rng = seeded_rng(15)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
     mom = build_moments(pool, 20)
-    ddot = OlsPoolModel(mom, ResampleSpec(20, 60, 6), grid=np.linspace(0, 1, 11)).ddot
+    ddot = OlsPoolModel(mom, ResampleSpec(60, 6), grid=np.linspace(0, 1, 11)).ddot
     r_hat = ddot.curve(np.zeros(4), 1.0)
     assert np.all(r_hat[0] >= r_hat)  # alpha=0 is the worst point
     assert ddot.argmin_alpha(np.zeros(4), 1.0) >= 0.5
@@ -435,7 +435,7 @@ def test_grid_search_noiseless_prefers_supervised():
     rng = seeded_rng(16)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
     mom = build_moments(pool, 20)
-    ddot = OlsPoolModel(mom, ResampleSpec(20, 60, 7), grid=np.linspace(0, 1, 11)).ddot
+    ddot = OlsPoolModel(mom, ResampleSpec(60, 7), grid=np.linspace(0, 1, 11)).ddot
     assert ddot.argmin_alpha(np.ones(4), 0.0) == 0.0
 
 
@@ -445,7 +445,7 @@ def test_grid_search_endpoints_match_pure_risks():
     n, p, sigma2 = 30, 4, 2.0
     pool = UnlabeledPool(rng.standard_normal((20000, p)))
     beta = np.array([1.0, -1.0, 0.5, 2.0])
-    spec = ResampleSpec(n, 800, 8)
+    spec = ResampleSpec(800, 8)
     mom = build_moments(pool, n)
     r_hat = OlsPoolModel(mom, spec, grid=np.linspace(0, 1, 5)).ddot.curve(beta, sigma2)
     model = OlsPoolModel(mom, spec)
@@ -462,26 +462,26 @@ def test_ddot_model_matches_grid_search_curve():
     pool = UnlabeledPool(rng.standard_normal((3000, p)))
     mom = build_moments(pool, n)
     grid = np.linspace(0, 1, 9)
-    spec = ResampleSpec(n, 100, 9)
+    spec = ResampleSpec(100, 9)
     beta = np.array([0.5, 1.0, -0.25])
-    Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
+    Q_ref, V_ref = _ddot_per_ratio_reference(mom, grid, spec)
     xi = 1.0 - (2.0 * grid - grid**2) / n
     search_curve = (np.einsum("aij,i,j->a", Q_ref, beta, beta) + 1.7 * xi * V_ref) / n
     model = OlsPoolModel(mom, spec, grid=grid).ddot
     np.testing.assert_allclose(model.curve(beta, 1.7), search_curve, rtol=1e-10)
 
 
-def _ddot_per_ratio_reference(pool_c, H, n, alphas, spec):
+def _ddot_per_ratio_reference(mom, alphas, spec):
     """Block-averaged (Q, V) by factoring the blend once per ratio and block."""
     from scipy.linalg import cho_factor, cho_solve
 
     from mssl import resample_block
 
-    p = H.shape[0]
+    H, n, p = mom.H, mom.n, mom.H.shape[0]
     Q = np.zeros((alphas.size, p, p))
     V = np.zeros(alphas.size)
     for i in range(spec.replications):
-        Xb = resample_block(pool_c, spec, i)
+        Xb = resample_block(mom, spec, i)
         G = Xb.T @ Xb
         xbar = Xb.mean(axis=0)
         C = n * np.outer(xbar, xbar)
@@ -503,9 +503,9 @@ def test_ddot_model_matches_per_ratio_factorization():
     n, p = 30, 6
     mom = build_moments(_correlated_pool(rng, 3000, p), n)
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 12)])
-    spec = ResampleSpec(n, 5, 11)
+    spec = ResampleSpec(5, 11)
     model = OlsPoolModel(mom, spec, grid=grid).ddot
-    Q_ref, V_ref = _ddot_per_ratio_reference(mom.pool, mom.H, n, grid, spec)
+    Q_ref, V_ref = _ddot_per_ratio_reference(mom, grid, spec)
     np.testing.assert_allclose(model._V, V_ref, rtol=1e-10)
     for j in range(1, grid.size):
         scale = np.abs(Q_ref[j]).max()
@@ -519,7 +519,7 @@ def test_ddot_model_supervised_endpoint():
     rng = seeded_rng(25)
     n, p = 40, 5
     mom = build_moments(_correlated_pool(rng, 4000, p), n)
-    spec = ResampleSpec(n, 30, 12)
+    spec = ResampleSpec(30, 12)
     pool_model = OlsPoolModel(mom, spec, grid=np.linspace(0, 1, 6))
     model = pool_model.ddot
     assert np.abs(model._Q[0]).max() <= 1e-12 * np.abs(model._Q[-1]).max()
@@ -539,7 +539,7 @@ def test_ddot_curves_finite_and_positive(p, extra_n, sigma2, seed):
     pool = _correlated_pool(rng, 60 * n, p)
     mom = build_moments(pool, n)
     grid = np.linspace(0, 1, 6)
-    spec = ResampleSpec(n, 8, seed % 1000)
+    spec = ResampleSpec(8, seed % 1000)
     beta = rng.standard_normal(p)
     model_curve = OlsPoolModel(mom, spec, grid=grid).ddot.curve(beta, sigma2)
     # built from the raw pool, as the grid search did
@@ -556,7 +556,7 @@ def test_mc_argmin_agrees_with_alpha_star():
     pool = UnlabeledPool(rng.standard_normal((8000, p)))
     mom = build_moments(pool, n)
     beta_true = 0.6 * np.ones(p)
-    model = OlsPoolModel(mom, ResampleSpec(n, 400, 10))
+    model = OlsPoolModel(mom, ResampleSpec(400, 10))
     alpha_star = alpha_star_ols(sigma2, model.bias_at(beta_true), model.v_l, model.v_u)[0]
 
     alphas = np.linspace(0, 1, 51)
@@ -605,7 +605,7 @@ def test_v_l_exceeds_v_u_across_configurations():
     rng = seeded_rng(22)
     for n, p in ((20, 4), (40, 15), (100, 50)):
         pool = UnlabeledPool(rng.standard_normal((4000, p)))
-        model = OlsPoolModel(build_moments(pool, n), ResampleSpec(n, 100, n))
+        model = OlsPoolModel(build_moments(pool, n), ResampleSpec(100, n))
         assert model.v_l > model.v_u
 
 
@@ -624,14 +624,14 @@ def _line_pool(rng, m, generic):
 def test_pool_model_mostly_singular_blocks_exhaust_the_budget(grid):
     pool = _line_pool(seeded_rng(5), 200, 8)
     with pytest.raises(ResampleBudgetError):
-        OlsPoolModel(build_moments(pool, 4), ResampleSpec(4, 40, 0), grid=grid)
+        OlsPoolModel(build_moments(pool, 4), ResampleSpec(40, 0), grid=grid)
 
 
 def test_pool_model_skips_a_block_for_every_statistic():
     # the skipped blocks are left out of v_l and the loss-mixed curve alike:
     # the curve's alpha = 0 variance trace is n v_l on the same blocks
     pool = _line_pool(seeded_rng(5), 200, 110)
-    spec = ResampleSpec(4, 100, 1)
+    spec = ResampleSpec(100, 1)
     model = OlsPoolModel(build_moments(pool, 4), spec, grid=np.linspace(0, 1, 5))
     assert model.n_skipped == 5
     assert model.n_blocks == 95
@@ -642,7 +642,7 @@ def test_pool_model_skips_a_block_for_every_statistic():
 def test_pool_model_rejects_a_bad_ratio_grid(grid):
     pool = UnlabeledPool(seeded_rng(6).standard_normal((500, 3)))
     with pytest.raises(DataValidationError, match="ratio grid"):
-        OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 20, 0), grid=grid)
+        OlsPoolModel(build_moments(pool, 10), ResampleSpec(20, 0), grid=grid)
 
 
 # -- the stacked block pass -----------------------------------------------------
@@ -659,7 +659,7 @@ def _ols_per_block_reference(mom, n, spec):
     L = np.linalg.cholesky(mom.H)
     v_l, b_u, W = [], [], []
     for i in range(spec.replications):
-        Xb = resample_block(mom.pool, spec, i)
+        Xb = resample_block(mom, spec, i)
         G = Xb.T @ Xb
         xbar = Xb.mean(axis=0)
         Wb = solve_triangular(L, G - n * np.outer(xbar, xbar), lower=True)
@@ -673,7 +673,7 @@ def test_pool_model_matches_the_per_block_formulas():
     rng = seeded_rng(26)
     n, p = 40, 6
     mom = build_moments(_correlated_pool(rng, 4000, p), n)
-    spec = ResampleSpec(n, 30, 13)
+    spec = ResampleSpec(30, 13)
     model = OlsPoolModel(mom, spec)
     v_l, b_u, W = _ols_per_block_reference(mom, n, spec)
     assert model.v_l == pytest.approx(v_l.mean(), rel=1e-12)
@@ -701,7 +701,7 @@ def test_pool_model_does_not_depend_on_the_chunking(grid, monkeypatch):
     rng = seeded_rng(27)
     n, p = 30, 5
     mom = build_moments(_correlated_pool(rng, 3000, p), n)
-    spec = ResampleSpec(n, 25, 14)
+    spec = ResampleSpec(25, 14)
     beta = rng.standard_normal(p)
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)  # one block per chunk
     _, one = _pool_model_numbers(mom, spec, grid, beta)
@@ -714,7 +714,7 @@ def test_pool_model_skips_singular_blocks_inside_a_chunk(monkeypatch):
     import mssl.core
 
     pool = _line_pool(seeded_rng(5), 200, 110)
-    spec = ResampleSpec(4, 100, 1)
+    spec = ResampleSpec(100, 1)
     grid, beta = np.linspace(0, 1, 5), np.array([1.0, -0.5, 2.0])
     runs = []
     for budget in (1, 1 << 30):  # one block per chunk, then every block in one chunk

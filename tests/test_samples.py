@@ -38,7 +38,7 @@ def _ols_draw(seed: int, n: int = 25, p: int = 3, m: int = 400):
 def _ols_sample(X, Y, Z, grid=None) -> OlsSample:
     n = X.shape[0]
     moments = build_moments(UnlabeledPool(Z), n)
-    model = OlsPoolModel(moments, ResampleSpec(n, 30, 5), grid=grid)
+    model = OlsPoolModel(moments, ResampleSpec(30, 5), grid=grid)
     return OlsSample(LabeledSet(X - moments.mean, Y), model)
 
 
@@ -110,7 +110,7 @@ def _pool_moments_for_half_n(seed: int = 3, n: int = 60, p: int = 3):
 def test_ols_sample_rejects_a_model_built_for_another_n():
     # H = n Exx for the wrong n would scale beta_breve by the ratio of the sizes
     data, moments = _pool_moments_for_half_n()
-    model = OlsPoolModel(moments, ResampleSpec(moments.n, 30, 5))
+    model = OlsPoolModel(moments, ResampleSpec(30, 5))
     with pytest.raises(DataValidationError, match="n=60.*n=30"):
         OlsSample(data, model)
 
@@ -118,7 +118,7 @@ def test_ols_sample_rejects_a_model_built_for_another_n():
 def test_glm_sample_rejects_moments_built_for_another_n():
     data, moments = _pool_moments_for_half_n()
     with pytest.raises(DataValidationError, match="n=60.*n=30"):
-        GlmSample(data, moments, elu_link(), ResampleSpec(moments.n, 30, 5))
+        GlmSample(data, moments, elu_link(), ResampleSpec(30, 5))
 
 
 def test_ols_sample_without_a_grid_has_no_grid_ratio():
@@ -161,12 +161,12 @@ def test_glm_loss_mixed_solve_at_the_endpoints_is_the_pure_fits(seed):
 
 
 def test_glm_sample_builds_pool_stats_on_first_use():
-    s = _glm_sample(1, spec=ResampleSpec(40, 30, 2), alphas=np.linspace(0.0, 1.0, 11))
+    s = _glm_sample(1, spec=ResampleSpec(30, 2), alphas=np.linspace(0.0, 1.0, 11))
     assert "stats" not in vars(s)
     assert 0.0 <= s.alpha_hat <= 1.0
     assert s.alpha_grid in s.stats.alphas
     assert s.sigma2_hat > 0
-    assert _glm_sample(1, spec=ResampleSpec(40, 30, 2)).alpha_grid is None
+    assert _glm_sample(1, spec=ResampleSpec(30, 2)).alpha_grid is None
 
 
 # a risk-term set with v_l > v_u and b_u > b_l, as the mixing formula needs

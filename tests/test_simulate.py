@@ -71,10 +71,10 @@ def test_gen_sigma_indivisible_blocks():
         gen_sigma(CovarianceSpec("block_equicorrelated", 5, blocks=2, rho=0.5))
 
 
-def test_gen_sigma_custom_psd_check():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(DataValidationError):
-        gen_sigma(CovarianceSpec("custom", 2, matrix=bad))
+@pytest.mark.parametrize("kind", ["identity", "custom", "spiked"])
+def test_gen_sigma_unknown_kind(kind):
+    with pytest.raises(DataValidationError, match=f"unknown covariance kind '{kind}'"):
+        gen_sigma(CovarianceSpec(kind, 2))
 
 
 # -- dataset draws: a design sampler, then _label (the presets' draw) ---------------

@@ -60,7 +60,7 @@ def test_library_modules_exist(tracer):
 
 def test_pool_model_exposes_its_skip_count(tracer):
     pool = UnlabeledPool(seeded_rng(1).standard_normal((300, 3)))
-    model = OlsPoolModel(build_moments(pool, 10), ResampleSpec(10, 5, 0))
+    model = OlsPoolModel(build_moments(pool, 10), ResampleSpec(5, 0))
     assert tracer._counters("ols.pool_model", (model,), {}, None) == {"skipped": model.n_skipped}
     assert model.n_skipped == 0
 
