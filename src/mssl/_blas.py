@@ -18,14 +18,15 @@ nothing either.  It never raises.  The thread count is a process-wide
 setting: concurrent contexts on several threads share it, and the last one
 to exit restores its own saved counts.
 
-**LAPACK.**  Every Cholesky factor, Cholesky solve and condition estimate
-of the package goes through the three wrappers below (``potrf``, ``pocon``
-and ``cho_solve``).  They call ``dpotrf``, ``dpocon`` and ``dpotrs`` of an
-OpenBLAS that is already loaded, through ctypes: numpy's wheels bundle the
-full LAPACK in their OpenBLAS, so the package needs no scipy import to
-factor a matrix.  An ILP64 build is preferred (numpy's), and the integer
-width is read from the library's own configuration string.  When no loaded
-OpenBLAS exports the three routines, the wrappers fall back to
+**LAPACK.**  Every Cholesky factor, Cholesky solve, inverse from a
+Cholesky factor and condition estimate of the package goes through the four
+wrappers below (``potrf``, ``pocon``, ``cho_solve`` and ``cho_inverse``).
+They call ``dpotrf``, ``dpocon``, ``dpotrs`` and ``dpotri`` of an OpenBLAS
+that is already loaded, through ctypes: numpy's wheels bundle the full
+LAPACK in their OpenBLAS, so the package needs no scipy import to factor a
+matrix.  An ILP64 build is preferred (numpy's), and the integer width is
+read from the library's own configuration string.  When no loaded OpenBLAS
+exports the four routines, the wrappers fall back to
 ``scipy.linalg.lapack``, imported only then.  Both providers keep
 scipy.linalg's checks: non-finite input raises ValueError.  Results are
 laid out as scipy's (Fortran order, lower triangle) and computed the same
@@ -47,7 +48,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["single_blas_thread", "potrf", "pocon", "cho_solve"]
+__all__ = ["single_blas_thread", "potrf", "pocon", "cho_solve", "cho_inverse"]
 
 THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -165,7 +166,7 @@ def _address(a: np.ndarray):
 
 
 class _OpenBlasLapack:
-    """dpotrf, dpocon and dpotrs of one loaded OpenBLAS, via ctypes.
+    """dpotrf, dpocon, dpotrs and dpotri of one loaded OpenBLAS, via ctypes.
 
     Fortran calling convention: the character arguments come first, every
     argument is passed by reference, and one hidden ``size_t`` length per
@@ -182,6 +183,7 @@ class _OpenBlasLapack:
         self._potrf = self._routine(handle, "dpotrf_", 1, 4)
         self._pocon = self._routine(handle, "dpocon_", 1, 8)
         self._potrs = self._routine(handle, "dpotrs_", 1, 7)
+        self._potri = self._routine(handle, "dpotri_", 1, 4)
 
     @staticmethod
     def _routine(handle: OpenBlasHandle, name: str, chars: int, pointers: int):
@@ -221,9 +223,15 @@ class _OpenBlasLapack:
                     ctypes.byref(info), 1)
         return x, info.value
 
+    def potri(self, c: np.ndarray, lower: bool) -> tuple[np.ndarray, int]:
+        n = self._ref(c.shape[0])
+        info = self._int(0)
+        self._potri(b"L" if lower else b"U", n, _address(c), n, ctypes.byref(info), 1)
+        return c, info.value
+
 
 class _ScipyLapack:
-    """The same three routines from ``scipy.linalg.lapack``: the fallback."""
+    """The same four routines from ``scipy.linalg.lapack``: the fallback."""
 
     def __init__(self):
         from scipy.linalg import lapack
@@ -239,13 +247,16 @@ class _ScipyLapack:
     def potrs(self, c, x, lower):
         return self._lapack.dpotrs(c, x, lower=int(lower), overwrite_b=1)
 
+    def potri(self, c, lower):
+        return self._lapack.dpotri(c, lower=int(lower), overwrite_c=1)
+
 
 def _find_lapack() -> _OpenBlasLapack | None:
-    """A loaded OpenBLAS that exports the three routines; ILP64 builds first."""
+    """A loaded OpenBLAS that exports the four routines; ILP64 builds first."""
     handles = sorted(_find_openblas(), key=lambda h: h.suffix != "64_")
     for handle in handles:
         try:
-            for name in ("dpotrf_", "dpocon_", "dpotrs_"):
+            for name in ("dpotrf_", "dpocon_", "dpotrs_", "dpotri_"):
                 handle.symbol(name)
             config = handle.symbol("openblas_get_config")
         except AttributeError:
@@ -330,3 +341,22 @@ def cho_solve(factor: tuple[np.ndarray, bool], b) -> np.ndarray:
     x, info = _lapack().potrs(c, _rhs(b, c.shape[0]), bool(lower))
     _check(info, "dpotrs")
     return x
+
+
+def cho_inverse(factor: tuple[np.ndarray, bool]) -> np.ndarray:
+    """The full symmetric inverse of A from the factor pair ``(c, lower)`` of A.
+
+    ``dpotri`` writes one triangle of A^{-1} over a copy of c (the caller's
+    factor is never written), and the other triangle is mirrored from it in
+    the same pass that makes the result, so it is exactly symmetric.  A zero
+    on the factor's diagonal raises LinAlgError; a factor from
+    ``core.spd_factor`` has none.
+    """
+    c, lower = factor
+    a = np.array(_square(_finite(c)), order="F")
+    a, info = _lapack().potri(a, bool(lower))
+    _check(info, "dpotri")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"the factor has a zero pivot at order {info}")
+    mask = np.tri(a.shape[0], dtype=bool)  # the lower triangle, diagonal included
+    return np.where(mask if lower else mask.T, a, a.T)

@@ -236,8 +236,10 @@ class ResampleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DataValidationError("replications must be >= 1")
+        # every pass averages over at least 2 usable blocks, and skips at most
+        # _SKIP_BUDGET of them, which leaves 2 of any plan of 2 or more
+        if self.replications < 2:
+            raise DataValidationError(f"replications must be >= 2, got {self.replications}")
 
 
 def gaussian_sampler(Sigma: np.ndarray, n: int):
@@ -321,8 +323,9 @@ def _block_pass(
     would raise SingularMatrixError or LinAlgError (see ``_each_block``), so
     every statistic of a pass averages over the same blocks.  Raises
     ResampleBudgetError when more than _SKIP_BUDGET of the blocks were
-    skipped, and DataValidationError when fewer than 2 are left.  Returns the
-    statistics of the usable blocks in block order and the number skipped.
+    skipped (a plan has 2 blocks or more, so at least 2 are then left).
+    Returns the statistics of the usable blocks in block order and the number
+    skipped.
     """
     chunks = []
     skipped = 0
@@ -342,6 +345,4 @@ def _block_pass(
         raise ResampleBudgetError(
             f"{skipped}/{spec.replications} resampled blocks were singular"
         )
-    if spec.replications - skipped < 2:
-        raise DataValidationError("not enough usable blocks")
     return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, skipped

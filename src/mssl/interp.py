@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import cho_solve
+from ._blas import cho_inverse, cho_solve
 from .core import (
     LabeledSet,
     ResampleSpec,
@@ -80,27 +80,42 @@ def interp_risk_terms(
     ``sampler(rng)`` draws one n x p design; p is the order of Sigma and n is
     read from the draws.  A draw of another width raises DataValidationError,
     and p <= n + 1 raises RegimeError, both on the first chunk of draws,
-    before any draw is factored.  A draw whose X X^T or X Sigma^{-1} X^T fails
-    ``spd_factor`` is skipped and counted in ``n_skipped``.  ``sigma_factor``
-    spares the factorization to a caller that holds ``spd_factor(Sigma)``.
+    before any draw is factored.
+
+    The pass works in Sigma's eigenbasis, Sigma = Q D Q^T, found once per
+    call: each chunk of draws is rotated by one product, X~ = X Q, and a draw
+    then needs three n x n Gram matrices, G = X~ X~^T (= X X^T),
+    S = X~ D X~^T (= X Sigma X^T) and K = X~ D^{-1} X~^T (= X Sigma^{-1} X^T).
+    With G^{-1} and K^{-1} from their checked factors (``cho_inverse``),
+    b_l = tr Sigma - <G^{-1}, S>, v_l = <G^{-1} S, G^{-1}>,
+    b_u = tr Sigma - <K^{-1}, G> and v_u = tr K^{-1}, where <A, B> is the
+    sum of the entrywise products.  A draw whose G or K fails ``spd_factor``
+    is skipped and counted in ``n_skipped``.  Sigma itself must pass
+    ``spd_factor``; ``sigma_factor``, a caller's ``spd_factor(Sigma)``,
+    spares that check.
     """
     Sigma = np.asarray(Sigma, dtype=float)
     p = Sigma.shape[0]
     tr_sigma = float(np.trace(Sigma))
-    sig_factor = spd_factor(Sigma, "Sigma") if sigma_factor is None else sigma_factor
+    if sigma_factor is None:
+        spd_factor(Sigma, "Sigma")
+    D, Q = np.linalg.eigh(Sigma)
+    root = np.sqrt(D)
+    inv_root = 1.0 / root
 
-    def per_draw(X: np.ndarray):
-        Gn = X @ X.T
-        gf = spd_factor(Gn, "X X^T")
-        XSX = X @ Sigma @ X.T
-        GiXSX = cho_solve(gf, XSX)
-        b_l = tr_sigma - float(np.trace(GiXSX))
-        v_l = float(np.trace(cho_solve(gf, GiXSX.T)))
-        A = cho_solve(sig_factor, X.T)
-        inf_factor = spd_factor(X @ A, "X Sigma^{-1} X^T")
-        b_u = tr_sigma - float(np.trace(cho_solve(inf_factor, Gn)))
-        v_u = float(np.trace(cho_solve(inf_factor, np.eye(X.shape[0]))))
-        return b_l, v_l, b_u, v_u
+    def per_draw(X: np.ndarray):  # one rotated draw X~
+        G = X @ X.T
+        g_inv = cho_inverse(spd_factor(G, "X X^T"))
+        Y = X * inv_root
+        k_inv = cho_inverse(spd_factor(Y @ Y.T, "X Sigma^{-1} X^T"))
+        Y = X * root
+        S = Y @ Y.T
+        return (
+            tr_sigma - float(np.vdot(g_inv, S)),
+            float(np.vdot(g_inv @ S, g_inv)),
+            tr_sigma - float(np.vdot(k_inv, G)),
+            float(np.trace(k_inv)),
+        )
 
     def kernel(Xs: np.ndarray):
         n, width = Xs.shape[1:]
@@ -108,7 +123,7 @@ def interp_risk_terms(
             raise DataValidationError(f"a draw has {width} columns but Sigma has order {p}")
         if p <= n + 1:
             raise RegimeError(f"need p > n + 1, got n={n}, p={p}")
-        ok, rows = _each_block(per_draw, Xs)
+        ok, rows = _each_block(per_draw, (Xs.reshape(-1, p) @ Q).reshape(Xs.shape))
         return ok, {"terms": np.array(rows, dtype=float).reshape(len(rows), 4)}
 
     stats, n_skipped = _block_pass(
@@ -228,7 +243,7 @@ class InterpSample:
     @cached_property
     def _inverse_moments(self) -> tuple[float, float, float]:
         """(Y^T G^{-2} Y, tr G^{-1}, tr G^{-2})."""
-        Gi = cho_solve(self._gram, np.eye(self.data.n))
+        Gi = cho_inverse(self._gram)
         Gi2 = Gi @ Gi
         Y = self.data.Y
         return float(Y @ Gi2 @ Y), float(np.trace(Gi)), float(np.trace(Gi2))

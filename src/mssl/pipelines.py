@@ -1,11 +1,11 @@
 """End-to-end fitting pipelines behind the CLI.
 
 Each pipeline checks the mixing policy (formula, grid search, or a fixed
-value) before any work, ingests a labeled sample and a pool, shifts the
-labeled covariates into pool-centered coordinates, builds the family's
-per-sample object (``OlsSample``, ``GlmSample``, ``InterpSample``, shared
-with the presets) for the fits, risk estimates and ratios, and returns a
-JSON-ready report.
+value) and builds its resampling plan before any work, ingests a labeled
+sample and a pool, shifts the labeled covariates into pool-centered
+coordinates, builds the family's per-sample object (``OlsSample``,
+``GlmSample``, ``InterpSample``, shared with the presets) for the fits, risk
+estimates and ratios, and returns a JSON-ready report.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ def fit_ols_pipeline(
         raise RegimeError(
             f"ols needs n > p, got n={data.n}, p={data.p}; use the interp model"
         )
+    spec = ResampleSpec(blocks, seed)
     moments, data_c = _centered(data, pool)
-    model = OlsPoolModel(moments, ResampleSpec(blocks, seed), grid=grid)
+    model = OlsPoolModel(moments, spec, grid=grid)
     s = OlsSample(data_c, model)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     diags = {
@@ -119,8 +120,9 @@ def fit_glm_pipeline(
     source, fixed, grid = _parse_policy(alpha_policy, grid_size)
     if data.n <= data.p:
         raise RegimeError(f"glm needs n > p, got n={data.n}, p={data.p}")
+    spec = ResampleSpec(blocks, seed)
     moments, data_c = _centered(data, pool)
-    s = GlmSample(data_c, moments, link, ResampleSpec(blocks, seed), grid)
+    s = GlmSample(data_c, moments, link, spec, grid)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     coeffs = s.loss(alpha)
     stats = s.stats
@@ -152,14 +154,14 @@ def fit_interp_pipeline(
         raise RegimeError(f"interp needs p > n, got n={data.n}, p={data.p}")
     if pool.m <= pool.p:
         raise DataValidationError("pool must have more rows than columns")
+    spec = ResampleSpec(blocks, seed)
     moments, data_c = _centered(data, pool)
     Sigma = moments.Exx
     sigma_factor = spd_factor(Sigma, "Sigma")
     s = InterpSample(data_c, sigma_factor)
     ns = s.sigma_tau(Sigma)
     terms = interp_risk_terms(
-        Sigma, pool_sampler(moments.pool, data.n), ResampleSpec(blocks, seed),
-        sigma_factor=sigma_factor,
+        Sigma, pool_sampler(moments.pool, data.n), spec, sigma_factor=sigma_factor
     )
     alpha_hat = alpha_star_interp(ns.sigma2_hat, ns.tau2_hat, terms)[0]
     alpha = alpha_hat if source == "formula" else fixed

@@ -275,6 +275,32 @@ def test_fallback_equals_scipy_linalg(fallback):
     )
 
 
+@pytest.mark.parametrize("p", [1, 10, 100])
+def test_cho_inverse_is_the_exactly_symmetric_inverse(provider, p):
+    A = _spd(p, seed=p)
+    want = np.linalg.inv(A)
+    for factor in (spd_factor(A), scipy.linalg.cho_factor(A)):  # lower, then upper
+        before = factor[0].copy()
+        got = _blas.cho_inverse(factor)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_array_equal(factor[0], before)  # the caller's factor is not written
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cho_inverse_rejects_a_non_finite_factor(provider, bad):
+    c, lower = spd_factor(_spd(6))
+    c = c.copy()
+    c[3, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _blas.cho_inverse((c, lower))
+
+
+def test_cho_inverse_rejects_a_singular_factor(provider):
+    with pytest.raises(np.linalg.LinAlgError, match="zero pivot at order 2"):
+        _blas.cho_inverse((np.diag([1.0, 0.0, 1.0]), True))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_raises_value_error(provider, bad):
     A = _spd(6)

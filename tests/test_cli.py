@@ -103,7 +103,22 @@ def test_fit_interp_single_block_is_a_usage_error(interp_files, capsys):
     code = main(["fit", "--labeled", str(labeled), "--pool", str(pool),
                  "--model", "interp", "--blocks", "1"])
     assert code == 2
-    assert "not enough usable blocks" in capsys.readouterr().err
+    assert "replications must be >= 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["ols", "glm"])
+def test_fit_single_block_is_refused_before_any_work(model, ols_files, capsys, monkeypatch):
+    import mssl.pipelines
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("pool moments were built before the plan was checked")
+
+    monkeypatch.setattr(mssl.pipelines, "build_moments", no_work)
+    labeled, pool = ols_files
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model,
+                 "--blocks", "1"])
+    assert code == 2
+    assert "replications must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_fit_fixed_zero_equals_supervised(ols_files, capsys):

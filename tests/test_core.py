@@ -109,16 +109,16 @@ def test_resample_independent_of_consumption_order():
 
 def test_resample_single_block_shape():
     mom = build_moments(UnlabeledPool(np.arange(12.0).reshape(6, 2)), n=3)
-    spec = ResampleSpec(1, 0)
+    spec = ResampleSpec(2, 0)
     blocks = [resample_block(mom, spec, i) for i in range(spec.replications)]
-    assert len(blocks) == 1
-    assert blocks[0].shape == (3, 2)
+    assert len(blocks) == 2
+    assert all(block.shape == (3, 2) for block in blocks)
 
 
 def test_resample_block_too_large():
     mom = build_moments(UnlabeledPool(np.ones((3, 2))), n=4)
     with pytest.raises(DataValidationError, match="exceeds pool size 3"):
-        resample_block(mom, ResampleSpec(1, 0), 0)
+        resample_block(mom, ResampleSpec(2, 0), 0)
 
 
 def test_resample_block_draws_n_pool_rows_at_its_stream():
@@ -272,11 +272,18 @@ def test_block_pass_budget_is_ten_percent_of_the_blocks():
 
 
 def test_block_pass_needs_two_usable_blocks():
+    # a plan has >= 2 blocks and the budget skips at most 10% of them, so
+    # every pass that returns averages over 2 blocks or more
+    from mssl import ResampleBudgetError
     from mssl.core import _block_pass
 
-    with pytest.raises(DataValidationError, match="not enough usable blocks"):
-        _block_pass(ResampleSpec(1, 0), lambda i: i, _failing_at(set()))
-    _block_pass(ResampleSpec(2, 0), lambda i: i, _failing_at(set()))
+    for replications in (-1, 0, 1):
+        with pytest.raises(DataValidationError, match="replications must be >= 2"):
+            ResampleSpec(replications, 0)
+    results, skipped = _block_pass(ResampleSpec(2, 0), lambda i: i, _failing_at(set()))
+    assert (len(results["x10"]), skipped) == (2, 0)
+    with pytest.raises(ResampleBudgetError, match="1/2"):
+        _block_pass(ResampleSpec(2, 0), lambda i: i, _failing_at({1}))
 
 
 def test_block_pass_lets_other_errors_through():

@@ -14,6 +14,7 @@ from mssl import (
     SingularMatrixError,
     UnlabeledPool,
     alpha_star_interp,
+    build_moments,
     fit_min_norm,
     fit_min_variance,
     gaussian_sampler,
@@ -172,6 +173,58 @@ def test_interp_terms_ordering_properties():
     )
     assert terms.b_l <= terms.b_u + 3 * (terms.se_b_l + terms.se_b_u)
     assert terms.v_l >= terms.v_u - 3 * (terms.se_v_l + terms.se_v_u)
+
+
+def _recording(sampler, draws: list):
+    """``sampler`` that also appends each design it hands out to ``draws``."""
+
+    def draw(rng):
+        X = sampler(rng)
+        draws.append(X.copy())
+        return X
+
+    return draw
+
+
+def _defining_traces(X: np.ndarray, Sigma: np.ndarray) -> tuple[float, ...]:
+    """(b_l, v_l, b_u, v_u) of one design from their defining traces."""
+    G = X @ X.T
+    K = X @ np.linalg.solve(Sigma, X.T)
+    P = X.T @ np.linalg.solve(G, X)  # X^T G^{-1} X
+    return (
+        np.trace(Sigma) - np.trace(Sigma @ P),
+        np.trace(Sigma @ X.T @ np.linalg.solve(G, np.linalg.solve(G, X))),
+        np.trace(Sigma) - np.trace(X.T @ np.linalg.solve(K, X)),
+        np.trace(np.linalg.solve(K, np.eye(X.shape[0]))),
+    )
+
+
+@pytest.mark.parametrize("source", ["pool", "gaussian"])
+def test_interp_terms_equal_the_defining_traces(source, monkeypatch):
+    # the eigenbasis pass against per-draw solves, on a non-diagonal Sigma;
+    # the pass inverts from its factors and solves nothing
+    import mssl.interp
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the pass called cho_solve")
+
+    monkeypatch.setattr(mssl.interp, "cho_solve", no_solve)
+    n, p = 12, 30
+    rng = seeded_rng(40)
+    mixing = np.eye(p) + 0.3 * rng.standard_normal((p, p))
+    moments = build_moments(UnlabeledPool(rng.standard_normal((500, p)) @ mixing), n)
+    Sigma = moments.Exx
+    assert np.abs(Sigma - np.diag(np.diag(Sigma))).max() > 0.1
+    sampler = pool_sampler(moments.pool, n) if source == "pool" else gaussian_sampler(Sigma, n)
+    draws: list = []
+    got = interp_risk_terms(Sigma, _recording(sampler, draws), ResampleSpec(40, 41))
+    per_draw = np.array([_defining_traces(X, Sigma) for X in draws])
+    assert per_draw.shape == (40, 4)
+    mean = per_draw.mean(axis=0)
+    se = per_draw.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    np.testing.assert_allclose([got.b_l, got.v_l, got.b_u, got.v_u], mean, rtol=1e-10)
+    np.testing.assert_allclose([got.se_b_l, got.se_v_l, got.se_b_u, got.se_v_u], se, rtol=1e-10)
+    assert got.n_skipped == 0
 
 
 def test_interp_terms_regime_check():
@@ -339,9 +392,21 @@ def test_interp_terms_mostly_singular_draws_exhaust_the_budget():
 
 
 def test_interp_terms_need_two_usable_draws():
+    # a one-draw plan is refused when it is made; one failing draw of two
+    # exhausts the budget, so a pass never averages over fewer than 2 draws
     n, p = 5, 12
-    with pytest.raises(DataValidationError, match="not enough usable blocks"):
-        interp_risk_terms(np.eye(p), gaussian_sampler(np.eye(p), n), ResampleSpec(1, 0))
+    with pytest.raises(DataValidationError, match="replications must be >= 2"):
+        ResampleSpec(1, 0)
+    draw = gaussian_sampler(np.eye(p), n)
+
+    def sampler(rng):
+        X = draw(rng)
+        X[1] = X[0]  # a repeated row makes X X^T singular
+        return X
+
+    listed = _listed([draw(seeded_rng(5)), sampler(seeded_rng(6))])
+    with pytest.raises(ResampleBudgetError, match="1/2"):
+        interp_risk_terms(np.eye(p), listed, ResampleSpec(2, 0))
 
 
 # Sigma = diag(1, 1, 1, 1e-8) (cond 1e8) and a draw whose X X^T passes the

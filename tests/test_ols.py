@@ -239,6 +239,22 @@ def test_v_l_matches_wishart_closed_form():
     assert abs(model.v_l - expected) < max(3 * model.se_v_l, 0.02 * expected)
 
 
+def test_v_l_is_the_block_mean_of_its_defining_trace():
+    # v_l = mean over blocks of tr((X^T X)^{-1} H) / n, each block from its plan
+    from mssl.core import resample_block
+
+    rng = seeded_rng(13)
+    n, p = 40, 8
+    mixing = np.eye(p) + 0.3 * rng.standard_normal((p, p))
+    moments = build_moments(UnlabeledPool(rng.standard_normal((2000, p)) @ mixing), n)
+    spec = ResampleSpec(30, 6)
+    model = OlsPoolModel(moments, spec)
+    blocks = [resample_block(moments, spec, i) for i in range(spec.replications)]
+    want = [np.trace(np.linalg.solve(X.T @ X, moments.H)) / n for X in blocks]
+    assert model.n_blocks == len(want)
+    assert model.v_l == pytest.approx(np.mean(want), rel=1e-12)
+
+
 def test_bias_zero_for_zero_plugin():
     rng = seeded_rng(9)
     pool = UnlabeledPool(rng.standard_normal((500, 4)))
