@@ -39,13 +39,9 @@ from .glm import (
     GlmPoolStats,
     GlmProblem,
     GlmSample,
-    alpha_M_dispersion,
     alpha_dot_glm,
     clip_alpha,
     estimate_noise_glm,
-    fit_glm_loss_mixed,
-    fit_glm_semisupervised,
-    fit_glm_supervised,
     r_dot_glm_curve,
 )
 from .interp import (

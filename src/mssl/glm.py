@@ -1,16 +1,18 @@
 """General-link estimators and their quadratic-approximation risk terms.
 
-All fits minimize the canonical loss G(x^T beta) - x^T beta y (or its
-pool-averaged semi-supervised analogue) by damped Newton-Raphson.  Risk
-factors for the mixing-ratio formulas come from a quadratic expansion of
-the losses around an evaluation point, with the required expectations over
-fresh design matrices realized by block resampling from the pool.
+There is one objective, the alpha-blended canonical loss of ``GlmProblem``:
+(1 - alpha) times the labeled loss G(x^T beta) - x^T beta y plus alpha times
+its pool-averaged semi-supervised analogue, so alpha = 0 is the supervised
+fit and alpha = 1 the semi-supervised one.  ``GlmProblem.fit`` minimizes it
+by damped Newton-Raphson (``_newton``).  Risk factors for the mixing-ratio
+formulas come from a quadratic expansion of the losses around an evaluation
+point, with the required expectations over fresh design matrices realized
+by block resampling from the pool (``GlmPoolStats``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,14 +45,10 @@ __all__ = [
     "GlmProblem",
     "GlmPoolStats",
     "GlmSample",
-    "fit_glm_supervised",
-    "fit_glm_semisupervised",
-    "fit_glm_loss_mixed",
     "estimate_noise_glm",
     "alpha_dot_glm",
     "clip_alpha",
     "r_dot_glm_curve",
-    "alpha_M_dispersion",
 ]
 
 
@@ -65,15 +63,17 @@ class GlmFitReport:
 
 
 class GlmProblem:
-    """Objective, gradient, and Hessian closures for one training instance.
+    """The alpha-blended loss of one training instance, and its Newton fit.
 
-    The semi-supervised pieces average over a centered pool; the mixed loss
-    blends the supervised and semi-supervised pieces with weight alpha on
-    the pool side.
+    ``value``, ``grad`` and ``hess`` at (beta, alpha) are (1 - alpha) times
+    the labeled canonical loss plus alpha times its pool-averaged
+    semi-supervised analogue; a side of weight 0 is not evaluated, so
+    alpha = 0 (the supervised loss) needs no pool and alpha = 1 (the
+    semi-supervised loss) never reads the labeled design.  An uncentered
+    pool is centered here.
     """
 
     def __init__(self, data: LabeledSet, pool: UnlabeledPool | None, link: LinkSpec):
-        self.data = data
         self.link = link
         self.X = data.X
         self.Y = data.Y
@@ -88,27 +88,12 @@ class GlmProblem:
             self.zbar = self.Z.mean(axis=0)
         else:
             self.Z = None
-            self.m = 0
-            self.zbar = None
         self._eta_at = None  # the last point whose pool product is kept
         self._eta = None
         # gradient of the sample covariance term Cov(X beta, Y)
         self._cov_xy = (data.xty - self.n * data.xbar * data.ybar) / self.n
         self._ybar = data.ybar
 
-    # -- supervised loss ---------------------------------------------------
-    def sup_value(self, beta: np.ndarray) -> float:
-        eta = self.X @ beta
-        return float(np.mean(self.link.G(eta) - eta * self.Y))
-
-    def sup_grad(self, beta: np.ndarray) -> np.ndarray:
-        return self.X.T @ (self.link.g(self.X @ beta) - self.Y) / self.n
-
-    def sup_hess(self, beta: np.ndarray) -> np.ndarray:
-        d = self.link.gprime(self.X @ beta)
-        return (self.X * d[:, None]).T @ self.X / self.n
-
-    # -- semi-supervised loss ----------------------------------------------
     def _pool_eta(self, beta: np.ndarray) -> np.ndarray:
         """eta = Z beta, kept for the last point evaluated.
 
@@ -123,43 +108,77 @@ class GlmProblem:
             self._eta = self.Z @ self._eta_at
         return self._eta
 
-    def semi_value(self, beta: np.ndarray) -> float:
-        zeta = self._pool_eta(beta)
-        lin = (self.zbar @ beta) * self._ybar + self._cov_xy @ beta
-        return float(np.mean(self.link.G(zeta)) - lin)
+    def value(self, beta: np.ndarray, alpha: float) -> float:
+        def labeled():
+            eta = self.X @ beta
+            return float(np.mean(self.link.G(eta) - eta * self.Y))
 
-    def semi_grad(self, beta: np.ndarray) -> np.ndarray:
-        return (
-            self.Z.T @ self.link.g(self._pool_eta(beta)) / self.m
+        def pool():
+            zeta = self._pool_eta(beta)
+            lin = (self.zbar @ beta) * self._ybar + self._cov_xy @ beta
+            return float(np.mean(self.link.G(zeta)) - lin)
+
+        return _blend(alpha, labeled, pool)
+
+    def grad(self, beta: np.ndarray, alpha: float) -> np.ndarray:
+        return _blend(
+            alpha,
+            lambda: self.X.T @ (self.link.g(self.X @ beta) - self.Y) / self.n,
+            lambda: self.Z.T @ self.link.g(self._pool_eta(beta)) / self.m
             - self.zbar * self._ybar
-            - self._cov_xy
+            - self._cov_xy,
         )
 
-    def semi_hess(self, beta: np.ndarray) -> np.ndarray:
-        """Z^T D Z / m, D = diag(g'(Z beta)); g' < 0 on the pool is rejected."""
-        d = self.link.gprime(self._pool_eta(beta))
-        if np.min(d) < 0.0:
-            raise LinkValidationError(
-                "g' is negative somewhere on the pool; the semi-supervised loss "
-                "needs a nondecreasing link there"
-            )
-        return _weighted_gram(self.Z, np.sqrt(d)) / self.m
+    def hess(self, beta: np.ndarray, alpha: float) -> np.ndarray:
+        """Pool side Z^T D Z / m, D = diag(g'(Z beta)); g' < 0 on the pool is rejected."""
 
-    # -- blended loss --------------------------------------------------------
-    def mixed_value(self, beta: np.ndarray, alpha: float) -> float:
-        return (1.0 - alpha) * self.sup_value(beta) + alpha * self.semi_value(beta)
+        def labeled():
+            d = self.link.gprime(self.X @ beta)
+            return (self.X * d[:, None]).T @ self.X / self.n
 
-    def mixed_grad(self, beta: np.ndarray, alpha: float) -> np.ndarray:
-        return (1.0 - alpha) * self.sup_grad(beta) + alpha * self.semi_grad(beta)
+        def pool():
+            d = self.link.gprime(self._pool_eta(beta))
+            if np.min(d) < 0.0:
+                raise LinkValidationError(
+                    "g' is negative somewhere on the pool; the semi-supervised loss "
+                    "needs a nondecreasing link there"
+                )
+            return _weighted_gram(self.Z, np.sqrt(d)) / self.m
 
-    def mixed_hess(self, beta: np.ndarray, alpha: float) -> np.ndarray:
-        return (1.0 - alpha) * self.sup_hess(beta) + alpha * self.semi_hess(beta)
+        return _blend(alpha, labeled, pool)
 
-    def ols_start(self) -> np.ndarray:
-        return np.linalg.lstsq(self.X, self.Y, rcond=None)[0]
+    def fit(self, alpha: float, beta0: np.ndarray | None = None) -> GlmFitReport:
+        """Newton minimizer of the blended loss, from the least-squares fit unless beta0.
+
+        Its steps solve (alpha H_m + (1 - alpha) H_n) step = blended gradient,
+        with H_m the pool Hessian and H_n the labeled one.
+        """
+        if not 0.0 <= alpha <= 1.0:
+            raise DataValidationError(f"alpha must be in [0, 1], got {alpha}")
+        if beta0 is None:
+            beta0 = np.linalg.lstsq(self.X, self.Y, rcond=None)[0]
+        return _newton(
+            lambda b: self.value(b, alpha),
+            lambda b: self.grad(b, alpha),
+            lambda b: self.hess(b, alpha),
+            beta0,
+        )
 
 
-def _newton(value, grad, hess, beta0, max_iter: int = 100, tol: float = 1e-10) -> GlmFitReport:
+def _blend(alpha: float, labeled, pool):
+    """(1 - alpha) labeled() + alpha pool(), calling only a side of nonzero weight."""
+    if alpha == 0.0:
+        return labeled()
+    if alpha == 1.0:
+        return pool()
+    return (1.0 - alpha) * labeled() + alpha * pool()
+
+
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 1e-10  # on the accepted step's norm
+
+
+def _newton(value, grad, hess, beta0) -> GlmFitReport:
     """Damped Newton minimization of a smooth convex objective.
 
     Each step solves against the checked factor of the Hessian (``spd_factor``,
@@ -167,14 +186,14 @@ def _newton(value, grad, hess, beta0, max_iter: int = 100, tol: float = 1e-10) -
     is damped by a growing ridge, up to three times, before Newton gives up
     with SingularMatrixError.  Steps are halved until the objective stops
     increasing; five successive step-norm growths without convergence end in
-    a non-converged report.
+    a non-converged report, and so does reaching ``_NEWTON_MAX_ITER``.
     """
     beta = np.asarray(beta0, dtype=float).copy()
     f = value(beta)
     step_norm = math.inf
     prev_norm = math.inf
     growth = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         g = grad(beta)
         Hm = hess(beta)
         step = None
@@ -204,75 +223,26 @@ def _newton(value, grad, hess, beta0, max_iter: int = 100, tol: float = 1e-10) -
 
         step_norm = float(t * np.linalg.norm(step))
         beta, f = cand, fc
-        if step_norm < tol:
+        if step_norm < _NEWTON_TOL:
             return GlmFitReport(beta=beta, iterations=it, final_step_norm=step_norm, converged=True)
         growth = growth + 1 if step_norm > prev_norm else 0
         if growth >= 5:
             return GlmFitReport(beta=beta, iterations=it, final_step_norm=step_norm, converged=False)
         prev_norm = step_norm
-    return GlmFitReport(beta=beta, iterations=max_iter, final_step_norm=step_norm, converged=False)
-
-
-def fit_glm_supervised(
-    data: LabeledSet, link: LinkSpec, max_iter: int = 100, tol: float = 1e-10
-) -> GlmFitReport:
-    """Newton minimizer of the supervised canonical loss."""
-    prob = GlmProblem(data, None, link)
-    return _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, prob.ols_start(), max_iter, tol)
-
-
-def fit_glm_semisupervised(
-    data: LabeledSet,
-    pool: UnlabeledPool,
-    link: LinkSpec,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-) -> GlmFitReport:
-    """Newton minimizer of the pool-averaged semi-supervised loss."""
-    prob = GlmProblem(data, pool, link)
-    return _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, prob.ols_start(), max_iter, tol)
-
-
-def fit_glm_loss_mixed(
-    data: LabeledSet,
-    pool: UnlabeledPool,
-    link: LinkSpec,
-    alpha: float,
-    max_iter: int = 100,
-    tol: float = 1e-10,
-    beta0: np.ndarray | None = None,
-) -> GlmFitReport:
-    """Newton minimizer of the alpha-blended loss.
-
-    The update solves (alpha H_m + (1 - alpha) H_n) step = blended gradient,
-    with H_m the pool Hessian and H_n the labeled-sample one; alpha = 0
-    reproduces the supervised fit and alpha = 1 the semi-supervised fit.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise DataValidationError(f"alpha must be in [0, 1], got {alpha}")
-    prob = GlmProblem(data, pool, link)
-    start = prob.ols_start() if beta0 is None else np.asarray(beta0, dtype=float)
-    return _newton(
-        lambda b: prob.mixed_value(b, alpha),
-        lambda b: prob.mixed_grad(b, alpha),
-        lambda b: prob.mixed_hess(b, alpha),
-        start,
-        max_iter,
-        tol,
-    )
+    return GlmFitReport(beta=beta, iterations=it, final_step_norm=step_norm, converged=False)
 
 
 class GlmPoolStats:
     """One resampling pass computing every pool statistic at ``beta_eval``.
 
     Collects the v-terms of the quadratic risk expansion, the bias factor,
-    the trace appearing in the noise-estimator denominator, the dispersion
-    variant's v-terms, and (optionally) the loss-mixed risk curve over a
-    mixing-ratio grid.  ``moments``, the pool's moments for one labeled size,
-    gives the centered pool, n and H.  Every statistic averages over the same
-    blocks; ``n_skipped`` counts the blocks skipped as singular.  The v-terms
-    and ``B_g_hat`` are n times their squared-loss counterparts under the
-    identity link, a scale the ratio formula ignores.
+    the trace appearing in the noise-estimator denominator and (optionally)
+    the loss-mixed risk curve over a mixing-ratio grid.  ``moments``, the
+    pool's moments for one labeled size, gives the centered pool, n and H.
+    Every statistic averages over the same blocks; ``n_skipped`` counts the
+    blocks skipped as singular.  The v-terms and ``B_g_hat`` are n times their
+    squared-loss counterparts under the identity link, a scale the ratio
+    formula ignores.
 
     The pass hands each chunk of resampled blocks (see ``core._block_pass``)
     to one stacked kernel: F = X^T D X, X^T X, X^T D^2 X and the c vectors of
@@ -318,7 +288,6 @@ class GlmPoolStats:
                 "expansion needs a strictly increasing link there"
             )
         self.Hg = n * _weighted_gram(Z, np.sqrt(d_pool)) / m
-        self.H2 = n * _weighted_gram(Z, d_pool) / m
         self.exmu = n * (Z.T @ link.g(eta_pool)) / m  # total-information E_X[X^T mu]
 
         Lg = np.tril(spd_factor(self.Hg, "H_g")[0])
@@ -345,7 +314,6 @@ class GlmPoolStats:
                 "v_l": np.einsum("bij,bji->b", FiG, Fi @ self.Hg),
                 "v_s": (n - 1) / n * np.einsum("bii->b", FiG),
                 "trace_sigma": np.einsum("bij,bji->b", FiG, FiG2),  # noise-denominator trace
-                "v_l_M": np.einsum("bij,ji->b", Fi, self.H2),
                 "c": c,
             }
             if self.alphas is not None:
@@ -372,13 +340,8 @@ class GlmPoolStats:
         self.v_l_g, self.se_v_l_g = _mean_se(stats["v_l"])
         self.v_s_g, self.se_v_s_g = _mean_se(stats["v_s"])
         self.trace_sigma = float(np.mean(stats["trace_sigma"]))
-        self.v_l_M = float(np.mean(stats["v_l_M"]))
-        self.v_u_M = (n - 1) / n * float(np.trace(cho_solve((Lg, True), self.H2)))
 
         C = stats["c"]
-        self.zeta_hat_mean = self.exmu - C.mean(axis=0)
-        zetas = self.exmu[None, :] - C
-        self.zeta_hat_cov = np.cov(zetas.T, ddof=1)
         U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
         self.B_g_hat = float(np.sum(U * U) / (C.shape[0] - 1))
         if self.alphas is not None:
@@ -412,8 +375,8 @@ def estimate_noise_glm(
     """Approximately unbiased noise estimate for a general link.
 
     RSS of the supervised fit divided by n - 2p + the trace of ``stats``, the
-    pool statistics at the semi-supervised fit.  Negative raw values are
-    clipped at zero with a warning.  ``stats`` must be built for the sample's n.
+    pool statistics at the semi-supervised fit.  ``stats`` must be built for
+    the sample's n.
     """
     _check_n(data.n, stats.n)
     denom = stats.sigma2_denominator()
@@ -422,11 +385,7 @@ def estimate_noise_glm(
             f"nonpositive noise-estimator denominator (trace {stats.trace_sigma:.4g})"
         )
     resid = link.g(data.X @ np.asarray(beta_hat, dtype=float)) - data.Y
-    sigma2 = float(resid @ resid) / denom
-    if sigma2 < 0:
-        warnings.warn("noise estimate clipped at zero", stacklevel=2)
-        return 0.0
-    return sigma2
+    return float(resid @ resid) / denom
 
 
 class GlmSample:
@@ -434,7 +393,9 @@ class GlmSample:
 
     The fits use the centered pool of ``moments``, which must be built for
     the sample's n; a pool whose Gram H fails ``moments.H_factor`` raises
-    SingularMatrixError before any fit.  ``nonconverged`` counts the solves
+    SingularMatrixError before any fit.  One ``GlmProblem``, ``problem``,
+    serves every fit: beta_hat (alpha = 0), beta_breve (alpha = 1) and the
+    loss-mixed fits in between.  ``nonconverged`` counts the solves
     that did not converge (their results are still used).  ``GlmPoolStats``
     at beta_breve (plan ``spec``, grid ``alphas``) is built on first use, and
     from it the noise estimate and the ratios; a sample built without
@@ -453,12 +414,14 @@ class GlmSample:
         _check_n(data.n, moments.n)
         moments.H_factor  # checked once, before any Newton solve
         self.data, self.moments, self.link = data, moments, link
-        self.pool, self.spec, self.alphas = moments.pool, spec, alphas
+        self.spec, self.alphas = spec, alphas
+        self.problem = GlmProblem(data, moments.pool, link)
         self.nonconverged = 0
-        self.beta_hat = self._beta(fit_glm_supervised(data, link))
-        self.beta_breve = self._beta(fit_glm_semisupervised(data, self.pool, link))
+        self.beta_hat = self._fit(0.0)
+        self.beta_breve = self._fit(1.0)
 
-    def _beta(self, report: GlmFitReport) -> np.ndarray:
+    def _fit(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
+        report = self.problem.fit(alpha, beta0)
         self.nonconverged += not report.converged
         return report.beta
 
@@ -503,7 +466,7 @@ class GlmSample:
             return self.beta_breve
         if beta0 is None:
             beta0 = self.beta_breve if alpha > 0.5 else self.beta_hat
-        return self._beta(fit_glm_loss_mixed(self.data, self.pool, self.link, alpha, beta0=beta0))
+        return self._fit(alpha, beta0)
 
     def loss_path(self, alphas) -> list[np.ndarray]:
         """Loss-mixed fits along a ratio grid, each warm-started at the previous."""
@@ -554,14 +517,3 @@ def r_dot_glm_curve(
         + sigma2 * v_l_g
     )
     return float(out) if out.ndim == 0 else out
-
-
-def alpha_M_dispersion(sigma2: float, B: float, v_l_M: float, v_u_M: float) -> float:
-    """Best mixing ratio when the conditional variance scales with g'."""
-    if v_l_M <= v_u_M:
-        raise DataValidationError(f"v_l_M={v_l_M} <= v_u_M={v_u_M}: ordering violated")
-    gap = sigma2 * (v_l_M - v_u_M)
-    denom = B + gap
-    if denom <= 0:
-        raise DataValidationError("nonpositive denominator")
-    return float(gap / denom)

@@ -68,9 +68,7 @@ class InterpRiskTerms:
     n_skipped: int = 0
 
 
-def interp_risk_terms(
-    Sigma: np.ndarray, sampler, spec: ResampleSpec, sigma_factor=None
-) -> InterpRiskTerms:
+def interp_risk_terms(Sigma: np.ndarray, sampler, spec: ResampleSpec) -> InterpRiskTerms:
     """Monte Carlo estimates of (b_l, v_l, b_u, v_u) over design draws.
 
     b_l = tr(Sigma - Sigma E[X^T (X X^T)^{-1} X]),
@@ -91,14 +89,12 @@ def interp_risk_terms(
     b_u = tr Sigma - <K^{-1}, G> and v_u = tr K^{-1}, where <A, B> is the
     sum of the entrywise products.  A draw whose G or K fails ``spd_factor``
     is skipped and counted in ``n_skipped``.  Sigma itself must pass
-    ``spd_factor``; ``sigma_factor``, a caller's ``spd_factor(Sigma)``,
-    spares that check.
+    ``spd_factor``, checked on every call before its eigendecomposition.
     """
     Sigma = np.asarray(Sigma, dtype=float)
     p = Sigma.shape[0]
     tr_sigma = float(np.trace(Sigma))
-    if sigma_factor is None:
-        spd_factor(Sigma, "Sigma")
+    spd_factor(Sigma, "Sigma")
     D, Q = np.linalg.eigh(Sigma)
     root = np.sqrt(D)
     inv_root = 1.0 / root
@@ -188,6 +184,10 @@ def interp_eta(sigma2: float, tau2: float, terms: InterpRiskTerms) -> float:
     return float(r_min / (tau2 * terms.b_l + sigma2 * terms.v_l))
 
 
+_SIGMA_TAU_TOL = 1e-10  # on the move of each estimate
+_SIGMA_TAU_MAX_ITER = 100
+
+
 @dataclass(frozen=True)
 class NoiseSignalInterp:
     """Jointly iterated noise/signal estimates (clipped at zero)."""
@@ -257,14 +257,13 @@ class InterpSample:
         yq, tr1, tr2 = self._inverse_moments
         return (yq - tau2 * tr1) / tr2
 
-    def sigma_tau(
-        self, Sigma: np.ndarray, tol: float = 1e-10, max_iter: int = 100
-    ) -> NoiseSignalInterp:
+    def sigma_tau(self, Sigma: np.ndarray) -> NoiseSignalInterp:
         """Alternate the known-tau noise formula with a second-moment signal update.
 
         Starts from tau^2 = w^T Sigma w / tr(Sigma) at the minimum-norm fit;
         each round clips at zero.  Stops when both estimates move by less
-        than tol.
+        than ``_SIGMA_TAU_TOL``, or unconverged after ``_SIGMA_TAU_MAX_ITER``
+        rounds.
         """
         Sigma = np.asarray(Sigma, dtype=float)
         tr_sigma = float(np.trace(Sigma))
@@ -276,19 +275,19 @@ class InterpSample:
 
         tau2 = float(w_hat @ Sigma @ w_hat) / tr_sigma
         sigma2 = 0.0
-        for it in range(1, max_iter + 1):
+        for it in range(1, _SIGMA_TAU_MAX_ITER + 1):
             sigma2_new = max((yq - tau2 * tr1) / tr2, 0.0)
             tau2_new = max((y2 - sigma2_new) / tr_sigma, 0.0)
-            done = abs(sigma2_new - sigma2) < tol and abs(tau2_new - tau2) < tol
+            done = (
+                abs(sigma2_new - sigma2) < _SIGMA_TAU_TOL and abs(tau2_new - tau2) < _SIGMA_TAU_TOL
+            )
             sigma2, tau2 = sigma2_new, tau2_new
             if done:
                 return NoiseSignalInterp(sigma2, tau2, it, True)
-        return NoiseSignalInterp(sigma2, tau2, max_iter, False)
+        return NoiseSignalInterp(sigma2, tau2, it, False)
 
 
-def iterate_sigma_tau(
-    data: LabeledSet, Sigma: np.ndarray, tol: float = 1e-10, max_iter: int = 100
-) -> NoiseSignalInterp:
+def iterate_sigma_tau(data: LabeledSet, Sigma: np.ndarray) -> NoiseSignalInterp:
     """Iterated noise/signal estimates (p > n); see ``InterpSample.sigma_tau``."""
-    return InterpSample(data).sigma_tau(Sigma, tol, max_iter)
+    return InterpSample(data).sigma_tau(Sigma)
 

@@ -160,9 +160,7 @@ def fit_interp_pipeline(
     sigma_factor = spd_factor(Sigma, "Sigma")
     s = InterpSample(data_c, sigma_factor)
     ns = s.sigma_tau(Sigma)
-    terms = interp_risk_terms(
-        Sigma, pool_sampler(moments.pool, data.n), spec, sigma_factor=sigma_factor
-    )
+    terms = interp_risk_terms(Sigma, pool_sampler(moments.pool, data.n), spec)
     alpha_hat = alpha_star_interp(ns.sigma2_hat, ns.tau2_hat, terms)[0]
     alpha = alpha_hat if source == "formula" else fixed
     diags = {

@@ -829,7 +829,7 @@ def _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits):
     moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, m, gi)
     Sigma_fit = moments.Exx
     factor = spd_factor(Sigma_fit, "Sigma")
-    terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec, factor)
+    terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec)
     point = _InterpPoint(Sigma_fit, factor, terms, sigma2, tau2)
     beta_mode = random_beta(math.sqrt(tau2))
 

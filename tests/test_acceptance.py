@@ -29,9 +29,6 @@ from mssl import (
     elu_link,
     eta_from_ols_terms,
     finite_m_limits,
-    fit_glm_loss_mixed,
-    fit_glm_semisupervised,
-    fit_glm_supervised,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
@@ -42,7 +39,7 @@ from mssl import (
     run_experiment,
     seeded_rng,
 )
-from mssl.glm import GlmPoolStats, _newton
+from mssl.glm import GlmPoolStats
 
 
 def _report(num: str, ok: bool, detail: str, started: float) -> None:
@@ -122,10 +119,13 @@ def test_c1_endpoints_and_numeric_oracle():
                 np.max(np.abs(mix_linear(b_hat, b_breve, alpha) - ref)) / scale,
                 np.max(np.abs(fit_loss_mixed_ols(ds, mom, alpha) - ref)) / scale,
             )
-        g_hat = fit_glm_supervised(ds, elu_link()).beta
-        g_breve = fit_glm_semisupervised(ds, mom.pool, elu_link()).beta
-        for alpha, ref in ((0.0, g_hat), (1.0, g_breve)):
-            mixed = fit_glm_loss_mixed(ds, mom.pool, elu_link(), alpha).beta
+        # each GLM endpoint solve, started at the other endpoint, lands on the
+        # pure fit started from least squares
+        prob = GlmProblem(ds, mom.pool, elu_link())
+        g_hat = prob.fit(0.0).beta
+        g_breve = prob.fit(1.0).beta
+        for alpha, ref, other in ((0.0, g_hat, g_breve), (1.0, g_breve, g_hat)):
+            mixed = prob.fit(alpha, beta0=other).beta
             worst_endpoint = max(
                 worst_endpoint, np.max(np.abs(mixed - ref)) / np.linalg.norm(ref)
             )
@@ -276,9 +276,8 @@ def test_c5_noise_unbiasedness():
         data = LabeledSet(X, Y)
         moments = build_moments(UnlabeledPool(Z), n)
         prob = GlmProblem(data, moments.pool, link)
-        start = prob.ols_start()
-        b_hat = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, start).beta
-        b_breve = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, start).beta
+        b_hat = prob.fit(0.0).beta
+        b_breve = prob.fit(1.0).beta
         stats = GlmPoolStats(moments, link, b_breve, ResampleSpec(40, 50000 + k))
         resid = link.g(X @ b_hat) - Y
         vals.append(float(resid @ resid) / stats.sigma2_denominator())
@@ -390,21 +389,15 @@ def test_c8_gradient_probes():
         Y = elu_link().g(X @ beta0) + rng.standard_normal(n)
         pool = build_moments(UnlabeledPool(rng.standard_normal((300, p))), n).pool
         prob = GlmProblem(LabeledSet(X, Y), pool, elu_link())
-        alpha = float(rng.uniform(0, 1))
-        objectives = (
-            (prob.sup_value, prob.sup_grad),
-            (prob.semi_value, prob.semi_grad),
-            (lambda b: prob.mixed_value(b, alpha), lambda b: prob.mixed_grad(b, alpha)),
-        )
-        for f, g in objectives:
+        for alpha in (0.0, 1.0, float(rng.uniform(0, 1))):
             beta = rng.standard_normal(p)
             fd = np.zeros(p)
             h = 1e-6
             for i in range(p):
                 e = np.zeros(p)
                 e[i] = h
-                fd[i] = (f(beta + e) - f(beta - e)) / (2 * h)
-            rel = np.max(np.abs(fd - g(beta))) / (1.0 + np.max(np.abs(fd)))
+                fd[i] = (prob.value(beta + e, alpha) - prob.value(beta - e, alpha)) / (2 * h)
+            rel = np.max(np.abs(fd - prob.grad(beta, alpha))) / (1.0 + np.max(np.abs(fd)))
             worst = max(worst, float(rel))
             probes += 1
     ok = worst < 1e-5

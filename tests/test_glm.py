@@ -15,7 +15,6 @@ from mssl import (
     ResampleSpec,
     SingularMatrixError,
     UnlabeledPool,
-    alpha_M_dispersion,
     alpha_dot_glm,
     build_moments,
     center_pool,
@@ -23,9 +22,6 @@ from mssl import (
     custom_link,
     elu_link,
     estimate_noise_glm,
-    fit_glm_loss_mixed,
-    fit_glm_semisupervised,
-    fit_glm_supervised,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
@@ -50,21 +46,21 @@ def _random_instance(seed, n=20, p=3, m=400, link=None, sigma=1.0, beta=None):
 
 def test_supervised_identity_reduces_to_ols():
     ds, _ = _random_instance(1, link=identity_link())
-    rpt = fit_glm_supervised(ds, identity_link())
+    rpt = GlmProblem(ds, None, identity_link()).fit(0.0)
     assert rpt.converged
     np.testing.assert_allclose(rpt.beta, fit_ols_supervised(ds), atol=1e-9)
 
 
 def test_supervised_identity_tiny():
     ds = LabeledSet(np.eye(2), [1.0, 2.0])
-    rpt = fit_glm_supervised(ds, identity_link())
+    rpt = GlmProblem(ds, None, identity_link()).fit(0.0)
     np.testing.assert_allclose(rpt.beta, [1.0, 2.0], atol=1e-10)
 
 
 def test_supervised_elu_scalar_stationarity():
     # one observation, linear branch: g(beta) = y has the root beta = 2
     ds = LabeledSet([[1.0]], [2.0])
-    rpt = fit_glm_supervised(ds, elu_link())
+    rpt = GlmProblem(ds, None, elu_link()).fit(0.0)
     assert rpt.converged
     assert rpt.beta[0] == pytest.approx(2.0, abs=1e-8)
 
@@ -74,15 +70,15 @@ def test_supervised_recovers_noiseless_beta():
     X = rng.standard_normal((40, 3))
     beta0 = np.array([0.5, -0.25, 1.0])
     ds = LabeledSet(X, elu_link().g(X @ beta0))
-    rpt = fit_glm_supervised(ds, elu_link())
+    rpt = GlmProblem(ds, None, elu_link()).fit(0.0)
     assert rpt.converged
     np.testing.assert_allclose(rpt.beta, beta0, atol=1e-6)
 
 
 def test_supervised_gradient_small_at_solution():
     ds, pool = _random_instance(3)
-    rpt = fit_glm_supervised(ds, elu_link())
-    g = GlmProblem(ds, None, elu_link()).sup_grad(rpt.beta)
+    rpt = GlmProblem(ds, None, elu_link()).fit(0.0)
+    g = GlmProblem(ds, None, elu_link()).grad(rpt.beta, 0.0)
     bound = 1e-8 * (1.0 + np.linalg.norm(ds.X.T @ ds.Y) / ds.n)
     assert np.linalg.norm(g) < bound
 
@@ -90,7 +86,7 @@ def test_supervised_gradient_small_at_solution():
 def test_semisupervised_identity_reduces_to_ols():
     ds, pool = _random_instance(4, link=identity_link())
     mom = build_moments(pool, ds.n)
-    rpt = fit_glm_semisupervised(ds, pool, identity_link())
+    rpt = GlmProblem(ds, pool, identity_link()).fit(1.0)
     assert rpt.converged
     np.testing.assert_allclose(rpt.beta, fit_ols_semisupervised(ds, mom), atol=1e-9)
 
@@ -102,7 +98,7 @@ def test_semisupervised_constant_response_symmetric_pool():
     half = rng.standard_normal((200, 2))
     pool = UnlabeledPool(np.vstack([half, -half]), centered=True)
     ds = LabeledSet(rng.standard_normal((10, 2)), np.full(10, 3.0))
-    rpt = fit_glm_semisupervised(ds, pool, elu_link())
+    rpt = GlmProblem(ds, pool, elu_link()).fit(1.0)
     assert rpt.converged
     np.testing.assert_allclose(rpt.beta, np.zeros(2), atol=1e-7)
 
@@ -117,31 +113,38 @@ def test_semisupervised_centers_an_uncentered_pool_without_pool_moments(monkeypa
     rng = seeded_rng(5)
     raw = UnlabeledPool(rng.standard_normal((500, 3)) + 0.7)
     ds = LabeledSet(rng.standard_normal((30, 3)), rng.standard_normal(30))
-    want = fit_glm_semisupervised(ds, build_moments(raw, ds.n).pool, elu_link()).beta
+    want = GlmProblem(ds, build_moments(raw, ds.n).pool, elu_link()).fit(1.0).beta
 
     def no_moments(*args, **kwargs):
         raise AssertionError("pool moments were computed to center the pool")
 
     monkeypatch.setattr(mssl.core, "build_moments", no_moments)
-    np.testing.assert_array_equal(fit_glm_semisupervised(ds, raw, elu_link()).beta, want)
+    np.testing.assert_array_equal(GlmProblem(ds, raw, elu_link()).fit(1.0).beta, want)
     np.testing.assert_array_equal(center_pool(raw)[0].Z, build_moments(raw, ds.n).pool.Z)
 
 
 def test_semisupervised_is_the_minimizer():
     ds, pool = _random_instance(6)
     prob = GlmProblem(ds, pool, elu_link())
-    rpt = fit_glm_semisupervised(ds, pool, elu_link())
-    sup = fit_glm_supervised(ds, elu_link())
-    assert prob.semi_value(rpt.beta) <= prob.semi_value(sup.beta) + 1e-12
+    rpt = GlmProblem(ds, pool, elu_link()).fit(1.0)
+    sup = GlmProblem(ds, None, elu_link()).fit(0.0)
+    assert prob.value(rpt.beta, 1.0) <= prob.value(sup.beta, 1.0) + 1e-12
 
 
-def test_mixed_endpoints():
+def test_supervised_fit_never_reads_the_pool(monkeypatch):
+    # alpha = 0 skips the pool side, so a problem with a pool fits exactly as
+    # one without
     ds, pool = _random_instance(7)
-    b0 = fit_glm_loss_mixed(ds, pool, elu_link(), 0.0)
-    b1 = fit_glm_loss_mixed(ds, pool, elu_link(), 1.0)
-    np.testing.assert_allclose(b0.beta, fit_glm_supervised(ds, elu_link()).beta, atol=1e-8)
-    np.testing.assert_allclose(
-        b1.beta, fit_glm_semisupervised(ds, pool, elu_link()).beta, atol=1e-8
+
+    def no_pool(self, beta):
+        raise AssertionError("the supervised fit read the pool")
+
+    monkeypatch.setattr(GlmProblem, "_pool_eta", no_pool)
+    with_pool = GlmProblem(ds, pool, elu_link()).fit(0.0)
+    without = GlmProblem(ds, None, elu_link()).fit(0.0)
+    np.testing.assert_array_equal(with_pool.beta, without.beta)
+    assert (with_pool.iterations, with_pool.final_step_norm, with_pool.converged) == (
+        without.iterations, without.final_step_norm, without.converged,
     )
 
 
@@ -149,7 +152,7 @@ def test_mixed_identity_matches_closed_form():
     ds, pool = _random_instance(8, link=identity_link())
     mom = build_moments(pool, ds.n)
     for alpha in (0.25, 0.5, 0.9):
-        rpt = fit_glm_loss_mixed(ds, pool, identity_link(), alpha)
+        rpt = GlmProblem(ds, pool, identity_link()).fit(alpha)
         np.testing.assert_allclose(
             rpt.beta, fit_loss_mixed_ols(ds, mom, alpha), atol=1e-8
         )
@@ -158,16 +161,16 @@ def test_mixed_identity_matches_closed_form():
 def test_mixed_alpha_out_of_range():
     ds, pool = _random_instance(9)
     with pytest.raises(DataValidationError):
-        fit_glm_loss_mixed(ds, pool, elu_link(), -0.1)
+        GlmProblem(ds, pool, elu_link()).fit(-0.1)
 
 
 def test_mixed_matches_numeric_minimizer_elu():
     ds, pool = _random_instance(10, n=12, p=2, m=200)
     prob = GlmProblem(ds, pool, elu_link())
     alpha = 0.4
-    rpt = fit_glm_loss_mixed(ds, pool, elu_link(), alpha)
+    rpt = GlmProblem(ds, pool, elu_link()).fit(alpha)
     res = minimize(
-        lambda b: prob.mixed_value(b, alpha),
+        lambda b: prob.value(b, alpha),
         x0=np.zeros(2),
         method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 20000},
@@ -177,8 +180,8 @@ def test_mixed_matches_numeric_minimizer_elu():
 
 def test_fits_are_deterministic():
     ds, pool = _random_instance(11)
-    a = fit_glm_loss_mixed(ds, pool, elu_link(), 0.3)
-    b = fit_glm_loss_mixed(ds, pool, elu_link(), 0.3)
+    a = GlmProblem(ds, pool, elu_link()).fit(0.3)
+    b = GlmProblem(ds, pool, elu_link()).fit(0.3)
     assert np.array_equal(a.beta, b.beta)
     assert (a.iterations, a.final_step_norm, a.converged) == (
         b.iterations, b.final_step_norm, b.converged,
@@ -198,21 +201,15 @@ def _central_diff(f, beta, h=1e-6):
     return g
 
 
-@pytest.mark.parametrize("which", ["sup", "semi", "mixed"])
-def test_gradients_match_finite_differences(which):
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.35])
+def test_gradients_match_finite_differences(alpha):
     ds, pool = _random_instance(12, n=15, p=4, m=300)
     prob = GlmProblem(ds, pool, elu_link())
     rng = seeded_rng(13)
     for _ in range(5):
         beta = rng.standard_normal(4)
-        if which == "sup":
-            f, g = prob.sup_value, prob.sup_grad(beta)
-        elif which == "semi":
-            f, g = prob.semi_value, prob.semi_grad(beta)
-        else:
-            f = lambda b: prob.mixed_value(b, 0.35)
-            g = prob.mixed_grad(beta, 0.35)
-        fd = _central_diff(f, beta)
+        g = prob.grad(beta, alpha)
+        fd = _central_diff(lambda b: prob.value(b, alpha), beta)
         assert np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(fd))) < 1e-5
 
 
@@ -287,7 +284,7 @@ def test_noise_zero_for_noiseless_data():
     beta0 = np.array([1.0, 0.5, -0.5])
     ds = LabeledSet(X, elu_link().g(X @ beta0))
     pool = UnlabeledPool(rng.standard_normal((1000, 3)))
-    beta_hat = fit_glm_supervised(ds, elu_link()).beta
+    beta_hat = GlmProblem(ds, None, elu_link()).fit(0.0).beta
     stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(50, 5))
     sigma2 = estimate_noise_glm(ds, beta_hat, elu_link(), stats)
     assert sigma2 <= 1e-10
@@ -295,7 +292,7 @@ def test_noise_zero_for_noiseless_data():
 
 def test_noise_rejects_pool_stats_built_for_another_n():
     ds, pool = _random_instance(20, n=60, p=3, m=2000)
-    beta_hat = fit_glm_supervised(ds, elu_link()).beta
+    beta_hat = GlmProblem(ds, None, elu_link()).fit(0.0).beta
     stats = GlmPoolStats(build_moments(pool, 30), elu_link(), beta_hat, ResampleSpec(30, 6))
     with pytest.raises(DataValidationError, match="n=60.*n=30"):
         estimate_noise_glm(ds, beta_hat, elu_link(), stats)
@@ -371,37 +368,12 @@ def test_glm_grid_noiseless_prefers_supervised():
     assert curve.argmin_alpha == 0.0
 
 
-# -- dispersion variant --------------------------------------------------------------
-
-
-def test_v_m_identity_ordering():
-    rng = seeded_rng(22)
-    n, p = 30, 4
-    pool = UnlabeledPool(rng.standard_normal((4000, p)))
-    stats = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p),
-                         ResampleSpec(200, 8))
-    v_l_M, v_u_M = stats.v_l_M, stats.v_u_M
-    assert v_l_M > v_u_M
-    # identity link: H2 = Hg = H, so v_u_M = (n-1)p/n and v_l_M tracks the
-    # Wishart value p n/(n-p-1)
-    assert v_u_M == pytest.approx((n - 1) * p / n, rel=1e-10)
-    assert v_l_M == pytest.approx(p * n / (n - p - 1), rel=0.1)
-
-
-def test_alpha_m_examples():
-    assert alpha_M_dispersion(0.0, 1.0, 2.0, 1.0) == 0.0
-    assert alpha_M_dispersion(1.0, 1.0, 2.0, 1.0) == pytest.approx(0.5)
-    with pytest.raises(DataValidationError):
-        alpha_M_dispersion(1.0, 1.0, 1.0, 2.0)
-
-
 def test_noise_estimate_at_large_signal_documented_bias():
     # at the strong-signal experiment instance (beta = 2*1_p, block
     # covariance) the local-quadratic analysis behind the denominator is
     # only approximate: the estimator runs ~3% low at n=50.  Pin that the
     # deviation stays within 5% so regressions are visible.
     from mssl.simulate import CovarianceSpec, gen_sigma
-    from mssl.glm import GlmPoolStats, GlmProblem, _newton
     import math
 
     link = elu_link()
@@ -418,9 +390,8 @@ def test_noise_estimate_at_large_signal_documented_bias():
         data = LabeledSet(X, Y)
         moments = build_moments(UnlabeledPool(Z), n)
         prob = GlmProblem(data, moments.pool, link)
-        s = prob.ols_start()
-        bh = _newton(prob.sup_value, prob.sup_grad, prob.sup_hess, s).beta
-        bb = _newton(prob.semi_value, prob.semi_grad, prob.semi_hess, s).beta
+        bh = prob.fit(0.0).beta
+        bb = prob.fit(1.0).beta
         stats = GlmPoolStats(moments, link, bb, ResampleSpec(40, 1000 + k))
         resid = link.g(X @ bh) - data.Y
         vals.append(float(resid @ resid) / stats.sigma2_denominator())
@@ -536,7 +507,7 @@ def test_pool_stats_count_skipped_blocks_like_the_ols_model():
 
 
 def _glm_per_block_reference(stats, moments, spec):
-    """Per-block v_l, v_s, noise trace, v_l_M, c vectors and pencil curves, by the
+    """Per-block v_l, v_s, noise trace, c vectors and pencil curves, by the
     one-block-at-a-time formulas."""
     from mssl import resample_block
     from scipy.linalg import solve_triangular
@@ -560,7 +531,6 @@ def _glm_per_block_reference(stats, moments, spec):
             np.einsum("ij,ji->", FiG, cho_solve(factor, stats.Hg)),
             (n - 1) / n * np.trace(FiG),
             np.einsum("ij,ji->", FiG, FiG2),
-            np.trace(cho_solve(factor, stats.H2)),
         ))
         mu = link.g(Xb @ beta)
         c = Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean()
@@ -585,10 +555,9 @@ def test_pool_stats_match_the_per_block_formulas():
     terms, C, bias, var, Lg = _glm_per_block_reference(stats, moments, spec)
     mean = terms.mean(axis=0)
     se = terms.std(axis=0, ddof=1) / np.sqrt(terms.shape[0])
-    got = [stats.v_l_g, stats.v_s_g, stats.trace_sigma, stats.v_l_M]
+    got = [stats.v_l_g, stats.v_s_g, stats.trace_sigma]
     np.testing.assert_allclose(got, mean, rtol=1e-12)
     np.testing.assert_allclose([stats.se_v_l_g, stats.se_v_s_g], se[:2], rtol=1e-12)
-    np.testing.assert_allclose(stats.zeta_hat_mean, stats.exmu - C.mean(axis=0), rtol=1e-12)
     U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
     assert stats.B_g_hat == pytest.approx(np.sum(U * U) / (C.shape[0] - 1), rel=1e-12)
     np.testing.assert_allclose(stats._curve_bias, bias, rtol=1e-12)
@@ -598,9 +567,7 @@ def test_pool_stats_match_the_per_block_formulas():
 def _pool_stats_numbers(pool, n, link, beta, spec, alphas):
     stats = GlmPoolStats(build_moments(pool, n), link, beta, spec, alphas=alphas)
     numbers = [stats.v_l_g, stats.se_v_l_g, stats.v_s_g, stats.se_v_s_g, stats.B_g_hat,
-               stats.trace_sigma, stats.v_l_M, *stats.zeta_hat_mean,
-               *stats.zeta_hat_cov.ravel(), *stats._curve_bias.ravel(),
-               *stats._curve_var.ravel()]
+               stats.trace_sigma, *stats._curve_bias.ravel(), *stats._curve_var.ravel()]
     return stats.n_skipped, np.array(numbers)
 
 
@@ -659,7 +626,7 @@ def test_semisupervised_fit_rejects_a_decreasing_link_on_the_pool():
     wide = UnlabeledPool(3.0 * pool.Z, centered=True)
     sine = custom_link(g=np.sin, gprime=np.cos, G=lambda z: -np.cos(z))
     with pytest.raises(LinkValidationError, match="negative"):
-        fit_glm_semisupervised(data, wide, sine)
+        GlmProblem(data, wide, sine).fit(1.0)
 
 
 def _exp_instance():
@@ -685,8 +652,8 @@ def test_newton_takes_one_pool_product_per_iterate():
             return np.exp(z)
         return fn
 
-    report = fit_glm_semisupervised(data, pool, custom_link(counted("g"), counted("gprime"),
-                                                            counted("G")))
+    link = custom_link(counted("g"), counted("gprime"), counted("G"))
+    report = GlmProblem(data, pool, link).fit(1.0)
 
     # the reference: three closures, each forming Z beta itself
     zbar = Z.mean(axis=0)
@@ -746,7 +713,7 @@ def test_newton_damps_a_nearly_singular_pool_hessian(monkeypatch):
 
     monkeypatch.setattr(mssl.glm, "spd_factor", spy)
     with np.errstate(over="ignore"):
-        report = fit_glm_semisupervised(data, pool, elu_link())
+        report = GlmProblem(data, pool, elu_link()).fit(1.0)
     assert "Newton Hessian" in rejected  # the ridge retry ran
     assert np.all(np.isfinite(report.beta))
 

@@ -233,32 +233,47 @@ def test_interp_terms_regime_check():
 
 
 def _no_factoring(monkeypatch):
-    """Make any factorization inside the pass fail the test."""
+    """Make any factorization of a draw inside the pass fail the test; the
+    pass's own check of Sigma still runs."""
     import mssl.interp
+
+    checked = mssl.interp.spd_factor
+
+    def sigma_only(A, what="matrix"):
+        if what != "Sigma":
+            raise AssertionError("a draw was factored")
+        return checked(A, what)
 
     def fail(*args, **kwargs):
         raise AssertionError("a draw was factored")
 
-    monkeypatch.setattr(mssl.interp, "spd_factor", fail)
+    monkeypatch.setattr(mssl.interp, "spd_factor", sigma_only)
     monkeypatch.setattr(mssl.interp, "cho_solve", fail)
 
 
 def test_interp_terms_read_n_from_the_draws(monkeypatch):
     # p = 6 needs n <= 4: the same Sigma passes with 4-row draws and is
     # rejected with 5-row ones, before any draw is factored
-    factor = spd_factor(np.eye(6), "Sigma")
-    terms = interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(6), 4), ResampleSpec(5, 0), factor)
+    terms = interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(6), 4), ResampleSpec(5, 0))
     assert terms.v_u > 0
     _no_factoring(monkeypatch)
     with pytest.raises(RegimeError, match="n=5, p=6"):
-        interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(6), 5), ResampleSpec(5, 0), factor)
+        interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(6), 5), ResampleSpec(5, 0))
+
+
+def test_interp_terms_check_sigma_before_any_draw():
+    def no_draws(rng):
+        raise AssertionError("a design was drawn")
+
+    singular = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    with pytest.raises(SingularMatrixError, match="Sigma"):
+        interp_risk_terms(singular, no_draws, ResampleSpec(5, 0))
 
 
 def test_interp_terms_reject_draws_of_another_width(monkeypatch):
-    factor = spd_factor(np.eye(6), "Sigma")
     _no_factoring(monkeypatch)
     with pytest.raises(DataValidationError, match="7 columns but Sigma has order 6"):
-        interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(7), 2), ResampleSpec(5, 0), factor)
+        interp_risk_terms(np.eye(6), gaussian_sampler(np.eye(7), 2), ResampleSpec(5, 0))
 
 
 def test_pool_sampler_draws_rows():

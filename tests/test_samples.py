@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mssl import (
     DataValidationError,
+    GlmProblem,
     GlmSample,
     InterpRiskTerms,
     InterpSample,
@@ -17,7 +18,6 @@ from mssl import (
     UnlabeledPool,
     build_moments,
     elu_link,
-    fit_glm_loss_mixed,
     seeded_rng,
 )
 from mssl.core import spd_factor
@@ -155,9 +155,31 @@ def test_glm_loss_mixed_solve_at_the_endpoints_is_the_pure_fits(seed):
     # Newton solve it skips lands there too, even started at the other end
     s = _glm_sample(seed)
     for alpha, pure, start in ((0.0, s.beta_hat, s.beta_breve), (1.0, s.beta_breve, s.beta_hat)):
-        report = fit_glm_loss_mixed(s.data, s.pool, s.link, alpha, beta0=start)
+        report = GlmProblem(s.data, s.moments.pool, s.link).fit(alpha, beta0=start)
         assert report.converged
         np.testing.assert_allclose(report.beta, pure, rtol=1e-8, atol=1e-10)
+
+
+def test_glm_sample_builds_one_problem_for_all_its_fits(monkeypatch):
+    import mssl.glm
+
+    built, fits = [], []
+
+    class Counted(GlmProblem):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+        def fit(self, alpha, beta0=None):
+            fits.append(alpha)
+            return super().fit(alpha, beta0)
+
+    monkeypatch.setattr(mssl.glm, "GlmProblem", Counted)
+    s = _glm_sample(4)
+    s.loss(0.3)
+    s.loss_path([0.6, 0.9])
+    assert fits == [0.0, 1.0, 0.3, 0.6, 0.9]
+    assert len(built) == 1 and type(s.problem) is Counted
 
 
 def test_glm_sample_builds_pool_stats_on_first_use():
