@@ -148,6 +148,15 @@ def test_supervised_fit_never_reads_the_pool(monkeypatch):
     )
 
 
+def test_mixed_endpoints():
+    # the endpoints skip one side of the blend; the fits there are still the
+    # limits of the interior fits
+    ds, pool = _random_instance(7)
+    prob = GlmProblem(ds, pool, elu_link())
+    for end, inner in ((0.0, 1e-10), (1.0, 1.0 - 1e-10)):
+        np.testing.assert_allclose(prob.fit(end).beta, prob.fit(inner).beta, atol=1e-8)
+
+
 def test_mixed_identity_matches_closed_form():
     ds, pool = _random_instance(8, link=identity_link())
     mom = build_moments(pool, ds.n)
@@ -201,8 +210,9 @@ def _central_diff(f, beta, h=1e-6):
     return g
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 0.35])
-def test_gradients_match_finite_differences(alpha):
+@pytest.mark.parametrize("which", ["sup", "semi", "mixed"])
+def test_gradients_match_finite_differences(which):
+    alpha = {"sup": 0.0, "semi": 1.0, "mixed": 0.35}[which]
     ds, pool = _random_instance(12, n=15, p=4, m=300)
     prob = GlmProblem(ds, pool, elu_link())
     rng = seeded_rng(13)
