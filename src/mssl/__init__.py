@@ -9,13 +9,13 @@ asymptotic limits, and a reproducible Monte Carlo experiment harness.
 from .asymptotics import (
     AsymptoticSetting,
     LimitReport,
-    eta_from_ols_terms,
     finite_m_limits,
     interp_limits,
     ols_limits,
 )
 from .core import (
     LabeledSet,
+    MixRisk,
     PopulationMoments,
     ResampleSpec,
     UnlabeledPool,
@@ -39,19 +39,14 @@ from .glm import (
     GlmPoolStats,
     GlmProblem,
     GlmSample,
-    alpha_dot_glm,
-    clip_alpha,
     estimate_noise_glm,
-    r_dot_glm_curve,
 )
 from .interp import (
     InterpRiskTerms,
     InterpSample,
     NoiseSignalInterp,
-    alpha_star_interp,
     fit_min_norm,
     fit_min_variance,
-    interp_eta,
     interp_risk_terms,
     interp_terms_spiked_closed_form,
     iterate_sigma_tau,
@@ -78,15 +73,12 @@ from .ols import (
     OlsPoolModel,
     OlsSample,
     RiskCurve,
-    alpha_star_finite_m,
-    alpha_star_ols,
     fit_finite_m_semisupervised,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
     mix_linear,
     noise_signal_ols,
-    r_dot_curve,
 )
 from .simulate import (
     BetaMode,

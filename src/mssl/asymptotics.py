@@ -17,7 +17,6 @@ __all__ = [
     "ols_limits",
     "interp_limits",
     "finite_m_limits",
-    "eta_from_ols_terms",
 ]
 
 
@@ -52,19 +51,6 @@ class LimitReport:
     eta_inf: float
     alpha_inf: float
     term_limits: dict = field(default_factory=dict)
-
-
-def eta_from_ols_terms(
-    sigma2: float, tau2: float, v_l: float, v_u: float, b_u: float
-) -> float:
-    """Relative risk of the best mix, written in terms of the risk factors.
-
-    1 - sigma^2 (v_l - v_u)^2 / (tau^2 v_l b_u + sigma^2 v_l (v_l - v_u)).
-    """
-    denom = tau2 * v_l * b_u + sigma2 * v_l * (v_l - v_u)
-    if denom <= 0:
-        raise DataValidationError("nonpositive denominator in the eta identity")
-    return 1.0 - sigma2 * (v_l - v_u) ** 2 / denom
 
 
 def ols_limits(s: AsymptoticSetting) -> LimitReport:

@@ -22,6 +22,7 @@ __all__ = [
     "LabeledSet",
     "UnlabeledPool",
     "PopulationMoments",
+    "MixRisk",
     "ResampleSpec",
     "center_pool",
     "build_moments",
@@ -180,6 +181,8 @@ class PopulationMoments:
 
     def __post_init__(self):
         A = self.Exx
+        if not np.all(np.isfinite(A)):
+            raise DataValidationError("Exx is not finite: the pool's second moments overflow")
         sym_err = np.max(np.abs(A - A.T)) if A.size else 0.0
         if sym_err > 1e-10 * max(1.0, np.max(np.abs(A))):
             raise DataValidationError("Exx is not symmetric")
@@ -190,6 +193,90 @@ class PopulationMoments:
     @cached_property
     def H_factor(self) -> tuple[np.ndarray, bool]:
         return spd_factor(self.H, "H")
+
+
+@dataclass(frozen=True)
+class MixRisk:
+    """The risk of the coefficient mix (1 - alpha) beta_hat + alpha beta_breve, quadratic in alpha.
+
+    R(alpha) = floor + (1 - alpha)^2 gain + alpha^2 cost.  With R00 and R11
+    the risks of the two estimators and R01 their cross term, floor = R01,
+    gain = R00 - R01 and cost = R11 - R01.  Each family's pool statistics
+    fill in the three numbers (``OlsPoolModel.risk``, ``GlmPoolStats.risk``,
+    ``InterpRiskTerms.risk``), and ``se_gain`` and ``se_cost`` are the Monte
+    Carlo SEs of gain and cost, scaled like them (0 where a term is exact).
+    ``terms`` is the one clipping policy for the mixing ratio, and ``curve``,
+    ``minimum`` and ``eta`` evaluate the quadratic of the clipped terms.
+    """
+
+    floor: float
+    gain: float
+    cost: float
+    se_gain: float = 0.0
+    se_cost: float = 0.0
+
+    @classmethod
+    def from_factors(
+        cls, sigma2: float, B: float, v_l: float, v_u: float, v_s: float,
+        se_v_l: float = 0.0, se_v_s: float = 0.0,
+    ) -> MixRisk:
+        """The risk at noise sigma2, bias B and variance factors v_l, v_u and v_s.
+
+        floor sigma^2 v_s, gain sigma^2 (v_l - v_s) and cost B + sigma^2 (v_u - v_s),
+        so the ratio is sigma^2 (v_l - v_s) / (B + sigma^2 (v_l + v_u - 2 v_s)).
+        Least squares has v_s = v_u, and the finite pool passes B = tau^2 b_u~,
+        v_u~ and v_s~.  v_u is exact; the SEs of v_l and v_s add up in the SE
+        of the gain.
+        """
+        return cls(
+            sigma2 * v_s, sigma2 * (v_l - v_s), B + sigma2 * (v_u - v_s),
+            se_gain=sigma2 * (se_v_l + se_v_s), se_cost=sigma2 * se_v_s,
+        )
+
+    @property
+    def terms(self) -> tuple[float, float]:
+        """(gain, cost), a term negative within 3 of its SEs counting as 0; beyond, it raises."""
+        for name, value, se in (("gain", self.gain, self.se_gain),
+                                ("cost", self.cost, self.se_cost)):
+            if not value >= -3.0 * se:  # NaN fails too
+                raise DataValidationError(
+                    f"the mixing risk's {name} is {value:.4g}, negative beyond 3 Monte Carlo "
+                    f"SEs ({se:.4g}): the bias/variance ordering of the two estimators is violated"
+                )
+        return max(0.0, self.gain), max(0.0, self.cost)
+
+    @property
+    def ratio(self) -> float:
+        """gain / (gain + cost) of ``terms``, the minimizer of R over [0, 1]; 0 when both
+        terms are 0 (the flat case, where every ratio is optimal).
+        """
+        gain, cost = self.terms
+        total = gain + cost
+        return float(gain / total) if total > 0.0 else 0.0
+
+    @property
+    def raw(self) -> float:
+        """gain / (gain + cost) of the terms as given, unclipped; 0 where the sum is 0."""
+        total = self.gain + self.cost
+        return float(self.gain / total) if total != 0.0 else 0.0
+
+    def curve(self, alphas):
+        """R at a scalar or an array of ratios: a sum of nonnegative terms past the floor."""
+        gain, cost = self.terms
+        alphas = np.asarray(alphas, dtype=float)
+        out = self.floor + (1.0 - alphas) ** 2 * gain + alphas**2 * cost
+        return float(out) if out.ndim == 0 else out
+
+    @property
+    def minimum(self) -> float:
+        """R at ``ratio``: floor + ratio cost = floor + gain cost / (gain + cost), uncancelled."""
+        return float(self.floor + self.ratio * self.terms[1])
+
+    @property
+    def eta(self) -> float:
+        """The best mix's risk relative to the first estimator's, minimum / R(0); 1 if R(0) = 0."""
+        r0 = self.curve(0.0)
+        return self.minimum / r0 if r0 != 0.0 else 1.0
 
 
 def center_pool(pool: UnlabeledPool) -> tuple[UnlabeledPool, np.ndarray]:

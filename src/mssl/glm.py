@@ -21,6 +21,7 @@ import numpy as np
 from ._blas import cho_solve
 from .core import (
     LabeledSet,
+    MixRisk,
     PopulationMoments,
     ResampleSpec,
     UnlabeledPool,
@@ -46,9 +47,6 @@ __all__ = [
     "GlmPoolStats",
     "GlmSample",
     "estimate_noise_glm",
-    "alpha_dot_glm",
-    "clip_alpha",
-    "r_dot_glm_curve",
 ]
 
 
@@ -350,9 +348,10 @@ class GlmPoolStats:
     def sigma2_denominator(self) -> float:
         return self.n - 2 * self.p + self.trace_sigma
 
-    def alpha_dot(self, sigma2: float) -> float:
-        """Formula ratio ``alpha_dot_glm`` at noise level sigma2, unclipped."""
-        return alpha_dot_glm(sigma2, self.B_g_hat, self.v_l_g, self.v_u_g, self.v_s_g)[0]
+    def risk(self, sigma2: float) -> MixRisk:
+        """The coefficient mix's risk at noise level sigma2 (``MixRisk.from_factors``)."""
+        return MixRisk.from_factors(sigma2, self.B_g_hat, self.v_l_g, self.v_u_g, self.v_s_g,
+                                    self.se_v_l_g, self.se_v_s_g)
 
     def ddot_curve(self, sigma2_hat: float) -> RiskCurve:
         if self.alphas is None:
@@ -417,8 +416,9 @@ class GlmSample:
         self.spec, self.alphas = spec, alphas
         self.problem = GlmProblem(data, moments.pool, link)
         self.nonconverged = 0
-        self.beta_hat = self._fit(0.0)
-        self.beta_breve = self._fit(1.0)
+        start = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]  # both pure fits start here
+        self.beta_hat = self._fit(0.0, start)
+        self.beta_breve = self._fit(1.0, start)
 
     def _fit(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
         report = self.problem.fit(alpha, beta0)
@@ -436,13 +436,8 @@ class GlmSample:
         return estimate_noise_glm(self.data, self.beta_hat, self.link, self.stats)
 
     @cached_property
-    def alpha_raw(self) -> float:
-        """Formula ratio before clipping to [0, 1]."""
-        return self.stats.alpha_dot(self.sigma2_hat)
-
-    @property
     def alpha_hat(self) -> float:
-        return clip_alpha(self.alpha_raw)
+        return self.stats.risk(self.sigma2_hat).ratio
 
     @cached_property
     def alpha_grid(self) -> float | None:
@@ -474,46 +469,3 @@ class GlmSample:
         for a in alphas:
             path.append(self.loss(a, beta0=path[-1]))
         return path[1:]
-
-
-def alpha_dot_glm(
-    sigma2: float, B_g: float, v_l_g: float, v_u_g: float, v_s_g: float
-) -> tuple[float, float]:
-    """Best mixing ratio under the quadratic expansion, and its risk value."""
-    curv = v_l_g + v_u_g - 2.0 * v_s_g
-    if curv <= 0:
-        raise DataValidationError(
-            f"v_l + v_u - 2 v_s = {curv:.4g} <= 0: quadratic curvature "
-            "condition violated (Monte Carlo noise or assumption breach)"
-        )
-    denom = B_g + sigma2 * curv
-    if denom <= 0:
-        raise DataValidationError("nonpositive denominator")
-    alpha = sigma2 * (v_l_g - v_s_g) / denom
-    r_min = sigma2 * v_l_g - sigma2**2 * (v_l_g - v_s_g) ** 2 / denom
-    return float(alpha), float(r_min)
-
-
-def clip_alpha(alpha: float) -> float:
-    """Clip a formula mixing ratio to [0, 1].
-
-    ``alpha_dot_glm`` can leave the unit interval when the plug-in terms are
-    noisy; a blend outside it extrapolates instead of mixing.
-    """
-    return min(max(alpha, 0.0), 1.0)
-
-
-def r_dot_glm_curve(
-    alpha, sigma2: float, B_g: float, v_l_g: float, v_u_g: float, v_s_g: float
-):
-    """Quadratic risk of the coefficient mix under the general-link expansion."""
-    curv = v_l_g + v_u_g - 2.0 * v_s_g
-    if curv <= 0:
-        raise DataValidationError(f"v_l + v_u - 2 v_s = {curv:.4g} <= 0")
-    alpha = np.asarray(alpha, dtype=float)
-    out = (
-        alpha**2 * (B_g + sigma2 * curv)
-        - 2.0 * alpha * sigma2 * (v_l_g - v_s_g)
-        + sigma2 * v_l_g
-    )
-    return float(out) if out.ndim == 0 else out

@@ -13,6 +13,7 @@ import numpy as np
 from ._blas import cho_inverse, cho_solve
 from .core import (
     LabeledSet,
+    MixRisk,
     ResampleSpec,
     _block_pass,
     _each_block,
@@ -30,8 +31,6 @@ __all__ = [
     "fit_min_variance",
     "interp_risk_terms",
     "interp_terms_spiked_closed_form",
-    "alpha_star_interp",
-    "interp_eta",
     "iterate_sigma_tau",
 ]
 
@@ -66,6 +65,22 @@ class InterpRiskTerms:
     se_b_u: float = 0.0
     se_v_u: float = 0.0
     n_skipped: int = 0
+
+    def risk(self, sigma2: float, tau2: float) -> MixRisk:
+        """The interpolator mix's risk at noise sigma2 and signal tau2.
+
+        floor tau^2 b_l + sigma^2 v_u, gain sigma^2 (v_l - v_u) and cost
+        tau^2 (b_u - b_l), so the ratio is
+        sigma^2 (v_l - v_u) / (tau^2 (b_u - b_l) + sigma^2 (v_l - v_u)).
+        Each gap's SE is the sum of its two terms' SEs.
+        """
+        return MixRisk(
+            tau2 * self.b_l + sigma2 * self.v_u,
+            sigma2 * (self.v_l - self.v_u),
+            tau2 * (self.b_u - self.b_l),
+            se_gain=sigma2 * (self.se_v_l + self.se_v_u),
+            se_cost=tau2 * (self.se_b_l + self.se_b_u),
+        )
 
 
 def interp_risk_terms(Sigma: np.ndarray, sampler, spec: ResampleSpec) -> InterpRiskTerms:
@@ -153,37 +168,6 @@ def interp_terms_spiked_closed_form(
     )
 
 
-def alpha_star_interp(
-    sigma2: float, tau2: float, terms: InterpRiskTerms
-) -> tuple[float, float]:
-    """Best interpolator mixing ratio and the risk value it attains.
-
-    alpha = sigma^2 (v_l - v_u) / (tau^2 (b_u - b_l) + sigma^2 (v_l - v_u)).
-    """
-    slack_v = 3.0 * (terms.se_v_l + terms.se_v_u)
-    slack_b = 3.0 * (terms.se_b_l + terms.se_b_u)
-    if terms.v_l < terms.v_u - slack_v or terms.b_u < terms.b_l - slack_b:
-        raise DataValidationError(
-            "bias/variance ordering violated beyond Monte Carlo error: "
-            f"v_l={terms.v_l:.4g} vs v_u={terms.v_u:.4g}, "
-            f"b_l={terms.b_l:.4g} vs b_u={terms.b_u:.4g}"
-        )
-    v_gap = max(terms.v_l - terms.v_u, 0.0)
-    b_gap = max(terms.b_u - terms.b_l, 0.0)
-    denom = tau2 * b_gap + sigma2 * v_gap
-    if denom <= 0:
-        raise DataValidationError("nonpositive denominator in the mixing formula")
-    alpha = sigma2 * v_gap / denom
-    r_min = tau2 * terms.b_l + sigma2 * terms.v_l - (sigma2 * v_gap) ** 2 / denom
-    return float(alpha), float(r_min)
-
-
-def interp_eta(sigma2: float, tau2: float, terms: InterpRiskTerms) -> float:
-    """Risk of the best mix relative to the minimum-norm interpolator."""
-    _, r_min = alpha_star_interp(sigma2, tau2, terms)
-    return float(r_min / (tau2 * terms.b_l + sigma2 * terms.v_l))
-
-
 _SIGMA_TAU_TOL = 1e-10  # on the move of each estimate
 _SIGMA_TAU_MAX_ITER = 100
 
@@ -235,10 +219,6 @@ class InterpSample:
     def linear(self, alpha: float) -> np.ndarray:
         """Coefficient mix (1 - alpha) min_norm + alpha min_variance."""
         return mix_linear(self.min_norm, self.min_variance, alpha)
-
-    def mix(self, terms: InterpRiskTerms, sigma2: float, tau2: float) -> np.ndarray:
-        """Coefficient mix at the formula ratio ``alpha_star_interp(sigma2, tau2, terms)``."""
-        return self.linear(alpha_star_interp(sigma2, tau2, terms)[0])
 
     @cached_property
     def _inverse_moments(self) -> tuple[float, float, float]:

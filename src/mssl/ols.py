@@ -19,6 +19,7 @@ from ._blas import cho_inverse, cho_solve
 from .core import (
     COND_LIMIT,
     LabeledSet,
+    MixRisk,
     PopulationMoments,
     ResampleSpec,
     UnlabeledPool,
@@ -42,9 +43,6 @@ __all__ = [
     "fit_loss_mixed_ols",
     "NoiseSignalOls",
     "noise_signal_ols",
-    "alpha_star_ols",
-    "r_dot_curve",
-    "alpha_star_finite_m",
 ]
 
 
@@ -201,6 +199,10 @@ class OlsPoolModel:
         if alphas is not None:
             self.ddot = DdotRiskModel(alphas, n, *_ddot_operators(stats))
 
+    def risk(self, sigma2: float, B: float) -> MixRisk:
+        """The coefficient mix's risk at noise sigma2 and bias B (``MixRisk.from_factors``)."""
+        return MixRisk.from_factors(sigma2, B, self.v_l, self.v_u, self.v_u, self.se_v_l)
+
     def bias_at(self, beta: np.ndarray) -> float:
         """Estimated bias of the semi-supervised estimator at a plug-in beta.
 
@@ -248,7 +250,7 @@ class OlsSample:
 
     def ratio(self, B: float) -> float:
         """Formula ratio at the estimated noise and a plug-in bias B."""
-        return alpha_star_ols(self.sigma2_hat, B, self.model.v_l, self.model.v_u)[0]
+        return self.model.risk(self.sigma2_hat, B).ratio
 
     def linear(self, alpha: float) -> np.ndarray:
         return mix_linear(self.beta_hat, self.beta_breve, alpha)
@@ -282,62 +284,6 @@ def noise_signal_ols(
         raise DataValidationError("tr(Exx) must be positive to estimate the signal")
     tau2 = max((float(data.Y @ data.Y) / n - sigma2) / tr_exx, 0.0)
     return NoiseSignalOls(sigma2_hat=sigma2, tau2_hat=tau2)
-
-
-def alpha_star_ols(
-    sigma2: float, B: float, v_l: float, v_u: float
-) -> tuple[float, float]:
-    """Best mixing ratio for the coefficient mix, and the risk it attains.
-
-    alpha* = sigma^2 (v_l - v_u) / (B + sigma^2 (v_l - v_u)), with minimum
-    reducible error sigma^2 v_u + alpha* B: the same value as
-    sigma^2 v_l - sigma^4 (v_l - v_u)^2 / (B + sigma^2 (v_l - v_u)), without
-    its cancellation.
-    """
-    if v_u < 0 or B < 0 or sigma2 < 0:
-        raise DataValidationError("sigma2, B and v_u must be nonnegative")
-    if v_l <= v_u:
-        raise DataValidationError(
-            f"v_l={v_l} <= v_u={v_u}: the variance ordering required for the "
-            "optimum formula is violated"
-        )
-    gap = sigma2 * (v_l - v_u)
-    denom = B + gap
-    if denom <= 0:
-        raise DataValidationError("B + sigma^2 (v_l - v_u) must be positive")
-    alpha = gap / denom
-    r_min = sigma2 * v_u + alpha * B
-    return float(alpha), float(r_min)
-
-
-def r_dot_curve(alpha, sigma2: float, B: float, v_l: float, v_u: float):
-    """Reducible error of the coefficient mix as a function of alpha.
-
-    sigma^2 v_u + alpha^2 B + (1 - alpha)^2 sigma^2 (v_l - v_u), a sum of
-    nonnegative terms (the expanded quadratic cancels near its minimum);
-    accepts a scalar or an array of mixing ratios.
-    """
-    if v_l <= v_u:
-        raise DataValidationError(f"v_l={v_l} <= v_u={v_u}")
-    if B < 0 or sigma2 < 0:
-        raise DataValidationError("sigma2 and B must be nonnegative")
-    alpha = np.asarray(alpha, dtype=float)
-    gap = sigma2 * (v_l - v_u)
-    out = sigma2 * v_u + alpha**2 * B + gap * (1.0 - alpha) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def alpha_star_finite_m(
-    sigma2: float, tau2: float, b_ut: float, v_ut: float, v_st: float, v_l: float
-) -> float:
-    """Best mixing ratio without the infinite-pool idealization.
-
-    sigma^2 (v_l - v_s~) / (tau^2 b_u~ + sigma^2 (v_l + v_u~ - 2 v_s~)).
-    """
-    denom = tau2 * b_ut + sigma2 * (v_l + v_ut - 2.0 * v_st)
-    if denom <= 0:
-        raise DataValidationError("nonpositive denominator in the finite-m formula")
-    return float(sigma2 * (v_l - v_st) / denom)
 
 
 def _xi(alpha, n: int):

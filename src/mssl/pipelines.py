@@ -17,7 +17,7 @@ from .core import (
 )
 from .errors import DataValidationError, RegimeError
 from .glm import GlmSample
-from .interp import InterpSample, alpha_star_interp, interp_risk_terms
+from .interp import InterpSample, interp_risk_terms
 from .links import LinkSpec
 from .ols import OlsPoolModel, OlsSample
 
@@ -132,7 +132,7 @@ def fit_glm_pipeline(
         "B_hat": stats.B_g_hat,
         "sigma2_hat": s.sigma2_hat,
         "tau2_hat": None,
-        "alpha_hat": s.alpha_raw,
+        "alpha_hat": stats.risk(s.sigma2_hat).raw,
         "alpha_tilde": s.alpha_grid,
         "se": {"v_l": stats.se_v_l_g, "v_s": stats.se_v_s_g},
         "v_s": stats.v_s_g,
@@ -161,15 +161,15 @@ def fit_interp_pipeline(
     s = InterpSample(data_c, sigma_factor)
     ns = s.sigma_tau(Sigma)
     terms = interp_risk_terms(Sigma, pool_sampler(moments.pool, data.n), spec)
-    alpha_hat = alpha_star_interp(ns.sigma2_hat, ns.tau2_hat, terms)[0]
-    alpha = alpha_hat if source == "formula" else fixed
+    risk = terms.risk(ns.sigma2_hat, ns.tau2_hat)
+    alpha = risk.ratio if source == "formula" else fixed
     diags = {
         "v_l": terms.v_l,
         "v_u": terms.v_u,
-        "B_hat": ns.tau2_hat * max(terms.b_u - terms.b_l, 0.0),
+        "B_hat": risk.terms[1],
         "sigma2_hat": ns.sigma2_hat,
         "tau2_hat": ns.tau2_hat,
-        "alpha_hat": alpha_hat,
+        "alpha_hat": risk.ratio,
         "alpha_tilde": None,
         "se": {"v_l": terms.se_v_l, "v_u": terms.se_v_u, "b_l": terms.se_b_l,
                "b_u": terms.se_b_u},

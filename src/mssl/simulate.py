@@ -31,15 +31,15 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, gaussian_sampler, pool_sampler,
-    seeded_rng, spd_factor,
+    LabeledSet, MixRisk, ResampleSpec, UnlabeledPool, build_moments, gaussian_sampler,
+    pool_sampler, seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
-from .glm import GlmPoolStats, GlmSample, clip_alpha
-from .interp import InterpRiskTerms, InterpSample, alpha_star_interp, interp_risk_terms
+from .glm import GlmPoolStats, GlmSample
+from .interp import InterpRiskTerms, InterpSample, interp_risk_terms
 from .links import LinkSpec, elu_link, identity_link
-from .ols import OlsPoolModel, OlsSample, alpha_star_ols
-from .asymptotics import AsymptoticSetting, eta_from_ols_terms, interp_limits
+from .ols import OlsPoolModel, OlsSample
+from .asymptotics import AsymptoticSetting, interp_limits
 
 __all__ = [
     "CovarianceSpec", "BetaMode", "constant_beta", "random_beta", "ExperimentConfig",
@@ -422,19 +422,25 @@ def _alpha_curve(coeffs: np.ndarray, alphas: np.ndarray, n_batches: int = 10) ->
     """The mean mixed-coefficient error curve on a ratio grid, and its argmins.
 
     ``coeffs`` has one (a, b, c) row per replication for r(alpha) =
-    a alpha^2 + b alpha + c; the continuous argmin gets a batch-based SE.
+    a alpha^2 + b alpha + c, which is the ``MixRisk`` with floor c + b/2,
+    gain -b/2 and cost a + b/2.  The continuous argmin is the ratio of the
+    mean terms, with their SEs over the replications; it gets a batch-based SE.
     """
+    a, b, c = coeffs.T
+    terms = np.column_stack([c + b / 2.0, -b / 2.0, a + b / 2.0])  # floor, gain, cost
+    spread = terms[:, 1:].std(axis=0, ddof=1)
 
-    def argmin(c: np.ndarray):
-        return np.clip(-c[:, 1].mean() / (2.0 * c[:, 0].mean()), 0.0, 1.0)
+    def argmin(rows: np.ndarray) -> float:
+        se = spread / math.sqrt(rows.size)
+        return MixRisk(*terms[rows].mean(axis=0), se_gain=se[0], se_cost=se[1]).ratio
 
-    mean_r = coeffs[:, 0].mean() * alphas**2 + coeffs[:, 1].mean() * alphas + coeffs[:, 2].mean()
-    vals = [argmin(batch) for batch in np.array_split(coeffs, n_batches) if len(batch)]
+    mean_r = a.mean() * alphas**2 + b.mean() * alphas + c.mean()
+    vals = [argmin(rows) for rows in np.array_split(np.arange(len(coeffs)), n_batches) if rows.size]
     return {
         "alphas": alphas,
         "mean_r": mean_r,
         "argmin_grid": float(alphas[int(np.argmin(mean_r))]),
-        "argmin_cont": float(argmin(coeffs)),
+        "argmin_cont": argmin(np.arange(len(coeffs))),
         "argmin_se": float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
     }
 
@@ -522,9 +528,8 @@ _OLS_FITS = {
     "linear_mixed_opt": lambda s, pt: s.linear(pt.alpha_star),
     "linear_mixed_est": lambda s, pt: s.linear(pt.alpha_est(s)),
     "linear_mixed_est_tau": lambda s, pt: s.linear(s.ratio(pt.bias_tau)),
-    "adaptive_select": lambda s, pt: (
-        s.beta_breve if s.sigma2_hat > s.B_hat / (s.model.v_l - s.model.v_u) else s.beta_hat
-    ),
+    # the pure fit of lower formula risk: beta_breve when the gain exceeds the cost
+    "adaptive_select": lambda s, pt: s.beta_breve if s.alpha_hat > 0.5 else s.beta_hat,
     "loss_mixed_est": lambda s, pt: s.loss(s.alpha_hat),
     "loss_mixed_grid": lambda s, pt: s.loss(s.alpha_grid),
     "loss_mixed_opt": lambda s, pt: s.loss(pt.alpha_ddot),
@@ -599,7 +604,7 @@ def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
     def run_point(gi: int, sigma2: float) -> list[dict]:
         point = _OlsPoint(
             model,
-            alpha_star=alpha_star_ols(sigma2, B_true, model.v_l, model.v_u)[0],
+            alpha_star=model.risk(sigma2, B_true).ratio,
             alpha_ddot=ddot.argmin_alpha(beta_true, sigma2),
         )
         extras["alpha_star"][sigma2] = point.alpha_star
@@ -628,14 +633,15 @@ def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
         moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 10000, gi)
         model = OlsPoolModel(moments, spec, keep_blocks=False)
         v_l, v_u, b_u = model.v_l, model.v_u, model.b_u_hat
+        risk = model.risk(sigma2, tau2 * b_u)
         point = _OlsPoint(
             model,
-            alpha_star=alpha_star_ols(sigma2, tau2 * b_u, v_l, v_u)[0],
+            alpha_star=risk.ratio,
             b_u=b_u,
             bias_tau=tau2 * b_u,
         )
         extras["alpha_star"][n] = point.alpha_star
-        extras["eta_theory"][n] = eta_from_ols_terms(sigma2, tau2, v_l, v_u, b_u)
+        extras["eta_theory"][n] = risk.eta
         extras["terms"][n] = {"v_l": v_l, "v_u": v_u, "b_u": b_u}
         per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
         extras["eta_measured"][n] = _relative_errors(per_rep, fits, "supervised")
@@ -699,7 +705,7 @@ class _GlmStudy:
 
     def oracle_ratios(self, sigma2: float) -> _GlmOracle:
         return _GlmOracle(
-            clip_alpha(self.oracle.alpha_dot(sigma2)), self.oracle.ddot_curve(sigma2).argmin_alpha
+            self.oracle.risk(sigma2).ratio, self.oracle.ddot_curve(sigma2).argmin_alpha
         )
 
     def draw(self, gi: int, k: int, sigma2: float) -> tuple[LabeledSet, UnlabeledPool]:
@@ -802,7 +808,7 @@ class _InterpPoint:
 
 def _interp_mixed_est(s: InterpSample, pt: _InterpPoint) -> np.ndarray:
     noise = s.sigma_tau(pt.Sigma_fit)
-    return s.mix(pt.terms, noise.sigma2_hat, noise.tau2_hat)
+    return s.linear(pt.terms.risk(noise.sigma2_hat, noise.tau2_hat).ratio)
 
 
 # each fit maps (InterpSample, _InterpPoint) to coefficients
@@ -810,10 +816,10 @@ _INTERP_FITS = {
     "min_norm": lambda s, pt: s.min_norm,
     "min_variance": lambda s, pt: s.min_variance,
     "interp_mixed_est": _interp_mixed_est,
-    "interp_mixed_est_tau": lambda s, pt: s.mix(
-        pt.terms, max(s.sigma2_known_tau(pt.tau2), 0.0), pt.tau2
+    "interp_mixed_est_tau": lambda s, pt: s.linear(
+        pt.terms.risk(max(s.sigma2_known_tau(pt.tau2), 0.0), pt.tau2).ratio
     ),
-    "interp_mixed_opt": lambda s, pt: s.mix(pt.terms, pt.sigma2, pt.tau2),
+    "interp_mixed_opt": lambda s, pt: s.linear(pt.terms.risk(pt.sigma2, pt.tau2).ratio),
 }
 
 
@@ -856,7 +862,7 @@ def _run_interp_fixed(cfg: ExperimentConfig) -> ExperimentResult:
     def run_point(gi: int, sigma2: float) -> list[dict]:
         per_rep, terms = _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits)
         extras["terms"] = terms
-        extras["alpha_oracle"][sigma2] = alpha_star_interp(sigma2, tau2, terms)[0]
+        extras["alpha_oracle"][sigma2] = terms.risk(sigma2, tau2).ratio
         extras["dominance_min_slack"][sigma2] = min(r["_dominance_slack"] for r in per_rep)
         return per_rep
 

@@ -21,13 +21,13 @@ from mssl import (
     GlmProblem,
     InterpSample,
     LabeledSet,
+    MixRisk,
     OlsPoolModel,
     ResampleSpec,
     UnlabeledPool,
     AsymptoticSetting,
     build_moments,
     elu_link,
-    eta_from_ols_terms,
     finite_m_limits,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
@@ -484,7 +484,7 @@ def test_c10_asymptotics_identities():
             s = AsymptoticSetting(gamma=gamma, sigma2=sigma2, tau2=tau2, c2=c2)
             rpt = ols_limits(s)
             t = rpt.term_limits
-            direct = eta_from_ols_terms(sigma2, tau2, t["v_l"], t["v_u"], t["b_u"])
+            direct = MixRisk.from_factors(sigma2, tau2 * t["b_u"], t["v_l"], t["v_u"], t["v_u"]).eta
             worst_eta = max(worst_eta, abs(rpt.eta_inf - direct))
             fm = finite_m_limits(gamma, 0.0, c2)
             worst_red = max(

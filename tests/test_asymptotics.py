@@ -4,7 +4,7 @@ import pytest
 from mssl import (
     AsymptoticSetting,
     DataValidationError,
-    eta_from_ols_terms,
+    MixRisk,
     finite_m_limits,
     interp_limits,
     ols_limits,
@@ -56,7 +56,7 @@ def test_ols_limits_match_eta_identity():
     s = AsymptoticSetting(gamma=0.37, sigma2=7.0, tau2=2.0, c2=11.0)
     rpt = ols_limits(s)
     t = rpt.term_limits
-    direct = eta_from_ols_terms(s.sigma2, s.tau2, t["v_l"], t["v_u"], t["b_u"])
+    direct = MixRisk.from_factors(s.sigma2, s.tau2 * t["b_u"], t["v_l"], t["v_u"], t["v_u"]).eta
     assert abs(rpt.eta_inf - direct) <= 1e-12
 
 

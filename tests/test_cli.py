@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mssl import (
+    MixRisk,
     UnlabeledPool,
     gen_sigma,
     CovarianceSpec,
@@ -154,7 +155,9 @@ def test_fit_glm_negative_formula_ratio_is_clipped(ols_files, capsys, monkeypatc
             "--model", "glm", "--link", "elu", "--blocks", "60"]
     assert main(args + ["--alpha", "0"]) == 0
     supervised = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(mssl.glm, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
+    # a raw ratio of -0.25 whose negative gain lies within its noise
+    monkeypatch.setattr(mssl.glm.GlmPoolStats, "risk",
+                        lambda self, sigma2: MixRisk(0.0, -0.25, 1.25, se_gain=1.0))
     assert main(args + ["--alpha", "auto"]) == 0
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, _schema("fit_output.schema.json"))
@@ -231,6 +234,34 @@ def test_fit_on_a_pool_with_nearly_collinear_columns_exits_2(model, tmp_path, ca
     with np.errstate(over="ignore"):
         assert _fit_on_a_collinear_pool(tmp_path, model, 1e-7) == 2
     assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, n, p", [("ols", 60, 5), ("glm", 60, 5), ("interp", 20, 40)])
+def test_fit_of_an_all_zero_response(model, n, p, tmp_path, capsys):
+    # no noise and no bias: every ratio is optimal, and the rule picks 0
+    rng = seeded_rng(6)
+    labeled, pool = tmp_path / "train.csv", tmp_path / "pool.csv"
+    np.savetxt(labeled, np.column_stack([rng.standard_normal((n, p)), np.zeros(n)]), delimiter=",")
+    np.savetxt(pool, rng.standard_normal((4000 if model != "interp" else 400, p)), delimiter=",")
+    assert main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, _schema("fit_output.schema.json"))
+    assert payload["alpha"] == 0.0
+    assert payload["coefficients"] == [0.0] * p
+
+
+@pytest.mark.parametrize("model", ["ols", "glm", "interp"])
+def test_fit_on_an_overflowing_pool_exits_2(model, tmp_path, capsys):
+    # finite entries near 1e200 overflow the pool Gram
+    p = 40 if model == "interp" else 5
+    rng = seeded_rng(7)
+    labeled, pool = tmp_path / "train.csv", tmp_path / "pool.csv"
+    X = rng.standard_normal((20, p))
+    np.savetxt(labeled, np.column_stack([X, X.sum(axis=1)]), delimiter=",")
+    np.savetxt(pool, 1e200 * rng.standard_normal((400, p)), delimiter=",")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_parse_failure_exit_1(tmp_path, capsys):

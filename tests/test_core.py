@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mssl import (
     DataValidationError,
     LabeledSet,
+    MixRisk,
     ResampleSpec,
     UnlabeledPool,
     build_moments,
@@ -75,6 +78,13 @@ def test_h_is_exact_scaling_of_exx():
 def test_build_moments_rejects_tiny_pool():
     with pytest.raises(DataValidationError):
         build_moments(UnlabeledPool(np.ones((1, 2))), n=1)
+
+
+def test_build_moments_rejects_an_overflowing_pool():
+    # every entry is finite, but the pool Gram overflows to inf
+    Z = 1e200 * seeded_rng(5).standard_normal((50, 3))
+    with np.errstate(over="ignore"), pytest.raises(DataValidationError, match="not finite"):
+        build_moments(UnlabeledPool(Z), n=10)
 
 
 def test_center_pool_roundtrip():
@@ -311,3 +321,74 @@ def test_weighted_gram_matches_the_one_shot_product(order, m):
     got = _weighted_gram(Z, np.sqrt(w))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     np.testing.assert_array_equal(got, got.T)
+
+
+# -- the coefficient mix's risk quadratic ------------------------------------------
+
+# entries on a 1e-3 lattice in [-10, 10]: products of two terms stay clear of underflow
+_vectors = st.lists(st.integers(-10_000, 10_000), min_size=3, max_size=3).map(
+    lambda k: np.array(k) / 1000.0
+)
+
+
+def _gram_risk(e0, e1, scale=1.0):
+    """MixRisk of the errors e0 (alpha = 0) and e1 (alpha = 1), negative terms within noise."""
+    r00, r11, r01 = e0 @ e0, e1 @ e1, e0 @ e1
+    gain, cost = r00 - r01, r11 - r01
+    return MixRisk(scale * r01, scale * gain, scale * cost,
+                   se_gain=scale * abs(gain), se_cost=scale * abs(cost))
+
+
+@given(_vectors, _vectors)
+@settings(max_examples=200, deadline=None)
+def test_mix_risk_ratio_minimizes_the_curve(e0, e1):
+    risk = _gram_risk(e0, e1)
+    alphas = np.linspace(0.0, 1.0, 2001)
+    scale = e0 @ e0 + e1 @ e1
+    tol = 1e-12 * scale
+    assert 0.0 <= risk.ratio <= 1.0
+    assert risk.curve(risk.ratio) <= risk.curve(alphas).min() + tol
+    # clipping a term negative within noise gives the minimizer over [0, 1] of
+    # the risk of the actual mix, |(1 - alpha) e0 + alpha e1|^2
+    mixed = np.sum(((1.0 - alphas)[:, None] * e0 + alphas[:, None] * e1) ** 2, axis=1)
+    at_ratio = np.sum(((1.0 - risk.ratio) * e0 + risk.ratio * e1) ** 2)
+    assert at_ratio <= mixed.min() + 1e-9 * scale
+    assert risk.minimum == pytest.approx(risk.curve(risk.ratio), rel=1e-12, abs=tol)
+
+
+@given(_vectors, _vectors)
+@settings(max_examples=200, deadline=None)
+def test_mix_risk_swapping_gain_and_cost_mirrors_the_ratio(e0, e1):
+    risk = _gram_risk(e0, e1)
+    swapped = MixRisk(risk.floor, risk.cost, risk.gain, risk.se_cost, risk.se_gain)
+    if risk.gain > 0.0 or risk.cost > 0.0:
+        assert swapped.ratio == pytest.approx(1.0 - risk.ratio, abs=1e-12)
+    else:  # the flat case picks 0 both ways
+        assert risk.ratio == swapped.ratio == 0.0
+
+
+@given(_vectors, _vectors, st.floats(1e-6, 1e6))
+@settings(max_examples=200, deadline=None)
+def test_mix_risk_ratio_is_scale_free(e0, e1, c):
+    assert _gram_risk(e0, e1, c).ratio == pytest.approx(_gram_risk(e0, e1).ratio, abs=1e-12)
+
+
+def test_mix_risk_raises_beyond_three_ses_and_clips_within():
+    assert MixRisk(1.0, -0.29, 1.0, se_gain=0.1).ratio == 0.0
+    assert MixRisk(1.0, 1.0, -0.29, se_cost=0.1).ratio == 1.0
+    for risk in (MixRisk(1.0, -0.31, 1.0, se_gain=0.1), MixRisk(1.0, 1.0, -1e-12),
+                 MixRisk(1.0, float("nan"), 1.0)):
+        with pytest.raises(DataValidationError, match="beyond 3 Monte Carlo SEs"):
+            risk.ratio
+    raw = MixRisk(0.0, -0.25, 1.25, se_gain=1.0)
+    assert (raw.raw, raw.ratio, raw.terms) == (-0.25, 0.0, (0.0, 1.25))
+
+
+def test_mix_risk_flat_case():
+    # no gain and no cost: every ratio attains the floor, and the rule picks 0
+    risk = MixRisk(2.0, 0.0, -0.0)
+    assert (risk.ratio, risk.raw, risk.minimum) == (0.0, 0.0, 2.0)
+    np.testing.assert_array_equal(risk.curve([0.0, 0.5, 1.0]), [2.0, 2.0, 2.0])
+    assert risk.eta == 1.0
+    # no noise: the first estimator's risk is 0, and so is the best mix's
+    assert MixRisk.from_factors(0.0, 1.0, 2.0, 0.5, 0.5).eta == 1.0

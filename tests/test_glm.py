@@ -10,15 +10,14 @@ from mssl import (
     GlmProblem,
     LabeledSet,
     LinkValidationError,
+    MixRisk,
     OlsPoolModel,
     ResampleBudgetError,
     ResampleSpec,
     SingularMatrixError,
     UnlabeledPool,
-    alpha_dot_glm,
     build_moments,
     center_pool,
-    clip_alpha,
     custom_link,
     elu_link,
     estimate_noise_glm,
@@ -26,7 +25,6 @@ from mssl import (
     fit_ols_semisupervised,
     fit_ols_supervised,
     identity_link,
-    r_dot_glm_curve,
     seeded_rng,
 )
 
@@ -312,43 +310,63 @@ def test_noise_rejects_pool_stats_built_for_another_n():
 
 
 def test_alpha_dot_zero_noise():
-    assert alpha_dot_glm(0.0, 1.0, 2.0, 1.0, 1.0)[0] == 0.0
+    assert MixRisk.from_factors(0.0, 1.0, 2.0, 1.0, 1.0).ratio == 0.0
 
 
 def test_alpha_dot_collapse_to_one():
-    alpha, _ = alpha_dot_glm(3.0, 0.0, 2.0, 1.0, 1.0)
-    assert alpha == pytest.approx(1.0)
+    assert MixRisk.from_factors(3.0, 0.0, 2.0, 1.0, 1.0).ratio == pytest.approx(1.0)
 
 
 def test_alpha_dot_plugin_example():
-    alpha, _ = alpha_dot_glm(1.0, 1.0, 2.0, 1.0, 1.0)
-    assert alpha == pytest.approx(0.5)
+    assert MixRisk.from_factors(1.0, 1.0, 2.0, 1.0, 1.0).ratio == pytest.approx(0.5)
 
 
 def test_alpha_dot_requires_positive_curvature():
+    # v_l + v_u - 2 v_s < 0 with exact terms: the gain is negative beyond noise
     with pytest.raises(DataValidationError):
-        alpha_dot_glm(1.0, 1.0, 1.0, 1.0, 1.5)
+        MixRisk.from_factors(1.0, 1.0, 1.0, 1.0, 1.5).ratio
 
 
 def test_alpha_dot_can_leave_unit_interval_and_clip_maps_it_back():
-    alpha, _ = alpha_dot_glm(1.0, 1.0, 1.0, 3.0, 1.5)
-    assert alpha == pytest.approx(-0.25)
-    assert clip_alpha(alpha) == 0.0
-    assert clip_alpha(1.3) == 1.0
-    assert clip_alpha(0.4) == 0.4
+    # gain -0.5 within 3 SEs of v_l: the raw ratio is -0.25 and the ratio 0
+    risk = MixRisk.from_factors(1.0, 1.0, 1.0, 3.0, 1.5, se_v_l=0.2)
+    assert risk.raw == pytest.approx(-0.25)
+    assert risk.ratio == 0.0
+    # cost -0.3 within 3 SEs of v_s: the raw ratio is 1.3 and the ratio 1
+    risk = MixRisk.from_factors(1.0, 0.0, 2.3, 0.7, 1.0, se_v_s=0.2)
+    assert risk.raw == pytest.approx(1.3)
+    assert risk.ratio == 1.0
+    assert MixRisk.from_factors(1.0, 0.6, 1.4, 1.0, 1.0).ratio == pytest.approx(0.4)
+
+
+def test_glm_negative_gain_beyond_noise_raises():
+    # a raw ratio of -0.25 with positive curvature used to be clipped to 0
+    with pytest.raises(DataValidationError, match="gain"):
+        MixRisk.from_factors(1.0, 1.0, 1.0, 3.0, 1.5, se_v_l=0.1).ratio
+
+
+def test_glm_nonpositive_curvature_within_noise_is_clipped():
+    # v_l + v_u - 2 v_s = -0.3 used to raise; the cost -0.5 lies within 3 SEs of v_s
+    risk = MixRisk.from_factors(1.0, 0.0, 1.2, 0.5, 1.0, se_v_s=0.2)
+    assert risk.gain + risk.cost < 0.0
+    assert risk.ratio == 1.0
+
+
+def test_glm_flat_case_is_zero():
+    # no noise and no bias used to raise ("nonpositive denominator")
+    assert MixRisk.from_factors(0.0, 0.0, 2.0, 1.0, 1.0).ratio == 0.0
 
 
 def test_curve_endpoints_and_minimum_identity():
     sigma2, B, v_l, v_u, v_s = 2.0, 1.5, 3.0, 1.0, 0.8
-    assert r_dot_glm_curve(0.0, sigma2, B, v_l, v_u, v_s) == pytest.approx(sigma2 * v_l)
-    assert r_dot_glm_curve(1.0, sigma2, B, v_l, v_u, v_s) == pytest.approx(
-        B + sigma2 * v_u
-    )
-    alpha, r_min = alpha_dot_glm(sigma2, B, v_l, v_u, v_s)
-    assert abs(r_dot_glm_curve(alpha, sigma2, B, v_l, v_u, v_s) - r_min) < 1e-12
+    risk = MixRisk.from_factors(sigma2, B, v_l, v_u, v_s)
+    assert risk.curve(0.0) == pytest.approx(sigma2 * v_l)
+    assert risk.curve(1.0) == pytest.approx(B + sigma2 * v_u)
+    alpha, r_min = risk.ratio, risk.minimum
+    assert abs(risk.curve(alpha) - r_min) < 1e-12
     # interior minimum beats the endpoints
-    assert r_min <= r_dot_glm_curve(0.0, sigma2, B, v_l, v_u, v_s)
-    assert r_min <= r_dot_glm_curve(1.0, sigma2, B, v_l, v_u, v_s)
+    assert r_min <= risk.curve(0.0)
+    assert r_min <= risk.curve(1.0)
 
 
 # -- loss-mixed grid search --------------------------------------------------------

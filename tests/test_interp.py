@@ -13,12 +13,10 @@ from mssl import (
     ResampleSpec,
     SingularMatrixError,
     UnlabeledPool,
-    alpha_star_interp,
     build_moments,
     fit_min_norm,
     fit_min_variance,
     gaussian_sampler,
-    interp_eta,
     interp_risk_terms,
     interp_terms_spiked_closed_form,
     iterate_sigma_tau,
@@ -296,27 +294,38 @@ def _terms(b_l, v_l, b_u, v_u):
 
 def test_alpha_star_interp_edges():
     t = _terms(1.0, 2.0, 1.5, 1.0)
-    assert alpha_star_interp(0.0, 1.0, t)[0] == 0.0
-    assert alpha_star_interp(3.0, 0.0, t)[0] == 1.0
+    assert t.risk(0.0, 1.0).ratio == 0.0
+    assert t.risk(3.0, 0.0).ratio == 1.0
 
 
 def test_alpha_star_interp_symmetry():
     # sigma^2 (v_l - v_u) = tau^2 (b_u - b_l) gives exactly one half
     t = _terms(1.0, 2.0, 2.0, 1.0)
-    alpha, r_min = alpha_star_interp(1.0, 1.0, t)
-    assert alpha == pytest.approx(0.5)
-    assert r_min == pytest.approx(1.0 * 1.0 + 1.0 * 2.0 - 1.0 / 2.0)
+    risk = t.risk(1.0, 1.0)
+    assert risk.ratio == pytest.approx(0.5)
+    assert risk.minimum == pytest.approx(1.0 * 1.0 + 1.0 * 2.0 - 1.0 / 2.0)
 
 
 def test_alpha_star_interp_ordering_error():
     bad = _terms(2.0, 1.0, 1.0, 2.0)
     with pytest.raises(DataValidationError):
-        alpha_star_interp(1.0, 1.0, bad)
+        bad.risk(1.0, 1.0).ratio
+
+
+def test_alpha_star_interp_ordering_check_skips_a_term_of_weight_zero():
+    # b_u < b_l, but tau^2 = 0 weighs the bias gap out: it used to raise
+    bad_bias = _terms(2.0, 2.0, 1.0, 1.0)
+    assert bad_bias.risk(1.0, 0.0).ratio == 1.0
+    # v_l < v_u, but sigma^2 = 0 weighs the variance gap out
+    bad_var = _terms(1.0, 1.0, 2.0, 2.0)
+    assert bad_var.risk(0.0, 1.0).ratio == 0.0
+    # both weights 0: the flat case
+    assert _terms(1.0, 2.0, 2.0, 1.0).risk(0.0, 0.0).ratio == 0.0
 
 
 def test_interp_eta_below_one():
     t = _terms(1.0, 2.0, 2.0, 1.0)
-    eta = interp_eta(2.0, 1.0, t)
+    eta = t.risk(2.0, 1.0).eta
     assert 0.0 < eta < 1.0
 
 

@@ -9,14 +9,13 @@ from scipy.optimize import minimize
 from mssl import (
     DataValidationError,
     LabeledSet,
+    MixRisk,
     OlsPoolModel,
     RegimeError,
     ResampleBudgetError,
     ResampleSpec,
     SingularMatrixError,
     UnlabeledPool,
-    alpha_star_finite_m,
-    alpha_star_ols,
     build_moments,
     fit_finite_m_semisupervised,
     fit_loss_mixed_ols,
@@ -24,7 +23,6 @@ from mssl import (
     fit_ols_supervised,
     mix_linear,
     noise_signal_ols,
-    r_dot_curve,
     seeded_rng,
 )
 
@@ -341,25 +339,47 @@ def test_sigma2_unbiased_over_replications():
 # -- mixing-ratio formulas -------------------------------------------------------
 
 
+def _ratio_and_minimum(sigma2, B, v_l, v_u):
+    risk = MixRisk.from_factors(sigma2, B, v_l, v_u, v_u)
+    return risk.ratio, risk.minimum
+
+
+def _finite_m(sigma2, tau2, b_ut, v_ut, v_st, v_l):
+    """The finite-pool risk: bias tau^2 b_u~ and variance factors v_l, v_u~, v_s~."""
+    return MixRisk.from_factors(sigma2, tau2 * b_ut, v_l, v_ut, v_st)
+
+
 def test_alpha_star_noiseless():
-    assert alpha_star_ols(0.0, 1.0, 1.0, 0.5) == (0.0, 0.0)
+    assert _ratio_and_minimum(0.0, 1.0, 1.0, 0.5) == (0.0, 0.0)
 
 
 def test_alpha_star_unbiased_semisupervised():
-    alpha, r = alpha_star_ols(2.0, 0.0, 1.0, 0.5)
+    alpha, r = _ratio_and_minimum(2.0, 0.0, 1.0, 0.5)
     assert alpha == 1.0
     assert r == pytest.approx(2.0 * 0.5)
 
 
 def test_alpha_star_plugin_example():
-    alpha, r = alpha_star_ols(2.0, 1.0, 1.0, 0.5)
+    alpha, r = _ratio_and_minimum(2.0, 1.0, 1.0, 0.5)
     assert alpha == pytest.approx(0.5)
     assert r == pytest.approx(1.5)
 
 
 def test_alpha_star_ordering_error():
     with pytest.raises(DataValidationError):
-        alpha_star_ols(1.0, 1.0, 0.5, 1.0)
+        MixRisk.from_factors(1.0, 1.0, 0.5, 1.0, 1.0).ratio
+
+
+def test_alpha_star_ordering_within_noise_clips_to_zero():
+    # v_l below v_u by less than 3 of v_l's SEs: the gain counts as 0
+    assert MixRisk.from_factors(1.0, 1.0, 0.5, 1.0, 1.0, se_v_l=0.2).ratio == 0.0
+    with pytest.raises(DataValidationError, match="gain"):
+        MixRisk.from_factors(1.0, 1.0, 0.5, 1.0, 1.0, se_v_l=0.1).ratio
+
+
+def test_alpha_star_flat_case_is_zero():
+    # no noise and no bias: every ratio attains the same risk
+    assert MixRisk.from_factors(0.0, 0.0, 1.0, 0.5, 0.5).ratio == 0.0
 
 
 @given(
@@ -371,14 +391,15 @@ def test_alpha_star_ordering_error():
 def test_alpha_star_interior_and_consistent_with_curve(sigma2, B, gap):
     v_u = 0.5
     v_l = v_u + gap
-    alpha, r_min = alpha_star_ols(sigma2, B, v_l, v_u)
+    risk = MixRisk.from_factors(sigma2, B, v_l, v_u, v_u)
+    alpha, r_min = risk.ratio, risk.minimum
     assert 0.0 < alpha < 1.0
     assert r_min <= sigma2 * v_l + 1e-12
     # the curve evaluated at the optimum returns the reported minimum
-    assert r_dot_curve(alpha, sigma2, B, v_l, v_u) == pytest.approx(r_min, rel=1e-12)
+    assert risk.curve(alpha) == pytest.approx(r_min, rel=1e-12)
     # and the optimum beats the endpoints
-    assert r_min <= r_dot_curve(0.0, sigma2, B, v_l, v_u) + 1e-12
-    assert r_min <= r_dot_curve(1.0, sigma2, B, v_l, v_u) + 1e-12
+    assert r_min <= risk.curve(0.0) + 1e-12
+    assert r_min <= risk.curve(1.0) + 1e-12
 
 
 def test_alpha_star_minimum_without_cancellation():
@@ -386,39 +407,41 @@ def test_alpha_star_minimum_without_cancellation():
     # r_min came out 5.8e-11 above the curve at alpha = 1, which lies above it
     sigma2, B, v_u = 600.4375, 0.001953125, 0.5
     v_l = v_u + 617.4375
-    alpha, r_min = alpha_star_ols(sigma2, B, v_l, v_u)
-    assert r_dot_curve(alpha, sigma2, B, v_l, v_u) == pytest.approx(r_min, rel=1e-15)
-    assert r_min <= r_dot_curve(0.0, sigma2, B, v_l, v_u)
-    assert r_min <= r_dot_curve(1.0, sigma2, B, v_l, v_u)
+    risk = MixRisk.from_factors(sigma2, B, v_l, v_u, v_u)
+    alpha, r_min = risk.ratio, risk.minimum
+    assert risk.curve(alpha) == pytest.approx(r_min, rel=1e-15)
+    assert r_min <= risk.curve(0.0)
+    assert r_min <= risk.curve(1.0)
 
 
 def test_r_dot_curve_endpoints():
     sigma2, B, v_l, v_u = 2.0, 1.0, 1.0, 0.5
-    assert r_dot_curve(0.0, sigma2, B, v_l, v_u) == pytest.approx(sigma2 * v_l)
-    assert r_dot_curve(1.0, sigma2, B, v_l, v_u) == pytest.approx(B + sigma2 * v_u)
-    assert r_dot_curve(0.5, sigma2, B, v_l, v_u) == pytest.approx(1.5)
+    risk = MixRisk.from_factors(sigma2, B, v_l, v_u, v_u)
+    assert risk.curve(0.0) == pytest.approx(sigma2 * v_l)
+    assert risk.curve(1.0) == pytest.approx(B + sigma2 * v_u)
+    assert risk.curve(0.5) == pytest.approx(1.5)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 0.9))
 @settings(max_examples=60, deadline=None)
 def test_r_dot_curve_convex(a0, width):
     alphas = np.array([a0, a0 + width / 2, a0 + width])
-    vals = r_dot_curve(alphas, 1.3, 0.7, 2.0, 0.4)
+    vals = MixRisk.from_factors(1.3, 0.7, 2.0, 0.4, 0.4).curve(alphas)
     assert vals[0] + vals[2] - 2 * vals[1] >= -1e-12
 
 
 def test_alpha_star_finite_m_examples():
-    assert alpha_star_finite_m(0.0, 1.0, 0.5, 1.5, 1.0, 2.0) == 0.0
+    assert _finite_m(0.0, 1.0, 0.5, 1.5, 1.0, 2.0).ratio == 0.0
     # reduction to the classic formula when the tilde terms collapse
     sigma2, tau2, v_l, v_u, B = 2.0, 1.5, 1.0, 0.5, 0.9
-    collapsed = alpha_star_finite_m(sigma2, tau2, B / tau2, v_u, v_u, v_l)
-    assert collapsed == pytest.approx(alpha_star_ols(sigma2, B, v_l, v_u)[0])
-    assert alpha_star_finite_m(1.0, 1.0, 0.5, 1.5, 1.0, 2.0) == pytest.approx(0.5)
+    collapsed = _finite_m(sigma2, tau2, B / tau2, v_u, v_u, v_l).ratio
+    assert collapsed == pytest.approx(MixRisk.from_factors(sigma2, B, v_l, v_u, v_u).ratio)
+    assert _finite_m(1.0, 1.0, 0.5, 1.5, 1.0, 2.0).ratio == pytest.approx(0.5)
 
 
 def test_alpha_star_finite_m_bad_denominator():
     with pytest.raises(DataValidationError):
-        alpha_star_finite_m(1.0, 1.0, -5.0, 0.0, 3.0, 2.0)
+        _finite_m(1.0, 1.0, -5.0, 0.0, 3.0, 2.0).ratio
 
 
 # -- loss-mixed grid search -----------------------------------------------------
@@ -573,7 +596,7 @@ def test_mc_argmin_agrees_with_alpha_star():
     mom = build_moments(pool, n)
     beta_true = 0.6 * np.ones(p)
     model = OlsPoolModel(mom, ResampleSpec(400, 10))
-    alpha_star = alpha_star_ols(sigma2, model.bias_at(beta_true), model.v_l, model.v_u)[0]
+    alpha_star = model.risk(sigma2, model.bias_at(beta_true)).ratio
 
     alphas = np.linspace(0, 1, 51)
     L = np.linalg.cholesky(mom.Exx)

@@ -182,6 +182,19 @@ def test_glm_sample_builds_one_problem_for_all_its_fits(monkeypatch):
     assert len(built) == 1 and type(s.problem) is Counted
 
 
+def test_glm_sample_starts_both_pure_fits_from_one_least_squares_solve(monkeypatch):
+    lstsq, calls = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+    s = _glm_sample(5)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # each pure fit equals the fit from its own least-squares start, bit for bit
+    problem = GlmProblem(s.data, s.moments.pool, s.link)
+    for alpha, fit in ((0.0, s.beta_hat), (1.0, s.beta_breve)):
+        np.testing.assert_array_equal(problem.fit(alpha).beta, fit)
+
+
 def test_glm_sample_builds_pool_stats_on_first_use():
     s = _glm_sample(1, spec=ResampleSpec(30, 2), alphas=np.linspace(0.0, 1.0, 11))
     assert "stats" not in vars(s)
@@ -210,8 +223,8 @@ def test_interp_mix_endpoints_are_the_pure_interpolators(seed, level):
     np.testing.assert_array_equal(s.linear(0.0), s.min_norm)
     np.testing.assert_array_equal(s.linear(1.0), s.min_variance)
     # no noise gives ratio 0, no signal ratio 1
-    np.testing.assert_array_equal(s.mix(_TERMS, 0.0, level), s.min_norm)
-    np.testing.assert_array_equal(s.mix(_TERMS, level, 0.0), s.min_variance)
+    np.testing.assert_array_equal(s.linear(_TERMS.risk(0.0, level).ratio), s.min_norm)
+    np.testing.assert_array_equal(s.linear(_TERMS.risk(level, 0.0).ratio), s.min_variance)
 
 
 def test_interp_sample_without_a_covariance_has_no_min_variance_fit():

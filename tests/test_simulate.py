@@ -9,6 +9,7 @@ from mssl import (
     CovarianceSpec,
     DataValidationError,
     ExperimentConfig,
+    MixRisk,
     UnlabeledPool,
     constant_beta,
     elu_link,
@@ -322,11 +323,32 @@ def test_glm_elu_smoke():
     assert 0.0 < res.extras["alpha_dot_oracle"][9.0] <= 1.0
 
 
+@pytest.mark.parametrize("b_mean, raises", [(0.05, False), (1.0, True)])
+def test_alpha_curve_ratio_follows_the_clipping_policy(b_mean, raises):
+    # rows (a, b, c) of r(alpha) = a alpha^2 + b alpha + c, with gain -b/2 and
+    # cost a + b/2: a mean gain of -0.025 with an SE of 0.04 is within its noise
+    # and clips the ratio to 0; one of -0.5 with an SE of 0.0008 used to be
+    # clipped too, and now raises
+    from mssl.simulate import _alpha_curve
+
+    b = b_mean + (0.01 if raises else 0.5) * np.resize([1.0, -1.0], 40)
+    coeffs = np.column_stack([np.ones(40), b, np.ones(40)])
+    alphas = np.linspace(0.0, 1.0, 11)
+    if raises:
+        with pytest.raises(DataValidationError, match="gain"):
+            _alpha_curve(coeffs, alphas)
+    else:
+        curve = _alpha_curve(coeffs, alphas)
+        assert curve["argmin_cont"] == 0.0 and curve["argmin_grid"] == 0.0
+
+
 def test_glm_elu_negative_formula_ratio_is_clipped(monkeypatch):
     # with the ratio clipped to 0 the linear mixes equal the supervised fit
     import mssl.glm
 
-    monkeypatch.setattr(mssl.glm, "alpha_dot_glm", lambda *a: (-0.25, 0.0))
+    # a raw ratio of -0.25 whose negative gain lies within its noise
+    monkeypatch.setattr(mssl.glm.GlmPoolStats, "risk",
+                        lambda self, sigma2: MixRisk(0.0, -0.25, 1.25, se_gain=1.0))
     cfg = ExperimentConfig(
         preset="glm_elu",
         k=4,
