@@ -64,7 +64,6 @@ from .links import (
     elu_link,
     identity_link,
     link_by_name,
-    link_eval,
     validate_link,
 )
 from .ols import (
@@ -73,7 +72,6 @@ from .ols import (
     OlsPoolModel,
     OlsSample,
     RiskCurve,
-    fit_finite_m_semisupervised,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,

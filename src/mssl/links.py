@@ -22,7 +22,6 @@ __all__ = [
     "elu_link",
     "custom_link",
     "link_by_name",
-    "link_eval",
     "validate_link",
 ]
 
@@ -88,13 +87,6 @@ def link_by_name(name: str) -> LinkSpec:
             f"unknown link {name!r}; available: {sorted(table)}"
         )
     return table[name]()
-
-
-def link_eval(link: LinkSpec, z: float) -> tuple[float, float, float]:
-    """Evaluate (g(z), g'(z), G(z)) at a single point."""
-    if not np.isfinite(z):
-        raise DataValidationError(f"link evaluated at non-finite point {z!r}")
-    return float(link.g(z)), float(link.gprime(z)), float(link.G(z))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .core import (
     MixRisk,
     PopulationMoments,
     ResampleSpec,
-    UnlabeledPool,
     _block_pass,
     _each_block,
     resample_block,
@@ -38,7 +37,6 @@ __all__ = [
     "DdotRiskModel",
     "fit_ols_supervised",
     "fit_ols_semisupervised",
-    "fit_finite_m_semisupervised",
     "mix_linear",
     "fit_loss_mixed_ols",
     "NoiseSignalOls",
@@ -68,14 +66,6 @@ def fit_ols_semisupervised(data: LabeledSet, moments: PopulationMoments) -> np.n
     """
     _check_n(data.n, moments.n)
     return cho_solve(moments.H_factor, data.xty - data.n * data.xbar * data.ybar)
-
-
-def fit_finite_m_semisupervised(data: LabeledSet, pool: UnlabeledPool) -> np.ndarray:
-    """Finite-pool variant (m/n) (Z^T Z)^{-1} X^T Y."""
-    if pool.p != data.p:
-        raise DataValidationError("pool and labeled data disagree on p")
-    G = pool.Z.T @ pool.Z
-    return (pool.m / data.n) * cho_solve(spd_factor(G, "Z^T Z"), data.X.T @ data.Y)
 
 
 def mix_linear(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:

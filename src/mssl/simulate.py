@@ -8,6 +8,12 @@ bit-reproducible from the seed.  They run one after another in a single
 loop (``_run_reps``): they are bound by the interpreter, so a thread pool
 only added contention.
 
+Each preset is one row of data in ``_ROWS``: its runner, the grid it sweeps,
+the trace its covariance is scaled to, and the default of every optional
+config field it reads.  ``ExperimentConfig`` resolves itself against that
+row, and ``_grid`` gives each point of an n or sigma2 sweep its (n, sigma2).
+The two interpolator presets share one runner.
+
 Presets are compositions of the library.  A grid point builds what its
 replications share (pool moments with the cached factor of H, resampled pool
 statistics, oracle ratios, the factor of the pool covariance).  A replication
@@ -22,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -258,27 +264,19 @@ def _beta_cf(a: float, b: float, x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# the grid each preset sweeps; it runs at one sigma2 and one n otherwise
-_SWEEPS = {
-    "ols_constant_beta": "sigma2",
-    "ols_random_beta": "n",
-    "glm_elu": "sigma2",
-    "glm_alpha_sweep": "alpha",
-    "interp_fixed": "sigma2",
-    "interp_growth": "n",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Preset name plus the knobs of the presets.
 
-    Unset fields fall back to the preset's defaults, and a field the preset
-    does not read is rejected.  ``eval_cov`` picks the quadratic form used for
-    reducible errors ("pool" moments or the "true" generating covariance);
-    ``rep_blocks`` is the per-replication resampling budget for data-driven
-    mixing ratios, ``resample_blocks`` the one-time budget for pool-level
-    statistics.
+    The optional fields (default None) are resolved from the preset's row in
+    ``_ROWS``: an unset field takes the row's default, and a set field the row
+    lacks is rejected, since the preset would not read it.  A name without a
+    row is left unresolved, and ``run_experiment`` rejects it unless
+    ``PRESETS`` maps it to a runner.  ``eval_cov`` picks the quadratic form
+    used for reducible errors ("pool" moments or the "true" generating
+    covariance); ``rep_blocks`` is the per-replication resampling budget for
+    data-driven mixing ratios, ``resample_blocks`` the one-time budget for
+    pool-level statistics.
     """
 
     preset: str
@@ -289,49 +287,43 @@ class ExperimentConfig:
     p_rule: str | None = None
     sigma2_grid: tuple[float, ...] | None = None
     pool_size: int | None = None
+    # a rejection names unread fields in field order
+    x_source: str | None = None
+    eval_cov: str | None = None
     estimators: tuple[str, ...] | None = None
     resample_blocks: int = 200
     rep_blocks: int | None = None
     alpha_grid_size: int | None = None
-    eval_cov: str | None = None
-    x_source: str | None = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise DataValidationError("k must be >= 2")
-        # a block pass averages over at least 2 usable blocks
-        if self.rep_blocks is not None and self.rep_blocks < 2:
-            raise DataValidationError("rep_blocks must be >= 2")
-        if self.resample_blocks < 2:
-            raise DataValidationError("resample_blocks must be >= 2")
-        if self.alpha_grid_size is not None and self.alpha_grid_size < 2:
-            raise DataValidationError("alpha_grid_size must be >= 2")
-        if self.sigma2_grid is not None and len(self.sigma2_grid) == 0:
-            raise DataValidationError("sigma2_grid must be nonempty")
-        if self.n_grid is not None and len(self.n_grid) == 0:
-            raise DataValidationError("n_grid must be nonempty")
-        # a zero size would otherwise fall back to the preset's default
-        for name, values in (("n", (self.n,)), ("pool_size", (self.pool_size,)),
-                             ("n_grid", self.n_grid or ())):
-            if any(v is not None and v < 1 for v in values):
-                raise DataValidationError(f"{name} must be >= 1")
+        # an SE needs 2 replications, a block pass 2 usable blocks, a ratio grid 2 ends
+        for name, low in (("k", 2), ("rep_blocks", 2), ("resample_blocks", 2),
+                          ("alpha_grid_size", 2), ("n", 1), ("pool_size", 1), ("n_grid", 1)):
+            values = getattr(self, name)
+            values = values if isinstance(values, tuple) else (values,)
+            if any(v is not None and v < low for v in values):
+                raise DataValidationError(f"{name} must be >= {low}")
+        for name in ("sigma2_grid", "n_grid", "estimators"):
+            if getattr(self, name) == ():
+                raise DataValidationError(f"{name} must be nonempty")
         if self.eval_cov not in (None, "pool", "true"):
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
         if self.x_source not in (None, "pool", "gaussian"):
             raise DataValidationError("x_source must be 'pool' or 'gaussian'")
-        sweep = _SWEEPS.get(self.preset)
-        if sweep not in (None, "sigma2") and len(self.sigma2_grid or ()) > 1:
+        row = _ROWS.get(self.preset)
+        if row is None:
+            return
+        ignored = [f.name for f in fields(self) if f.default is None
+                   and getattr(self, f.name) is not None and f.name not in row.defaults]
+        if ignored:
+            raise DataValidationError(f"{self.preset} does not read {', '.join(ignored)}")
+        for name, value in row.defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if row.sweep != "sigma2" and len(self.sigma2_grid) > 1:
             raise DataValidationError(
                 f"{self.preset} runs at one sigma2 and does not sweep sigma2_grid; give one value"
             )
-        if sweep not in (None, "n") and self.n_grid is not None:
-            raise DataValidationError(f"{self.preset} does not sweep n_grid; set n instead")
-        glm = self.preset.startswith("glm_")
-        reads = {"x_source": not glm, "eval_cov": not glm, "rep_blocks": self.preset == "glm_elu",
-                 "alpha_grid_size": self.preset == "ols_constant_beta"}
-        ignored = [key for key, read in reads.items() if not read and getattr(self, key) is not None]
-        if sweep is not None and ignored:
-            raise DataValidationError(f"{self.preset} does not read {', '.join(ignored)}")
 
 
 @dataclass(frozen=True)
@@ -445,15 +437,17 @@ def _alpha_curve(coeffs: np.ndarray, alphas: np.ndarray, n_batches: int = 10) ->
     }
 
 
-def _select(cfg: ExperimentConfig, table: dict, names: tuple[str, ...], parse=None):
+def _select(cfg: ExperimentConfig, table: dict, parse=None):
     """(name, fit) of each requested estimator, checked before any replication.
 
-    ``names`` is the preset's default set, mapped to fits by ``table``;
-    ``parse`` resolves other names (fixed mixing ratios) or returns None.
+    The preset's default set, its row's ``estimators``, is mapped to fits by
+    ``table``; ``parse`` resolves other names (fixed mixing ratios) or returns
+    None.
     """
+    names = _ROWS[cfg.preset].defaults["estimators"]
     fits = [
         (name, table[name] if name in names else parse and parse(name))
-        for name in cfg.estimators or names
+        for name in cfg.estimators
     ]
     for name, fit in fits:
         if fit is None:
@@ -464,34 +458,49 @@ def _select(cfg: ExperimentConfig, table: dict, names: tuple[str, ...], parse=No
     return fits
 
 
-def _grid(cfg, grid_name, values, fits, run_point, extras: dict) -> ExperimentResult:
-    """Aggregate ``run_point(gi, value)``, the replications of each grid point."""
+def _grid(cfg, fits, run_point, extras: dict) -> ExperimentResult:
+    """Aggregate ``run_point(gi, n, sigma2)`` over the grid the preset's row sweeps.
+
+    A point runs at its grid value and at the config's one value of the other
+    variable.  ``run_point`` returns the point's replications and its extras;
+    each extra is filed under the grid value.
+    """
+    sweep = _ROWS[cfg.preset].sweep
     estimators = [name for name, _ in fits]
     rows, paired = [], []
-    for gi, value in enumerate(values):
-        r, pr = _aggregate(grid_name, value, run_point(gi, value), estimators)
+    for gi, value in enumerate(getattr(cfg, f"{sweep}_grid")):
+        n, sigma2 = (value, cfg.sigma2_grid[0]) if sweep == "n" else (cfg.n, value)
+        per_rep, point_extras = run_point(gi, n, sigma2)
+        for key, v in point_extras.items():
+            extras.setdefault(key, {})[value] = v
+        r, pr = _aggregate(sweep, value, per_rep, estimators)
         rows += r
         paired += pr
-    return ExperimentResult(cfg.preset, grid_name, tuple(rows), tuple(paired), extras)
+    return ExperimentResult(cfg.preset, sweep, tuple(rows), tuple(paired), extras)
+
+
+def _block_sigma(cfg, p: int) -> np.ndarray:
+    """The block-equicorrelated covariance of the OLS and GLM presets."""
+    return gen_sigma(CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9,
+                                    target_trace=_ROWS[cfg.preset].trace))
 
 
 def _gaussian_pool(seed: int, m: int, Sigma: np.ndarray, *idx: int) -> UnlabeledPool:
     return UnlabeledPool(gaussian_sampler(Sigma, m)(seeded_rng(seed, _S_POOL, *idx)))
 
 
-def _pool_point(cfg, n: int, Sigma: np.ndarray, m: int, *idx: int):
+def _pool_point(cfg, n: int, Sigma: np.ndarray, *idx: int):
     """The Gaussian pool of a grid point and what its replications share.
 
     Returns the pool moments, the resampling plan of the pool statistics, the
     factor of the covariance errors are measured in, and the design sampler
     (pool rows, or fresh Gaussians when ``x_source`` says so).
     """
-    moments = build_moments(_gaussian_pool(cfg.seed, m, Sigma, *idx), n)
+    moments = build_moments(_gaussian_pool(cfg.seed, cfg.pool_size, Sigma, *idx), n)
     spec = ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
     L_eval = np.linalg.cholesky(Sigma if cfg.eval_cov == "true" else moments.Exx)
-    if (cfg.x_source or "pool") == "pool":
-        return moments, spec, L_eval, pool_sampler(moments.pool, n)
-    return moments, spec, L_eval, gaussian_sampler(Sigma, n)
+    draw_x = pool_sampler(moments.pool, n) if cfg.x_source == "pool" else gaussian_sampler(Sigma, n)
+    return moments, spec, L_eval, draw_x
 
 
 def _relative_errors(per_rep: list[dict], fits, base: str) -> dict[str, float]:
@@ -534,9 +543,6 @@ _OLS_FITS = {
     "loss_mixed_grid": lambda s, pt: s.loss(s.alpha_grid),
     "loss_mixed_opt": lambda s, pt: s.loss(pt.alpha_ddot),
 }
-# each preset's estimators, in the order of its CSV rows
-_OLS_CONSTANT_ESTIMATORS = tuple(name for name in _OLS_FITS if name != "linear_mixed_est_tau")
-_OLS_RANDOM_ESTIMATORS = tuple(_OLS_FITS)[:5]
 
 
 def _ols_fixed_mix(name: str):
@@ -581,73 +587,54 @@ def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[d
 
 
 def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
-    n = cfg.n or 100
-    p = _p_from_rule(cfg.p_rule or "fixed:50", n)
-    fits = _select(cfg, _OLS_FITS, _OLS_CONSTANT_ESTIMATORS, _ols_fixed_mix)
-    Sigma = gen_sigma(CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9))
+    fits = _select(cfg, _OLS_FITS, _ols_fixed_mix)
+    p = _p_from_rule(cfg.p_rule, cfg.n)
+    Sigma = _block_sigma(cfg, p)
     beta_mode = constant_beta(1.5)
     beta_true = np.full(p, beta_mode.value)
-    moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 20000)
+    moments, spec, L_eval, draw_x = _pool_point(cfg, cfg.n, Sigma)
     # uniform grid for the measured mixed-coefficient curve; a zero-anchored
     # geometric grid for the loss-mixed search (the best ratio can sit well
     # below one uniform step at low noise)
-    size = cfg.alpha_grid_size or 51
-    alphas = np.linspace(0.0, 1.0, size)
-    ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, size - 1)])
+    alphas = np.linspace(0.0, 1.0, cfg.alpha_grid_size)
+    ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, cfg.alpha_grid_size - 1)])
     model = OlsPoolModel(moments, spec, grid=ddot_grid)
-    ddot = model.ddot
     B_true = model.bias_at(beta_true)
-    extras: dict = {"alpha_star": {}, "alpha_ddot_oracle": {}, "alpha_curve": {},
-                    "terms": {"v_l": model.v_l, "v_u": model.v_u, "b_u": model.b_u_hat},
-                    "B_true": B_true}
 
-    def run_point(gi: int, sigma2: float) -> list[dict]:
+    def run_point(gi: int, n: int, sigma2: float):
         point = _OlsPoint(
             model,
             alpha_star=model.risk(sigma2, B_true).ratio,
-            alpha_ddot=ddot.argmin_alpha(beta_true, sigma2),
+            alpha_ddot=model.ddot.argmin_alpha(beta_true, sigma2),
         )
-        extras["alpha_star"][sigma2] = point.alpha_star
-        extras["alpha_ddot_oracle"][sigma2] = point.alpha_ddot
         per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
         coeffs = np.asarray([rep["_curve"] for rep in per_rep])
-        extras["alpha_curve"][sigma2] = _alpha_curve(coeffs, alphas)
-        return per_rep
+        return per_rep, {"alpha_star": point.alpha_star, "alpha_ddot_oracle": point.alpha_ddot,
+                         "alpha_curve": _alpha_curve(coeffs, alphas)}
 
-    sigma2s = cfg.sigma2_grid or (1.0, 9.0, 25.0, 49.0)
-    return _grid(cfg, "sigma2", sigma2s, fits, run_point, extras)
+    extras = {"terms": {"v_l": model.v_l, "v_u": model.v_u, "b_u": model.b_u_hat},
+              "B_true": B_true}
+    return _grid(cfg, fits, run_point, extras)
 
 
 def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
-    sigma2 = (cfg.sigma2_grid or (25.0,))[0]
     tau2 = 1.0
     beta_mode = random_beta(math.sqrt(tau2))
-    fits = _select(cfg, _OLS_FITS, _OLS_RANDOM_ESTIMATORS)
-    extras: dict = {"eta_measured": {}, "eta_theory": {}, "alpha_star": {}, "terms": {}}
+    fits = _select(cfg, _OLS_FITS)
 
-    def run_point(gi: int, n: int) -> list[dict]:
-        p = _p_from_rule(cfg.p_rule or "ratio:0.5", n)
-        Sigma = gen_sigma(
-            CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9, target_trace=25.0)
-        )
-        moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, cfg.pool_size or 10000, gi)
+    def run_point(gi: int, n: int, sigma2: float):
+        Sigma = _block_sigma(cfg, _p_from_rule(cfg.p_rule, n))
+        moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, gi)
         model = OlsPoolModel(moments, spec, keep_blocks=False)
-        v_l, v_u, b_u = model.v_l, model.v_u, model.b_u_hat
+        b_u = model.b_u_hat
         risk = model.risk(sigma2, tau2 * b_u)
-        point = _OlsPoint(
-            model,
-            alpha_star=risk.ratio,
-            b_u=b_u,
-            bias_tau=tau2 * b_u,
-        )
-        extras["alpha_star"][n] = point.alpha_star
-        extras["eta_theory"][n] = risk.eta
-        extras["terms"][n] = {"v_l": v_l, "v_u": v_u, "b_u": b_u}
+        point = _OlsPoint(model, alpha_star=risk.ratio, b_u=b_u, bias_tau=tau2 * b_u)
         per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
-        extras["eta_measured"][n] = _relative_errors(per_rep, fits, "supervised")
-        return per_rep
+        return per_rep, {"alpha_star": risk.ratio, "eta_theory": risk.eta,
+                         "terms": {"v_l": model.v_l, "v_u": model.v_u, "b_u": b_u},
+                         "eta_measured": _relative_errors(per_rep, fits, "supervised")}
 
-    return _grid(cfg, "n", cfg.n_grid or (100, 200, 500), fits, run_point, extras)
+    return _grid(cfg, fits, run_point, {})
 
 
 # ---------------------------------------------------------------------------
@@ -686,19 +673,18 @@ class _GlmStudy:
 
     def __init__(self, cfg: ExperimentConfig):
         self.seed = cfg.seed
-        self.n = n = cfg.n or 50
-        p = _p_from_rule(cfg.p_rule or "fixed:10", n)
+        p = _p_from_rule(cfg.p_rule, cfg.n)
         self.link = elu_link()
-        Sigma = gen_sigma(CovarianceSpec("block_equicorrelated", p, blocks=5, rho=0.9))
+        Sigma = _block_sigma(cfg, p)
         self.beta_mode = constant_beta(2.0)
         beta_true = np.full(p, self.beta_mode.value)
         self.Z_eval = gaussian_sampler(Sigma, 10000)(seeded_rng(cfg.seed, _S_EVAL))
         self.mu_true = self.link.g(self.Z_eval @ beta_true)
-        self.draw_pool = gaussian_sampler(Sigma, cfg.pool_size or 5000)
-        self.draw_x = gaussian_sampler(Sigma, n)
+        self.draw_pool = gaussian_sampler(Sigma, cfg.pool_size)
+        self.draw_x = gaussian_sampler(Sigma, cfg.n)
         self.alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
         self.oracle = GlmPoolStats(
-            build_moments(_gaussian_pool(cfg.seed, 20000, Sigma), n), self.link, beta_true,
+            build_moments(_gaussian_pool(cfg.seed, 20000, Sigma), cfg.n), self.link, beta_true,
             ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
             alphas=self.alphas,
         )
@@ -724,22 +710,17 @@ def _nonconverged(per_rep: list[dict]) -> int:
 
 
 def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
-    fits = _select(cfg, _GLM_FITS, tuple(_GLM_FITS))
+    fits = _select(cfg, _GLM_FITS)
     study = _GlmStudy(cfg)
-    n, link = study.n, study.link
-    extras: dict = {"oracle_terms": study.oracle, "alpha_dot_oracle": {},
-                    "alpha_ddot_oracle": {}, "newton_nonconverged": {}}
 
-    def run_point(gi: int, sigma2: float) -> list[dict]:
+    def run_point(gi: int, n: int, sigma2: float):
         oracle = study.oracle_ratios(sigma2)
-        extras["alpha_dot_oracle"][sigma2] = oracle.alpha_dot
-        extras["alpha_ddot_oracle"][sigma2] = oracle.alpha_ddot
 
         def rep(k: int) -> dict:
             data, raw_pool = study.draw(gi, k, sigma2)
             s = GlmSample(
-                data, build_moments(raw_pool, n), link,
-                ResampleSpec(cfg.rep_blocks or 40, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
+                data, build_moments(raw_pool, n), study.link,
+                ResampleSpec(cfg.rep_blocks, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
                 study.alphas,
             )
             out = {name: study.error(fit(s, oracle)) for name, fit in fits}
@@ -747,16 +728,16 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
             return out
 
         per_rep = _run_reps(cfg, rep, cfg.k)
-        extras["newton_nonconverged"][sigma2] = _nonconverged(per_rep)
-        return per_rep
+        return per_rep, {"alpha_dot_oracle": oracle.alpha_dot,
+                         "alpha_ddot_oracle": oracle.alpha_ddot,
+                         "newton_nonconverged": _nonconverged(per_rep)}
 
-    sigma2s = cfg.sigma2_grid or (1.0, 9.0, 25.0, 49.0)
-    return _grid(cfg, "sigma2", sigma2s, fits, run_point, extras)
+    return _grid(cfg, fits, run_point, {"oracle_terms": study.oracle})
 
 
 def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    sigma2 = (cfg.sigma2_grid or (25.0,))[0]
-    curves = _select(cfg, _GLM_SWEEP_CURVES, tuple(_GLM_SWEEP_CURVES))
+    sigma2 = cfg.sigma2_grid[0]
+    curves = _select(cfg, _GLM_SWEEP_CURVES)
     estimators = [name for name, _ in curves]
     study = _GlmStudy(cfg)
     alphas = study.alphas
@@ -764,7 +745,7 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
     def rep(k: int) -> dict:
         data, raw_pool = study.draw(0, k, sigma2)
-        s = GlmSample(data, build_moments(raw_pool, study.n), study.link)
+        s = GlmSample(data, build_moments(raw_pool, cfg.n), study.link)
         out = {name: np.array([study.error(b) for b in curve(s, alphas)]) for name, curve in curves}
         out["_nonconverged"] = s.nonconverged
         return out
@@ -823,88 +804,100 @@ _INTERP_FITS = {
 }
 
 
-def _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits):
-    """The replications of one grid point and its pool risk terms.
+def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
+    """Both interpolator presets: each grid point draws its own pool (seeded by
+    the grid index) and computes its pool risk terms.
 
     Each replication also returns its realization-wise variance-dominance
-    slack under ``_dominance_slack``.
+    slack under ``_dominance_slack``.  A row with a trace also gets the
+    closed-form limit of eta at its one sigma2.
     """
-    m = cfg.pool_size or 5000
-    if m <= p:
-        raise DataValidationError(f"pool size {m} must exceed p={p}")
-    moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, m, gi)
-    Sigma_fit = moments.Exx
-    factor = spd_factor(Sigma_fit, "Sigma")
-    terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec)
-    point = _InterpPoint(Sigma_fit, factor, terms, sigma2, tau2)
+    tau2 = 1.0
     beta_mode = random_beta(math.sqrt(tau2))
+    fits = _select(cfg, _INTERP_FITS)
+    trace = _ROWS[cfg.preset].trace
 
-    def rep(k: int) -> dict:
-        rng = seeded_rng(cfg.seed, _S_REP, gi, k)
-        data, w_true = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-        s = InterpSample(data, point.sigma_factor)
-        out = {name: _quad_err(L_eval, fit(s, point) - w_true) for name, fit in fits}
-        var_hat = float(s.min_norm @ Sigma_fit @ s.min_norm)
-        out["_dominance_slack"] = var_hat - float(s.min_variance @ Sigma_fit @ s.min_variance)
-        return out
-
-    return _run_reps(cfg, rep, cfg.k), terms
-
-
-def _run_interp_fixed(cfg: ExperimentConfig) -> ExperimentResult:
-    n = cfg.n or 50
-    p = _p_from_rule(cfg.p_rule or "fixed:100", n)
-    tau2 = 1.0
-    fits = _select(cfg, _INTERP_FITS, tuple(_INTERP_FITS))
-    Sigma = gen_sigma(CovarianceSpec("spiked_diagonal", p, spike_fraction=0.8, minor_scale=1 / n))
-    extras: dict = {"alpha_oracle": {}, "dominance_min_slack": {}, "terms": None}
-
-    def run_point(gi: int, sigma2: float) -> list[dict]:
-        per_rep, terms = _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits)
-        extras["terms"] = terms
-        extras["alpha_oracle"][sigma2] = terms.risk(sigma2, tau2).ratio
-        extras["dominance_min_slack"][sigma2] = min(r["_dominance_slack"] for r in per_rep)
-        return per_rep
-
-    sigma2s = cfg.sigma2_grid or (1.0, 4.0, 25.0)
-    return _grid(cfg, "sigma2", sigma2s, fits, run_point, extras)
-
-
-def _run_interp_growth(cfg: ExperimentConfig) -> ExperimentResult:
-    sigma2 = (cfg.sigma2_grid or (25.0,))[0]
-    tau2 = 1.0
-    fits = _select(cfg, _INTERP_FITS, tuple(_INTERP_FITS))
-    extras: dict = {"eta_measured": {}, "terms": {}, "eta_limit": None}
-
-    def run_point(gi: int, n: int) -> list[dict]:
-        p = _p_from_rule(cfg.p_rule or "ratio:2.0", n)
+    def run_point(gi: int, n: int, sigma2: float):
+        p = _p_from_rule(cfg.p_rule, n)
+        if cfg.pool_size <= p:
+            raise DataValidationError(f"pool size {cfg.pool_size} must exceed p={p}")
         Sigma = gen_sigma(CovarianceSpec(
-            "spiked_diagonal", p, spike_fraction=0.8, minor_scale=1 / n, target_trace=25.0
+            "spiked_diagonal", p, spike_fraction=0.8, minor_scale=1 / n, target_trace=trace
         ))
-        per_rep, terms = _interp_point(cfg, gi, n, p, sigma2, tau2, Sigma, fits)
-        extras["terms"][n] = terms
-        extras["eta_measured"][n] = _relative_errors(per_rep, fits, "min_norm")
-        return per_rep
+        moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, gi)
+        Sigma_fit = moments.Exx
+        terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec)
+        point = _InterpPoint(Sigma_fit, spd_factor(Sigma_fit, "Sigma"), terms, sigma2, tau2)
 
-    result = _grid(cfg, "n", cfg.n_grid or (100, 200, 300), fits, run_point, extras)
-    extras["eta_limit"] = interp_limits(
-        AsymptoticSetting(gamma=2.0, gamma_tilde=1.6, sigma2=sigma2, tau2=tau2, c2=25.0)
-    ).eta_inf
+        def rep(k: int) -> dict:
+            rng = seeded_rng(cfg.seed, _S_REP, gi, k)
+            data, w_true = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
+            s = InterpSample(data, point.sigma_factor)
+            out = {name: _quad_err(L_eval, fit(s, point) - w_true) for name, fit in fits}
+            var_hat = float(s.min_norm @ Sigma_fit @ s.min_norm)
+            out["_dominance_slack"] = var_hat - float(s.min_variance @ Sigma_fit @ s.min_variance)
+            return out
+
+        per_rep = _run_reps(cfg, rep, cfg.k)
+        return per_rep, {"terms": terms, "alpha_oracle": terms.risk(sigma2, tau2).ratio,
+                         "dominance_min_slack": min(r["_dominance_slack"] for r in per_rep),
+                         "eta_measured": _relative_errors(per_rep, fits, "min_norm")}
+
+    result = _grid(cfg, fits, run_point, {})
+    if trace is not None:
+        result.extras["eta_limit"] = interp_limits(AsymptoticSetting(
+            gamma=2.0, gamma_tilde=1.6, sigma2=cfg.sigma2_grid[0], tau2=tau2, c2=trace
+        )).eta_inf
     return result
 
 
 # ---------------------------------------------------------------------------
-# dispatch, CSV output, config files
+# the preset table, dispatch, CSV output, config files
 # ---------------------------------------------------------------------------
 
-PRESETS = {
-    "ols_constant_beta": _run_ols_constant,
-    "ols_random_beta": _run_ols_random,
-    "glm_elu": _run_glm_elu,
-    "glm_alpha_sweep": _run_glm_alpha_sweep,
-    "interp_fixed": _run_interp_fixed,
-    "interp_growth": _run_interp_growth,
+
+class _Row:
+    """One preset as data: its runner, the grid it sweeps ("sigma2", "n" or
+    "alpha"), the trace its covariance is scaled to (None keeps the generated
+    one), and the default of every optional config field it reads, its
+    estimator set among them.  ``ExperimentConfig`` rejects any other field."""
+
+    def __init__(self, run, sweep: str, trace: float | None = None, **defaults):
+        self.run, self.sweep, self.trace, self.defaults = run, sweep, trace, defaults
+
+
+_SIGMA2S = (1.0, 9.0, 25.0, 49.0)
+# where the designs come from and whose covariance errors are measured in;
+# the GLM presets fix both
+_DESIGN = {"x_source": "pool", "eval_cov": "pool"}
+_ROWS = {
+    "ols_constant_beta": _Row(
+        _run_ols_constant, "sigma2", n=100, p_rule="fixed:50", sigma2_grid=_SIGMA2S,
+        pool_size=20000, alpha_grid_size=51, **_DESIGN,
+        estimators=tuple(name for name in _OLS_FITS if name != "linear_mixed_est_tau"),
+    ),
+    "ols_random_beta": _Row(
+        _run_ols_random, "n", trace=25.0, n_grid=(100, 200, 500), p_rule="ratio:0.5",
+        sigma2_grid=(25.0,), pool_size=10000, **_DESIGN, estimators=tuple(_OLS_FITS)[:5],
+    ),
+    "glm_elu": _Row(
+        _run_glm_elu, "sigma2", n=50, p_rule="fixed:10", sigma2_grid=_SIGMA2S, pool_size=5000,
+        rep_blocks=40, estimators=tuple(_GLM_FITS),
+    ),
+    "glm_alpha_sweep": _Row(
+        _run_glm_alpha_sweep, "alpha", n=50, p_rule="fixed:10", sigma2_grid=(25.0,),
+        pool_size=5000, estimators=tuple(_GLM_SWEEP_CURVES),
+    ),
+    "interp_fixed": _Row(
+        _run_interp, "sigma2", n=50, p_rule="fixed:100", sigma2_grid=(1.0, 4.0, 25.0),
+        pool_size=5000, **_DESIGN, estimators=tuple(_INTERP_FITS),
+    ),
+    "interp_growth": _Row(
+        _run_interp, "n", trace=25.0, n_grid=(100, 200, 300), p_rule="ratio:2.0",
+        sigma2_grid=(25.0,), pool_size=5000, **_DESIGN, estimators=tuple(_INTERP_FITS),
+    ),
 }
+PRESETS = {name: row.run for name, row in _ROWS.items()}
 
 
 def preset_names() -> tuple[str, ...]:

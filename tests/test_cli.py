@@ -554,3 +554,21 @@ def test_simulate_config_fields_glm_elu_does_not_read_fail_before_any_work(
     err = capsys.readouterr().err
     assert "glm_elu does not read x_source, eval_cov, alpha_grid_size" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("preset", ["ols_random_beta", "interp_growth"])
+def test_simulate_config_rejects_n_where_the_preset_sweeps_n(
+    preset, tmp_path, capsys, monkeypatch
+):
+    # n = 7 used to exit 0 with the value ignored: both presets read n_grid
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its config was checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, preset, no_work)
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(f"[experiment]\npreset = {preset}\nk = 3\nn = 7\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"{preset} does not read n\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -9,43 +9,35 @@ from mssl import (
     elu_link,
     identity_link,
     link_by_name,
-    link_eval,
     validate_link,
 )
 
 
 def test_link_eval_identity():
-    assert link_eval(identity_link(), 3.0) == (3.0, 1.0, 4.5)
+    link = identity_link()
+    assert (link.g(3.0), link.gprime(3.0), link.G(3.0)) == (3.0, 1.0, 4.5)
 
 
 def test_link_eval_elu_at_zero():
     # direct evaluation of the ELU definition and the continuity constant
-    g, gp, G = link_eval(elu_link(), 0.0)
-    assert g == 0.0
-    assert gp == 1.0
-    assert G == 1.0
+    link = elu_link()
+    assert link.g(0.0) == 0.0
+    assert link.gprime(0.0) == 1.0
+    assert link.G(0.0) == 1.0
 
 
 def test_link_eval_elu_negative_branch():
     # oracle: min(e^z - 1, max(0, z)) and the antiderivative e^z - z
-    z = -1.0
-    g, gp, G = link_eval(elu_link(), z)
-    assert g == pytest.approx(math.exp(-1.0) - 1.0, rel=1e-15)
-    assert gp == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert G == pytest.approx(math.exp(-1.0) + 1.0, rel=1e-15)
+    link, z = elu_link(), -1.0
+    assert link.g(z) == pytest.approx(math.exp(-1.0) - 1.0, rel=1e-15)
+    assert link.gprime(z) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert link.G(z) == pytest.approx(math.exp(-1.0) + 1.0, rel=1e-15)
 
 
 def test_link_eval_elu_positive_branch():
-    g, gp, G = link_eval(elu_link(), 2.0)
-    assert (g, gp) == (2.0, 1.0)
-    assert G == pytest.approx(2.0**2 / 2.0 + 1.0)
-
-
-def test_link_eval_rejects_nonfinite():
-    with pytest.raises(DataValidationError):
-        link_eval(elu_link(), float("nan"))
-    with pytest.raises(DataValidationError):
-        link_eval(identity_link(), float("inf"))
+    link = elu_link()
+    assert (link.g(2.0), link.gprime(2.0)) == (2.0, 1.0)
+    assert link.G(2.0) == pytest.approx(2.0**2 / 2.0 + 1.0)
 
 
 def test_validate_identity_passes_exactly():
@@ -90,5 +82,5 @@ def test_elu_vectorized_matches_scalar():
     link = elu_link()
     zs = np.linspace(-3, 3, 13)
     vec = link.g(zs)
-    scal = np.array([link_eval(link, z)[0] for z in zs])
+    scal = np.array([float(link.g(z)) for z in zs])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=0)

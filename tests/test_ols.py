@@ -17,7 +17,6 @@ from mssl import (
     SingularMatrixError,
     UnlabeledPool,
     build_moments,
-    fit_finite_m_semisupervised,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
@@ -93,39 +92,6 @@ def test_semisupervised_centered_design():
     ds = LabeledSet(X, [3.0, 1.0])
     beta = fit_ols_semisupervised(ds, _moments_with_H(np.eye(2), 2))
     np.testing.assert_allclose(beta, X.T @ ds.Y, atol=1e-12)
-
-
-def test_finite_m_orthonormal_pool():
-    # Z^T Z = m I collapses the formula to X^T Y / n
-    Z = np.vstack([np.eye(2)] * 4) * np.sqrt(2.0)  # Z^T Z = 8 I = m I
-    ds = LabeledSet(np.eye(2), [2.0, 4.0])
-    beta = fit_finite_m_semisupervised(ds, UnlabeledPool(Z))
-    np.testing.assert_allclose(beta, [1.0, 2.0], atol=1e-12)
-
-
-def test_finite_m_zero_response():
-    rng = seeded_rng(3)
-    ds = LabeledSet(rng.standard_normal((4, 2)), np.zeros(4))
-    beta = fit_finite_m_semisupervised(ds, UnlabeledPool(rng.standard_normal((10, 2))))
-    np.testing.assert_allclose(beta, np.zeros(2), atol=1e-12)
-
-
-def test_finite_m_matches_semisupervised_on_replicated_design():
-    # a pool of +-orthonormal copies has Z^T Z proportional to the identity
-    # and zero mean, so the finite-pool fit equals the moment-based one once
-    # the response is centered (the mean term vanishes)
-    p, copies = 3, 40
-    Z = np.vstack([np.eye(p), -np.eye(p)] * copies)
-    pool = UnlabeledPool(Z)
-    rng = seeded_rng(4)
-    X = rng.standard_normal((8, p))
-    Y = rng.standard_normal(8)
-    Y = Y - Y.mean()
-    ds = LabeledSet(X, Y)
-    mom = build_moments(pool, ds.n)
-    b_breve = fit_ols_semisupervised(ds, mom)
-    b_tilde = fit_finite_m_semisupervised(ds, mom.pool)
-    np.testing.assert_allclose(b_tilde, b_breve, rtol=1e-12, atol=1e-12)
 
 
 # -- mixing -------------------------------------------------------------------

@@ -423,6 +423,9 @@ def test_config_validation():
         ExperimentConfig(preset="glm_elu", k=1)
     with pytest.raises(DataValidationError):
         ExperimentConfig(preset="glm_elu", sigma2_grid=())
+    # an empty estimator list used to stand for the preset's default set
+    with pytest.raises(DataValidationError, match="estimators must be nonempty"):
+        ExperimentConfig(preset="glm_elu", estimators=())
     with pytest.raises(DataValidationError):
         ExperimentConfig(preset="glm_elu", eval_cov="other")
     # a misspelt design source used to draw Gaussian designs silently
@@ -441,10 +444,12 @@ def test_config_validation():
     ("ols_constant_beta", "rep_blocks", 20),
     ("glm_alpha_sweep", "rep_blocks", 20),
     ("interp_growth", "rep_blocks", 20),
+    ("ols_random_beta", "n", 7),
+    ("interp_growth", "n", 30),
 ])
 def test_config_field_the_preset_does_not_read_is_rejected(preset, field, value):
     # each of these configs used to run, and exit 0, with the field ignored
-    with pytest.raises(DataValidationError, match=f"{preset} does not read {field}"):
+    with pytest.raises(DataValidationError, match=f"{preset} does not read {field}$"):
         ExperimentConfig(preset=preset, **{field: value})
 
 
@@ -531,10 +536,54 @@ def _small_cfg(preset, **kw):
 
 
 def test_small_configs_cover_every_preset():
-    from mssl.simulate import _SWEEPS
+    from mssl.simulate import _ROWS
 
     assert tuple(_SMALL) == preset_names()
-    assert tuple(_SWEEPS) == preset_names()
+    assert tuple(_ROWS) == preset_names()
+
+
+# a valid value of each optional config field, to set where a row lacks it
+_FIELD_VALUES = {
+    "n": 30, "n_grid": (30,), "p_rule": "fixed:5", "sigma2_grid": (1.0,), "pool_size": 100,
+    "x_source": "pool", "eval_cov": "pool", "estimators": ("supervised",), "rep_blocks": 10,
+    "alpha_grid_size": 11,
+}
+
+
+@pytest.mark.parametrize("preset", list(_SMALL))
+def test_config_resolves_to_its_preset_row(preset):
+    import dataclasses
+
+    from mssl.simulate import _ROWS
+
+    row = _ROWS[preset]
+    cfg = ExperimentConfig(preset=preset)
+    assert {name: getattr(cfg, name) for name in row.defaults} == row.defaults
+    # the CLI applies its flags this way, which validates the resolved config again
+    assert dataclasses.replace(cfg) == cfg
+    assert dataclasses.replace(cfg, pool_size=123).pool_size == 123
+    optional = [f.name for f in dataclasses.fields(cfg) if f.default is None]
+    assert set(_FIELD_VALUES) == set(optional)
+    for name in optional:
+        if name in row.defaults:
+            continue
+        assert getattr(cfg, name) is None
+        with pytest.raises(DataValidationError, match=f"{preset} does not read {name}$"):
+            dataclasses.replace(cfg, **{name: _FIELD_VALUES[name]})
+
+
+@pytest.mark.parametrize("preset", ["interp_fixed", "interp_growth"])
+def test_interpolator_presets_report_each_grid_point(preset):
+    from mssl.simulate import _ROWS
+
+    cfg = _small_cfg(preset, k=3)
+    res = run_experiment(cfg)
+    grid = getattr(cfg, f"{_ROWS[preset].sweep}_grid")
+    for key in ("terms", "alpha_oracle", "dominance_min_slack", "eta_measured"):
+        assert list(res.extras[key]) == list(grid), key
+    assert all(slack >= -1e-10 for slack in res.extras["dominance_min_slack"].values())
+    for eta in res.extras["eta_measured"].values():
+        assert set(eta) == set(cfg.estimators) and eta["min_norm"] == 1.0
 
 
 @pytest.mark.parametrize("preset", list(_SMALL))
