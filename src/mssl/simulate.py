@@ -4,9 +4,13 @@ Each preset reproduces one synthetic study at desk scale: estimators are
 refit on K seeded training draws, errors are aggregated with standard
 errors, and every estimator pair gets a paired t-test.  Replications are
 pure functions of (seed, grid index, replication index), so results are
-bit-reproducible from the seed.  They run one after another in a single
-loop (``_run_reps``): they are bound by the interpreter, so a thread pool
-only added contention.
+bit-reproducible from the seed.  ``_run_reps`` shares them out by index
+between this process and children forked from it, one process per CPU in
+the affinity mask: they are bound by the interpreter, so threads would
+only contend, while forked workers inherit what a grid point's
+replications share copy-on-write.  A loop whose first replication shows
+that the rest would take under ``_FORK_MIN_S`` stays in this process.  The
+results are the same bits for any number of processes.
 
 Each preset is one row of data in ``_ROWS``: its runner, the grid it sweeps,
 the trace its covariance is scaled to, and the default of every optional
@@ -27,6 +31,13 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import pickle
+import select
+import signal
+import struct
+import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -369,23 +380,201 @@ def _p_from_rule(rule: str, n: int) -> int:
 
 
 def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
-    """Run replications 0..k-1 in order, tolerating up to 5% failures.
+    """Run replications 0..k-1, tolerating up to 5% failures.
 
     A replication that raises MsslError or LinAlgError is dropped; above the
-    budget the run aborts with the count of each exception class.
+    budget the run aborts with the count of each exception class.  Any other
+    exception is raised, that of the lowest index first, as a loop over
+    0..k-1 would raise it.
+
+    The indices are shared by W processes (``_run_shares``): this one runs
+    i = 0 (mod W) and W - 1 children forked from it run one other residue
+    each.  Each replication is a pure function of its index, so the merged
+    results are identical for any W.
     """
-    ok = []
-    failed: Counter[str] = Counter()
-    for i in range(k):
-        try:
-            ok.append(rep_fn(i))
-        except (MsslError, np.linalg.LinAlgError) as exc:
-            failed[type(exc).__name__] += 1
+    outcomes = _run_shares(rep_fn, k)
+    errors = [i for i, (kind, _) in outcomes.items() if kind == _ERROR]
+    if errors:
+        raise outcomes[min(errors)][1]
+    ok = [outcomes[i][1] for i in range(k) if outcomes[i][0] == _OK]
     n_failed = k - len(ok)
     if n_failed > 0.05 * k:
+        failed = Counter(value for kind, value in outcomes.values() if kind == _DROPPED)
         causes = ", ".join(f"{name}: {count}" for name, count in sorted(failed.items()))
         raise RuntimeError(f"{cfg.preset}: {n_failed}/{k} replications failed ({causes})")
     return ok
+
+
+# what a replication came to: its result, the class name of the MsslError or
+# LinAlgError it was dropped for, or any other exception it raised
+_OK, _DROPPED, _ERROR = "ok", "dropped", "error"
+_FRAME = struct.Struct("<Q")  # the byte length of each pickled outcome a worker sends
+# the least time the replications after the first must be expected to take
+# in one process before workers are forked for them: a fork and the pages
+# the processes then copy cost several milliseconds, and a fresh process's
+# first worker may share its CPU for a while
+_FORK_MIN_S = 0.1
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _workers(k: int, first_s: float) -> int:
+    """Processes for k replications, the first of which took ``first_s``:
+    one per CPU, at most k.  One where the other k - 1 would take less than
+    ``_FORK_MIN_S`` at that pace, without ``os.fork``, or while another
+    Python thread is alive, since a thread may hold a lock the forked child
+    would then never see released."""
+    if ((k - 1) * first_s < _FORK_MIN_S or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    return min(k, _cpu_count())
+
+
+def _attempt(rep_fn, i: int) -> tuple:
+    try:
+        return _OK, rep_fn(i)
+    except (MsslError, np.linalg.LinAlgError) as exc:
+        return _DROPPED, type(exc).__name__
+    except Exception as exc:
+        return _ERROR, exc
+
+
+class _Share:
+    """A forked worker running the indices r, r + w, ... below k."""
+
+    def __init__(self, pid: int, fd: int, r: int):
+        self.pid, self.fd, self.next = pid, fd, r
+        self.buf = bytearray()
+        self.open = True  # not yet at EOF, and so not yet reaped
+        self.stopped = False  # it sent an error and runs no further index
+
+
+def _run_shares(rep_fn, k: int) -> dict:
+    """{index: outcome} of replications 0..k-1; indices that no process ran,
+    after an error, are missing.
+
+    This process runs replication 0 and, from its time, picks the number of
+    processes W (``_workers``).  It then forks W - 1 workers, which inherit
+    everything the replications share copy-on-write.  Each sends its
+    outcomes through a pipe as it goes, and this process reads them between
+    its own replications.  After an error in its own share at index i, it
+    needs the workers' outcomes below i only.  Every worker is reaped before
+    this returns or raises; one that is still running then is killed first.
+    """
+    if k < 1:
+        return {}
+    start = time.perf_counter()
+    outcomes = {0: _attempt(rep_fn, 0)}
+    if outcomes[0][0] == _ERROR:
+        return outcomes
+    w = _workers(k, time.perf_counter() - start)
+    shares: list[_Share] = []
+    parent = os.getpid()
+    try:
+        for r in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(rep_fn, range(r, k, w), write_fd, [read_fd] + [s.fd for s in shares])
+            os.close(write_fd)
+            shares.append(_Share(pid, read_fd, r))
+        # stop: the lowest index known to have raised an error, else k
+        stop = k
+        for i in range(w, k, w):
+            outcomes[i] = _attempt(rep_fn, i)
+            if outcomes[i][0] == _ERROR:
+                stop = i
+            stop = _receive(shares, outcomes, stop, w, timeout=0.0)
+            if stop < i + w:
+                break
+        while True:
+            waiting = [s for s in shares if s.open and (s.next < stop or stop == k)]
+            if not waiting:
+                return outcomes
+            stop = _receive(waiting, outcomes, stop, w, timeout=None)
+    finally:
+        if os.getpid() != parent:  # a worker that got here before its own try
+            os._exit(1)
+        for share in shares:
+            if share.open:
+                os.close(share.fd)
+                os.kill(share.pid, signal.SIGKILL)
+                os.waitpid(share.pid, 0)
+
+
+def _receive(shares: list[_Share], outcomes: dict, stop: int, w: int, timeout) -> int:
+    """Read what the workers have sent, waiting up to ``timeout`` (None:
+    until one of them sends), and return ``stop`` lowered to any error index
+    received.  A worker that ends before it has run every index of its share
+    below ``stop`` raises RuntimeError."""
+    if not shares:
+        return stop
+    ready, _, _ = select.select([s.fd for s in shares if s.open], [], [], timeout)
+    for share in shares:
+        if not share.open or share.fd not in ready:
+            continue
+        data = os.read(share.fd, 1 << 16)
+        share.buf += data
+        while len(share.buf) >= _FRAME.size:
+            end = _FRAME.size + _FRAME.unpack_from(share.buf)[0]
+            if len(share.buf) < end:
+                break
+            i, kind, value = pickle.loads(share.buf[_FRAME.size:end])
+            del share.buf[:end]
+            outcomes[i] = (kind, value)
+            share.next = i + w
+            if kind == _ERROR:
+                share.stopped, stop = True, min(stop, i)
+        if not data:
+            os.close(share.fd)
+            share.open = False
+            _, status = os.waitpid(share.pid, 0)
+            if not share.stopped and share.next < stop:
+                raise RuntimeError(
+                    f"replication worker {share.pid} ended (wait status {status}) with "
+                    f"replication {share.next} and later ones of its share not run"
+                )
+    return stop
+
+
+def _worker(rep_fn, indices: range, fd: int, inherited: list[int]):
+    """Run one share in a forked child and send each outcome to ``fd``.
+
+    It first closes the read ends it inherited, so that its writes fail
+    once the parent is gone.  It leaves only through ``os._exit``, so that
+    it never returns into its caller's frames (a CSV writer, a tracer's
+    dump) nor runs exit handlers.
+    """
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        for i in indices:
+            kind, value = _attempt(rep_fn, i)
+            try:
+                payload = pickle.dumps((i, kind, value), pickle.HIGHEST_PROTOCOL)
+                if kind == _ERROR:
+                    pickle.loads(payload)  # an exception class must rebuild from its args
+            except Exception as exc:
+                kind, value = _ERROR, RuntimeError(
+                    f"replication {i}: its outcome could not be sent from a worker process: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                payload = pickle.dumps((i, kind, value), pickle.HIGHEST_PROTOCOL)
+            message = memoryview(_FRAME.pack(len(payload)) + payload)
+            while message:
+                message = message[os.write(fd, message):]
+            if kind == _ERROR:
+                break
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _aggregate(
@@ -776,6 +965,10 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
+# the share of coordinates of unit variance in the interpolators' covariance
+_SPIKE = 0.8
+
+
 @dataclass(frozen=True)
 class _InterpPoint:
     """What the replications of one interpolator grid point share."""
@@ -809,8 +1002,9 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
     the grid index) and computes its pool risk terms.
 
     Each replication also returns its realization-wise variance-dominance
-    slack under ``_dominance_slack``.  A row with a trace also gets the
-    closed-form limit of eta at its one sigma2.
+    slack under ``_dominance_slack``.  A row with a trace and a ``ratio:``
+    rule p = gamma n also gets the closed-form limit of eta at its one
+    sigma2, with gamma_tilde = ``_SPIKE`` gamma, where 1 < gamma_tilde < gamma.
     """
     tau2 = 1.0
     beta_mode = random_beta(math.sqrt(tau2))
@@ -822,7 +1016,7 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
         if cfg.pool_size <= p:
             raise DataValidationError(f"pool size {cfg.pool_size} must exceed p={p}")
         Sigma = gen_sigma(CovarianceSpec(
-            "spiked_diagonal", p, spike_fraction=0.8, minor_scale=1 / n, target_trace=trace
+            "spiked_diagonal", p, spike_fraction=_SPIKE, minor_scale=1 / n, target_trace=trace
         ))
         moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, gi)
         Sigma_fit = moments.Exx
@@ -844,9 +1038,12 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
                          "eta_measured": _relative_errors(per_rep, fits, "min_norm")}
 
     result = _grid(cfg, fits, run_point, {})
-    if trace is not None:
+    kind, _, arg = cfg.p_rule.partition(":")
+    gamma = float(arg) if kind == "ratio" else 0.0
+    if trace is not None and 1.0 < _SPIKE * gamma < gamma:
         result.extras["eta_limit"] = interp_limits(AsymptoticSetting(
-            gamma=2.0, gamma_tilde=1.6, sigma2=cfg.sigma2_grid[0], tau2=tau2, c2=trace
+            gamma=gamma, gamma_tilde=_SPIKE * gamma, sigma2=cfg.sigma2_grid[0], tau2=tau2,
+            c2=trace,
         )).eta_inf
     return result
 

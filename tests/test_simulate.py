@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -253,11 +256,34 @@ def test_row_count_conservation():
     assert all(r.k_effective == cfg.k for r in res.rows)
 
 
-def test_bit_reproducibility_and_thread_independence():
-    res1 = run_experiment(_tiny_ols_cfg())
-    res2 = run_experiment(_tiny_ols_cfg())
-    assert res1.rows == res2.rows
-    assert res1.paired == res2.paired
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets how many CPUs the replication engine sees, and lets it fork for
+    loops of any length, so that it splits the replications over that many
+    processes on any machine."""
+    import mssl.simulate
+
+    monkeypatch.setattr(mssl.simulate, "_FORK_MIN_S", 0.0)
+    return lambda count: monkeypatch.setattr(mssl.simulate, "_cpu_count", lambda: count)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_bit_reproducibility_and_thread_independence(cpus):
+    # replications run in 1, 2 or 3 processes, twice in one: the same bits
+    results = []
+    for count in (1, 1, 2, 3):
+        cpus(count)
+        results.append(run_experiment(_tiny_ols_cfg()))
+    for res in results[1:]:
+        assert res.rows == results[0].rows
+        assert res.paired == results[0].paired
+        curve = res.extras["alpha_curve"][9.0]
+        assert curve["mean_r"].tobytes() == results[0].extras["alpha_curve"][9.0]["mean_r"].tobytes()
+    _no_child_left()
 
 
 def test_identical_estimators_have_zero_diff():
@@ -572,6 +598,24 @@ def test_config_resolves_to_its_preset_row(preset):
             dataclasses.replace(cfg, **{name: _FIELD_VALUES[name]})
 
 
+@pytest.mark.parametrize("rule, limit", [
+    ("ratio:2.0", (2.0, 1.6)), ("ratio:3.0", (3.0, 2.4)), ("ratio:1.2", None), ("fixed:40", None),
+])
+def test_growth_eta_limit_follows_the_p_rule(rule, limit):
+    # gamma = p / n from a ratio rule, and gamma_tilde = 0.8 gamma, the
+    # spiked share of p; no limit exists outside 1 < gamma_tilde < gamma
+    from mssl import AsymptoticSetting, interp_limits
+
+    res = run_experiment(_small_cfg("interp_growth", k=3, p_rule=rule))
+    if limit is None:
+        assert "eta_limit" not in res.extras
+    else:
+        gamma, gamma_tilde = limit
+        assert res.extras["eta_limit"] == pytest.approx(interp_limits(AsymptoticSetting(
+            gamma=gamma, gamma_tilde=gamma_tilde, sigma2=25.0, tau2=1.0, c2=25.0,
+        )).eta_inf, rel=1e-12)
+
+
 @pytest.mark.parametrize("preset", ["interp_fixed", "interp_growth"])
 def test_interpolator_presets_report_each_grid_point(preset):
     from mssl.simulate import _ROWS
@@ -650,6 +694,191 @@ def test_failures_within_budget_are_dropped_in_order():
 
     out = _run_reps(ExperimentConfig(preset="glm_elu", k=20), rep, 20)
     assert out == [i for i in range(20) if i != 7]
+
+
+# -- replications in forked workers ---------------------------------------------
+
+
+def _index_and_pid(i):
+    return i, os.getpid()
+
+
+_ENGINE_CFG = ExperimentConfig(preset="glm_elu", k=2)
+
+
+def test_run_reps_gives_each_residue_to_one_process(cpus):
+    from mssl.simulate import _run_reps
+
+    cpus(3)
+    out = _run_reps(_ENGINE_CFG, _index_and_pid, 8)
+    assert [i for i, _ in out] == list(range(8))
+    pids = [{pid for i, pid in out if i % 3 == r} for r in range(3)]
+    # residue 0 runs here, residues 1 and 2 in one forked worker each
+    assert pids[0] == {os.getpid()}
+    assert len(pids[1]) == len(pids[2]) == 1 and len(set.union(*pids)) == 3
+    _no_child_left()
+
+
+def test_run_reps_with_fewer_replications_than_cpus(cpus):
+    from mssl.simulate import _run_reps
+
+    cpus(3)
+    out = _run_reps(_ENGINE_CFG, _index_and_pid, 2)
+    assert [i for i, _ in out] == [0, 1]
+    assert out[0][1] == os.getpid() != out[1][1]
+    _no_child_left()
+
+
+def test_run_reps_drops_failures_in_every_share(cpus):
+    from mssl import SingularMatrixError
+    from mssl.simulate import _run_reps
+
+    cpus(3)
+    failing = (3, 7, 11)  # residues 0, 1 and 2 mod 3; 3 of 60 is the 5% budget
+
+    def rep(i):
+        if i in failing:
+            raise SingularMatrixError("singular")
+        return i
+
+    assert _run_reps(_ENGINE_CFG, rep, 60) == [i for i in range(60) if i not in failing]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_run_reps_abort_message_is_the_same_for_any_worker_count(cpus, count):
+    from mssl import SingularMatrixError
+    from mssl.simulate import _run_reps
+
+    cpus(count)
+
+    def rep(i):
+        if i % 4 == 1:
+            raise SingularMatrixError("singular")
+        if i % 5 == 0:
+            raise np.linalg.LinAlgError("not positive definite")
+        return i
+
+    with pytest.raises(RuntimeError) as info:
+        _run_reps(_ENGINE_CFG, rep, 20)
+    assert str(info.value) == (
+        "glm_elu: 8/20 replications failed (LinAlgError: 3, SingularMatrixError: 5)"
+    )
+    _no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_run_reps_raises_the_lowest_unexpected_error(cpus, count):
+    from mssl import SingularMatrixError
+    from mssl.simulate import _run_reps
+
+    cpus(count)
+
+    def rep(i):
+        if i == 2:
+            raise SingularMatrixError("dropped, not raised")
+        if i == 5:  # a worker's share for 2 and 3 processes
+            raise ValueError(f"replication {i} went wrong")
+        if i in (6, 9):  # later, in this process's share or another worker's
+            raise TypeError(f"replication {i} went wrong too")
+        return i
+
+    with pytest.raises(ValueError) as info:
+        _run_reps(_ENGINE_CFG, rep, 12)
+    assert info.type is ValueError and str(info.value) == "replication 5 went wrong"
+    _no_child_left()
+
+
+def test_run_reps_kills_its_workers_after_an_error_in_its_own_share(cpus):
+    from mssl.simulate import _run_reps
+
+    cpus(2)
+    parent = os.getpid()
+
+    def rep(i):
+        if i == 2 and os.getpid() == parent:
+            raise ValueError("the parent's share failed")
+        if i > 2:  # still running in the worker when its outcome is not needed
+            time.sleep(60)
+        return i
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the parent's share failed"):
+        _run_reps(_ENGINE_CFG, rep, 4)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_run_reps_reports_a_worker_that_ends_early(cpus):
+    from mssl.simulate import _run_reps
+
+    cpus(2)
+    parent = os.getpid()
+
+    def rep(i):
+        if i == 3 and os.getpid() != parent:
+            os._exit(3)
+        return i
+
+    with pytest.raises(RuntimeError, match="with replication 3 and later ones of its share not run"):
+        _run_reps(_ENGINE_CFG, rep, 6)
+    _no_child_left()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_run_reps_names_an_error_a_worker_cannot_send(cpus):
+    from mssl.simulate import _run_reps
+
+    cpus(2)
+
+    def rep(i):
+        if i == 1:
+            raise _TwoArgError("a", "b")
+        return i
+
+    with pytest.raises(RuntimeError, match="replication 1: its outcome could not be sent"):
+        _run_reps(_ENGINE_CFG, rep, 4)
+    _no_child_left()
+
+
+def test_run_reps_stays_serial_for_a_short_loop(cpus, monkeypatch):
+    import mssl.simulate
+    from mssl.simulate import _run_reps
+
+    cpus(3)
+    monkeypatch.setattr(mssl.simulate, "_FORK_MIN_S", 60.0)
+    out = _run_reps(_ENGINE_CFG, _index_and_pid, 6)
+    assert out == [(i, os.getpid()) for i in range(6)]
+
+
+def test_run_reps_stays_serial_while_another_thread_runs(cpus):
+    from mssl.simulate import _run_reps
+
+    cpus(3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        out = _run_reps(_ENGINE_CFG, _index_and_pid, 6)
+    finally:
+        release.set()
+        thread.join()
+    assert out == [(i, os.getpid()) for i in range(6)]
+
+
+@pytest.mark.parametrize("preset", list(_SMALL))
+def test_every_preset_writes_the_same_bytes_for_any_worker_count(preset, cpus, tmp_path):
+    outputs = []
+    for count in (1, 2, 3):
+        cpus(count)
+        paths = write_result_csv(run_experiment(_small_cfg(preset)), tmp_path / str(count))
+        outputs.append([path.read_bytes() for path in paths])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    _no_child_left()
 
 
 @pytest.mark.parametrize(
