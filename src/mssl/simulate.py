@@ -6,11 +6,13 @@ errors, and every estimator pair gets a paired t-test.  Replications are
 pure functions of (seed, grid index, replication index), so results are
 bit-reproducible from the seed.  ``_run_reps`` shares them out by index
 between this process and children forked from it, one process per CPU in
-the affinity mask: they are bound by the interpreter, so threads would
-only contend, while forked workers inherit what a grid point's
-replications share copy-on-write.  A loop whose first replication shows
-that the rest would take under ``_FORK_MIN_S`` stays in this process.  The
-results are the same bits for any number of processes.
+the affinity mask (they are bound by the interpreter, so threads would only
+contend).  Workers inherit what a grid point's replications share
+copy-on-write, and each sends all its outcomes back in one message.  Each
+share stops at its own first unexpected error; the others finish before
+that error is raised.  A loop whose first replication shows that the rest
+would take under ``_FORK_MIN_S`` stays in this process.  The results are
+the same bits for any number of processes.
 
 Each preset is one row of data in ``_ROWS``: its runner, the grid it sweeps,
 the trace its covariance is scaled to, and the default of every optional
@@ -33,9 +35,7 @@ import csv
 import math
 import os
 import pickle
-import select
 import signal
-import struct
 import threading
 import time
 from collections import Counter
@@ -317,6 +317,8 @@ class ExperimentConfig:
         for name in ("sigma2_grid", "n_grid", "estimators"):
             if getattr(self, name) == ():
                 raise DataValidationError(f"{name} must be nonempty")
+        if any(not 0.0 <= s < math.inf for s in self.sigma2_grid or ()):  # a nan fails too
+            raise DataValidationError("sigma2_grid values must be finite and >= 0")
         if self.eval_cov not in (None, "pool", "true"):
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
         if self.x_source not in (None, "pool", "gaussian"):
@@ -389,8 +391,10 @@ def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
 
     The indices are shared by W processes (``_run_shares``): this one runs
     i = 0 (mod W) and W - 1 children forked from it run one other residue
-    each.  Each replication is a pure function of its index, so the merged
-    results are identical for any W.
+    each, sending all its outcomes back in one message.  Each replication is
+    a pure function of its index, so the merged results are identical for
+    any W.  Each share stops at its own first unexpected error, so every
+    index below the lowest one has run; the other shares finish first.
     """
     outcomes = _run_shares(rep_fn, k)
     errors = [i for i, (kind, _) in outcomes.items() if kind == _ERROR]
@@ -408,7 +412,6 @@ def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
 # what a replication came to: its result, the class name of the MsslError or
 # LinAlgError it was dropped for, or any other exception it raised
 _OK, _DROPPED, _ERROR = "ok", "dropped", "error"
-_FRAME = struct.Struct("<Q")  # the byte length of each pickled outcome a worker sends
 # the least time the replications after the first must be expected to take
 # in one process before workers are forked for them: a fork and the pages
 # the processes then copy cost several milliseconds, and a fresh process's
@@ -436,142 +439,94 @@ def _workers(k: int, first_s: float) -> int:
     return min(k, _cpu_count())
 
 
-def _attempt(rep_fn, i: int) -> tuple:
-    try:
-        return _OK, rep_fn(i)
-    except (MsslError, np.linalg.LinAlgError) as exc:
-        return _DROPPED, type(exc).__name__
-    except Exception as exc:
-        return _ERROR, exc
-
-
-class _Share:
-    """A forked worker running the indices r, r + w, ... below k."""
-
-    def __init__(self, pid: int, fd: int, r: int):
-        self.pid, self.fd, self.next = pid, fd, r
-        self.buf = bytearray()
-        self.open = True  # not yet at EOF, and so not yet reaped
-        self.stopped = False  # it sent an error and runs no further index
+def _share(rep_fn, indices) -> dict:
+    """{index: outcome} for ``indices``, run in order up to the first unexpected error."""
+    outcomes = {}
+    for i in indices:
+        try:
+            outcomes[i] = _OK, rep_fn(i)
+        except (MsslError, np.linalg.LinAlgError) as exc:
+            outcomes[i] = _DROPPED, type(exc).__name__
+        except Exception as exc:
+            outcomes[i] = _ERROR, exc
+            break
+    return outcomes
 
 
 def _run_shares(rep_fn, k: int) -> dict:
-    """{index: outcome} of replications 0..k-1; indices that no process ran,
-    after an error, are missing.
+    """{index: outcome} of replications 0..k-1; those after an error in their share are missing.
 
     This process runs replication 0 and, from its time, picks the number of
     processes W (``_workers``).  It then forks W - 1 workers, which inherit
-    everything the replications share copy-on-write.  Each sends its
-    outcomes through a pipe as it goes, and this process reads them between
-    its own replications.  After an error in its own share at index i, it
-    needs the workers' outcomes below i only.  Every worker is reaped before
-    this returns or raises; one that is still running then is killed first.
+    what the replications share copy-on-write, and runs its own share.  Each
+    share stops at its own first unexpected error; the others still finish.
+    A worker sends one message, all its outcomes, read here after this
+    process's share.  Every worker is reaped before this returns or raises,
+    and killed first if it still runs then (this process's share raised).
     """
     if k < 1:
         return {}
     start = time.perf_counter()
-    outcomes = {0: _attempt(rep_fn, 0)}
+    outcomes = _share(rep_fn, range(1))
     if outcomes[0][0] == _ERROR:
         return outcomes
     w = _workers(k, time.perf_counter() - start)
-    shares: list[_Share] = []
+    workers = {}  # pid: the read end of its pipe, for each worker not yet reaped
     parent = os.getpid()
     try:
         for r in range(1, w):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(rep_fn, range(r, k, w), write_fd, [read_fd] + [s.fd for s in shares])
+                inherited = [read_fd] + [pipe.fileno() for pipe in workers.values()]
+                _worker(rep_fn, range(r, k, w), write_fd, inherited)
             os.close(write_fd)
-            shares.append(_Share(pid, read_fd, r))
-        # stop: the lowest index known to have raised an error, else k
-        stop = k
-        for i in range(w, k, w):
-            outcomes[i] = _attempt(rep_fn, i)
-            if outcomes[i][0] == _ERROR:
-                stop = i
-            stop = _receive(shares, outcomes, stop, w, timeout=0.0)
-            if stop < i + w:
-                break
-        while True:
-            waiting = [s for s in shares if s.open and (s.next < stop or stop == k)]
-            if not waiting:
-                return outcomes
-            stop = _receive(waiting, outcomes, stop, w, timeout=None)
+            workers[pid] = open(read_fd, "rb")
+        outcomes.update(_share(rep_fn, range(w, k, w)))
+        for pid in list(workers):
+            with workers[pid] as pipe:  # read to EOF first: a worker ends once it is read
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if status or not payload:
+                raise RuntimeError(f"replication worker {pid} ended (wait status {status}) "
+                                   "without sending the outcomes of its share")
+            outcomes.update(pickle.loads(payload))
+        return outcomes
     finally:
         if os.getpid() != parent:  # a worker that got here before its own try
             os._exit(1)
-        for share in shares:
-            if share.open:
-                os.close(share.fd)
-                os.kill(share.pid, signal.SIGKILL)
-                os.waitpid(share.pid, 0)
-
-
-def _receive(shares: list[_Share], outcomes: dict, stop: int, w: int, timeout) -> int:
-    """Read what the workers have sent, waiting up to ``timeout`` (None:
-    until one of them sends), and return ``stop`` lowered to any error index
-    received.  A worker that ends before it has run every index of its share
-    below ``stop`` raises RuntimeError."""
-    if not shares:
-        return stop
-    ready, _, _ = select.select([s.fd for s in shares if s.open], [], [], timeout)
-    for share in shares:
-        if not share.open or share.fd not in ready:
-            continue
-        data = os.read(share.fd, 1 << 16)
-        share.buf += data
-        while len(share.buf) >= _FRAME.size:
-            end = _FRAME.size + _FRAME.unpack_from(share.buf)[0]
-            if len(share.buf) < end:
-                break
-            i, kind, value = pickle.loads(share.buf[_FRAME.size:end])
-            del share.buf[:end]
-            outcomes[i] = (kind, value)
-            share.next = i + w
-            if kind == _ERROR:
-                share.stopped, stop = True, min(stop, i)
-        if not data:
-            os.close(share.fd)
-            share.open = False
-            _, status = os.waitpid(share.pid, 0)
-            if not share.stopped and share.next < stop:
-                raise RuntimeError(
-                    f"replication worker {share.pid} ended (wait status {status}) with "
-                    f"replication {share.next} and later ones of its share not run"
-                )
-    return stop
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _worker(rep_fn, indices: range, fd: int, inherited: list[int]):
-    """Run one share in a forked child and send each outcome to ``fd``.
+    """Run one share in a forked child and write its outcomes to ``fd`` in one pickle.
 
-    It first closes the read ends it inherited, so that its writes fail
-    once the parent is gone.  It leaves only through ``os._exit``, so that
-    it never returns into its caller's frames (a CSV writer, a tracer's
-    dump) nor runs exit handlers.
+    The first outcome that does not pickle and rebuild (an exception class
+    must rebuild from its args) becomes a RuntimeError and ends the share.
+    It closes the read ends it inherited first, so that its write fails once
+    the parent is gone, and leaves only through ``os._exit``: it never returns
+    into its caller's frames (a CSV writer, a tracer's dump) nor runs exit handlers.
     """
     status = 1
     try:
         for other in inherited:
             os.close(other)
-        for i in indices:
-            kind, value = _attempt(rep_fn, i)
+        sent = {}
+        for i, outcome in _share(rep_fn, indices).items():
             try:
-                payload = pickle.dumps((i, kind, value), pickle.HIGHEST_PROTOCOL)
-                if kind == _ERROR:
-                    pickle.loads(payload)  # an exception class must rebuild from its args
+                sent[i] = pickle.loads(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
             except Exception as exc:
-                kind, value = _ERROR, RuntimeError(
+                sent[i] = _ERROR, RuntimeError(
                     f"replication {i}: its outcome could not be sent from a worker process: "
                     f"{type(exc).__name__}: {exc}"
                 )
-                payload = pickle.dumps((i, kind, value), pickle.HIGHEST_PROTOCOL)
-            message = memoryview(_FRAME.pack(len(payload)) + payload)
-            while message:
-                message = message[os.write(fd, message):]
-            if kind == _ERROR:
                 break
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)

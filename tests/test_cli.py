@@ -508,6 +508,22 @@ def test_simulate_rejects_an_n_grid_the_preset_does_not_sweep(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("value", ["-4", "nan", "inf"])
+def test_simulate_rejects_a_negative_or_non_finite_sigma2(value, tmp_path, capsys, monkeypatch):
+    # --sigma2-grid=-4 used to exit 1 with a math domain error from the noise draw
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its sigma2 grid was checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, "interp_fixed", no_work)
+    code = main(["simulate", "--preset", "interp_fixed", "-k", "2", f"--sigma2-grid={value}",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "sigma2_grid values must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_a_pool_size_below_one(tmp_path, capsys, monkeypatch):
     # --pool-size 0 used to exit 0 after running on the preset's 5000-row pool
     import mssl.simulate

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -459,6 +460,16 @@ def test_config_validation():
         ExperimentConfig(preset="glm_elu", x_source="gausian")
 
 
+@pytest.mark.parametrize("grid", [(-4.0,), (math.nan,), (1.0, math.inf), (4.0, -1e-300)])
+def test_sigma2_grid_must_be_finite_and_nonnegative(grid):
+    # a negative sigma2 used to fail inside math.sqrt, or with a misleading
+    # negative gain, after the grid point's pool work
+    for preset in ("glm_elu", "ols_constant_beta", "interp_fixed"):
+        with pytest.raises(DataValidationError, match="sigma2_grid values must be finite and >= 0"):
+            ExperimentConfig(preset=preset, sigma2_grid=grid)
+    ExperimentConfig(preset="glm_elu", sigma2_grid=(0.0, 4.0))
+
+
 @pytest.mark.parametrize("preset, field, value", [
     ("glm_elu", "x_source", "pool"),
     ("glm_alpha_sweep", "x_source", "gaussian"),
@@ -796,14 +807,14 @@ def test_run_reps_kills_its_workers_after_an_error_in_its_own_share(cpus):
     parent = os.getpid()
 
     def rep(i):
-        if i == 2 and os.getpid() == parent:
-            raise ValueError("the parent's share failed")
-        if i > 2:  # still running in the worker when its outcome is not needed
-            time.sleep(60)
+        if os.getpid() != parent:
+            time.sleep(60)  # still running in the worker when the parent's share is interrupted
+        elif i == 2:
+            raise KeyboardInterrupt  # not an Exception, so it ends the parent's share at once
         return i
 
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="the parent's share failed"):
+    with pytest.raises(KeyboardInterrupt):
         _run_reps(_ENGINE_CFG, rep, 4)
     assert time.perf_counter() - start < 30
     _no_child_left()
@@ -820,8 +831,29 @@ def test_run_reps_reports_a_worker_that_ends_early(cpus):
             os._exit(3)
         return i
 
-    with pytest.raises(RuntimeError, match="with replication 3 and later ones of its share not run"):
+    with pytest.raises(RuntimeError, match=r"^replication worker \d+ ended \(wait status 768\) "
+                       "without sending the outcomes of its share$"):
         _run_reps(_ENGINE_CFG, rep, 6)
+    _no_child_left()
+
+
+def test_run_reps_reads_a_share_larger_than_the_pipe_buffer(cpus):
+    # about 160 KB from the worker: a parent that reaped it before reading
+    # its pipe to the end would wait for it forever, so the wait is cut at 30 s
+    from mssl.simulate import _run_reps
+
+    def give_up(signum, frame):
+        raise TimeoutError("the worker never ended")
+
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(30)
+    try:
+        out = _run_reps(_ENGINE_CFG, lambda i: (i, bytes([i]) * 20_000), 16)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert out == [(i, bytes([i]) * 20_000) for i in range(16)]
     _no_child_left()
 
 
