@@ -15,6 +15,7 @@ import sys
 
 from ._blas import single_blas_thread
 from .asymptotics import AsymptoticSetting, finite_m_limits, interp_limits, ols_limits
+from .core import _center_in_place
 from .errors import DataValidationError, MsslError
 from .io import read_labeled_csv, read_pool_binary, read_pool_csv
 from .links import link_by_name
@@ -106,6 +107,8 @@ def _cmd_fit(args, diagnose_only: bool) -> int:
     except DataValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    # the command owns the array it read: centered in place, it is the fit's one copy
+    pool = _center_in_place(pool.Z)
     seed = args.seed if args.seed is not None else _default_seed()
     policy = "auto" if diagnose_only else args.alpha
     if args.model == "ols":

@@ -3,8 +3,15 @@
 The unlabeled pool stands in for the covariate distribution: column moments
 estimated from it feed every semi-supervised estimator, and expectations
 over fresh design matrices are realized by drawing blocks of rows from the
-pool without replacement.  All containers are immutable after construction
-and every operation here is a pure function of its inputs.
+pool without replacement.  All containers are immutable after construction.
+
+A pool is the one large array of a run, and each pool exists once.  Library
+calls never write an array a caller passes in: ``center_pool`` and ``build_moments``
+center a copy.  An array the program creates itself (a drawn pool, a pool
+read from a file) is centered in place by the private ``_center_in_place``,
+which keeps the removed means on the pool for ``build_moments`` to report.
+``gaussian_sampler`` draws into its output, one row chunk at a time, and no
+check of a pool builds an m x p temporary.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ _SKIP_BUDGET = 0.10
 # Bytes of drawn blocks a pass stacks into one chunk for its kernel; this
 # bounds the memory of the stacked kernels whatever the block count.
 _CHUNK_BYTES = 1 << 20
+
+# A gaussian_sampler draw's row chunks come in whole multiples of this many
+# rows, a multiple of every row panel width of OpenBLAS's x86-64 kernels.
+_DRAW_ROWS = 96
 
 # Stream tags keep independently-consumed RNG streams from colliding when
 # they are derived from one user-facing seed.
@@ -137,7 +148,8 @@ class UnlabeledPool:
         Z = np.atleast_2d(np.asarray(self.Z, dtype=float))
         if Z.ndim != 2 or Z.shape[0] < 1:
             raise DataValidationError("Z must be a nonempty 2-d matrix")
-        if not np.all(np.isfinite(Z)):
+        # min and max propagate a NaN, and an infinity is one of them: no m x p mask
+        if Z.size and not (np.isfinite(Z.min()) and np.isfinite(Z.max())):
             raise DataValidationError("pool entries must be finite")
         if self.centered:
             # |mean| may reach 1e-12 * max(column max of |Z|, 1); the column max
@@ -280,22 +292,42 @@ class MixRisk:
 
 
 def center_pool(pool: UnlabeledPool) -> tuple[UnlabeledPool, np.ndarray]:
-    """Return a column-centered view of the pool and the removed means.
+    """Return a column-centered copy of the pool and the removed means.
 
-    The centered copy keeps the memory layout of ``pool.Z`` (a column-major
-    pool stays column-major).
+    ``pool.Z`` is never written.  The centered copy keeps the memory layout
+    of ``pool.Z`` (a column-major pool stays column-major).  A pool that is
+    already centered is returned as it is, with the means ``_center_in_place``
+    removed from it, or zeros.
     """
     if pool.centered:
-        return pool, np.zeros(pool.p)
+        return pool, getattr(pool, "_removed_mean", np.zeros(pool.p))
     mean = pool.Z.mean(axis=0)
     return UnlabeledPool(pool.Z - mean, centered=True), mean
+
+
+def _center_in_place(Z: np.ndarray) -> UnlabeledPool:
+    """The centered pool of an array its caller created and hands over: Z itself, centered.
+
+    Only for an array nothing else reads, such as a pool just drawn or read
+    from a file; a caller's array goes through ``center_pool``, which copies.
+    The removed column means are kept on the pool, where ``center_pool`` and
+    so ``build_moments`` find them.  The result is bit for bit that of
+    ``center_pool(UnlabeledPool(Z))``, without its second m x p array.
+    """
+    mean = Z.mean(axis=0)
+    Z -= mean
+    pool = UnlabeledPool(Z, centered=True)
+    object.__setattr__(pool, "_removed_mean", mean)
+    return pool
 
 
 def build_moments(pool: UnlabeledPool, n: int) -> PopulationMoments:
     """Estimate (mean, Exx, H) from the pool for a sample size n.
 
-    The pool is centered first (the estimators assume E[x] = 0), and the
-    centered view is carried on the returned object.
+    The pool is centered first (the estimators assume E[x] = 0) by
+    ``center_pool``, which copies an uncentered pool and never writes
+    ``pool.Z``; the centered pool is carried on the returned object.  A pool
+    from ``_center_in_place`` is used as it is, so its array exists once.
     """
     if pool.m < 2:
         raise DataValidationError("need at least 2 pool rows to form moments")
@@ -330,12 +362,29 @@ class ResampleSpec:
 
 
 def gaussian_sampler(Sigma: np.ndarray, n: int):
-    """Factory: draws n x p Gaussian designs with the given covariance."""
+    """Factory: draws n x p Gaussian designs with the given covariance.
+
+    A draw is ``rng.standard_normal((n, p)) @ L.T`` with L the Cholesky factor
+    of Sigma, formed in one new n x p array one chunk of rows at a time, so
+    that no n x p array of normals exists beside it.  The caller owns the
+    array, and may center it in place (``_center_in_place``).  The generator fills
+    rows in order, so the normals are those of one draw of all rows.  A chunk
+    holds about _CHUNK_BYTES, in whole multiples of _DRAW_ROWS rows, and the
+    last one also takes a remainder shorter than _DRAW_ROWS.  Each chunk then
+    starts on the edge of a panel of rows that OpenBLAS's kernels multiply
+    together, and no chunk is small enough for a small-matrix path, so with
+    one BLAS thread every row has the bits of the product over all rows.
+    """
     L = np.linalg.cholesky(np.asarray(Sigma, dtype=float))
     p = L.shape[0]
+    rows = max(1, _chunk_len(8 * p) // _DRAW_ROWS) * _DRAW_ROWS
+    edges = [0, *range(rows, n - _DRAW_ROWS + 1, rows), n]
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal((n, p)) @ L.T
+        out = np.empty((n, p))
+        for start, stop in zip(edges[:-1], edges[1:]):
+            np.matmul(rng.standard_normal((stop - start, p)), L.T, out=out[start:stop])
+        return out
 
     return draw
 

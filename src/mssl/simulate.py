@@ -48,8 +48,8 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet, MixRisk, ResampleSpec, UnlabeledPool, build_moments, gaussian_sampler,
-    pool_sampler, seeded_rng, spd_factor,
+    LabeledSet, MixRisk, ResampleSpec, UnlabeledPool, _center_in_place, build_moments,
+    gaussian_sampler, pool_sampler, seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
 from .glm import GlmPoolStats, GlmSample
@@ -630,7 +630,8 @@ def _block_sigma(cfg, p: int) -> np.ndarray:
 
 
 def _gaussian_pool(seed: int, m: int, Sigma: np.ndarray, *idx: int) -> UnlabeledPool:
-    return UnlabeledPool(gaussian_sampler(Sigma, m)(seeded_rng(seed, _S_POOL, *idx)))
+    """A drawn pool of m rows, centered in place: the one copy of its array."""
+    return _center_in_place(gaussian_sampler(Sigma, m)(seeded_rng(seed, _S_POOL, *idx)))
 
 
 def _pool_point(cfg, n: int, Sigma: np.ndarray, *idx: int):
@@ -638,11 +639,13 @@ def _pool_point(cfg, n: int, Sigma: np.ndarray, *idx: int):
 
     Returns the pool moments, the resampling plan of the pool statistics, the
     factor of the covariance errors are measured in, and the design sampler
-    (pool rows, or fresh Gaussians when ``x_source`` says so).
+    (pool rows, or fresh Gaussians when ``x_source`` says so).  A singular
+    covariance raises SingularMatrixError.
     """
     moments = build_moments(_gaussian_pool(cfg.seed, cfg.pool_size, Sigma, *idx), n)
     spec = ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
-    L_eval = np.linalg.cholesky(Sigma if cfg.eval_cov == "true" else moments.Exx)
+    A, what = (Sigma, "Sigma") if cfg.eval_cov == "true" else (moments.Exx, "the pool covariance")
+    L_eval = np.tril(spd_factor(A, what)[0])
     draw_x = pool_sampler(moments.pool, n) if cfg.x_source == "pool" else gaussian_sampler(Sigma, n)
     return moments, spec, L_eval, draw_x
 
@@ -839,9 +842,9 @@ class _GlmStudy:
         )
 
     def draw(self, gi: int, k: int, sigma2: float) -> tuple[LabeledSet, UnlabeledPool]:
-        """The labeled sample and the raw pool of one replication."""
+        """The labeled sample and the pool, centered in place, of one replication."""
         rng = seeded_rng(self.seed, _S_REP, gi, k)
-        pool = UnlabeledPool(self.draw_pool(rng))
+        pool = _center_in_place(self.draw_pool(rng))
         return _label(self.draw_x(rng), self.beta_mode, self.link, sigma2, rng)[0], pool
 
     def error(self, beta: np.ndarray) -> float:
@@ -861,9 +864,9 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
         oracle = study.oracle_ratios(sigma2)
 
         def rep(k: int) -> dict:
-            data, raw_pool = study.draw(gi, k, sigma2)
+            data, pool = study.draw(gi, k, sigma2)
             s = GlmSample(
-                data, build_moments(raw_pool, n), study.link,
+                data, build_moments(pool, n), study.link,
                 ResampleSpec(cfg.rep_blocks, _derive_seed(cfg.seed, _S_REPBLOCKS, gi, k)),
                 study.alphas,
             )
@@ -888,8 +891,8 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     alpha_dot, alpha_ddot = study.oracle_ratios(sigma2)
 
     def rep(k: int) -> dict:
-        data, raw_pool = study.draw(0, k, sigma2)
-        s = GlmSample(data, build_moments(raw_pool, cfg.n), study.link)
+        data, pool = study.draw(0, k, sigma2)
+        s = GlmSample(data, build_moments(pool, cfg.n), study.link)
         out = {name: np.array([study.error(b) for b in curve(s, alphas)]) for name, curve in curves}
         out["_nonconverged"] = s.nonconverged
         return out
@@ -968,8 +971,6 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
 
     def run_point(gi: int, n: int, sigma2: float):
         p = _p_from_rule(cfg.p_rule, n)
-        if cfg.pool_size <= p:
-            raise DataValidationError(f"pool size {cfg.pool_size} must exceed p={p}")
         Sigma = gen_sigma(CovarianceSpec(
             "spiked_diagonal", p, spike_fraction=_SPIKE, minor_scale=1 / n, target_trace=trace
         ))
@@ -1066,8 +1067,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise DataValidationError(
             f"unknown preset {cfg.preset!r}; available: {', '.join(PRESETS)}"
         )
+    _check_pool_sizes(cfg)
     with single_blas_thread():
         return PRESETS[cfg.preset](cfg)
+
+
+def _check_pool_sizes(cfg: ExperimentConfig) -> None:
+    """Every grid point's pool needs more rows than its p columns, or its
+    covariance is singular: checked at every n of the grid before any point runs."""
+    row = _ROWS.get(cfg.preset)
+    if row is None:
+        return
+    for n in cfg.n_grid if row.sweep == "n" else (cfg.n,):
+        p = _p_from_rule(cfg.p_rule, n)
+        if cfg.pool_size <= p:
+            raise DataValidationError(f"pool size {cfg.pool_size} must exceed p={p}")
 
 
 def write_result_csv(result: ExperimentResult, out_dir) -> tuple[Path, Path]:

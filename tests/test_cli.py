@@ -524,6 +524,43 @@ def test_simulate_rejects_a_negative_or_non_finite_sigma2(value, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_rejects_a_pool_no_larger_than_p_before_any_work(tmp_path, capsys):
+    # p = 50 here; the pool covariance used to fail to factor in a LinAlgError traceback
+    out = tmp_path / "small_pool"
+    code = main(["simulate", "--preset", "ols_constant_beta", "-k", "3", "--pool-size", "40",
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: pool size 40 must exceed p=50\n"
+    assert not out.exists()
+    # in a config file the pool size is checked with the p rule, when the preset runs
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[experiment]\npreset = glm_elu\nk = 3\npool_size = 5\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: pool size 5 must exceed p=10\n"
+    assert not out.exists()
+
+
+def test_a_fit_leaves_its_pool_file_as_it_was(tmp_path, capsys):
+    # the command centers the pool it read in place, never the file
+    rng = seeded_rng(6)
+    X = rng.standard_normal((40, 3)) + 2.0
+    labeled = tmp_path / "train.csv"
+    np.savetxt(labeled, np.column_stack([X, X @ np.ones(3) + rng.standard_normal(40)]),
+               delimiter=",")
+    pool_bin, pool_csv = tmp_path / "pool.bin", tmp_path / "pool.csv"
+    Z = rng.standard_normal((800, 3)) + 2.0
+    write_pool_binary(UnlabeledPool(Z), pool_bin)
+    np.savetxt(pool_csv, Z, delimiter=",")
+    before = {path: path.read_bytes() for path in (pool_bin, pool_csv)}
+    for path in before:
+        for model in ("ols", "glm"):
+            assert main(["fit", "--labeled", str(labeled), "--pool", str(path),
+                         "--model", model, "--blocks", "20"]) == 0
+            center = json.loads(capsys.readouterr().out)["center"]
+            np.testing.assert_allclose(center, Z.mean(axis=0), rtol=1e-14)
+    assert {path: path.read_bytes() for path in before} == before
+
+
 def test_simulate_rejects_a_pool_size_below_one(tmp_path, capsys, monkeypatch):
     # --pool-size 0 used to exit 0 after running on the preset's 5000-row pool
     import mssl.simulate

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from mssl import (
     UnlabeledPool,
     build_moments,
     center_pool,
+    gaussian_sampler,
     pool_sampler,
     resample_block,
     seeded_rng,
@@ -321,6 +324,36 @@ def test_weighted_gram_matches_the_one_shot_product(order, m):
     got = _weighted_gram(Z, np.sqrt(w))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     np.testing.assert_array_equal(got, got.T)
+
+
+# one chunk; then many, with remainders below and above one panel of rows, at
+# the sizes of preset pools (20000 x 50, 5000 x 600) and at odd ones
+@pytest.mark.parametrize("m, p", [
+    (7, 3), (500, 40), (20000, 10), (20000, 50), (5000, 200), (3000, 600), (777, 333),
+    (15387, 34), (24773, 221),
+])
+def test_gaussian_sampler_draws_the_bits_of_one_product(m, p):
+    # with one BLAS thread, as the commands and presets run
+    from mssl._blas import single_blas_thread
+    from mssl.core import _CHUNK_BYTES
+
+    rng = seeded_rng(m, p)
+    A = rng.standard_normal((p + 5, p))
+    Sigma = A.T @ A / p + 0.1 * np.eye(p)
+    with single_blas_thread():
+        draw = gaussian_sampler(Sigma, m)
+        want = seeded_rng(1).standard_normal((m, p)) @ np.linalg.cholesky(Sigma).T
+        got = draw(seeded_rng(1))
+        tracemalloc.start()
+        try:
+            draw(seeded_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if m * p * 8 > 2 * _CHUNK_BYTES:  # many chunks: the normals never exist at once
+        assert peak <= m * p * 8 + 1.2 * _CHUNK_BYTES
 
 
 # -- the coefficient mix's risk quadratic ------------------------------------------

@@ -531,6 +531,39 @@ def test_sizes_below_one_are_rejected(preset, fields, name, tmp_path):
     ExperimentConfig(preset="ols_random_beta", n_grid=(1, 100), pool_size=1)
 
 
+# each preset's default grid, with a pool no larger than p at some grid value;
+# the n sweeps fail at their last (ols_random_beta) and second (interp_growth)
+# points, after points that would have run
+@pytest.mark.parametrize("preset, pool_size, p", [
+    ("ols_constant_beta", 50, 50), ("ols_random_beta", 200, 250), ("glm_elu", 5, 10),
+    ("glm_alpha_sweep", 10, 10), ("interp_fixed", 60, 100), ("interp_growth", 400, 400),
+])
+def test_a_pool_no_larger_than_p_is_refused_before_any_work(preset, pool_size, p, monkeypatch):
+    # ols_constant_beta ended in a LinAlgError traceback, the GLM presets
+    # after every replication failed, the interpolators at the failing point
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its pool size was checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, preset, no_work)
+    cfg = ExperimentConfig(preset=preset, k=3, pool_size=pool_size)
+    with pytest.raises(DataValidationError, match=f"pool size {pool_size} must exceed p={p}$"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("eval_cov, what", [("pool", "the pool covariance"), ("true", "Sigma")])
+def test_a_singular_covariance_to_measure_errors_in_is_a_domain_error(eval_cov, what):
+    from mssl import SingularMatrixError
+    from mssl.simulate import _pool_point
+
+    # positive definite, but its condition number 1e14 is past COND_LIMIT
+    Sigma = np.diag([1.0, 1e-14])
+    cfg = _tiny_ols_cfg(eval_cov=eval_cov)
+    with pytest.raises(SingularMatrixError, match=what):
+        _pool_point(cfg, 30, Sigma)
+
+
 def test_gaussian_x_source_switch():
     res_pool = run_experiment(_tiny_ols_cfg(k=8))
     res_iid = run_experiment(_tiny_ols_cfg(k=8, x_source="gaussian"))
