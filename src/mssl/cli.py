@@ -111,20 +111,15 @@ def _cmd_fit(args, diagnose_only: bool) -> int:
     pool = _center_in_place(pool.Z)
     seed = args.seed if args.seed is not None else _default_seed()
     policy = "auto" if diagnose_only else args.alpha
+    kwargs = {"alpha_policy": policy, "seed": seed, "blocks": args.blocks}
     if args.model == "ols":
-        report = fit_ols_pipeline(
-            data, pool, alpha_policy=policy, seed=seed,
-            grid_size=args.grid_size, blocks=args.blocks,
-        )
+        report = fit_ols_pipeline(data, pool, grid_size=args.grid_size, **kwargs)
     elif args.model == "glm":
         report = fit_glm_pipeline(
-            data, pool, link_by_name(args.link), alpha_policy=policy,
-            seed=seed, grid_size=args.grid_size, blocks=args.blocks,
+            data, pool, link_by_name(args.link), grid_size=args.grid_size, **kwargs
         )
     else:
-        report = fit_interp_pipeline(
-            data, pool, alpha_policy=policy, seed=seed, blocks=args.blocks
-        )
+        report = fit_interp_pipeline(data, pool, **kwargs)
     if diagnose_only:
         report = {
             k: report[k]
@@ -182,19 +177,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    if args.mode == "ols":
-        rpt = ols_limits(
-            AsymptoticSetting(
-                gamma=args.gamma, sigma2=args.sigma2, tau2=args.tau2, c2=args.c2
-            )
-        )
+    if args.mode == "finite_m":
         payload = {
-            "eta_inf": rpt.eta_inf,
-            "alpha_inf": rpt.alpha_inf,
-            "term_limits": rpt.term_limits,
+            "eta_inf": None,
+            "alpha_inf": None,
+            "term_limits": finite_m_limits(args.gamma, args.gamma_tilde, args.c2),
         }
-    elif args.mode == "interp":
-        rpt = interp_limits(
+    else:
+        # ols_limits reads no gamma_tilde
+        rpt = {"ols": ols_limits, "interp": interp_limits}[args.mode](
             AsymptoticSetting(
                 gamma=args.gamma, gamma_tilde=args.gamma_tilde,
                 sigma2=args.sigma2, tau2=args.tau2, c2=args.c2,
@@ -204,12 +195,6 @@ def _cmd_limits(args) -> int:
             "eta_inf": rpt.eta_inf,
             "alpha_inf": rpt.alpha_inf,
             "term_limits": rpt.term_limits,
-        }
-    else:
-        payload = {
-            "eta_inf": None,
-            "alpha_inf": None,
-            "term_limits": finite_m_limits(args.gamma, args.gamma_tilde, args.c2),
         }
     payload = {"schema_version": 1, "mode": args.mode, **payload}
     print(json.dumps(payload, indent=2))

@@ -1,4 +1,4 @@
-"""Core data containers, pool moment estimation, and block resampling.
+"""Core data containers, pool moment estimation, block resampling and the Monte Carlo engine.
 
 The unlabeled pool stands in for the covariate distribution: column moments
 estimated from it feed every semi-supervised estimator, and expectations
@@ -12,10 +12,22 @@ read from a file) is centered in place by the private ``_center_in_place``,
 which keeps the removed means on the pool for ``build_moments`` to report.
 ``gaussian_sampler`` draws into its output, one row chunk at a time, and no
 check of a pool builds an m x p temporary.
+
+Every Monte Carlo loop of the package, a pool pass (``_block_pass``) over
+its chunks of blocks or the presets' ``_run_reps`` over replications, maps
+a pure function over indices through one engine, ``_map_indices``, which
+may share the indices with workers forked from this process, only inside
+``simulate.run_experiment``: a library call runs its loops in its own process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -57,6 +69,21 @@ _DRAW_ROWS = 96
 # Stream tags keep independently-consumed RNG streams from colliding when
 # they are derived from one user-facing seed.
 _STREAM_BLOCKS = 0xB10C
+
+# What an index of a loop came to: its result, the class name of the
+# exception it was dropped for, or any other exception it raised.
+_OK, _DROPPED, _ERROR = "ok", "dropped", "error"
+
+# The least time the indices after the first must be expected to take in one
+# process before workers are forked for them: a fork and the pages the
+# processes then copy cost several milliseconds, and a fresh process's first
+# worker may share its CPU for a while.
+_FORK_MIN_S = 0.1
+
+# True inside ``_forking``, which ``simulate.run_experiment`` enters with one
+# BLAS thread, and cleared while an engine loop runs: only the outermost loop
+# of a preset may fork, and a library call made elsewhere never does.
+_may_fork = False
 
 
 def spd_factor(A: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, bool]:
@@ -180,9 +207,9 @@ class PopulationMoments:
     ``mean`` holds the column means removed from the pool; ``Exx`` estimates
     E[xx^T] on centered data (the covariance, under the zero-mean
     convention), and ``H`` is its n-scaled version n*Exx.  ``pool`` is the
-    centered view of the ingested pool.  ``H_factor`` is the checked Cholesky
-    factor of H, computed on first use and then shared by every fit that
-    solves against H.
+    centered view of the ingested pool.  ``H_factor`` and ``Exx_factor`` are
+    the checked Cholesky factors of H and of Exx, each computed on first use
+    and then shared by every fit that solves against its matrix.
     """
 
     mean: np.ndarray
@@ -205,6 +232,10 @@ class PopulationMoments:
     @cached_property
     def H_factor(self) -> tuple[np.ndarray, bool]:
         return spd_factor(self.H, "H")
+
+    @cached_property
+    def Exx_factor(self) -> tuple[np.ndarray, bool]:
+        return spd_factor(self.Exx, "the pool covariance")
 
 
 @dataclass(frozen=True)
@@ -446,39 +477,180 @@ def _each_block(fn: Callable, stack: Iterable) -> tuple[np.ndarray, list]:
     return np.array(ok, dtype=bool), results
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on (its affinity mask, where there is one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _forking():
+    """Let the outermost engine loops of the block fork (``run_experiment``'s)."""
+    global _may_fork
+    saved, _may_fork = _may_fork, True
+    try:
+        yield
+    finally:
+        _may_fork = saved
+
+
+def _workers(k: int, first_s: float) -> int:
+    """Processes for k indices, the first of which took ``first_s``: one per
+    CPU, at most k.  One where the other k - 1 would take less than
+    ``_FORK_MIN_S`` at that pace, without ``os.fork``, or while another
+    Python thread is alive, since a thread may hold a lock the forked child
+    would then never see released."""
+    if (k < 2 or (k - 1) * first_s < _FORK_MIN_S or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    return min(k, _cpu_count())
+
+
+def _share(fn: Callable, indices, drop: tuple) -> dict:
+    """{index: outcome} for ``indices``, run in order up to the first unexpected error."""
+    outcomes = {}
+    for i in indices:
+        try:
+            outcomes[i] = _OK, fn(i)
+        except drop as exc:
+            outcomes[i] = _DROPPED, type(exc).__name__
+        except Exception as exc:
+            outcomes[i] = _ERROR, exc
+            break
+    return outcomes
+
+
+def _map_indices(fn: Callable, k: int, drop: tuple = ()) -> tuple[list, list[str]]:
+    """The one Monte Carlo engine: ``fn`` over the indices 0..k-1.
+
+    Returns the results of the indices not dropped, in index order, and the
+    class name of the exception each dropped index raised (one of the
+    classes in ``drop``).  Any other exception is raised, that of the lowest
+    index, as a loop over 0..k-1 would raise it.
+
+    This process runs index 0 and, from its time, picks the number of
+    processes W (``_workers``).  W is 1 outside ``_forking`` and for a loop
+    that ``fn`` runs, here or in a worker: only the outermost loop forks.  It
+    then forks W - 1 workers, which inherit what ``fn`` reads copy-on-write,
+    and runs its own share, the indices i = 0 (mod W); each worker runs one
+    other residue.  ``fn`` must be a pure function of its index, so the
+    merged results are the same bits for any W.  Each share stops at its own
+    first unexpected error, so every index below the lowest one has run; the
+    other shares still finish.  A worker sends one message, all its
+    outcomes, read here after this process's share.  Every worker is reaped
+    before this returns or raises, and killed first if it still runs then
+    (this process's share raised).
+    """
+    global _may_fork
+    may_fork, _may_fork = _may_fork, False  # fn's own loops stay serial, as in a worker
+    workers = {}  # pid: the read end of its pipe, for each worker not yet reaped
+    parent = os.getpid()
+    try:
+        start = time.perf_counter()
+        outcomes = _share(fn, range(min(k, 1)), drop)
+        if k and outcomes[0][0] == _ERROR:
+            raise outcomes[0][1]
+        w = _workers(k, time.perf_counter() - start) if may_fork else 1
+        for r in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                inherited = [read_fd] + [pipe.fileno() for pipe in workers.values()]
+                _worker(fn, range(r, k, w), drop, write_fd, inherited)
+            os.close(write_fd)
+            workers[pid] = open(read_fd, "rb")
+        outcomes.update(_share(fn, range(w, k, w), drop))
+        for pid in list(workers):
+            with workers[pid] as pipe:  # read to EOF first: a worker ends once it is read
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if status or not payload:
+                raise RuntimeError(f"worker {pid} ended (wait status {status}) "
+                                   "without sending the outcomes of its share")
+            outcomes.update(pickle.loads(payload))
+    finally:
+        if os.getpid() != parent:  # a worker that got here before its own try
+            os._exit(1)
+        _may_fork = may_fork
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    errors = [i for i, (kind, _) in outcomes.items() if kind == _ERROR]
+    if errors:
+        raise outcomes[min(errors)][1]
+    return ([outcomes[i][1] for i in range(k) if outcomes[i][0] == _OK],
+            [value for kind, value in outcomes.values() if kind == _DROPPED])
+
+
+def _worker(fn: Callable, indices: range, drop: tuple, fd: int, inherited: list[int]):
+    """Run one share in a forked child and write its outcomes to ``fd`` in one pickle.
+
+    The first outcome that does not pickle and rebuild (an exception class
+    must rebuild from its args) becomes a RuntimeError and ends the share.
+    It closes the read ends it inherited first, so that its write fails once
+    the parent is gone, and leaves only through ``os._exit``: it never returns
+    into its caller's frames (a CSV writer, a tracer's dump) nor runs exit handlers.
+    """
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        sent = {}
+        for i, outcome in _share(fn, indices, drop).items():
+            try:
+                sent[i] = pickle.loads(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            except Exception as exc:
+                sent[i] = _ERROR, RuntimeError(
+                    f"index {i}: its outcome could not be sent from a worker process: "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                break
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _block_pass(
     spec: ResampleSpec, draw: Callable[[int], np.ndarray], kernel: Callable
 ) -> tuple[dict, int]:
     """The one resampling loop: ``kernel`` on chunks of the blocks ``draw(i)``.
 
-    Blocks are drawn one at a time, in plan order, and stacked into chunks of
-    at most _CHUNK_BYTES (one block at least).  ``kernel`` takes a chunk of b
-    blocks (an array of shape (b, *block.shape)) and returns ``(ok, stats)``:
-    a length-b mask of the usable blocks and a dict of arrays whose leading
-    axis runs over the usable ones.  A kernel masks a block whose statistics
-    would raise SingularMatrixError or LinAlgError (see ``_each_block``), so
-    every statistic of a pass averages over the same blocks.  Raises
+    Blocks are stacked into chunks of at most _CHUNK_BYTES (one block at
+    least), a length fixed from block 0, and ``_map_indices`` shares the
+    chunks out; each draws its blocks one at a time, in plan order, so the
+    statistics are the same bits for any number of processes.  ``kernel``
+    takes a chunk of b blocks (an array of shape (b, *block.shape)) and
+    returns ``(ok, stats)``: a length-b mask of the usable blocks and a dict
+    of arrays whose leading axis runs over the usable ones.  A kernel masks a
+    block whose statistics would raise SingularMatrixError or LinAlgError
+    (see ``_each_block``), so every statistic of a pass averages over the
+    same blocks; other errors propagate, that of the lowest chunk.  Raises
     ResampleBudgetError when more than _SKIP_BUDGET of the blocks were
     skipped (a plan has 2 blocks or more, so at least 2 are then left).
-    Returns the statistics of the usable blocks in block order and the number
-    skipped.
+    Returns the statistics of the usable blocks in block order and the
+    number skipped.
     """
-    chunks = []
-    skipped = 0
-    start = 0
-    while start < spec.replications:
-        first = np.asarray(draw(start))
-        b = min(_chunk_len(first.nbytes), spec.replications - start)
-        stack = np.empty((b,) + first.shape, dtype=first.dtype)
-        stack[0] = first
-        for j in range(1, b):
-            stack[j] = draw(start + j)
-        ok, stats = kernel(stack)
-        skipped += b - int(np.count_nonzero(ok))
-        chunks.append(stats)
-        start += b
+    first = np.asarray(draw(0))
+    b = _chunk_len(first.nbytes)
+
+    def chunk(c: int) -> tuple[np.ndarray, dict]:
+        indices = range(c * b, min((c + 1) * b, spec.replications))
+        stack = np.empty((len(indices),) + first.shape, dtype=first.dtype)
+        for j, i in enumerate(indices):
+            stack[j] = first if i == 0 else draw(i)
+        return kernel(stack)
+
+    chunks, _ = _map_indices(chunk, -(-spec.replications // b))
+    skipped = sum(len(ok) - int(np.count_nonzero(ok)) for ok, _ in chunks)
     if skipped > _SKIP_BUDGET * spec.replications:
         raise ResampleBudgetError(
             f"{skipped}/{spec.replications} resampled blocks were singular"
         )
-    return {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}, skipped
+    return {key: np.concatenate([stats[key] for _, stats in chunks])
+            for key in chunks[0][1]}, skipped

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, pool_sampler, spd_factor,
+    LabeledSet, ResampleSpec, UnlabeledPool, build_moments, pool_sampler,
 )
 from .errors import DataValidationError, RegimeError
 from .glm import GlmSample
@@ -157,8 +157,7 @@ def fit_interp_pipeline(
     spec = ResampleSpec(blocks, seed)
     moments, data_c = _centered(data, pool)
     Sigma = moments.Exx
-    sigma_factor = spd_factor(Sigma, "Sigma")
-    s = InterpSample(data_c, sigma_factor)
+    s = InterpSample(data_c, moments.Exx_factor)
     ns = s.sigma_tau(Sigma)
     terms = interp_risk_terms(Sigma, pool_sampler(moments.pool, data.n), spec)
     risk = terms.risk(ns.sigma2_hat, ns.tau2_hat)

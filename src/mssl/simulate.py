@@ -1,18 +1,13 @@
-"""Covariance generators, dataset draws, and the Monte Carlo experiment engine.
+"""Covariance generators, dataset draws, and the Monte Carlo experiments.
 
 Each preset reproduces one synthetic study at desk scale: estimators are
 refit on K seeded training draws, errors are aggregated with standard
 errors, and every estimator pair gets a paired t-test.  Replications are
 pure functions of (seed, grid index, replication index), so results are
-bit-reproducible from the seed.  ``_run_reps`` shares them out by index
-between this process and children forked from it, one process per CPU in
-the affinity mask (they are bound by the interpreter, so threads would only
-contend).  Workers inherit what a grid point's replications share
-copy-on-write, and each sends all its outcomes back in one message.  Each
-share stops at its own first unexpected error; the others finish before
-that error is raised.  A loop whose first replication shows that the rest
-would take under ``_FORK_MIN_S`` stays in this process.  The results are
-the same bits for any number of processes.
+bit-reproducible from the seed.  ``_run_reps`` runs them, with a budget of
+5% dropped, through the package's one Monte Carlo engine,
+``core._map_indices``, as the pool passes of a grid point run their chunks
+of blocks; the results are the same bits for any number of processes.
 
 Each preset is one row of data in ``_ROWS``: its runner, the grid it sweeps,
 the trace its covariance is scaled to, and the default of every optional
@@ -33,11 +28,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import pickle
-import signal
-import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import combinations
@@ -48,8 +38,8 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .core import (
-    LabeledSet, MixRisk, ResampleSpec, UnlabeledPool, _center_in_place, build_moments,
-    gaussian_sampler, pool_sampler, seeded_rng, spd_factor,
+    LabeledSet, MixRisk, ResampleSpec, UnlabeledPool, _center_in_place, _forking, _map_indices,
+    build_moments, gaussian_sampler, pool_sampler, seeded_rng, spd_factor,
 )
 from .errors import DataValidationError, MsslError
 from .glm import GlmPoolStats, GlmSample
@@ -382,154 +372,17 @@ def _p_from_rule(rule: str, n: int) -> int:
 
 
 def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):
-    """Run replications 0..k-1, tolerating up to 5% failures.
+    """Run replications 0..k-1 by ``core._map_indices``, tolerating up to 5% failures.
 
     A replication that raises MsslError or LinAlgError is dropped; above the
     budget the run aborts with the count of each exception class.  Any other
-    exception is raised, that of the lowest index first, as a loop over
-    0..k-1 would raise it.
-
-    The indices are shared by W processes (``_run_shares``): this one runs
-    i = 0 (mod W) and W - 1 children forked from it run one other residue
-    each, sending all its outcomes back in one message.  Each replication is
-    a pure function of its index, so the merged results are identical for
-    any W.  Each share stops at its own first unexpected error, so every
-    index below the lowest one has run; the other shares finish first.
+    exception is raised, that of the lowest index, as a serial loop raises it.
     """
-    outcomes = _run_shares(rep_fn, k)
-    errors = [i for i, (kind, _) in outcomes.items() if kind == _ERROR]
-    if errors:
-        raise outcomes[min(errors)][1]
-    ok = [outcomes[i][1] for i in range(k) if outcomes[i][0] == _OK]
-    n_failed = k - len(ok)
-    if n_failed > 0.05 * k:
-        failed = Counter(value for kind, value in outcomes.values() if kind == _DROPPED)
-        causes = ", ".join(f"{name}: {count}" for name, count in sorted(failed.items()))
-        raise RuntimeError(f"{cfg.preset}: {n_failed}/{k} replications failed ({causes})")
+    ok, dropped = _map_indices(rep_fn, k, (MsslError, np.linalg.LinAlgError))
+    if len(dropped) > 0.05 * k:
+        causes = ", ".join(f"{name}: {count}" for name, count in sorted(Counter(dropped).items()))
+        raise RuntimeError(f"{cfg.preset}: {len(dropped)}/{k} replications failed ({causes})")
     return ok
-
-
-# what a replication came to: its result, the class name of the MsslError or
-# LinAlgError it was dropped for, or any other exception it raised
-_OK, _DROPPED, _ERROR = "ok", "dropped", "error"
-# the least time the replications after the first must be expected to take
-# in one process before workers are forked for them: a fork and the pages
-# the processes then copy cost several milliseconds, and a fresh process's
-# first worker may share its CPU for a while
-_FORK_MIN_S = 0.1
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on (its affinity mask, where there is one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _workers(k: int, first_s: float) -> int:
-    """Processes for k replications, the first of which took ``first_s``:
-    one per CPU, at most k.  One where the other k - 1 would take less than
-    ``_FORK_MIN_S`` at that pace, without ``os.fork``, or while another
-    Python thread is alive, since a thread may hold a lock the forked child
-    would then never see released."""
-    if ((k - 1) * first_s < _FORK_MIN_S or not hasattr(os, "fork")
-            or threading.active_count() > 1):
-        return 1
-    return min(k, _cpu_count())
-
-
-def _share(rep_fn, indices) -> dict:
-    """{index: outcome} for ``indices``, run in order up to the first unexpected error."""
-    outcomes = {}
-    for i in indices:
-        try:
-            outcomes[i] = _OK, rep_fn(i)
-        except (MsslError, np.linalg.LinAlgError) as exc:
-            outcomes[i] = _DROPPED, type(exc).__name__
-        except Exception as exc:
-            outcomes[i] = _ERROR, exc
-            break
-    return outcomes
-
-
-def _run_shares(rep_fn, k: int) -> dict:
-    """{index: outcome} of replications 0..k-1; those after an error in their share are missing.
-
-    This process runs replication 0 and, from its time, picks the number of
-    processes W (``_workers``).  It then forks W - 1 workers, which inherit
-    what the replications share copy-on-write, and runs its own share.  Each
-    share stops at its own first unexpected error; the others still finish.
-    A worker sends one message, all its outcomes, read here after this
-    process's share.  Every worker is reaped before this returns or raises,
-    and killed first if it still runs then (this process's share raised).
-    """
-    if k < 1:
-        return {}
-    start = time.perf_counter()
-    outcomes = _share(rep_fn, range(1))
-    if outcomes[0][0] == _ERROR:
-        return outcomes
-    w = _workers(k, time.perf_counter() - start)
-    workers = {}  # pid: the read end of its pipe, for each worker not yet reaped
-    parent = os.getpid()
-    try:
-        for r in range(1, w):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                inherited = [read_fd] + [pipe.fileno() for pipe in workers.values()]
-                _worker(rep_fn, range(r, k, w), write_fd, inherited)
-            os.close(write_fd)
-            workers[pid] = open(read_fd, "rb")
-        outcomes.update(_share(rep_fn, range(w, k, w)))
-        for pid in list(workers):
-            with workers[pid] as pipe:  # read to EOF first: a worker ends once it is read
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del workers[pid]
-            if status or not payload:
-                raise RuntimeError(f"replication worker {pid} ended (wait status {status}) "
-                                   "without sending the outcomes of its share")
-            outcomes.update(pickle.loads(payload))
-        return outcomes
-    finally:
-        if os.getpid() != parent:  # a worker that got here before its own try
-            os._exit(1)
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _worker(rep_fn, indices: range, fd: int, inherited: list[int]):
-    """Run one share in a forked child and write its outcomes to ``fd`` in one pickle.
-
-    The first outcome that does not pickle and rebuild (an exception class
-    must rebuild from its args) becomes a RuntimeError and ends the share.
-    It closes the read ends it inherited first, so that its write fails once
-    the parent is gone, and leaves only through ``os._exit``: it never returns
-    into its caller's frames (a CSV writer, a tracer's dump) nor runs exit handlers.
-    """
-    status = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        sent = {}
-        for i, outcome in _share(rep_fn, indices).items():
-            try:
-                sent[i] = pickle.loads(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-            except Exception as exc:
-                sent[i] = _ERROR, RuntimeError(
-                    f"replication {i}: its outcome could not be sent from a worker process: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                break
-        with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _aggregate(
@@ -644,8 +497,8 @@ def _pool_point(cfg, n: int, Sigma: np.ndarray, *idx: int):
     """
     moments = build_moments(_gaussian_pool(cfg.seed, cfg.pool_size, Sigma, *idx), n)
     spec = ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS, *idx))
-    A, what = (Sigma, "Sigma") if cfg.eval_cov == "true" else (moments.Exx, "the pool covariance")
-    L_eval = np.tril(spd_factor(A, what)[0])
+    factor = spd_factor(Sigma, "Sigma") if cfg.eval_cov == "true" else moments.Exx_factor
+    L_eval = np.tril(factor[0])
     draw_x = pool_sampler(moments.pool, n) if cfg.x_source == "pool" else gaussian_sampler(Sigma, n)
     return moments, spec, L_eval, draw_x
 
@@ -932,7 +785,6 @@ class _InterpPoint:
     """What the replications of one interpolator grid point share."""
 
     Sigma_fit: np.ndarray
-    sigma_factor: tuple[np.ndarray, bool]
     terms: InterpRiskTerms
     sigma2: float
     tau2: float
@@ -977,12 +829,12 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
         moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, gi)
         Sigma_fit = moments.Exx
         terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec)
-        point = _InterpPoint(Sigma_fit, spd_factor(Sigma_fit, "Sigma"), terms, sigma2, tau2)
+        point = _InterpPoint(Sigma_fit, terms, sigma2, tau2)
 
         def rep(k: int) -> dict:
             rng = seeded_rng(cfg.seed, _S_REP, gi, k)
             data, w_true = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-            s = InterpSample(data, point.sigma_factor)
+            s = InterpSample(data, moments.Exx_factor)
             out = {name: _quad_err(L_eval, fit(s, point) - w_true) for name, fit in fits}
             var_hat = float(s.min_norm @ Sigma_fit @ s.min_norm)
             out["_dominance_slack"] = var_hat - float(s.min_variance @ Sigma_fit @ s.min_variance)
@@ -1068,7 +920,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             f"unknown preset {cfg.preset!r}; available: {', '.join(PRESETS)}"
         )
     _check_pool_sizes(cfg)
-    with single_blas_thread():
+    with single_blas_thread(), _forking():
         return PRESETS[cfg.preset](cfg)
 
 
@@ -1090,26 +942,18 @@ def write_result_csv(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     main = out / f"{result.preset}.csv"
     pairs = out / f"{result.preset}_pairs.csv"
-    with open(main, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["preset", "estimator", "grid_name", "grid_value", "mean_error", "se", "k_effective"]
-        )
-        for r in result.rows:
-            w.writerow(
-                [result.preset, r.estimator, r.grid_name, r.grid_value,
-                 f"{r.mean_error:.10g}", f"{r.se:.10g}", r.k_effective]
-            )
-    with open(pairs, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["estimator_a", "estimator_b", "grid_value", "mean_diff", "se_diff", "t", "p"]
-        )
-        for r in result.paired:
-            w.writerow(
-                [r.estimator_a, r.estimator_b, r.grid_value,
-                 f"{r.mean_diff:.10g}", f"{r.se_diff:.10g}", f"{r.t:.10g}", f"{r.p:.10g}"]
-            )
+    tables = {
+        main: (["preset", "estimator", "grid_name", "grid_value", "mean_error", "se",
+                "k_effective"],
+               [[result.preset, r.estimator, r.grid_name, r.grid_value,
+                 f"{r.mean_error:.10g}", f"{r.se:.10g}", r.k_effective] for r in result.rows]),
+        pairs: (["estimator_a", "estimator_b", "grid_value", "mean_diff", "se_diff", "t", "p"],
+                [[r.estimator_a, r.estimator_b, r.grid_value, f"{r.mean_diff:.10g}",
+                  f"{r.se_diff:.10g}", f"{r.t:.10g}", f"{r.p:.10g}"] for r in result.paired]),
+    }
+    for path, (header, rows) in tables.items():
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
     return main, pairs
 
 

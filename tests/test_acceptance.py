@@ -39,6 +39,8 @@ from mssl import (
     run_experiment,
     seeded_rng,
 )
+from mssl._blas import single_blas_thread
+from mssl.core import _forking, _map_indices
 from mssl.glm import GlmPoolStats
 
 
@@ -246,18 +248,25 @@ def test_c5_noise_unbiasedness():
     K = 5000
     sigma2 = 4.0
 
+    def run(rep):
+        # through the package's Monte Carlo engine, as run_experiment runs its
+        # loops, so the replications may be shared with forked workers
+        with single_blas_thread(), _forking():
+            return np.asarray(_map_indices(rep, K)[0])
+
     # squared loss: RSS/(n-p)
     n, p = 50, 10
-    vals = []
-    for k in range(K):
+
+    def ols_rep(k):
         r = seeded_rng(501, k)
         X = r.standard_normal((n, p))
         beta = r.standard_normal(p)
         Y = X @ beta + 2.0 * r.standard_normal(n)
         b = np.linalg.lstsq(X, Y, rcond=None)[0]
         resid = Y - X @ b
-        vals.append(float(resid @ resid) / (n - p))
-    vals = np.asarray(vals)
+        return float(resid @ resid) / (n - p)
+
+    vals = run(ols_rep)
     se_ols = vals.std(ddof=1) / math.sqrt(K)
     dev_ols = abs(vals.mean() - sigma2)
     ok_ols = dev_ols < 3 * se_ols
@@ -267,8 +276,8 @@ def test_c5_noise_unbiasedness():
     # signal scale; see the repository notes)
     link = elu_link()
     beta_true = np.full(p, 0.25)
-    vals = []
-    for k in range(K):
+
+    def glm_rep(k):
         r = seeded_rng(502, k)
         Z = r.standard_normal((2000, p))
         X = r.standard_normal((n, p))
@@ -280,8 +289,9 @@ def test_c5_noise_unbiasedness():
         b_breve = prob.fit(1.0).beta
         stats = GlmPoolStats(moments, link, b_breve, ResampleSpec(40, 50000 + k))
         resid = link.g(X @ b_hat) - Y
-        vals.append(float(resid @ resid) / stats.sigma2_denominator())
-    vals = np.asarray(vals)
+        return float(resid @ resid) / stats.sigma2_denominator()
+
+    vals = run(glm_rep)
     se_glm = vals.std(ddof=1) / math.sqrt(K)
     dev_glm = abs(vals.mean() - sigma2)
     ok_glm = dev_glm < 3 * se_glm
@@ -290,14 +300,15 @@ def test_c5_noise_unbiasedness():
     n_i, p_i, tau2 = 50, 100, 1.0
     diag = np.concatenate([np.ones(80), np.full(20, 1.0 / n_i)])
     scale = np.sqrt(diag)
-    vals = []
-    for k in range(K):
+
+    def interp_rep(k):
         r = seeded_rng(503, k)
         X = r.standard_normal((n_i, p_i)) * scale
         w = math.sqrt(tau2) * r.standard_normal(p_i)
         Y = X @ w + 2.0 * r.standard_normal(n_i)
-        vals.append(InterpSample(LabeledSet(X, Y)).sigma2_known_tau(tau2))
-    vals = np.asarray(vals)
+        return InterpSample(LabeledSet(X, Y)).sigma2_known_tau(tau2)
+
+    vals = run(interp_rep)
     se_int = vals.std(ddof=1) / math.sqrt(K)
     dev_int = abs(vals.mean() - sigma2)
     ok_int = dev_int < 3 * se_int

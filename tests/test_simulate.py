@@ -259,13 +259,17 @@ def test_row_count_conservation():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets how many CPUs the replication engine sees, and lets it fork for
-    loops of any length, so that it splits the replications over that many
-    processes on any machine."""
-    import mssl.simulate
+    """Sets how many CPUs the Monte Carlo engine sees, and lets it fork for
+    loops of any length, so that it splits the replications and the chunks
+    of every pool pass over that many processes on any machine.  The test
+    runs as ``run_experiment`` runs a preset: with one BLAS thread, and
+    inside ``core._forking``, outside which the engine never forks."""
+    import mssl.core
+    from mssl._blas import single_blas_thread
 
-    monkeypatch.setattr(mssl.simulate, "_FORK_MIN_S", 0.0)
-    return lambda count: monkeypatch.setattr(mssl.simulate, "_cpu_count", lambda: count)
+    monkeypatch.setattr(mssl.core, "_FORK_MIN_S", 0.0)
+    with single_blas_thread(), mssl.core._forking():
+        yield lambda count: monkeypatch.setattr(mssl.core, "_cpu_count", lambda: count)
 
 
 def _no_child_left():
@@ -740,7 +744,7 @@ def test_failures_within_budget_are_dropped_in_order():
     assert out == [i for i in range(20) if i != 7]
 
 
-# -- replications in forked workers ---------------------------------------------
+# -- the Monte Carlo engine: replications and pool passes in forked workers ------
 
 
 def _index_and_pid(i):
@@ -864,7 +868,7 @@ def test_run_reps_reports_a_worker_that_ends_early(cpus):
             os._exit(3)
         return i
 
-    with pytest.raises(RuntimeError, match=r"^replication worker \d+ ended \(wait status 768\) "
+    with pytest.raises(RuntimeError, match=r"^worker \d+ ended \(wait status 768\) "
                        "without sending the outcomes of its share$"):
         _run_reps(_ENGINE_CFG, rep, 6)
     _no_child_left()
@@ -905,17 +909,17 @@ def test_run_reps_names_an_error_a_worker_cannot_send(cpus):
             raise _TwoArgError("a", "b")
         return i
 
-    with pytest.raises(RuntimeError, match="replication 1: its outcome could not be sent"):
+    with pytest.raises(RuntimeError, match="^index 1: its outcome could not be sent"):
         _run_reps(_ENGINE_CFG, rep, 4)
     _no_child_left()
 
 
 def test_run_reps_stays_serial_for_a_short_loop(cpus, monkeypatch):
-    import mssl.simulate
+    import mssl.core
     from mssl.simulate import _run_reps
 
     cpus(3)
-    monkeypatch.setattr(mssl.simulate, "_FORK_MIN_S", 60.0)
+    monkeypatch.setattr(mssl.core, "_FORK_MIN_S", 60.0)
     out = _run_reps(_ENGINE_CFG, _index_and_pid, 6)
     assert out == [(i, os.getpid()) for i in range(6)]
 
@@ -933,6 +937,117 @@ def test_run_reps_stays_serial_while_another_thread_runs(cpus):
         release.set()
         thread.join()
     assert out == [(i, os.getpid()) for i in range(6)]
+
+
+def _counting_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+def _pool_statistics() -> list[bytes]:
+    """The bits of every pool statistic of an OLS, a GLM and an interpolator pass."""
+    from mssl import OlsPoolModel, ResampleSpec, build_moments, interp_risk_terms
+    from mssl.glm import GlmPoolStats
+
+    rng = seeded_rng(61)
+    moments = build_moments(UnlabeledPool(rng.standard_normal((400, 4))), 12)
+    beta = np.array([0.5, -1.0, 0.25, 2.0])
+    alphas = np.linspace(0.0, 1.0, 5)
+    ols = OlsPoolModel(moments, ResampleSpec(30, 7), grid=alphas)
+    glm = GlmPoolStats(moments, elu_link(), beta, ResampleSpec(30, 8), alphas=alphas)
+    wide = build_moments(UnlabeledPool(rng.standard_normal((300, 16)) + 1.0), 6)
+    interp = interp_risk_terms(wide.Exx, pool_sampler(wide.pool, 6), ResampleSpec(30, 9))
+    values = [ols.v_l, ols.se_v_l, ols.b_u_hat, ols.n_skipped, ols.bias_at(beta),
+              ols.ddot.curve(beta, 2.0), glm.v_l_g, glm.se_v_l_g, glm.v_s_g, glm.se_v_s_g,
+              glm.trace_sigma, glm.B_g_hat, glm.ddot_curve(2.0).r_hat,
+              glm.ddot_curve(2.0).se, *vars(interp).values()]
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def test_pool_statistics_are_the_same_bits_for_any_worker_count(cpus, monkeypatch):
+    import mssl.core
+
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 2000)  # 6 to 15 chunks a pass
+    forks = _counting_forks(monkeypatch)
+    outputs = []
+    for count in (1, 2, 3):
+        cpus(count)
+        outputs.append(_pool_statistics())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert len(forks) == 3 * (1 + 2)  # each of the three passes, at 2 and at 3 processes
+    _no_child_left()
+
+
+def _chunk_kernel(errors: dict):
+    """A kernel over chunks of one block each: raises errors[block], or masks it if None."""
+    def kernel(chunk):
+        (block,) = chunk
+        if block in errors and errors[block] is not None:
+            raise errors[block]
+        return np.array([block not in errors]), {"x": chunk[[block not in errors]]}
+
+    return kernel
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_pool_pass_fails_the_same_way_for_any_worker_count(cpus, count, monkeypatch):
+    import mssl.core
+    from mssl import RegimeError, ResampleBudgetError, ResampleSpec
+    from mssl.core import _block_pass
+
+    # one block a chunk, so block c runs in process c mod W
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 8)
+    cpus(count)
+    spec = ResampleSpec(20, 0)
+    draw = lambda i: np.int64(i)  # noqa: E731
+    results, skipped = _block_pass(spec, draw, _chunk_kernel({4: None, 11: None}))
+    assert skipped == 2 and list(results["x"]) == [i for i in range(20) if i not in (4, 11)]
+    with pytest.raises(ResampleBudgetError) as info:
+        _block_pass(spec, draw, _chunk_kernel({0: None, 7: None, 17: None}))
+    assert str(info.value) == "3/20 resampled blocks were singular"
+    errors = {2: None, 5: RegimeError("need n > p in block 5"),
+              9: DataValidationError("bad block 9"), 13: RegimeError("need n > p in block 13")}
+    with pytest.raises(RegimeError) as info:
+        _block_pass(spec, draw, _chunk_kernel(errors))
+    assert str(info.value) == "need n > p in block 5"
+    errors[5] = None
+    with pytest.raises(DataValidationError, match="^bad block 9$"):
+        _block_pass(spec, draw, _chunk_kernel(errors))
+    _no_child_left()
+
+
+def test_a_loop_nested_in_another_stays_in_its_process(cpus):
+    from mssl.core import _map_indices
+
+    cpus(3)
+
+    def outer(i):
+        return os.getpid(), _map_indices(lambda j: os.getpid(), 4)[0]
+
+    out, dropped = _map_indices(outer, 7)
+    assert dropped == [] and len({pid for pid, _ in out}) == 3
+    # every index, the first one too, runs its own loop in the process it runs in
+    assert all(inner == [pid] * 4 for pid, inner in out)
+    _no_child_left()
+
+
+def test_only_run_experiment_lets_the_engine_fork(monkeypatch):
+    import mssl.core
+    from mssl._blas import single_blas_thread
+    from mssl.core import _map_indices
+
+    monkeypatch.setattr(mssl.core, "_FORK_MIN_S", 0.0)
+    monkeypatch.setattr(mssl.core, "_cpu_count", lambda: 2)
+    forks = _counting_forks(monkeypatch)
+    with single_blas_thread():  # one BLAS thread alone does not let a library call fork
+        _pool_statistics()
+        assert _map_indices(lambda i: os.getpid(), 6)[0] == [os.getpid()] * 6
+    assert forks == []
+    run_experiment(ExperimentConfig(preset="interp_fixed", seed=3, **_SMALL["interp_fixed"]))
+    assert forks and not mssl.core._may_fork
+    _no_child_left()
 
 
 @pytest.mark.parametrize("preset", list(_SMALL))
