@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labeled", required=True, help="labeled CSV, response last")
         p.add_argument("--pool", required=True, help="pool CSV or .bin dump")
         p.add_argument("--model", required=True, choices=["ols", "glm", "interp"])
-        p.add_argument("--link", default="identity", choices=["identity", "elu"])
+        p.add_argument("--link", default="identity", choices=["identity", "elu"],
+                       help="link of --model glm; the other models are least squares")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--grid-size", type=int, default=51)
         p.add_argument("--blocks", type=int, default=200)
@@ -101,6 +102,8 @@ def _read_pool(path: str):
 
 
 def _cmd_fit(args, diagnose_only: bool) -> int:
+    if args.model != "glm" and args.link != "identity":
+        raise DataValidationError(f"--link {args.link} applies to --model glm only")
     try:
         data = read_labeled_csv(args.labeled)
         pool = _read_pool(args.pool)

@@ -627,14 +627,16 @@ def _block_pass(
     statistics are the same bits for any number of processes.  ``kernel``
     takes a chunk of b blocks (an array of shape (b, *block.shape)) and
     returns ``(ok, stats)``: a length-b mask of the usable blocks and a dict
-    of arrays whose leading axis runs over the usable ones.  A kernel masks a
+    of arrays whose leading axis runs over the usable ones, or has one row
+    holding the chunk's sums over them (a form that would otherwise keep a
+    matrix per block: the caller adds the rows).  A kernel masks a
     block whose statistics would raise SingularMatrixError or LinAlgError
     (see ``_each_block``), so every statistic of a pass averages over the
     same blocks; other errors propagate, that of the lowest chunk.  Raises
     ResampleBudgetError when more than _SKIP_BUDGET of the blocks were
     skipped (a plan has 2 blocks or more, so at least 2 are then left).
-    Returns the statistics of the usable blocks in block order and the
-    number skipped.
+    Returns the statistics of the usable blocks (or the chunks' rows) in
+    block order and the number skipped.
     """
     first = np.asarray(draw(0))
     b = _chunk_len(first.nbytes)

@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .links import LinkSpec
-from .ols import RiskCurve, _blend_denominators, _check_n, _ratio_grid, _xi, mix_linear
+from .ols import RiskCurve, _check_n, _pencil, _ratio_grid, _xi, mix_linear
 
 __all__ = [
     "GlmFitReport",
@@ -250,13 +250,12 @@ class GlmPoolStats:
     positive definite is masked as well.
 
     The curve needs, per block and ratio, S_alpha = (alpha H_g + (1 - alpha) F)^{-1}.
-    Each block solves the pencil (F, H_g) once: with H_g = L_g L_g^T,
-    eigh(L_g^{-1} F L_g^{-T}) = U diag(mu) U^T and R = L_g^{-T} U give
-    S_alpha = R diag(1/d) R^T, d = alpha + (1 - alpha) mu, so the bias
-    zeta^T S_alpha H_g S_alpha zeta is sum_k w_k^2 / d_k^2 with w = R^T zeta and
-    the variance tr(S_alpha H_g S_alpha X^T X) is sum_k (R^T X^T X R)_kk / d_k^2.
-    The grid then costs O(p^3 + A p) per block for A ratios, in place of one
-    factorization and three solves of the blend per ratio, O(A p^3); the
+    Each block solves the pencil (F, H_g) once (``_pencil``, shared with the
+    least-squares curve): with H_g = L_g L_g^T, eigh(L_g^{-1} F L_g^{-T}) =
+    U diag(mu) U^T and R = L_g^{-T} U give S_alpha = R diag(1/d) R^T,
+    d = alpha + (1 - alpha) mu, so the bias zeta^T S_alpha H_g S_alpha zeta is
+    sum_k w_k^2 / d_k^2 with w = R^T zeta and the variance
+    tr(S_alpha H_g S_alpha X^T X) is sum_k (R^T X^T X R)_kk / d_k^2.  The
     eigendecompositions of a chunk are one batched ``eigh``.
     """
 
@@ -315,12 +314,8 @@ class GlmPoolStats:
                 "c": c,
             }
             if self.alphas is not None:
-                # pencil (F, H_g): R^T H_g R = I and R^T F R = diag(mu_k)
-                mu_k, U = np.linalg.eigh(Lg_inv @ F @ Lg_inv.T)
-                R = Lg_inv.T @ U
-                den = _blend_denominators(self.alphas, mu_k)
-                keep = np.all(den > 0.0, axis=(1, 2))
-                inv_d2 = 1.0 / den**2
+                keep, _, U, inv_d2 = _pencil(F, Lg_inv, self.alphas)
+                R = Lg_inv.T @ U  # R^T H_g R = I and R^T F R = diag(mu)
                 w = ((self.exmu - c)[:, None, :] @ R)[:, 0]  # w = R^T zeta
                 stats["bias"] = (inv_d2 @ (w * w)[..., None])[..., 0]
                 stats["var"] = (inv_d2 @ np.sum(R * (G @ R), axis=1)[..., None])[..., 0]

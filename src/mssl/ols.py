@@ -120,18 +120,24 @@ class OlsPoolModel:
     """Pool statistics for the squared-loss risk formulas.
 
     One pass of block resampling estimates v_l (with its standard error),
-    the random-coefficient bias factor b_u, and keeps the whitened centered
-    scatter of every block so the bias of the semi-supervised estimator can
-    be evaluated at any plug-in coefficient vector without re-resampling.
+    the random-coefficient bias factor b_u, and the bias form of the
+    semi-supervised estimator, so that its bias can be evaluated at any
+    plug-in coefficient vector as one p x p quadratic form (``bias_at``).
     ``moments``, the pool's moments for one labeled size, gives the centered
     pool, n and H.  Given a ratio ``grid``, the same pass also builds
     ``ddot``, the loss-mixed risk model over that grid (``DdotRiskModel``), so
     every statistic averages over the same blocks, each drawn and checked once.
+    ``bias=False`` skips the bias form, for callers that never read it.
+
+    Every statistic is a form in D = L^{-1}(H - M) = L^T - L^{-1} M, with M
+    the block's centered scatter and H = L L^T from ``moments.H_factor``, the
+    one checked factor of H that every statistic uses: b_u is ||D||_F^2 / n,
+    and the semi-supervised fit's error is H^{-1}(H - M) beta = L^{-T} D beta.
     The pass hands each chunk of resampled blocks (see ``core._block_pass``)
-    to one stacked kernel: X^T X of every block by a batched product, and the
-    whitened scatter L^{-1} M by one product with L^{-1}, where H = L L^T is
-    ``moments.H_factor``, the one checked factor of H that every statistic
-    uses.  Whether a block is usable is still decided per block, by
+    to one stacked kernel.  It returns the chunk's sums of D and D^T D, which
+    give the bias form, and per-block values: v_l, b_u and, with a grid, the
+    curve's pieces (``DdotRiskModel``), which are summed after the pass and
+    not kept.  Whether a block is usable is still decided per block, by
     ``spd_factor`` of its X^T X, and that factor also gives the block's
     v_l = <(X^T X)^{-1}, H> / n, the sum of the entrywise products, with the
     inverse from ``cho_inverse`` (``dpotri`` takes about a third of the flops
@@ -139,7 +145,7 @@ class OlsPoolModel:
     """
 
     def __init__(
-        self, moments: PopulationMoments, spec: ResampleSpec, keep_blocks: bool = True, grid=None
+        self, moments: PopulationMoments, spec: ResampleSpec, bias: bool = True, grid=None
     ):
         n, p = moments.n, moments.pool.p
         if n <= p:
@@ -149,7 +155,8 @@ class OlsPoolModel:
             )
         self.n = n
         self.moments = moments
-        L, L_inv = _cholesky_pair(moments)  # H = L L^T, one factor for every statistic
+        L = np.tril(moments.H_factor[0])  # H = L L^T, one factor for every statistic
+        L_inv = np.linalg.inv(L)
         alphas = None if grid is None else _ratio_grid(grid)
 
         def kernel(X: np.ndarray):
@@ -160,34 +167,46 @@ class OlsPoolModel:
             )
             X, G = X[ok], G[ok]
             xbar = X.mean(axis=1)
-            W = L_inv @ (G - n * (xbar[:, :, None] * xbar[:, None, :]))  # L^{-1} M
-            stats = {
-                "v_l": np.array(v_l, dtype=float),
-                # tr(Delta1^T H Delta1) with Delta1 = H^{-1} M - I equals
-                # ||L^{-1} M - L^T||_F^2.
-                "b_u": np.sum((W - L.T) ** 2, axis=(1, 2)) / n,
-            }
-            if keep_blocks:
-                stats["W"] = W
+            D = L.T - L_inv @ (G - n * (xbar[:, :, None] * xbar[:, None, :]))
+            stats = {"v_l": np.array(v_l, dtype=float), "b_u": np.sum(D**2, axis=(1, 2)) / n}
             if alphas is not None:
-                keep, pencil = _ddot_block(G, xbar, L, L_inv, n, alphas)
-                ok[ok] = keep
-                stats = {key: value[keep] for key, value in (stats | pencil).items()}
+                keep, mu, U, inv_d2 = _pencil(G, L_inv, alphas)
+                if not keep.all():  # masking copies every stack, so only when needed
+                    ok[ok] = keep
+                    stats = {key: value[keep] for key, value in stats.items()}
+                    mu, U, inv_d2, D = mu[keep], U[keep], inv_d2[keep], D[keep]
+                stats["var_tr"] = (inv_d2 @ mu[..., None])[..., 0]
+                stats["A"], stats["inv_d2"] = U.transpose(0, 2, 1) @ D, inv_d2
+            if bias:
+                D_rows = D.reshape(-1, p)  # sum of D^T D over blocks is one product
+                stats["D"] = D.sum(axis=0, keepdims=True)
+                stats["DtD"] = (D_rows.T @ D_rows)[None]
             return ok, stats
 
         stats, self.n_skipped = _block_pass(
             spec, lambda i: resample_block(moments, spec, i), kernel
         )
         arr = stats["v_l"]
-        self.n_blocks = arr.size
+        self.n_blocks = B = arr.size
         self.v_l = float(arr.mean())
         self.se_v_l = float(arr.std(ddof=1) / math.sqrt(arr.size))
         self.v_u = (n - 1) * p / n**2
         self.b_u_hat = float(np.mean(stats["b_u"]))
-        self._W = stats["W"] if keep_blocks else None
+        self._bias = None
+        if bias:  # the covariance over blocks of D, as a form in beta
+            D_mean = stats["D"].sum(axis=0) / B
+            self._bias = (stats["DtD"].sum(axis=0) - B * (D_mean.T @ D_mean)) / ((B - 1) * n)
         self.ddot = None
         if alphas is not None:
-            self.ddot = DdotRiskModel(alphas, n, *_ddot_operators(stats))
+            # Q = mean over blocks of alpha^2 A^T diag(1/d^2) A, upper triangle only:
+            # one block at a time, its outer products hold p^3 / 2 numbers
+            iu, ju = np.triu_indices(p)
+            Q_upper = np.zeros((alphas.size, iu.size))
+            for A, w in zip(stats["A"], stats["inv_d2"]):
+                Q_upper += w @ (A[:, iu] * A[:, ju])
+            Q = np.empty((alphas.size, p, p))
+            Q[:, iu, ju] = Q[:, ju, iu] = Q_upper * (alphas**2 / B)[:, None]
+            self.ddot = DdotRiskModel(alphas, n, Q, stats["var_tr"].mean(axis=0))
 
     def risk(self, sigma2: float, B: float) -> MixRisk:
         """The coefficient mix's risk at noise sigma2 and bias B (``MixRisk.from_factors``)."""
@@ -197,14 +216,13 @@ class OlsPoolModel:
         """Estimated bias of the semi-supervised estimator at a plug-in beta.
 
         (1/n) tr(H^{-1} Var_X(X^T X beta - n Xbar (Xbar . beta))) with the
-        variance taken over the resampled blocks.
+        variance taken over the resampled blocks: beta^T Var(D) beta / n, the
+        kept form at beta.
         """
-        if self._W is None:
-            raise DataValidationError("model was built with keep_blocks=False")
+        if self._bias is None:
+            raise DataValidationError("model was built with bias=False")
         beta = np.asarray(beta, dtype=float)
-        U = self._W @ beta  # (blocks, p) whitened covariance vectors
-        U = U - U.mean(axis=0)
-        return float(np.sum(U * U) / (U.shape[0] - 1) / self.n)
+        return float(beta @ self._bias @ beta)
 
 
 class OlsSample:
@@ -288,87 +306,23 @@ def _ratio_grid(grid) -> np.ndarray:
     return alphas
 
 
-def _blend_denominators(alphas: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """alpha + (1 - alpha) lam_k for every ratio (rows) and eigenvalue (columns).
+def _pencil(F: np.ndarray, L_inv: np.ndarray, alphas: np.ndarray):
+    """The pencil (F, L L^T) of a chunk of blocks, solved once for every ratio.
 
-    ``lam`` holds one row of eigenvalues per block, and the result one
-    (ratios x eigenvalues) matrix per block.  With V^T A V = I and
-    V^T B V = diag(lam), the blend alpha A + (1 - alpha) B equals
-    V^{-T} diag(d) V^{-1}, so it is positive definite exactly when every d is
-    positive: a block with any other d is masked, as a failed Cholesky
-    factorization of its blend would skip it.
+    ``F`` stacks one p x p matrix per block.  Per block,
+    eigh(L^{-1} F L^{-T}) = U diag(mu) U^T gives R = L^{-T} U with
+    R^T L L^T R = I and R^T F R = diag(mu), so the blend
+    alpha L L^T + (1 - alpha) F equals R^{-T} diag(d) R^{-1} and its inverse
+    S_alpha is R diag(1/d) R^T, with d = alpha + (1 - alpha) mu.  The blend is
+    positive definite exactly when every d is positive: a block with any
+    other d is masked, as a failed Cholesky factorization of its blend would
+    skip it.  Returns that mask, mu, U and 1/d^2 (one ratios x p matrix per
+    block).  A grid of A ratios costs O(p^3 + A p) per block, in place of one
+    factorization of the blend per ratio, O(A p^3).
     """
-    return alphas[:, None] + (1.0 - alphas)[:, None] * lam[..., None, :]
-
-
-def _cholesky_pair(moments: PopulationMoments) -> tuple[np.ndarray, np.ndarray]:
-    """The lower Cholesky factor L of H and its inverse, for a whole pass."""
-    L = np.tril(moments.H_factor[0])
-    return L, np.linalg.inv(L)
-
-
-def _ddot_block(
-    G: np.ndarray,
-    xbar: np.ndarray,
-    L: np.ndarray,
-    L_inv: np.ndarray,
-    n: int,
-    alphas: np.ndarray,
-) -> tuple[np.ndarray, dict]:
-    """Loss-mixed risk pieces of a chunk of blocks for every ratio, one pencil solve each.
-
-    ``G`` stacks X^T X and ``xbar`` the column means of b blocks.  Per block,
-    eigh(L^{-1} G L^{-T}) = U diag(lam) U^T gives V = L^{-T} U with V^T H V = I
-    and V^T G V = diag(lam).  Then, with d = alpha + (1 - alpha) lam,
-    S_alpha = V diag(1/d) V^T, the variance trace tr(H S_alpha G S_alpha) is
-    sum_k lam_k / d_k^2, and Delta_alpha = S_alpha (G - alpha z z^T) - I equals
-    V M_alpha W with W = V^{-1} = U^T L^T, z = sqrt(n) Xbar and the diagonal plus
-    rank-one M_alpha = diag(e) - a u^T, where e = alpha (lam - 1) / d,
-    a = alpha u / d and u = V^T z.  Returns the mask of the blocks whose blends
-    are positive definite and the stacks W, z, e, a and var_tr (keys "Wd",
-    "z", "e", "a", "var_tr"); e, a and var_tr carry one row per ratio.  Cost
-    O(p^3 + A p) per block for A ratios.
-    """
-    lam, U = np.linalg.eigh(L_inv @ G @ L_inv.T)
-    z = math.sqrt(n) * xbar
-    u = ((z @ L_inv.T)[:, None, :] @ U)[:, 0]
-    d = _blend_denominators(alphas, lam)
-    keep = np.all(d > 0.0, axis=(1, 2))
-    a_col = alphas[:, None]
-    e = a_col * (lam[:, None, :] - 1.0) / d
-    a = a_col * u[:, None, :] / d
-    var_tr = ((1.0 / d**2) @ lam[..., None])[..., 0]
-    Wd = U.transpose(0, 2, 1) @ L.T
-    return keep, {"Wd": Wd, "z": z, "e": e, "a": a, "var_tr": var_tr}
-
-
-def _ddot_operators(stacks: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Block averages of Delta_alpha^T H Delta_alpha and of the variance trace.
-
-    ``stacks`` holds the ``_ddot_block`` stacks of every usable block.  With
-    Delta_alpha = V M_alpha W, Delta_alpha^T H Delta_alpha = W^T M_alpha^T M_alpha W,
-    which expands to sum_k e_k^2 w_k w_k^T - (r z^T + z r^T) + ||a||^2 z z^T with
-    w_k the rows of W and r = W^T (e * a).  Per block, the first sum is one
-    matrix product of the A rows of e^2 with the p outer products w_k w_k^T
-    (upper triangle only); the rest is O(A p^2) per block, for A ratios, and
-    runs over all blocks at once.  Returns (Q, V): Q has one exactly symmetric
-    p x p matrix per ratio.
-    """
-    Wd, z, e, a = (stacks[key] for key in ("Wd", "z", "e", "a"))
-    B, A, p = e.shape
-    iu, ju = np.triu_indices(p)
-    Q_upper = np.zeros((A, iu.size))
-    for W, e_b in zip(Wd, e):  # one block at a time: its outer products hold p^3 / 2 numbers
-        Q_upper += (e_b * e_b) @ (W[:, iu] * W[:, ju])
-    r = (e * a) @ Wd  # (B, A, p)
-    rz = r.transpose(1, 2, 0) @ z  # sum over blocks of r z^T, per ratio
-    aa = np.sum(a * a, axis=2).T  # (A, B)
-    azz = (aa[:, :, None] * z).transpose(0, 2, 1) @ z  # sum of ||a||^2 z z^T
-    Q_upper += (azz - rz - rz.transpose(0, 2, 1))[:, iu, ju]
-    Q = np.empty((A, p, p))
-    Q[:, iu, ju] = Q_upper
-    Q[:, ju, iu] = Q_upper
-    return Q / B, stacks["var_tr"].mean(axis=0)
+    mu, U = np.linalg.eigh(L_inv @ F @ L_inv.T)
+    d = alphas[:, None] + (1.0 - alphas)[:, None] * mu[..., None, :]
+    return np.all(d > 0.0, axis=(1, 2)), mu, U, 1.0 / d**2
 
 
 class DdotRiskModel:
@@ -381,9 +335,12 @@ class DdotRiskModel:
     (one p x p matrix per ratio) and ``_V`` (one trace per ratio), so the
     curve is re-evaluated for many plug-in vectors (one per Monte Carlo
     replication) at quadratic-form cost.  ``OlsPoolModel(..., grid=...)``
-    builds it in its block pass; each block solves the pencil (X^T X, H) once
-    (see ``_ddot_block``), O(p^3 + A p^2) for A ratios, in place of one
-    factorization of the blend per ratio, O(A p^3).
+    builds it in its block pass, with the general-link curve's formulas at
+    the identity link (``GlmPoolStats``): Delta_alpha beta =
+    -alpha S_alpha (H - M) beta, so with the block's pencil (X^T X, H) solved
+    once (``_pencil``) the bias is alpha^2 beta^T A^T diag(1/d^2) A beta, with
+    A = U^T D and D = L^{-1}(H - M), and the variance trace is
+    sum_k mu_k / d_k^2.
     """
 
     def __init__(self, alphas: np.ndarray, n: int, Q: np.ndarray, V: np.ndarray):

@@ -625,7 +625,7 @@ def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
     def run_point(gi: int, n: int, sigma2: float):
         Sigma = _block_sigma(cfg, _p_from_rule(cfg.p_rule, n))
         moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, gi)
-        model = OlsPoolModel(moments, spec, keep_blocks=False)
+        model = OlsPoolModel(moments, spec, bias=False)
         b_u = model.b_u_hat
         risk = model.risk(sigma2, tau2 * b_u)
         point = _OlsPoint(model, alpha_star=risk.ratio, b_u=b_u, bias_tau=tau2 * b_u)

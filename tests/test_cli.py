@@ -122,6 +122,24 @@ def test_fit_single_block_is_refused_before_any_work(model, ols_files, capsys, m
     assert "replications must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["fit", "diagnose"])
+@pytest.mark.parametrize("model", ["ols", "interp"])
+def test_link_of_a_least_squares_model_is_refused_before_any_work(
+    verb, model, ols_files, capsys, monkeypatch
+):
+    import mssl.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the inputs were read before the link was checked")
+
+    monkeypatch.setattr(mssl.cli, "read_labeled_csv", no_work)
+    labeled, pool = ols_files
+    code = main([verb, "--labeled", str(labeled), "--pool", str(pool), "--model", model,
+                 "--link", "elu"])
+    assert code == 2
+    assert "--link elu applies to --model glm only" in capsys.readouterr().err
+
+
 def test_fit_fixed_zero_equals_supervised(ols_files, capsys):
     labeled, pool = ols_files
     assert main(["fit", "--labeled", str(labeled), "--pool", str(pool),

@@ -236,13 +236,22 @@ def test_identity_link_collapses_v_terms():
 
 
 def test_identity_link_v_l_is_n_times_ols_v_l():
+    # at the identity link the general-link pass is n times the least-squares
+    # one: v_l, the bias at the evaluation point and the loss-mixed curve
     rng = seeded_rng(15)
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
     spec = ResampleSpec(80, 2)
-    q = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p), spec)
-    ols_terms = OlsPoolModel(build_moments(pool, n), spec)
+    grid = np.linspace(0.0, 1.0, 11)
+    beta = rng.standard_normal(p)
+    q = GlmPoolStats(build_moments(pool, n), identity_link(), beta, spec, grid)
+    ols_terms = OlsPoolModel(build_moments(pool, n), spec, grid=grid)
     assert q.v_l_g == pytest.approx(n * ols_terms.v_l, rel=1e-10)
+    assert q.B_g_hat == pytest.approx(n * ols_terms.bias_at(beta), rel=1e-12)
+    for sigma2 in (0.5, 4.0):
+        curve = q.ddot_curve(sigma2)
+        np.testing.assert_allclose(curve.r_hat, n * ols_terms.ddot.curve(beta, sigma2), rtol=1e-12)
+        assert curve.argmin_alpha == ols_terms.ddot.argmin_alpha(beta, sigma2)
 
 
 def test_elu_at_zero_matches_identity_terms():

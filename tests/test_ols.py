@@ -684,11 +684,13 @@ def test_pool_model_matches_the_per_block_formulas():
     assert model.v_l == pytest.approx(v_l.mean(), rel=1e-12)
     assert model.se_v_l == pytest.approx(v_l.std(ddof=1) / math.sqrt(v_l.size), rel=1e-12)
     assert model.b_u_hat == pytest.approx(b_u.mean(), rel=1e-12)
-    np.testing.assert_allclose(model._W, W, rtol=0, atol=1e-12 * np.abs(W).max())
-    beta = rng.standard_normal(p)
-    U = W @ beta
-    U -= U.mean(axis=0)
-    assert model.bias_at(beta) == pytest.approx(np.sum(U * U) / (U.shape[0] - 1) / n, rel=1e-12)
+    for beta in rng.standard_normal((2, p)):  # the kept form, at two plug-in vectors
+        U = W @ beta
+        U -= U.mean(axis=0)
+        assert model.bias_at(beta) == pytest.approx(np.sum(U * U) / (U.shape[0] - 1) / n,
+                                                    rel=1e-12)
+    np.testing.assert_allclose(model._bias, model._bias.T, rtol=0,
+                               atol=1e-15 * np.abs(model._bias).max())
 
 
 def _pool_model_numbers(moments, spec, grid, beta):
@@ -728,3 +730,35 @@ def test_pool_model_skips_singular_blocks_inside_a_chunk(monkeypatch):
     assert runs[0][0] == runs[1][0] == 5
     np.testing.assert_allclose(runs[0][1], runs[1][1], rtol=1e-13,
                                atol=1e-13 * np.abs(runs[1][1]).max())
+
+
+def test_pool_model_leaves_a_block_with_a_masked_blend_out_of_every_statistic(monkeypatch):
+    # a block whose blend is not positive definite is masked by the pencil; the
+    # pass then equals one over the other blocks (one block per chunk in both)
+    import mssl.core
+    import mssl.ols
+    from mssl import resample_block
+
+    rng = seeded_rng(28)
+    n, p = 30, 4
+    mom = build_moments(_correlated_pool(rng, 3000, p), n)
+    spec = ResampleSpec(20, 15)
+    grid, beta = np.linspace(0, 1, 6), rng.standard_normal(p)
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)
+    pencil, calls = mssl.ols._pencil, []
+
+    def mask_block_2(F, L_inv, alphas):
+        keep, *rest = pencil(F, L_inv, alphas)
+        calls.append(F)
+        return (keep & (len(calls) != 3), *rest)
+
+    monkeypatch.setattr(mssl.ols, "_pencil", mask_block_2)
+    masked = _pool_model_numbers(mom, spec, grid, beta)
+    monkeypatch.setattr(mssl.ols, "_pencil", pencil)
+    others = [i for i in range(spec.replications) if i != 2]
+    monkeypatch.setattr(mssl.ols, "resample_block",
+                        lambda m, s, i: resample_block(mom, spec, others[i]))
+    full = _pool_model_numbers(mom, ResampleSpec(len(others), 15), grid, beta)
+    assert len(calls) == spec.replications
+    assert masked[0] == 1 and full[0] == 0
+    np.testing.assert_allclose(masked[1], full[1], rtol=1e-13, atol=1e-13 * np.abs(full[1]).max())
