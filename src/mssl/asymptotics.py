@@ -7,6 +7,7 @@ and signal levels, and the limiting covariance trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataValidationError
@@ -36,12 +37,13 @@ class AsymptoticSetting:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise DataValidationError("gamma must be positive")
-        if self.c2 <= 0:
-            raise DataValidationError("c2 must be positive")
-        if self.sigma2 < 0 or self.tau2 < 0:
-            raise DataValidationError("sigma2 and tau2 must be nonnegative")
+        # a nan fails each check too
+        if not 0.0 < self.gamma < math.inf:
+            raise DataValidationError("gamma must be positive and finite")
+        if not 0.0 < self.c2 < math.inf:
+            raise DataValidationError("c2 must be positive and finite")
+        if not (0.0 <= self.sigma2 < math.inf and 0.0 <= self.tau2 < math.inf):
+            raise DataValidationError("sigma2 and tau2 must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,8 @@ def finite_m_limits(gamma: float, gamma_tilde_m: float, c2: float) -> dict:
         raise DataValidationError(
             f"gamma_tilde_m must be in [0, 1), got {gamma_tilde_m}"
         )
-    if c2 <= 0:
-        raise DataValidationError("c2 must be positive")
+    if not 0.0 < c2 < math.inf:  # a nan fails too
+        raise DataValidationError("c2 must be positive and finite")
     one = 1.0 - gamma_tilde_m
     return {
         "b_u_tilde": c2 * (1.0 + one**3 - 2.0 * one**2 + gamma) / one**3,

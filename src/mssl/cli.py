@@ -1,8 +1,9 @@
 """Command-line frontend: fit, diagnose, simulate, and limits.
 
 Exit codes: 0 on success, 1 for I/O or parse failures, 2 for usage and
-domain errors.  The fallback seed comes from the MSSL_SEED environment
-variable when --seed is not given.
+domain errors.  fit and diagnose take their seed from the MSSL_SEED
+environment variable when --seed is not given; simulate takes --seed or the
+config's seed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .io import read_labeled_csv, read_pool_binary, read_pool_csv
 from .links import link_by_name
 from .pipelines import fit_glm_pipeline, fit_interp_pipeline, fit_ols_pipeline
 from .simulate import (
+    _CONFIG_KEYS,
     ExperimentConfig,
     load_config,
     preset_names,
@@ -33,9 +35,23 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 
 
+# each simulate flag overrides the config key it sets, parsed as a config file's value is
+_SIMULATE_FLAGS = (
+    (("-k", "--replications"), "k", None),
+    (("--seed",), "seed", None),
+    (("--sigma2-grid",), "sigma2_grid", "comma-separated values"),
+    (("--n-grid",), "n_grid", "comma-separated values"),
+    (("--pool-size",), "pool_size", None),
+    (("--estimators",), "estimators", "comma-separated estimator names"),
+)
+
+
 def _default_seed() -> int:
     env = os.environ.get("MSSL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise DataValidationError(f"MSSL_SEED must be an integer, got {env!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,16 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_fit_args(diag)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo preset")
-    sim.add_argument("--preset")
-    sim.add_argument("--config", help="key=value sections file with [experiment]")
+    source = sim.add_mutually_exclusive_group()
+    source.add_argument("--preset")
+    source.add_argument("--config", help="key=value sections file with [experiment]")
     sim.add_argument("--list", action="store_true", help="list presets and exit")
     sim.add_argument("--out-dir", default=".")
-    sim.add_argument("-k", "--replications", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--sigma2-grid", help="comma-separated values")
-    sim.add_argument("--n-grid", help="comma-separated values")
-    sim.add_argument("--pool-size", type=int, default=None)
-    sim.add_argument("--estimators", help="comma-separated estimator names")
+    for names, key, text in _SIMULATE_FLAGS:
+        sim.add_argument(*names, dest=key, help=text)
 
     lim = sub.add_parser("limits", help="closed-form asymptotic limits as JSON")
     lim.add_argument("--mode", required=True, choices=["ols", "interp", "finite_m"])
@@ -88,13 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _number_list(raw: str, item, flag: str) -> tuple:
-    try:
-        return tuple(item(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise DataValidationError(f"{flag}: expected comma-separated numbers, got {raw!r}") from exc
-
-
 def _read_pool(path: str):
     if str(path).endswith(".bin"):
         return read_pool_binary(path)
@@ -104,6 +110,7 @@ def _read_pool(path: str):
 def _cmd_fit(args, diagnose_only: bool) -> int:
     if args.model != "glm" and args.link != "identity":
         raise DataValidationError(f"--link {args.link} applies to --model glm only")
+    seed = args.seed if args.seed is not None else _default_seed()
     try:
         data = read_labeled_csv(args.labeled)
         pool = _read_pool(args.pool)
@@ -112,7 +119,6 @@ def _cmd_fit(args, diagnose_only: bool) -> int:
         return EXIT_IO
     # the command owns the array it read: centered in place, it is the fit's one copy
     pool = _center_in_place(pool.Z)
-    seed = args.seed if args.seed is not None else _default_seed()
     policy = "auto" if diagnose_only else args.alpha
     kwargs = {"alpha_policy": policy, "seed": seed, "blocks": args.blocks}
     if args.model == "ols":
@@ -144,31 +150,19 @@ def _cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     elif args.preset:
-        if args.preset not in preset_names():
-            print(
-                f"error: unknown preset {args.preset!r}; available: "
-                + ", ".join(preset_names()),
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
         cfg = ExperimentConfig(preset=args.preset)
     else:
         print("error: provide --preset, --config, or --list", file=sys.stderr)
         return EXIT_USAGE
 
     overrides = {}
-    if args.replications is not None:
-        overrides["k"] = args.replications
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sigma2_grid:
-        overrides["sigma2_grid"] = _number_list(args.sigma2_grid, float, "--sigma2-grid")
-    if args.n_grid:
-        overrides["n_grid"] = _number_list(args.n_grid, int, "--n-grid")
-    if args.pool_size is not None:
-        overrides["pool_size"] = args.pool_size
-    if args.estimators:
-        overrides["estimators"] = tuple(v.strip() for v in args.estimators.split(","))
+    for names, key, _ in _SIMULATE_FLAGS:
+        raw = getattr(args, key)
+        if raw is not None:
+            try:
+                overrides[key] = _CONFIG_KEYS[key](raw)
+            except ValueError as exc:
+                raise DataValidationError(f"{names[-1]}: bad value {raw!r}") from exc
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
 
@@ -188,17 +182,12 @@ def _cmd_limits(args) -> int:
         }
     else:
         # ols_limits reads no gamma_tilde
-        rpt = {"ols": ols_limits, "interp": interp_limits}[args.mode](
-            AsymptoticSetting(
-                gamma=args.gamma, gamma_tilde=args.gamma_tilde,
-                sigma2=args.sigma2, tau2=args.tau2, c2=args.c2,
-            )
+        setting = AsymptoticSetting(
+            gamma=args.gamma, gamma_tilde=args.gamma_tilde,
+            sigma2=args.sigma2, tau2=args.tau2, c2=args.c2,
         )
-        payload = {
-            "eta_inf": rpt.eta_inf,
-            "alpha_inf": rpt.alpha_inf,
-            "term_limits": rpt.term_limits,
-        }
+        limits = {"ols": ols_limits, "interp": interp_limits}[args.mode]
+        payload = dataclasses.asdict(limits(setting))
     payload = {"schema_version": 1, "mode": args.mode, **payload}
     print(json.dumps(payload, indent=2))
     return EXIT_OK

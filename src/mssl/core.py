@@ -390,6 +390,8 @@ class ResampleSpec:
         # _SKIP_BUDGET of them, which leaves 2 of any plan of 2 or more
         if self.replications < 2:
             raise DataValidationError(f"replications must be >= 2, got {self.replications}")
+        if self.seed < 0:  # numpy's seed sequences take no negative seed
+            raise DataValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def gaussian_sampler(Sigma: np.ndarray, n: int):

@@ -297,9 +297,11 @@ class ExperimentConfig:
     alpha_grid_size: int | None = None
 
     def __post_init__(self):
-        # an SE needs 2 replications, a block pass 2 usable blocks, a ratio grid 2 ends
+        # an SE needs 2 replications, a block pass 2 usable blocks, a ratio grid 2
+        # ends; numpy's seed sequences take no negative seed
         for name, low in (("k", 2), ("rep_blocks", 2), ("resample_blocks", 2),
-                          ("alpha_grid_size", 2), ("n", 1), ("pool_size", 1), ("n_grid", 1)):
+                          ("alpha_grid_size", 2), ("n", 1), ("pool_size", 1), ("n_grid", 1),
+                          ("seed", 0)):
             values = getattr(self, name)
             values = values if isinstance(values, tuple) else (values,)
             if any(v is not None and v < low for v in values):

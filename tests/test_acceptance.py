@@ -432,8 +432,9 @@ def test_c9a_variance_dominance(interp_fixed_run):
 def test_c9b_mixed_dominance_significance(interp_fixed_run):
     # literal criterion: the fully-estimated mix beats both pure interpolators
     # with p < 0.05 at every sigma2 >= 4.  At sigma2 = 4 this is unattainable:
-    # the true paired gain over the minimum-norm fit is ~0.01 +- 0.015
-    # (verified at K=8000), so this check fails honestly there.
+    # the paired gain over the minimum-norm fit is -0.021 +- 0.040 here and
+    # +0.0015 +- 0.015 with this configuration at K=8000, so this check fails
+    # honestly there.
     t0 = time.time()
     pairs = _pairs(interp_fixed_run)
     rows = _rows(interp_fixed_run)

@@ -643,3 +643,93 @@ def test_simulate_config_rejects_n_where_the_preset_sweeps_n(
     assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(tmp_path / "out")]) == 1
     assert f"{preset} does not read n\n" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# -- seeds, non-finite limits settings, flag parsing --------------------------------
+
+
+@pytest.mark.parametrize("env, seed_args", [(None, ["--seed", "-3"]), ("-2", [])])
+def test_fit_negative_seed_is_a_usage_error(env, seed_args, ols_files, capsys, monkeypatch):
+    # numpy's seed sequence used to end the run in a "non-negative integer" traceback
+    if env is not None:
+        monkeypatch.setenv("MSSL_SEED", env)
+    labeled, pool = ols_files
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", "ols",
+                 "--blocks", "20", *seed_args])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_fit_non_integer_env_seed_is_refused_before_any_work(ols_files, capsys, monkeypatch):
+    import mssl.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the inputs were read before MSSL_SEED was checked")
+
+    monkeypatch.setattr(mssl.cli, "read_labeled_csv", no_work)
+    monkeypatch.setenv("MSSL_SEED", "abc")
+    labeled, pool = ols_files
+    assert main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", "ols"]) == 2
+    assert capsys.readouterr().err == "error: MSSL_SEED must be an integer, got 'abc'\n"
+
+
+def test_simulate_negative_seed_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its seed was checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, "glm_elu", no_work)
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "glm_elu", "--seed", "-1", "--out-dir", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    # a config file's bad values exit 1
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[experiment]\npreset = glm_elu\nseed = -4\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(out)]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "ols", "--gamma", "0.5", "--c2", "nan"],
+    ["--mode", "ols", "--gamma", "0.5", "--c2", "inf"],
+    ["--mode", "ols", "--gamma", "0.5", "--sigma2", "nan"],
+    ["--mode", "interp", "--gamma", "inf", "--gamma-tilde", "2"],
+    ["--mode", "interp", "--gamma", "3", "--gamma-tilde", "2", "--tau2", "inf"],
+    ["--mode", "finite_m", "--gamma", "0.5", "--c2", "nan"],
+    ["--mode", "finite_m", "--gamma", "0.5", "--c2", "inf"],
+])
+def test_limits_rejects_a_non_finite_setting(args, capsys):
+    # these printed NaN or Infinity, which is not JSON, and exited 0
+    assert main(["limits", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("-k", "abc", "--replications"),
+    ("--pool-size", "1.5", "--pool-size"),
+    ("--sigma2-grid", "", "--sigma2-grid"),
+])
+def test_simulate_flag_is_parsed_as_its_config_key(flag, value, name, tmp_path, capsys):
+    # -k abc was argparse's usage exit, and an empty --sigma2-grid was ignored
+    out = tmp_path / "out"
+    code = main(["simulate", "--preset", "glm_elu", flag, value, "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {name}: bad value {value!r}\n"
+    assert not out.exists()
+
+
+def test_simulate_config_and_preset_together_are_a_usage_error(tmp_path, capsys):
+    # --preset used to be ignored: the config's preset ran and exited 0
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[experiment]\npreset = interp_fixed\nk = 2\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", str(cfgfile), "--preset", "glm_elu",
+              "--out-dir", str(out)])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()

@@ -208,12 +208,33 @@ def test_glm_sample_builds_pool_stats_on_first_use():
 _TERMS = InterpRiskTerms(b_l=1.0, v_l=2.0, b_u=3.0, v_u=0.5)
 
 
-def _interp_sample(seed: int, n: int = 8, p: int = 20, factor=True) -> InterpSample:
+def _interp_draw(seed: int, n: int = 8, p: int = 20):
+    """A wide labeled sample (X, Y) and the diagonal covariance of its rows."""
     rng = seeded_rng(seed)
     Sigma = np.diag(rng.uniform(0.2, 2.0, p))
     X = rng.standard_normal((n, p)) @ np.sqrt(Sigma)
-    data = LabeledSet(X, X @ rng.standard_normal(p) + rng.standard_normal(n))
-    return InterpSample(data, spd_factor(Sigma, "Sigma") if factor else None)
+    return X, X @ rng.standard_normal(p) + rng.standard_normal(n), Sigma
+
+
+def _interp_sample(seed: int, n: int = 8, p: int = 20, factor=True) -> InterpSample:
+    X, Y, Sigma = _interp_draw(seed, n, p)
+    return InterpSample(LabeledSet(X, Y), spd_factor(Sigma, "Sigma") if factor else None)
+
+
+@given(seeds, seeds)
+@settings(max_examples=25, deadline=None)
+def test_interp_sample_is_equivariant_under_linear_maps(seed, a_seed):
+    # X -> XR with R orthogonal maps the minimum-norm fit to R^T min_norm; X -> XA
+    # with Sigma -> A^T Sigma A maps the minimum-variance fit to A^{-1} min_variance
+    X, Y, Sigma = _interp_draw(seed)
+    A = _well_conditioned(a_seed, X.shape[1])
+    R = np.linalg.qr(A)[0]
+    s = InterpSample(LabeledSet(X, Y), spd_factor(Sigma, "Sigma"))
+    rotated = InterpSample(LabeledSet(X @ R, Y))
+    mapped = InterpSample(LabeledSet(X @ A, Y), spd_factor(A.T @ Sigma @ A, "Sigma"))
+    np.testing.assert_allclose(rotated.min_norm, R.T @ s.min_norm, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(mapped.min_variance, np.linalg.solve(A, s.min_variance),
+                               rtol=1e-8, atol=1e-10)
 
 
 @given(seeds, st.floats(0.01, 10.0))
