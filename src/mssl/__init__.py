@@ -44,7 +44,6 @@ from .glm import (
 from .interp import (
     InterpRiskTerms,
     InterpSample,
-    NoiseSignalInterp,
     fit_min_norm,
     fit_min_variance,
     interp_risk_terms,
@@ -68,7 +67,7 @@ from .links import (
 )
 from .ols import (
     DdotRiskModel,
-    NoiseSignalOls,
+    NoiseSignal,
     OlsPoolModel,
     OlsSample,
     RiskCurve,

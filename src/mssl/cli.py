@@ -45,6 +45,14 @@ _SIMULATE_FLAGS = (
     (("--estimators",), "estimators", "comma-separated estimator names"),
 )
 
+# the optional limits settings with their defaults, and those each mode reads
+_LIMITS_DEFAULTS = {"gamma_tilde": 0.0, "sigma2": 1.0, "tau2": 1.0, "c2": 1.0}
+_LIMITS_READS = {
+    "ols": ("sigma2", "tau2", "c2"),
+    "interp": tuple(_LIMITS_DEFAULTS),
+    "finite_m": ("gamma_tilde", "c2"),
+}
+
 
 def _default_seed() -> int:
     env = os.environ.get("MSSL_SEED")
@@ -86,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = sim.add_mutually_exclusive_group()
     source.add_argument("--preset")
     source.add_argument("--config", help="key=value sections file with [experiment]")
-    sim.add_argument("--list", action="store_true", help="list presets and exit")
+    source.add_argument("--list", action="store_true", help="list presets and exit")
     sim.add_argument("--out-dir", default=".")
     for names, key, text in _SIMULATE_FLAGS:
         sim.add_argument(*names, dest=key, help=text)
@@ -94,10 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lim = sub.add_parser("limits", help="closed-form asymptotic limits as JSON")
     lim.add_argument("--mode", required=True, choices=["ols", "interp", "finite_m"])
     lim.add_argument("--gamma", type=float, required=True)
-    lim.add_argument("--gamma-tilde", type=float, default=0.0)
-    lim.add_argument("--sigma2", type=float, default=1.0)
-    lim.add_argument("--tau2", type=float, default=1.0)
-    lim.add_argument("--c2", type=float, default=1.0)
+    for key in _LIMITS_DEFAULTS:
+        lim.add_argument("--" + key.replace("_", "-"), type=float)
     return parser
 
 
@@ -140,6 +146,9 @@ def _cmd_fit(args, diagnose_only: bool) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.list:
+        for names, key, _ in _SIMULATE_FLAGS:
+            if getattr(args, key) is not None:
+                raise DataValidationError(f"--list takes no {names[-1]}")
         for name in preset_names():
             print(name)
         return EXIT_OK
@@ -174,20 +183,23 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    settings = {}
+    for key, default in _LIMITS_DEFAULTS.items():
+        value = getattr(args, key)
+        if key in _LIMITS_READS[args.mode]:
+            settings[key] = default if value is None else value
+        elif value is not None:
+            flag = "--" + key.replace("_", "-")
+            raise DataValidationError(f"--mode {args.mode} does not read {flag}")
     if args.mode == "finite_m":
         payload = {
             "eta_inf": None,
             "alpha_inf": None,
-            "term_limits": finite_m_limits(args.gamma, args.gamma_tilde, args.c2),
+            "term_limits": finite_m_limits(args.gamma, settings["gamma_tilde"], settings["c2"]),
         }
     else:
-        # ols_limits reads no gamma_tilde
-        setting = AsymptoticSetting(
-            gamma=args.gamma, gamma_tilde=args.gamma_tilde,
-            sigma2=args.sigma2, tau2=args.tau2, c2=args.c2,
-        )
         limits = {"ols": ols_limits, "interp": interp_limits}[args.mode]
-        payload = dataclasses.asdict(limits(setting))
+        payload = dataclasses.asdict(limits(AsymptoticSetting(gamma=args.gamma, **settings)))
     payload = {"schema_version": 1, "mode": args.mode, **payload}
     print(json.dumps(payload, indent=2))
     return EXIT_OK

@@ -21,12 +21,12 @@ from .core import (
     spd_factor,
 )
 from .errors import DataValidationError, RegimeError
-from .ols import mix_linear
+from .ols import NoiseSignal, mix_linear
 
 __all__ = [
     "InterpSample",
     "InterpRiskTerms",
-    "NoiseSignalInterp",
+    "NoiseSignal",
     "fit_min_norm",
     "fit_min_variance",
     "interp_risk_terms",
@@ -168,29 +168,17 @@ def interp_terms_spiked_closed_form(
     )
 
 
-_SIGMA_TAU_TOL = 1e-10  # on the move of each estimate
-_SIGMA_TAU_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class NoiseSignalInterp:
-    """Jointly iterated noise/signal estimates (clipped at zero)."""
-
-    sigma2_hat: float
-    tau2_hat: float
-    iterations: int
-    converged: bool
-
-
 class InterpSample:
     """A labeled sample of the p > n regime; X X^T is factored once, on first use.
 
-    The minimum-norm fit and both noise estimators solve against the same
-    n x n Gram matrix G = X X^T, so a caller that needs several of them (one
-    Monte Carlo replication, say) builds one sample and asks it for each.
-    Given ``sigma_factor`` (``spd_factor(Sigma)``) it also fits and mixes the
+    The minimum-norm fit and both noise estimators (``sigma2_known_tau`` and
+    the closed-form ``sigma_tau``) solve against the same n x n Gram matrix
+    G = X X^T, so a caller that needs several of them (one Monte Carlo
+    replication, say) builds one sample and asks it for each.  Given
+    ``sigma_factor`` (``spd_factor(Sigma)``) it also fits and mixes the
     minimum-variance interpolator.  ``fit_interp_pipeline`` and the presets
-    share it; ``fit_min_norm``, ``fit_min_variance`` and ``iterate_sigma_tau`` are its shorthands.
+    share it; ``fit_min_norm``, ``fit_min_variance`` and ``iterate_sigma_tau``
+    are its shorthands.
     """
 
     def __init__(self, data: LabeledSet, sigma_factor=None):
@@ -222,11 +210,10 @@ class InterpSample:
 
     @cached_property
     def _inverse_moments(self) -> tuple[float, float, float]:
-        """(Y^T G^{-2} Y, tr G^{-1}, tr G^{-2})."""
+        """(Y^T G^{-2} Y, tr G^{-1}, tr G^{-2}) as ||G^{-1} Y||^2 and <G^{-1}, G^{-1}>."""
         Gi = cho_inverse(self._gram)
-        Gi2 = Gi @ Gi
-        Y = self.data.Y
-        return float(Y @ Gi2 @ Y), float(np.trace(Gi)), float(np.trace(Gi2))
+        v = Gi @ self.data.Y
+        return float(v @ v), float(np.trace(Gi)), float(np.vdot(Gi, Gi))
 
     def sigma2_known_tau(self, tau2: float) -> float:
         """Unbiased noise estimate when the signal level tau^2 is known.
@@ -237,37 +224,45 @@ class InterpSample:
         yq, tr1, tr2 = self._inverse_moments
         return (yq - tau2 * tr1) / tr2
 
-    def sigma_tau(self, Sigma: np.ndarray) -> NoiseSignalInterp:
-        """Alternate the known-tau noise formula with a second-moment signal update.
+    def sigma_tau(self, Sigma: np.ndarray) -> NoiseSignal:
+        """Noise and signal estimates: the clipped solution of two moment equations.
 
-        Starts from tau^2 = w^T Sigma w / tr(Sigma) at the minimum-norm fit;
-        each round clips at zero.  Stops when both estimates move by less
-        than ``_SIGMA_TAU_TOL``, or unconverged after ``_SIGMA_TAU_MAX_ITER``
-        rounds.
+        With yq = Y^T G^{-2} Y, tr1 = tr G^{-1}, tr2 = tr G^{-2} and y2 = Y^T Y / n,
+        sigma^2 = max((yq - tau^2 tr1) / tr2, 0) and tau^2 = max((y2 - sigma^2) / tr Sigma, 0),
+        the limit of alternating the two from tau^2 = w^T Sigma w / tr Sigma at
+        the minimum-norm fit w.  If det = tr2 tr Sigma - tr1 > 0 the alternation
+        contracts to the 2 x 2 solve, or to the corner (0, y2 / tr Sigma) or
+        (yq / tr2, 0) where that is negative.  Otherwise the tau^2 update has
+        slope >= 1 until it clips, and the alternation runs to the corner that
+        its direction after one clipped step points at.
         """
         Sigma = np.asarray(Sigma, dtype=float)
         tr_sigma = float(np.trace(Sigma))
         if tr_sigma <= 0:
             raise DataValidationError("tr(Sigma) must be positive")
-        w_hat = self.min_norm
         yq, tr1, tr2 = self._inverse_moments
         y2 = float(self.data.Y @ self.data.Y) / self.data.n
+        no_noise, no_signal = NoiseSignal(0.0, y2 / tr_sigma), NoiseSignal(yq / tr2, 0.0)
+        det = tr2 * tr_sigma - tr1
+        if det > 0:
+            sigma2, tau2 = (yq * tr_sigma - tr1 * y2) / det, (tr2 * y2 - yq) / det
+            if sigma2 < 0:
+                return no_noise
+            if tau2 < 0:
+                return no_signal
+            return NoiseSignal(sigma2, tau2)
+        w = self.min_norm
+        sigma2 = max((yq - float(w @ Sigma @ w) / tr_sigma * tr1) / tr2, 0.0)
+        tau2 = max((y2 - sigma2) / tr_sigma, 0.0)
+        step = (y2 - (yq - tau2 * tr1) / tr2) / tr_sigma  # the next tau^2, unclipped
+        if step > tau2:
+            return no_noise
+        if step < tau2:
+            return no_signal
+        return NoiseSignal(sigma2, tau2)
 
-        tau2 = float(w_hat @ Sigma @ w_hat) / tr_sigma
-        sigma2 = 0.0
-        for it in range(1, _SIGMA_TAU_MAX_ITER + 1):
-            sigma2_new = max((yq - tau2 * tr1) / tr2, 0.0)
-            tau2_new = max((y2 - sigma2_new) / tr_sigma, 0.0)
-            done = (
-                abs(sigma2_new - sigma2) < _SIGMA_TAU_TOL and abs(tau2_new - tau2) < _SIGMA_TAU_TOL
-            )
-            sigma2, tau2 = sigma2_new, tau2_new
-            if done:
-                return NoiseSignalInterp(sigma2, tau2, it, True)
-        return NoiseSignalInterp(sigma2, tau2, it, False)
 
-
-def iterate_sigma_tau(data: LabeledSet, Sigma: np.ndarray) -> NoiseSignalInterp:
-    """Iterated noise/signal estimates (p > n); see ``InterpSample.sigma_tau``."""
+def iterate_sigma_tau(data: LabeledSet, Sigma: np.ndarray) -> NoiseSignal:
+    """Noise/signal estimates of a p > n sample; see ``InterpSample.sigma_tau``."""
     return InterpSample(data).sigma_tau(Sigma)
 

@@ -39,7 +39,7 @@ __all__ = [
     "fit_ols_semisupervised",
     "mix_linear",
     "fit_loss_mixed_ols",
-    "NoiseSignalOls",
+    "NoiseSignal",
     "noise_signal_ols",
 ]
 
@@ -268,8 +268,8 @@ class OlsSample:
 
 
 @dataclass(frozen=True)
-class NoiseSignalOls:
-    """Noise and signal estimates from the supervised residuals."""
+class NoiseSignal:
+    """Noise and signal estimates of ``noise_signal_ols`` and ``InterpSample.sigma_tau``."""
 
     sigma2_hat: float
     tau2_hat: float
@@ -277,7 +277,7 @@ class NoiseSignalOls:
 
 def noise_signal_ols(
     data: LabeledSet, beta_hat: np.ndarray, moments: PopulationMoments
-) -> NoiseSignalOls:
+) -> NoiseSignal:
     """Unbiased noise estimate RSS/(n-p) and the matching signal estimate."""
     n, p = data.n, data.p
     if n <= p:
@@ -291,7 +291,7 @@ def noise_signal_ols(
     if tr_exx <= 0:
         raise DataValidationError("tr(Exx) must be positive to estimate the signal")
     tau2 = max((float(data.Y @ data.Y) / n - sigma2) / tr_exx, 0.0)
-    return NoiseSignalOls(sigma2_hat=sigma2, tau2_hat=tau2)
+    return NoiseSignal(sigma2_hat=sigma2, tau2_hat=tau2)
 
 
 def _xi(alpha, n: int):

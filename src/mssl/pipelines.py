@@ -148,7 +148,7 @@ def fit_interp_pipeline(
     seed: int = 0,
     blocks: int = 200,
 ) -> dict:
-    """Interpolator fit (p > n) with the iterated noise/signal estimates."""
+    """Interpolator fit (p > n) with the closed-form noise/signal estimates."""
     source, fixed, _ = _parse_policy(alpha_policy, None)
     if data.p <= data.n:
         raise RegimeError(f"interp needs p > n, got n={data.n}, p={data.p}")

@@ -340,10 +340,33 @@ def test_limits_finite_m_reduction(capsys):
     assert fm["term_limits"]["v_u_tilde"] == pytest.approx(ols["term_limits"]["v_u"])
 
 
+@pytest.mark.parametrize("mode, flag", [
+    ("ols", "--gamma-tilde"), ("finite_m", "--sigma2"), ("finite_m", "--tau2"),
+])
+def test_limits_rejects_a_setting_its_mode_does_not_read(mode, flag, capsys):
+    # these printed the limits without the setting and exited 0
+    assert main(["limits", "--mode", mode, "--gamma", "0.5", flag, "0.7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --mode {mode} does not read {flag}\n"
+
+
 def test_simulate_list(capsys):
     assert main(["simulate", "--list"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 6
+
+
+def test_simulate_list_takes_no_other_simulate_input(capsys):
+    # both printed the presets and exited 0
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--list", "--preset", "bogus"])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert main(["simulate", "--list", "-k", "abc"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --list takes no --replications\n"
 
 
 def test_simulate_unknown_preset(capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mssl import (
     DataValidationError,
@@ -357,13 +359,12 @@ def test_iterate_sigma_tau_zero_response():
     rng = seeded_rng(14)
     ds = LabeledSet(rng.standard_normal((4, 9)), np.zeros(4))
     out = iterate_sigma_tau(ds, np.eye(9))
-    assert out.converged
     assert (out.sigma2_hat, out.tau2_hat) == (0.0, 0.0)
 
 
 def test_iterate_sigma_tau_noiseless():
-    # noiseless draws: the iteration converges, the typical estimate is an
-    # exact zero, and the zero-clipping leaves a bounded upward mean bias
+    # noiseless draws: the typical estimate is an exact zero, and the
+    # zero-clipping leaves a bounded upward mean bias
     # (about 2.0 at this size; kept verbatim, see the raw estimator above)
     n, p = 50, 100
     diag = np.concatenate([np.ones(80), np.full(20, 1.0 / n)])
@@ -375,7 +376,6 @@ def test_iterate_sigma_tau_noiseless():
         X = r.standard_normal((n, p)) * L
         w = r.standard_normal(p)
         out = iterate_sigma_tau(LabeledSet(X, X @ w), sigma)
-        assert out.converged
         vals.append(out.sigma2_hat)
     vals = np.asarray(vals)
     assert np.median(vals) == 0.0
@@ -399,6 +399,65 @@ def test_iterate_sigma_tau_recovers_truth_at_scale():
         tau_vals.append(out.tau2_hat)
     assert np.mean(sig_vals) == pytest.approx(sigma2, rel=0.10)
     assert np.mean(tau_vals) == pytest.approx(tau2, rel=0.10)
+
+
+def _alternate_sigma_tau(X, Y, Sigma):
+    """The clipped noise/signal alternation, run until its iterates stop changing.
+
+    Returns the limit and the moments (yq, tr1, tr2, y2, tr Sigma) it solves with.
+    """
+    n = X.shape[0]
+    Gi = np.linalg.inv(X @ X.T)
+    yq, tr1, tr2 = float(Y @ Gi @ Gi @ Y), float(np.trace(Gi)), float(np.trace(Gi @ Gi))
+    y2, tr_sigma = float(Y @ Y) / n, float(np.trace(Sigma))
+    w = X.T @ (Gi @ Y)
+    sigma2, tau2 = 0.0, float(w @ Sigma @ w) / tr_sigma
+    for _ in range(10**6):
+        new_sigma2 = max((yq - tau2 * tr1) / tr2, 0.0)
+        new = (new_sigma2, max((y2 - new_sigma2) / tr_sigma, 0.0))
+        if new == (sigma2, tau2):
+            return new, (yq, tr1, tr2, y2, tr_sigma)
+        sigma2, tau2 = new
+    raise AssertionError("the reference alternation did not settle")
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(3, 200), (5, 2000), (10, 500), (20, 60)]),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 0.3),
+    st.floats(0.05, 2.0),
+    st.floats(0.0, 4.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_sigma_tau_is_the_limit_of_the_clipped_alternation(
+    seed, shape, noise, signal, scale, lift
+):
+    # isotropic p >> n draws put tr G^{-2} tr Sigma - tr G^{-1} near 0, on
+    # either side of it, where the alternation contracts slowly or runs to a
+    # corner.  Sigma = scale I + lift (p / n) u u^T, with u along the
+    # minimum-norm fit, moves the start w^T Sigma w / tr Sigma above
+    # y2 / tr Sigma for the larger lifts.
+    n, p = shape
+    rng = seeded_rng(seed)
+    X = rng.standard_normal((n, p))
+    Y = X @ (signal * rng.standard_normal(p)) + noise * rng.standard_normal(n)
+    u = X.T @ np.linalg.solve(X @ X.T, Y)
+    norm = np.linalg.norm(u)
+    u = u / norm if norm > 0 else np.eye(p)[0]
+    Sigma = scale * np.eye(p) + lift * (p / n) * np.outer(u, u)
+
+    out = iterate_sigma_tau(LabeledSet(X, Y), Sigma)
+    (sigma2, tau2), (yq, tr1, tr2, y2, tr_sigma) = _alternate_sigma_tau(X, Y, Sigma)
+    assert out.sigma2_hat == pytest.approx(sigma2, rel=1e-10, abs=1e-12 * yq / tr2)
+    assert out.tau2_hat == pytest.approx(tau2, rel=1e-10, abs=1e-12 * y2 / tr_sigma)
+    # the clipped moment equations hold at the result
+    assert out.sigma2_hat == pytest.approx(
+        max((yq - out.tau2_hat * tr1) / tr2, 0.0), rel=1e-10, abs=1e-10 * yq / tr2
+    )
+    assert out.tau2_hat == pytest.approx(
+        max((y2 - out.sigma2_hat) / tr_sigma, 0.0), rel=1e-10, abs=1e-10 * y2 / tr_sigma
+    )
 
 
 def test_interp_terms_mostly_singular_draws_exhaust_the_budget():

@@ -17,11 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mssl import (
-    LabeledSet, OlsPoolModel, ResampleSpec, UnlabeledPool, build_moments, seeded_rng,
-)
+from mssl import OlsPoolModel, ResampleSpec, UnlabeledPool, build_moments, seeded_rng
 from mssl.glm import _newton
-from mssl.interp import iterate_sigma_tau
 from mssl.simulate import ExperimentConfig, _run_reps
 
 TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
@@ -73,17 +70,6 @@ def test_newton_report_exposes_iterations_and_convergence(tracer):
         "iters": report.iterations, "nonconverged": 0,
     }
     assert report.iterations >= 1 and report.converged
-
-
-def test_sigma_tau_exposes_its_iterations(tracer):
-    rng = seeded_rng(2)
-    X = rng.standard_normal((5, 12))
-    data = LabeledSet(X, X @ rng.standard_normal(12) + rng.standard_normal(5))
-    result = iterate_sigma_tau(data, np.eye(12))
-    assert tracer._counters("interp.sigma_tau", (data,), {}, result) == {
-        "iters": result.iterations,
-    }
-    assert result.iterations >= 1
 
 
 def test_run_reps_takes_k_third_and_is_called_positionally(tracer, monkeypatch):
