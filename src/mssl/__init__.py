@@ -47,7 +47,6 @@ from .interp import (
     fit_min_norm,
     fit_min_variance,
     interp_risk_terms,
-    interp_terms_spiked_closed_form,
     iterate_sigma_tau,
 )
 from .io import (
@@ -57,20 +56,17 @@ from .io import (
     write_pool_binary,
 )
 from .links import (
-    LinkReport,
     LinkSpec,
     custom_link,
     elu_link,
     identity_link,
     link_by_name,
-    validate_link,
 )
 from .ols import (
     DdotRiskModel,
     NoiseSignal,
     OlsPoolModel,
     OlsSample,
-    RiskCurve,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,

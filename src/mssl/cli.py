@@ -45,11 +45,12 @@ _SIMULATE_FLAGS = (
     (("--estimators",), "estimators", "comma-separated estimator names"),
 )
 
-# the optional limits settings with their defaults, and those each mode reads
-_LIMITS_DEFAULTS = {"gamma_tilde": 0.0, "sigma2": 1.0, "tau2": 1.0, "c2": 1.0}
+# the optional limits settings are AsymptoticSetting's fields, which keep their
+# defaults when their flags are left out; each mode reads only some of them
+_LIMITS_SETTINGS = tuple(f.name for f in dataclasses.fields(AsymptoticSetting) if f.name != "gamma")
 _LIMITS_READS = {
     "ols": ("sigma2", "tau2", "c2"),
-    "interp": tuple(_LIMITS_DEFAULTS),
+    "interp": _LIMITS_SETTINGS,
     "finite_m": ("gamma_tilde", "c2"),
 }
 
@@ -95,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset")
     source.add_argument("--config", help="key=value sections file with [experiment]")
     source.add_argument("--list", action="store_true", help="list presets and exit")
-    sim.add_argument("--out-dir", default=".")
+    sim.add_argument("--out-dir", help="directory of the CSVs (default: .)")
     for names, key, text in _SIMULATE_FLAGS:
         sim.add_argument(*names, dest=key, help=text)
 
     lim = sub.add_parser("limits", help="closed-form asymptotic limits as JSON")
     lim.add_argument("--mode", required=True, choices=["ols", "interp", "finite_m"])
     lim.add_argument("--gamma", type=float, required=True)
-    for key in _LIMITS_DEFAULTS:
+    for key in _LIMITS_SETTINGS:
         lim.add_argument("--" + key.replace("_", "-"), type=float)
     return parser
 
@@ -149,6 +150,8 @@ def _cmd_simulate(args) -> int:
         for names, key, _ in _SIMULATE_FLAGS:
             if getattr(args, key) is not None:
                 raise DataValidationError(f"--list takes no {names[-1]}")
+        if args.out_dir is not None:
+            raise DataValidationError("--list takes no --out-dir")
         for name in preset_names():
             print(name)
         return EXIT_OK
@@ -176,7 +179,7 @@ def _cmd_simulate(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
 
     result = run_experiment(cfg)
-    main_csv, pairs_csv = write_result_csv(result, args.out_dir)
+    main_csv, pairs_csv = write_result_csv(result, "." if args.out_dir is None else args.out_dir)
     print(f"preset {result.preset}: {len(result.rows)} rows -> {main_csv}")
     print(f"paired tests: {len(result.paired)} rows -> {pairs_csv}")
     return EXIT_OK
@@ -184,22 +187,27 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_limits(args) -> int:
     settings = {}
-    for key, default in _LIMITS_DEFAULTS.items():
+    for key in _LIMITS_SETTINGS:
         value = getattr(args, key)
-        if key in _LIMITS_READS[args.mode]:
-            settings[key] = default if value is None else value
-        elif value is not None:
+        if value is None:
+            continue
+        if key not in _LIMITS_READS[args.mode]:
             flag = "--" + key.replace("_", "-")
             raise DataValidationError(f"--mode {args.mode} does not read {flag}")
+        settings[key] = value
+    if args.mode == "interp" and "gamma_tilde" not in settings:
+        # the default gamma_tilde = 0 lies outside interp's range
+        raise DataValidationError("--mode interp needs --gamma-tilde, with 1 < gamma_tilde < gamma")
+    setting = AsymptoticSetting(gamma=args.gamma, **settings)
     if args.mode == "finite_m":
         payload = {
             "eta_inf": None,
             "alpha_inf": None,
-            "term_limits": finite_m_limits(args.gamma, settings["gamma_tilde"], settings["c2"]),
+            "term_limits": finite_m_limits(setting.gamma, setting.gamma_tilde, setting.c2),
         }
     else:
         limits = {"ols": ols_limits, "interp": interp_limits}[args.mode]
-        payload = dataclasses.asdict(limits(AsymptoticSetting(gamma=args.gamma, **settings)))
+        payload = dataclasses.asdict(limits(setting))
     payload = {"schema_version": 1, "mode": args.mode, **payload}
     print(json.dumps(payload, indent=2))
     return EXIT_OK

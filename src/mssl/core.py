@@ -656,5 +656,7 @@ def _block_pass(
         raise ResampleBudgetError(
             f"{skipped}/{spec.replications} resampled blocks were singular"
         )
-    return {key: np.concatenate([stats[key] for _, stats in chunks])
-            for key in chunks[0][1]}, skipped
+    # each statistic's chunk arrays are released as it is joined, so the join
+    # never holds every statistic twice
+    return {key: np.concatenate([stats.pop(key) for _, stats in chunks])
+            for key in list(chunks[0][1])}, skipped

@@ -39,7 +39,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .links import LinkSpec
-from .ols import RiskCurve, _check_n, _pencil, _ratio_grid, _xi, mix_linear
+from .ols import _check_n, _pencil, _ratio_grid, _xi, mix_linear
 
 __all__ = [
     "GlmFitReport",
@@ -348,19 +348,17 @@ class GlmPoolStats:
         return MixRisk.from_factors(sigma2, self.B_g_hat, self.v_l_g, self.v_u_g, self.v_s_g,
                                     self.se_v_l_g, self.se_v_s_g)
 
-    def ddot_curve(self, sigma2_hat: float) -> RiskCurve:
+    def ddot_curve(self, sigma2_hat: float) -> np.ndarray:
+        """The loss-mixed fit's estimated risk at each ratio of ``alphas``, averaged over blocks."""
         if self.alphas is None:
             raise DataValidationError("stats were built without a mixing-ratio grid")
         xi = _xi(self.alphas, self.n)
         rows = self.alphas**2 * self._curve_bias + xi * sigma2_hat * self._curve_var
-        r_hat = rows.mean(axis=0)
-        se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
-        return RiskCurve(
-            alphas=self.alphas,
-            r_hat=r_hat,
-            se=se,
-            argmin_alpha=float(self.alphas[int(np.argmin(r_hat))]),
-        )
+        return rows.mean(axis=0)
+
+    def argmin_alpha(self, sigma2_hat: float) -> float:
+        """The ratio of ``alphas`` at which ``ddot_curve`` is least."""
+        return float(self.alphas[int(np.argmin(self.ddot_curve(sigma2_hat)))])
 
 
 def estimate_noise_glm(
@@ -439,7 +437,7 @@ class GlmSample:
         """Argmin of the loss-mixed curve; None when the stats have no grid."""
         if self.stats.alphas is None:
             return None
-        return self.stats.ddot_curve(self.sigma2_hat).argmin_alpha
+        return self.stats.argmin_alpha(self.sigma2_hat)
 
     def linear(self, alpha: float) -> np.ndarray:
         return mix_linear(self.beta_hat, self.beta_breve, alpha)

@@ -30,7 +30,6 @@ __all__ = [
     "fit_min_norm",
     "fit_min_variance",
     "interp_risk_terms",
-    "interp_terms_spiked_closed_form",
     "iterate_sigma_tau",
 ]
 
@@ -146,25 +145,6 @@ def interp_risk_terms(Sigma: np.ndarray, sampler, spec: ResampleSpec) -> InterpR
     return InterpRiskTerms(
         b_l=mean[0], v_l=mean[1], b_u=mean[2], v_u=mean[3],
         se_b_l=se[0], se_v_l=se[1], se_b_u=se[2], se_v_u=se[3], n_skipped=n_skipped,
-    )
-
-
-def interp_terms_spiked_closed_form(
-    n: int, p: int, p_tilde: int, c1_sq: float, trace_sigma: float
-) -> InterpRiskTerms:
-    """Closed-form Gaussian terms for a two-level (spiked) diagonal covariance.
-
-    v_u = n/(p-n-1), b_u = tr(Sigma)(1 - n/p), and the supervised factors
-    behave as if only the p_tilde large-variance coordinates existed:
-    v_l = n/(p_tilde-n-1), b_l = c1^2 (p_tilde - n).
-    """
-    if p <= n + 1 or p_tilde <= n + 1:
-        raise RegimeError("closed forms need p, p_tilde > n + 1")
-    return InterpRiskTerms(
-        b_l=float(c1_sq * (p_tilde - n)),
-        v_l=float(n / (p_tilde - n - 1)),
-        b_u=float(trace_sigma * (1.0 - n / p)),
-        v_u=float(n / (p - n - 1)),
     )
 
 

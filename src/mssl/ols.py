@@ -17,7 +17,6 @@ import numpy as np
 
 from ._blas import cho_inverse, cho_solve
 from .core import (
-    COND_LIMIT,
     LabeledSet,
     MixRisk,
     PopulationMoments,
@@ -30,8 +29,6 @@ from .core import (
 from .errors import DataValidationError, RegimeError
 
 __all__ = [
-    "COND_LIMIT",
-    "RiskCurve",
     "OlsPoolModel",
     "OlsSample",
     "DdotRiskModel",
@@ -94,26 +91,6 @@ def fit_loss_mixed_ols(
     blend = alpha * moments.H + (1.0 - alpha) * data.gram
     rhs = data.xty - alpha * data.n * data.xbar * data.ybar
     return cho_solve(spd_factor(blend, "alpha H + (1-alpha) X^T X"), rhs)
-
-
-@dataclass(frozen=True)
-class RiskCurve:
-    """A grid of estimated reducible errors over mixing ratios."""
-
-    alphas: np.ndarray
-    r_hat: np.ndarray
-    se: np.ndarray
-    argmin_alpha: float
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        r_hat = np.asarray(self.r_hat, dtype=float)
-        se = np.asarray(self.se, dtype=float)
-        if not (alphas.size == r_hat.size == se.size) or alphas.size < 2:
-            raise DataValidationError("curve grids must share a length >= 2")
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "r_hat", r_hat)
-        object.__setattr__(self, "se", se)
 
 
 class OlsPoolModel:

@@ -692,9 +692,7 @@ class _GlmStudy:
         )
 
     def oracle_ratios(self, sigma2: float) -> _GlmOracle:
-        return _GlmOracle(
-            self.oracle.risk(sigma2).ratio, self.oracle.ddot_curve(sigma2).argmin_alpha
-        )
+        return _GlmOracle(self.oracle.risk(sigma2).ratio, self.oracle.argmin_alpha(sigma2))
 
     def draw(self, gi: int, k: int, sigma2: float) -> tuple[LabeledSet, UnlabeledPool]:
         """The labeled sample and the pool, centered in place, of one replication."""

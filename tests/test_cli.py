@@ -330,6 +330,14 @@ def test_limits_interp_bad_ordering_exit_2(capsys):
     assert code == 2
 
 
+def test_limits_interp_needs_gamma_tilde(capsys):
+    # no default can lie in 1 < gamma_tilde < gamma, so the flag is required
+    assert main(["limits", "--mode", "interp", "--gamma", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --mode interp needs --gamma-tilde")
+
+
 def test_limits_finite_m_reduction(capsys):
     assert main(["limits", "--mode", "finite_m", "--gamma", "0.5",
                  "--gamma-tilde", "0", "--c2", "25"]) == 0
@@ -367,6 +375,15 @@ def test_simulate_list_takes_no_other_simulate_input(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: --list takes no --replications\n"
+
+
+def test_simulate_list_takes_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "listed"
+    assert main(["simulate", "--list", "--out-dir", str(out_dir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --list takes no --out-dir\n"
+    assert not out_dir.exists()
 
 
 def test_simulate_unknown_preset(capsys):

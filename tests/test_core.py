@@ -309,6 +309,31 @@ def test_block_pass_lets_other_errors_through():
         )
 
 
+def test_block_pass_releases_each_statistics_chunks_as_it_joins_them(monkeypatch):
+    # a join that held every chunk's arrays beside the joined ones would peak
+    # at four joined statistics here; releasing each chunk's keeps it at three
+    import mssl.core
+    from mssl.core import _block_pass
+
+    blocks, width = 400, 4000
+    monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 10 * 8)  # 10 blocks a chunk
+
+    def kernel(chunk):
+        rows = np.repeat(chunk[:, None].astype(float), width, axis=1)
+        return np.ones(len(chunk), dtype=bool), {"a": rows, "b": -rows}
+
+    tracemalloc.start()
+    try:
+        stats, _ = _block_pass(ResampleSpec(blocks, 0), lambda i: np.array(i), kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    joined = blocks * width * 8
+    np.testing.assert_array_equal(stats["b"][:, -1], -np.arange(blocks))
+    assert stats["a"].nbytes == stats["b"].nbytes == joined
+    assert peak < 3.5 * joined
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("m", [100, 2 * 8192 + 37])  # below one chunk; not a multiple of one
 def test_weighted_gram_matches_the_one_shot_product(order, m):

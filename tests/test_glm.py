@@ -250,8 +250,8 @@ def test_identity_link_v_l_is_n_times_ols_v_l():
     assert q.B_g_hat == pytest.approx(n * ols_terms.bias_at(beta), rel=1e-12)
     for sigma2 in (0.5, 4.0):
         curve = q.ddot_curve(sigma2)
-        np.testing.assert_allclose(curve.r_hat, n * ols_terms.ddot.curve(beta, sigma2), rtol=1e-12)
-        assert curve.argmin_alpha == ols_terms.ddot.argmin_alpha(beta, sigma2)
+        np.testing.assert_allclose(curve, n * ols_terms.ddot.curve(beta, sigma2), rtol=1e-12)
+        assert q.argmin_alpha(sigma2) == ols_terms.ddot.argmin_alpha(beta, sigma2)
 
 
 def test_elu_at_zero_matches_identity_terms():
@@ -386,23 +386,24 @@ def test_glm_grid_zero_bias_degenerate():
     # the argmin sits at the semi-supervised end of the grid
     rng = seeded_rng(20)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
-    curve = GlmPoolStats(
+    stats = GlmPoolStats(
         build_moments(pool, 25), identity_link(), np.zeros(3), ResampleSpec(80, 6),
         alphas=np.linspace(0, 1, 11),
-    ).ddot_curve(1.0)
+    )
     # pure-variance curve: worst at the supervised end, argmin interior or 1
-    assert curve.argmin_alpha >= 0.5
-    assert curve.r_hat[0] == max(curve.r_hat)
+    assert stats.argmin_alpha(1.0) >= 0.5
+    curve = stats.ddot_curve(1.0)
+    assert curve[0] == max(curve)
 
 
 def test_glm_grid_noiseless_prefers_supervised():
     rng = seeded_rng(21)
     pool = UnlabeledPool(rng.standard_normal((3000, 3)))
-    curve = GlmPoolStats(
+    stats = GlmPoolStats(
         build_moments(pool, 25), elu_link(), np.ones(3), ResampleSpec(80, 7),
         alphas=np.linspace(0, 1, 11),
-    ).ddot_curve(0.0)
-    assert curve.argmin_alpha == 0.0
+    )
+    assert stats.argmin_alpha(0.0) == 0.0
 
 
 def test_noise_estimate_at_large_signal_documented_bias():
@@ -470,7 +471,7 @@ def _glm_curve_per_ratio_reference(stats, moments, spec, sigma2):
             bias[j] = Sz @ stats.Hg @ Sz
             var[j] = np.trace(cho_solve(factor, stats.Hg) @ cho_solve(factor, G))
         rows.append(alphas**2 * bias + _xi(alphas, n) * sigma2 * var)
-    return np.mean(rows, axis=0), np.std(rows, axis=0, ddof=1) / np.sqrt(len(rows))
+    return np.mean(rows, axis=0)
 
 
 def test_pool_stats_curve_matches_per_ratio_factorization():
@@ -480,10 +481,8 @@ def test_pool_stats_curve_matches_per_ratio_factorization():
     spec = ResampleSpec(5, 3)
     stats = GlmPoolStats(moments, elu_link(), np.full(p, 0.7), spec,
                          alphas=np.round(np.linspace(0.0, 1.0, 21), 10))
-    r_ref, se_ref = _glm_curve_per_ratio_reference(stats, moments, spec, 2.5)
-    curve = stats.ddot_curve(2.5)
-    np.testing.assert_allclose(curve.r_hat, r_ref, rtol=1e-10)
-    np.testing.assert_allclose(curve.se, se_ref, rtol=1e-10)
+    r_ref = _glm_curve_per_ratio_reference(stats, moments, spec, 2.5)
+    np.testing.assert_allclose(stats.ddot_curve(2.5), r_ref, rtol=1e-10)
 
 
 def test_pool_stats_curve_supervised_endpoint():
@@ -494,7 +493,7 @@ def test_pool_stats_curve_supervised_endpoint():
     stats = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 1.5),
                          ResampleSpec(30, 4), alphas=np.linspace(0.0, 1.0, 11))
     s2 = 3.0
-    assert stats.ddot_curve(s2).r_hat[0] == pytest.approx(s2 * stats.v_l_g, rel=1e-10)
+    assert stats.ddot_curve(s2)[0] == pytest.approx(s2 * stats.v_l_g, rel=1e-10)
 
 
 @given(
@@ -511,7 +510,7 @@ def test_pool_stats_curve_finite_and_positive(p, extra_n, sigma2, seed):
     pool = UnlabeledPool(rng.standard_normal((60 * n, p)) @ mix.T)
     stats = GlmPoolStats(build_moments(pool, n), elu_link(), 0.5 * rng.standard_normal(p),
                          ResampleSpec(8, seed % 1000), alphas=np.linspace(0, 1, 6))
-    r_hat = stats.ddot_curve(sigma2).r_hat
+    r_hat = stats.ddot_curve(sigma2)
     assert np.all(np.isfinite(r_hat))
     assert np.all(r_hat > 0)
 

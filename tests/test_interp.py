@@ -20,7 +20,6 @@ from mssl import (
     fit_min_variance,
     gaussian_sampler,
     interp_risk_terms,
-    interp_terms_spiked_closed_form,
     iterate_sigma_tau,
     pool_sampler,
     seeded_rng,
@@ -131,6 +130,25 @@ def test_interp_terms_gaussian_isotropic():
     assert terms.b_l == pytest.approx(terms.b_u, rel=0.05)
 
 
+def _spiked_closed_form(
+    n: int, p: int, p_tilde: int, c1_sq: float, trace_sigma: float
+) -> InterpRiskTerms:
+    """Closed-form Gaussian terms for a two-level (spiked) diagonal covariance.
+
+    v_u = n/(p-n-1), b_u = tr(Sigma)(1 - n/p), and the supervised factors
+    behave as if only the p_tilde large-variance coordinates existed:
+    v_l = n/(p_tilde-n-1), b_l = c1^2 (p_tilde - n).
+    """
+    if p <= n + 1 or p_tilde <= n + 1:
+        raise RegimeError("closed forms need p, p_tilde > n + 1")
+    return InterpRiskTerms(
+        b_l=float(c1_sq * (p_tilde - n)),
+        v_l=float(n / (p_tilde - n - 1)),
+        b_u=float(trace_sigma * (1.0 - n / p)),
+        v_u=float(n / (p - n - 1)),
+    )
+
+
 def test_interp_terms_spiked_match_closed_form():
     # with a negligible minor block the two-level closed forms are exact
     n, p = 30, 60
@@ -140,7 +158,7 @@ def test_interp_terms_spiked_match_closed_form():
     terms = interp_risk_terms(
         sigma, gaussian_sampler(sigma, n), ResampleSpec(800, 2)
     )
-    closed = interp_terms_spiked_closed_form(n, p, p_tilde, 1.0, float(diag.sum()))
+    closed = _spiked_closed_form(n, p, p_tilde, 1.0, float(diag.sum()))
     assert terms.v_u == pytest.approx(closed.v_u, rel=0.02)
     assert terms.v_l == pytest.approx(closed.v_l, rel=0.02)
     assert terms.b_u == pytest.approx(closed.b_u, rel=0.02)
@@ -156,7 +174,7 @@ def test_interp_terms_spiked_working_config():
     terms = interp_risk_terms(
         sigma, gaussian_sampler(sigma, n), ResampleSpec(600, 4)
     )
-    closed = interp_terms_spiked_closed_form(n, p, p_tilde, 1.0, float(diag.sum()))
+    closed = _spiked_closed_form(n, p, p_tilde, 1.0, float(diag.sum()))
     assert closed.v_l == pytest.approx(50.0 / 29.0)
     assert terms.v_u == pytest.approx(closed.v_u, rel=0.02)
     assert terms.v_l == pytest.approx(closed.v_l, rel=0.10)

@@ -423,19 +423,6 @@ def test_grid_search_zero_bias_plugin():
     assert ddot.argmin_alpha(np.zeros(4), 1.0) >= 0.5
 
 
-def test_grid_search_argmin_mechanics():
-    from mssl.ols import RiskCurve
-
-    curve = RiskCurve(
-        alphas=np.array([0.0, 0.5, 1.0]),
-        r_hat=np.array([2.0, 1.0, 1.5]),
-        se=np.zeros(3),
-        argmin_alpha=0.5,
-    )
-    assert curve.argmin_alpha == 0.5
-    assert curve.r_hat[1] == min(curve.r_hat)
-
-
 def test_grid_search_noiseless_prefers_supervised():
     rng = seeded_rng(16)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))

@@ -961,8 +961,7 @@ def _pool_statistics() -> list[bytes]:
     interp = interp_risk_terms(wide.Exx, pool_sampler(wide.pool, 6), ResampleSpec(30, 9))
     values = [ols.v_l, ols.se_v_l, ols.b_u_hat, ols.n_skipped, ols.bias_at(beta),
               ols.ddot.curve(beta, 2.0), glm.v_l_g, glm.se_v_l_g, glm.v_s_g, glm.se_v_s_g,
-              glm.trace_sigma, glm.B_g_hat, glm.ddot_curve(2.0).r_hat,
-              glm.ddot_curve(2.0).se, *vars(interp).values()]
+              glm.trace_sigma, glm.B_g_hat, glm.ddot_curve(2.0), *vars(interp).values()]
     return [np.asarray(v, dtype=float).tobytes() for v in values]
 
 
