@@ -315,6 +315,15 @@ class ExperimentConfig:
             raise DataValidationError("eval_cov must be 'pool' or 'true'")
         if self.x_source not in (None, "pool", "gaussian"):
             raise DataValidationError("x_source must be 'pool' or 'gaussian'")
+        if self.p_rule is not None:
+            kind, _, arg = self.p_rule.partition(":")
+            try:  # a nan or an infinity fails too
+                ok = 0 < {"fixed": int, "ratio": float}[kind](arg) < math.inf
+            except (KeyError, ValueError):
+                ok = False
+            if not ok:
+                raise DataValidationError(f"bad p rule {self.p_rule!r}: want fixed:<positive "
+                                          "integer> or ratio:<positive number>")
         row = _ROWS.get(self.preset)
         if row is None:
             return
@@ -362,15 +371,9 @@ class ExperimentResult:
 
 
 def _p_from_rule(rule: str, n: int) -> int:
+    """p of a rule ``ExperimentConfig`` has checked: fixed:<p> or ratio:<p / n>."""
     kind, _, arg = rule.partition(":")
-    try:
-        if kind == "fixed":
-            return int(arg)
-        if kind == "ratio":
-            return int(round(float(arg) * n))
-    except ValueError as exc:
-        raise DataValidationError(f"bad p rule {rule!r}: {exc}") from exc
-    raise DataValidationError(f"unknown p rule {rule!r}")
+    return int(arg) if kind == "fixed" else int(round(float(arg) * n))
 
 
 def _run_reps(cfg: ExperimentConfig, rep_fn, k: int):

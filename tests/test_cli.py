@@ -520,7 +520,9 @@ def test_simulate_malformed_grid_flag_is_a_usage_error(flag, value, tmp_path, ca
 
 @pytest.mark.parametrize("line, code, message", [
     ("k = abc", 1, "bad value 'abc' for 'k'"),
-    ("p_rule = ratio:x", 2, "bad p rule 'ratio:x'"),
+    ("p_rule = ratio:x", 1, "bad p rule 'ratio:x'"),
+    ("p_rule = fixed:abc", 1, "bad p rule 'fixed:abc'"),
+    ("p_rule = wide:3", 1, "bad p rule 'wide:3'"),
 ])
 def test_simulate_malformed_config_number(line, code, message, tmp_path, capsys):
     cfgfile = tmp_path / "exp.ini"

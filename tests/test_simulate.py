@@ -535,6 +535,19 @@ def test_sizes_below_one_are_rejected(preset, fields, name, tmp_path):
     ExperimentConfig(preset="ols_random_beta", n_grid=(1, 100), pool_size=1)
 
 
+@pytest.mark.parametrize("rule", ["fixed:abc", "wide:3", "ratio:x", "fixed:0", "fixed:2.5",
+                                  "ratio:-1", "ratio:nan", "fixed"])
+def test_a_malformed_p_rule_is_rejected_with_the_config(rule, tmp_path):
+    # fixed:abc and wide:3 used to pass the config and fail only at run time
+    with pytest.raises(DataValidationError, match="bad p rule"):
+        ExperimentConfig(preset="ols_constant_beta", p_rule=rule)
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(f"[experiment]\npreset = ols_constant_beta\np_rule = {rule}\n")
+    with pytest.raises(DataValidationError, match="bad p rule"):
+        load_config(cfgfile)
+    ExperimentConfig(preset="ols_constant_beta", p_rule="ratio:0.5")
+
+
 # each preset's default grid, with a pool no larger than p at some grid value;
 # the n sweeps fail at their last (ols_random_beta) and second (interp_growth)
 # points, after points that would have run
