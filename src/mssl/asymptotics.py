@@ -50,8 +50,8 @@ class AsymptoticSetting:
 class LimitReport:
     """Limiting relative risk, mixing ratio, and the term limits behind them."""
 
-    eta_inf: float
-    alpha_inf: float
+    eta_inf: float | None
+    alpha_inf: float | None
     term_limits: dict = field(default_factory=dict)
 
 
@@ -89,23 +89,22 @@ def interp_limits(s: AsymptoticSetting) -> LimitReport:
     return LimitReport(eta_inf=float(eta), alpha_inf=float(alpha), term_limits=terms)
 
 
-def finite_m_limits(gamma: float, gamma_tilde_m: float, c2: float) -> dict:
-    """Term limits when the pool is finite, with p/m -> gamma_tilde_m.
+def finite_m_limits(s: AsymptoticSetting) -> LimitReport:
+    """Term limits when the pool is finite, with p/m -> gamma_tilde (in [0, 1)).
 
-    gamma_tilde_m = 0 recovers the infinite-pool limits exactly.
+    gamma_tilde = 0 recovers the infinite-pool limits exactly.  The mode has
+    no closed-form eta or alpha, so both are None.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DataValidationError(f"gamma must be in (0, 1), got {gamma}")
-    if not 0.0 <= gamma_tilde_m < 1.0:
-        raise DataValidationError(
-            f"gamma_tilde_m must be in [0, 1), got {gamma_tilde_m}"
-        )
-    if not 0.0 < c2 < math.inf:  # a nan fails too
-        raise DataValidationError("c2 must be positive and finite")
-    one = 1.0 - gamma_tilde_m
-    return {
-        "b_u_tilde": c2 * (1.0 + one**3 - 2.0 * one**2 + gamma) / one**3,
-        "v_u_tilde": gamma / one**3,
-        "v_s_tilde": gamma / one,
-        "v_l": gamma / (1.0 - gamma),
+    g, gt = s.gamma, s.gamma_tilde
+    if not 0.0 < g < 1.0:
+        raise DataValidationError(f"gamma must be in (0, 1), got {g}")
+    if not 0.0 <= gt < 1.0:
+        raise DataValidationError(f"gamma_tilde must be in [0, 1), got {gt}")
+    one = 1.0 - gt
+    terms = {
+        "b_u_tilde": s.c2 * (1.0 + one**3 - 2.0 * one**2 + g) / one**3,
+        "v_u_tilde": g / one**3,
+        "v_s_tilde": g / one,
+        "v_l": g / (1.0 - g),
     }
+    return LimitReport(eta_inf=None, alpha_inf=None, term_limits=terms)

@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--link", default="identity", choices=["identity", "elu"],
                        help="link of --model glm; the other models are least squares")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid-size", type=int, default=51)
         p.add_argument("--blocks", type=int, default=200)
 
     fit = sub.add_parser("fit", help="fit a mixed estimator and print JSON")
@@ -87,9 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="mixing policy: 'auto' (formula), 'grid', or a fixed value in [0,1]",
     )
+    fit.add_argument("--grid-size", type=int, help="points of the --alpha grid (default 51)")
 
     diag = sub.add_parser("diagnose", help="print the mixing diagnostics only")
     add_fit_args(diag)
+    diag.set_defaults(alpha="auto", grid_size=None)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo preset")
     source = sim.add_mutually_exclusive_group()
@@ -117,6 +118,9 @@ def _read_pool(path: str):
 def _cmd_fit(args, diagnose_only: bool) -> int:
     if args.model != "glm" and args.link != "identity":
         raise DataValidationError(f"--link {args.link} applies to --model glm only")
+    if args.grid_size is not None and args.alpha != "grid":
+        raise DataValidationError("--grid-size applies to --alpha grid only")
+    grid_size = 51 if args.grid_size is None else args.grid_size
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         data = read_labeled_csv(args.labeled)
@@ -126,13 +130,12 @@ def _cmd_fit(args, diagnose_only: bool) -> int:
         return EXIT_IO
     # the command owns the array it read: centered in place, it is the fit's one copy
     pool = _center_in_place(pool.Z)
-    policy = "auto" if diagnose_only else args.alpha
-    kwargs = {"alpha_policy": policy, "seed": seed, "blocks": args.blocks}
+    kwargs = {"alpha_policy": args.alpha, "seed": seed, "blocks": args.blocks}
     if args.model == "ols":
-        report = fit_ols_pipeline(data, pool, grid_size=args.grid_size, **kwargs)
+        report = fit_ols_pipeline(data, pool, grid_size=grid_size, **kwargs)
     elif args.model == "glm":
         report = fit_glm_pipeline(
-            data, pool, link_by_name(args.link), grid_size=args.grid_size, **kwargs
+            data, pool, link_by_name(args.link), grid_size=grid_size, **kwargs
         )
     else:
         report = fit_interp_pipeline(data, pool, **kwargs)
@@ -198,17 +201,9 @@ def _cmd_limits(args) -> int:
     if args.mode == "interp" and "gamma_tilde" not in settings:
         # the default gamma_tilde = 0 lies outside interp's range
         raise DataValidationError("--mode interp needs --gamma-tilde, with 1 < gamma_tilde < gamma")
-    setting = AsymptoticSetting(gamma=args.gamma, **settings)
-    if args.mode == "finite_m":
-        payload = {
-            "eta_inf": None,
-            "alpha_inf": None,
-            "term_limits": finite_m_limits(setting.gamma, setting.gamma_tilde, setting.c2),
-        }
-    else:
-        limits = {"ols": ols_limits, "interp": interp_limits}[args.mode]
-        payload = dataclasses.asdict(limits(setting))
-    payload = {"schema_version": 1, "mode": args.mode, **payload}
+    limits = {"ols": ols_limits, "interp": interp_limits, "finite_m": finite_m_limits}[args.mode]
+    report = limits(AsymptoticSetting(gamma=args.gamma, **settings))
+    payload = {"schema_version": 1, "mode": args.mode, **dataclasses.asdict(report)}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -15,9 +15,10 @@ check of a pool builds an m x p temporary.
 
 Every Monte Carlo loop of the package, a pool pass (``_block_pass``) over
 its chunks of blocks or the presets' ``_run_reps`` over replications, maps
-a pure function over indices through one engine, ``_map_indices``, which
-may share the indices with workers forked from this process, only inside
-``simulate.run_experiment``: a library call runs its loops in its own process.
+a pure function over indices through one engine, ``_map_indices``.  Inside
+``simulate.run_experiment`` the outermost loop of two or more indices shares
+them with workers forked from this process, one per CPU, whatever the
+indices cost; a library call runs its loops in its own process.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import os
 import pickle
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,12 +73,6 @@ _STREAM_BLOCKS = 0xB10C
 # What an index of a loop came to: its result, the class name of the
 # exception it was dropped for, or any other exception it raised.
 _OK, _DROPPED, _ERROR = "ok", "dropped", "error"
-
-# The least time the indices after the first must be expected to take in one
-# process before workers are forked for them: a fork and the pages the
-# processes then copy cost several milliseconds, and a fresh process's first
-# worker may share its CPU for a while.
-_FORK_MIN_S = 0.1
 
 # True inside ``_forking``, which ``simulate.run_experiment`` enters with one
 # BLAS thread, and cleared while an engine loop runs: only the outermost loop
@@ -498,14 +492,11 @@ def _forking():
         _may_fork = saved
 
 
-def _workers(k: int, first_s: float) -> int:
-    """Processes for k indices, the first of which took ``first_s``: one per
-    CPU, at most k.  One where the other k - 1 would take less than
-    ``_FORK_MIN_S`` at that pace, without ``os.fork``, or while another
-    Python thread is alive, since a thread may hold a lock the forked child
-    would then never see released."""
-    if (k < 2 or (k - 1) * first_s < _FORK_MIN_S or not hasattr(os, "fork")
-            or threading.active_count() > 1):
+def _workers(k: int) -> int:
+    """Processes for a loop of k indices: one per CPU, at most k.  One without
+    ``os.fork`` or while another Python thread is alive, since a thread may
+    hold a lock the forked child would then never see released."""
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return min(k, _cpu_count())
 
@@ -532,29 +523,25 @@ def _map_indices(fn: Callable, k: int, drop: tuple = ()) -> tuple[list, list[str
     classes in ``drop``).  Any other exception is raised, that of the lowest
     index, as a loop over 0..k-1 would raise it.
 
-    This process runs index 0 and, from its time, picks the number of
-    processes W (``_workers``).  W is 1 outside ``_forking`` and for a loop
-    that ``fn`` runs, here or in a worker: only the outermost loop forks.  It
-    then forks W - 1 workers, which inherit what ``fn`` reads copy-on-write,
-    and runs its own share, the indices i = 0 (mod W); each worker runs one
-    other residue.  ``fn`` must be a pure function of its index, so the
-    merged results are the same bits for any W.  Each share stops at its own
-    first unexpected error, so every index below the lowest one has run; the
-    other shares still finish.  A worker sends one message, all its
-    outcomes, read here after this process's share.  Every worker is reaped
-    before this returns or raises, and killed first if it still runs then
-    (this process's share raised).
+    The loop runs on W processes (``_workers``), whatever its indices cost:
+    W is 1 outside ``_forking`` and for a loop that ``fn`` runs, here or in
+    a worker, so only the outermost loop forks.  This process forks W - 1
+    workers, which inherit what ``fn`` reads copy-on-write, and then runs its
+    own share, the indices i = 0 (mod W); each worker runs one other residue.
+    ``fn`` must be a pure function of its index, so the merged results are
+    the same bits for any W.  Each share stops at its own first unexpected
+    error, so every index below the lowest one has run; the other shares
+    still finish.  A worker sends one message, all its outcomes, read here
+    after this process's share.  Every worker is reaped before this returns
+    or raises, and killed first if it still runs then (this process's share
+    raised).
     """
     global _may_fork
+    w = _workers(k) if _may_fork else 1
     may_fork, _may_fork = _may_fork, False  # fn's own loops stay serial, as in a worker
     workers = {}  # pid: the read end of its pipe, for each worker not yet reaped
     parent = os.getpid()
     try:
-        start = time.perf_counter()
-        outcomes = _share(fn, range(min(k, 1)), drop)
-        if k and outcomes[0][0] == _ERROR:
-            raise outcomes[0][1]
-        w = _workers(k, time.perf_counter() - start) if may_fork else 1
         for r in range(1, w):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
@@ -563,7 +550,7 @@ def _map_indices(fn: Callable, k: int, drop: tuple = ()) -> tuple[list, list[str
                 _worker(fn, range(r, k, w), drop, write_fd, inherited)
             os.close(write_fd)
             workers[pid] = open(read_fd, "rb")
-        outcomes.update(_share(fn, range(w, k, w), drop))
+        outcomes = _share(fn, range(0, k, w), drop)
         for pid in list(workers):
             with workers[pid] as pipe:  # read to EOF first: a worker ends once it is read
                 payload = pipe.read()

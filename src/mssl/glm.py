@@ -178,16 +178,17 @@ _NEWTON_RIDGES = (1e-10, 1e-6, 1e-2)  # times diag(H), tried in turn
 def _newton(value, grad, hess, beta0) -> GlmFitReport:
     """Damped Newton minimization of a smooth convex objective.
 
-    Each step solves against the checked factor of the Hessian (``spd_factor``,
-    the package's one conditioning policy); a Hessian H that fails the check
-    is damped to H + r diag(H) for each r of ``_NEWTON_RIDGES`` in turn (a
-    nonpositive diagonal entry counts as the mean of |diag(H)|) before Newton
-    gives up with SingularMatrixError.  Steps are halved until the objective
-    stops increasing.  The fit has converged after a full step whose Newton
-    decrement g^T step is at most 1e-12 (1 + |f|), a rule that linear changes
-    of the coefficients leave alone (Boyd and Vandenberghe 2004, 9.5); no
-    decrease after 30 halvings, or reaching ``_NEWTON_MAX_ITER``, ends in a
-    non-converged report.
+    Each step solves against the checked factor (``spd_factor``, the
+    package's one conditioning policy) of the Hessian scaled to a unit
+    diagonal (``_newton_step``); a Hessian H that fails the check is damped
+    to H + r diag(H) for each r of ``_NEWTON_RIDGES`` in turn (a nonpositive
+    diagonal entry counts as the mean of |diag(H)|, or 1 if all are 0)
+    before Newton gives up with SingularMatrixError.  Steps are halved until
+    the objective stops increasing.  The fit has converged after a full step
+    whose Newton decrement g^T step is at most 1e-12 (1 + |f|), a rule that
+    linear changes of the coefficients leave alone (Boyd and Vandenberghe
+    2004, 9.5); no decrease after 30 halvings, or reaching
+    ``_NEWTON_MAX_ITER``, ends in a non-converged report.
     """
     beta = np.asarray(beta0, dtype=float).copy()
     f = value(beta)
@@ -210,12 +211,19 @@ def _newton(value, grad, hess, beta0) -> GlmFitReport:
 
 
 def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """H^{-1} g by the checked factor of H, damped by ``_NEWTON_RIDGES`` if it fails."""
+    """H^{-1} g, damped by ``_NEWTON_RIDGES`` if H fails the check.
+
+    The check and the solve are made on the unit-diagonal H / (d d^T),
+    d = sqrt(D), so that a scaling of the coefficients does not change
+    them: (H / (d d^T) + r I) y = g / d gives the step y / d of H + r D.
+    """
     D = np.diag(H).copy()
-    D[D <= 0.0] = np.mean(np.abs(D))
+    D[D <= 0.0] = np.mean(np.abs(D)) or 1.0
+    d = np.sqrt(D)
+    A, b = H / np.outer(d, d), g / d
     for ridge in (0.0,) + _NEWTON_RIDGES:
         try:
-            return cho_solve(spd_factor(H + np.diag(ridge * D), "Newton Hessian"), g)
+            return cho_solve(spd_factor(A + ridge * np.eye(d.size), "Newton Hessian"), b) / d
         except (SingularMatrixError, np.linalg.LinAlgError):
             pass
     raise SingularMatrixError("Newton Hessian remained singular after damping")

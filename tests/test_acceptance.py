@@ -498,7 +498,7 @@ def test_c10_asymptotics_identities():
             t = rpt.term_limits
             direct = MixRisk.from_factors(sigma2, tau2 * t["b_u"], t["v_l"], t["v_u"], t["v_u"]).eta
             worst_eta = max(worst_eta, abs(rpt.eta_inf - direct))
-            fm = finite_m_limits(gamma, 0.0, c2)
+            fm = finite_m_limits(s).term_limits
             worst_red = max(
                 worst_red,
                 abs(fm["b_u_tilde"] - t["b_u"]),

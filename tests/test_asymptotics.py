@@ -110,7 +110,9 @@ def test_interp_limits_ordering_validation():
 
 
 def test_finite_m_reduces_to_total_information():
-    out = finite_m_limits(0.5, 0.0, 25.0)
+    out = finite_m_limits(AsymptoticSetting(gamma=0.5, c2=25.0))
+    assert out.eta_inf is None and out.alpha_inf is None
+    out = out.term_limits
     rpt = ols_limits(AsymptoticSetting(gamma=0.5, c2=25.0))
     assert abs(out["b_u_tilde"] - rpt.term_limits["b_u"]) <= 1e-12
     assert abs(out["v_u_tilde"] - rpt.term_limits["v_u"]) <= 1e-12
@@ -119,17 +121,17 @@ def test_finite_m_reduces_to_total_information():
 
 
 def test_finite_m_hand_values():
-    out = finite_m_limits(0.5, 0.0, 25.0)
+    out = finite_m_limits(AsymptoticSetting(gamma=0.5, c2=25.0)).term_limits
     assert out["b_u_tilde"] == pytest.approx(12.5)  # (1+1-2+0.5)/1 * 25
-    out2 = finite_m_limits(0.5, 0.5, 25.0)
+    out2 = finite_m_limits(AsymptoticSetting(gamma=0.5, gamma_tilde=0.5, c2=25.0)).term_limits
     assert out2["v_u_tilde"] == pytest.approx(4.0)  # 0.5 / 0.125
     assert out2["v_s_tilde"] == pytest.approx(1.0)
 
 
 def test_finite_m_range_checks():
-    with pytest.raises(DataValidationError):
-        finite_m_limits(1.2, 0.0, 1.0)
-    with pytest.raises(DataValidationError):
-        finite_m_limits(0.5, 1.0, 1.0)
-    with pytest.raises(DataValidationError):
-        finite_m_limits(0.5, 0.0, 0.0)
+    with pytest.raises(DataValidationError, match="gamma must be in"):
+        finite_m_limits(AsymptoticSetting(gamma=1.2))
+    with pytest.raises(DataValidationError, match="gamma_tilde must be in"):
+        finite_m_limits(AsymptoticSetting(gamma=0.5, gamma_tilde=1.0))
+    with pytest.raises(DataValidationError, match="c2"):
+        finite_m_limits(AsymptoticSetting(gamma=0.5, c2=0.0))

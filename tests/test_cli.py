@@ -99,6 +99,46 @@ def test_fit_grid_size_below_two_is_a_usage_error(ols_files, capsys, model, size
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("files, args", [
+    ("interp_files", ["--model", "interp"]),
+    ("ols_files", ["--model", "ols", "--alpha", "auto"]),
+    ("ols_files", ["--model", "glm", "--alpha", "0.3"]),
+])
+def test_fit_grid_size_without_the_grid_policy_is_a_usage_error(files, args, request, capsys):
+    # the grid size means nothing to another mixing policy
+    labeled, pool = request.getfixturevalue(files)
+    code = main(["fit", "--labeled", str(labeled), "--pool", str(pool), *args,
+                 "--grid-size", "7", "--blocks", "20"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --grid-size applies to --alpha grid only\n"
+
+
+def test_diagnose_takes_no_grid_size(ols_files, capsys):
+    # diagnose always mixes by the formula, so it has no grid
+    labeled, pool = ols_files
+    with pytest.raises(SystemExit) as exit_:
+        main(["diagnose", "--labeled", str(labeled), "--pool", str(pool), "--model", "ols",
+              "--grid-size", "7", "--blocks", "20"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --grid-size 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["ols", "glm"])
+def test_fit_grid_policy_takes_51_points_by_default(model, ols_files, monkeypatch, capsys):
+    # the glm pipeline's own default is 21 points; the command's is 51 for both
+    import mssl.cli
+
+    seen = []
+    monkeypatch.setattr(mssl.cli, f"fit_{model}_pipeline",
+                        lambda *args, grid_size, **kwargs: seen.append(grid_size) or {})
+    labeled, pool = ols_files
+    assert main(["fit", "--labeled", str(labeled), "--pool", str(pool), "--model", model,
+                 "--alpha", "grid"]) == 0
+    assert seen == [51]
+
+
 def test_fit_interp_single_block_is_a_usage_error(interp_files, capsys):
     labeled, pool = interp_files
     code = main(["fit", "--labeled", str(labeled), "--pool", str(pool),

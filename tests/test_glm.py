@@ -194,17 +194,19 @@ def test_fits_are_deterministic():
 
 _column_scales = st.one_of(
     st.floats(-6.0, 6.0).map(lambda e: np.full(5, 10.0**e)),  # uniform
-    st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5).map(lambda e: 10.0 ** np.array(e)),
+    st.lists(st.floats(-6.0, 6.0), min_size=5, max_size=5).map(lambda e: 10.0 ** np.array(e)),
 )
 
 
 @given(st.integers(0, 2**16), _column_scales)
 @example(0, np.full(5, 1e-6))
 @example(0, np.full(5, 1e6))
+@example(0, 10.0 ** np.array([0.0, 0.0, 0.0, 3.0, -3.0]))
 @settings(max_examples=30, deadline=None)
 def test_fits_converge_and_are_equivariant_under_column_scales(seed, s):
     # X -> X diag(s) and Z -> Z diag(s) map each fit beta to beta / s: the
-    # decrement stop rule and the diagonal ridge do not see the scale
+    # decrement stop rule, the diagonal ridge and the check of the Hessian
+    # scaled to a unit diagonal do not see the scale
     ds, pool = _random_instance(seed, n=60, p=5, m=4000)
     scaled = GlmProblem(LabeledSet(ds.X * s, ds.Y), UnlabeledPool(pool.Z * s, centered=True),
                         elu_link())

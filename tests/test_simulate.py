@@ -5,9 +5,12 @@ import signal
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mssl import (
     CovarianceSpec,
@@ -259,15 +262,14 @@ def test_row_count_conservation():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets how many CPUs the Monte Carlo engine sees, and lets it fork for
-    loops of any length, so that it splits the replications and the chunks
-    of every pool pass over that many processes on any machine.  The test
-    runs as ``run_experiment`` runs a preset: with one BLAS thread, and
-    inside ``core._forking``, outside which the engine never forks."""
+    """Sets how many CPUs the Monte Carlo engine sees, so that it splits the
+    replications and the chunks of every pool pass over that many processes
+    on any machine.  The test runs as ``run_experiment`` runs a preset: with
+    one BLAS thread, and inside ``core._forking``, outside which the engine
+    never forks."""
     import mssl.core
     from mssl._blas import single_blas_thread
 
-    monkeypatch.setattr(mssl.core, "_FORK_MIN_S", 0.0)
     with single_blas_thread(), mssl.core._forking():
         yield lambda count: monkeypatch.setattr(mssl.core, "_cpu_count", lambda: count)
 
@@ -927,14 +929,23 @@ def test_run_reps_names_an_error_a_worker_cannot_send(cpus):
     _no_child_left()
 
 
-def test_run_reps_stays_serial_for_a_short_loop(cpus, monkeypatch):
+@given(st.integers(0, 8), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_every_outermost_loop_of_two_or_more_indices_forks(k, count):
+    # however little its indices cost, a loop of k >= 2 indices runs on
+    # min(k, CPUs) processes: this one and min(k, CPUs) - 1 forked workers
     import mssl.core
-    from mssl.simulate import _run_reps
+    from mssl._blas import single_blas_thread
 
-    cpus(3)
-    monkeypatch.setattr(mssl.core, "_FORK_MIN_S", 60.0)
-    out = _run_reps(_ENGINE_CFG, _index_and_pid, 6)
-    assert out == [(i, os.getpid()) for i in range(6)]
+    forks = []
+    fork = os.fork
+    with mock.patch.object(mssl.core, "_cpu_count", lambda: count), \
+            mock.patch.object(os, "fork", lambda: forks.append(None) or fork()), \
+            single_blas_thread(), mssl.core._forking():
+        out = mssl.core._map_indices(lambda i: i * i, k)
+    assert out == ([i * i for i in range(k)], [])
+    assert len(forks) == (min(k, count) - 1 if k >= 2 else 0)
+    _no_child_left()
 
 
 def test_run_reps_stays_serial_while_another_thread_runs(cpus):
@@ -1050,7 +1061,6 @@ def test_only_run_experiment_lets_the_engine_fork(monkeypatch):
     from mssl._blas import single_blas_thread
     from mssl.core import _map_indices
 
-    monkeypatch.setattr(mssl.core, "_FORK_MIN_S", 0.0)
     monkeypatch.setattr(mssl.core, "_cpu_count", lambda: 2)
     forks = _counting_forks(monkeypatch)
     with single_blas_thread():  # one BLAS thread alone does not let a library call fork
