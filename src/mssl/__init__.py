@@ -35,11 +35,13 @@ from .errors import (
     SingularMatrixError,
 )
 from .glm import (
+    DdotRiskModel,
     GlmFitReport,
     GlmPoolStats,
     GlmProblem,
     GlmSample,
     estimate_noise_glm,
+    mix_linear,
 )
 from .interp import (
     InterpRiskTerms,
@@ -63,14 +65,12 @@ from .links import (
     link_by_name,
 )
 from .ols import (
-    DdotRiskModel,
     NoiseSignal,
     OlsPoolModel,
     OlsSample,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
-    mix_linear,
     noise_signal_ols,
 )
 from .simulate import (

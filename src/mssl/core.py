@@ -239,8 +239,8 @@ class MixRisk:
     R(alpha) = floor + (1 - alpha)^2 gain + alpha^2 cost.  With R00 and R11
     the risks of the two estimators and R01 their cross term, floor = R01,
     gain = R00 - R01 and cost = R11 - R01.  Each family's pool statistics
-    fill in the three numbers (``OlsPoolModel.risk``, ``GlmPoolStats.risk``,
-    ``InterpRiskTerms.risk``), and ``se_gain`` and ``se_cost`` are the Monte
+    fill in the three numbers (``GlmPoolStats.risk``, an ``OlsPoolModel``'s
+    too, and ``InterpRiskTerms.risk``), and ``se_gain`` and ``se_cost`` are the Monte
     Carlo SEs of gain and cost, scaled like them (0 where a term is exact).
     ``terms`` is the one clipping policy for the mixing ratio, and ``curve``,
     ``minimum`` and ``eta`` evaluate the quadratic of the clipped terms.

@@ -7,7 +7,10 @@ fit and alpha = 1 the semi-supervised one.  ``GlmProblem.fit`` minimizes it
 by damped Newton-Raphson (``_newton``).  Risk factors for the mixing-ratio
 formulas come from a quadratic expansion of the losses around an evaluation
 point, with the required expectations over fresh design matrices realized
-by block resampling from the pool (``GlmPoolStats``).
+by block resampling from the pool (``GlmPoolStats``).  Least squares is the
+identity link, where the expansion is exact: ``GlmPoolStats`` is the one pool
+pass of every link, ``ols.OlsPoolModel`` is that pass at the identity link,
+and ``DdotRiskModel``, the loss-mixed risk over a ratio grid, is built by it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blas import cho_solve
+from ._blas import cho_inverse, cho_solve
 from .core import (
     LabeledSet,
     MixRisk,
@@ -39,14 +42,15 @@ from .errors import (
     SingularMatrixError,
 )
 from .links import LinkSpec
-from .ols import _check_n, _pencil, _ratio_grid, _xi, mix_linear
 
 __all__ = [
+    "DdotRiskModel",
     "GlmFitReport",
     "GlmProblem",
     "GlmPoolStats",
     "GlmSample",
     "estimate_noise_glm",
+    "mix_linear",
 ]
 
 
@@ -229,135 +233,236 @@ def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     raise SingularMatrixError("Newton Hessian remained singular after damping")
 
 
-class GlmPoolStats:
-    """One resampling pass computing every pool statistic at ``beta_eval``.
+def _check_n(n: int, built_for: int) -> None:
+    """A labeled sample of size n against statistics built for ``built_for`` rows."""
+    if n != built_for:
+        raise DataValidationError(
+            f"the labeled sample has n={n}, but its pool statistics were built for n={built_for}"
+        )
 
-    Collects the v-terms of the quadratic risk expansion, the bias factor,
-    the trace appearing in the noise-estimator denominator and (optionally)
-    the loss-mixed risk curve over a mixing-ratio grid.  ``moments``, the
-    pool's moments for one labeled size, gives the centered pool, n and H.
-    Every statistic averages over the same blocks; ``n_skipped`` counts the
-    blocks skipped as singular.  The v-terms and ``B_g_hat`` are n times their
-    squared-loss counterparts under the identity link, a scale the ratio
-    formula ignores.
 
-    The pass hands each chunk of resampled blocks (see ``core._block_pass``)
-    to one stacked kernel: F = X^T D X, X^T X, X^T D^2 X and the c vectors of
-    every block by batched products, F^{-1} by one batched inverse, and the
-    traces by ``einsum``.  Whether a block is usable is still decided per
-    block, by ``spd_factor`` of its F; a block whose blend (below) is not
-    positive definite is masked as well.
+def mix_linear(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    """Componentwise mix (1 - alpha) a + alpha b."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise DataValidationError(f"length mismatch: {a.shape} vs {b.shape}")
+    if not np.isfinite(alpha):
+        raise DataValidationError("alpha must be finite")
+    return (1.0 - alpha) * a + alpha * b
 
-    The curve needs, per block and ratio, S_alpha = (alpha H_g + (1 - alpha) F)^{-1}.
-    Each block solves the pencil (F, H_g) once (``_pencil``, shared with the
-    least-squares curve): with H_g = L_g L_g^T, eigh(L_g^{-1} F L_g^{-T}) =
-    U diag(mu) U^T and R = L_g^{-T} U give S_alpha = R diag(1/d) R^T,
-    d = alpha + (1 - alpha) mu, so the bias zeta^T S_alpha H_g S_alpha zeta is
-    sum_k w_k^2 / d_k^2 with w = R^T zeta and the variance
-    tr(S_alpha H_g S_alpha X^T X) is sum_k (R^T X^T X R)_kk / d_k^2.  The
-    eigendecompositions of a chunk are one batched ``eigh``.
+
+def _xi(alpha, n: int):
+    return 1.0 - (2.0 * alpha - alpha**2) / n
+
+
+def _ratio_grid(grid) -> np.ndarray:
+    """A pass's mixing-ratio grid as an array: at least 2 points, all in [0, 1]."""
+    alphas = np.asarray(grid, dtype=float).ravel()
+    if alphas.size < 2 or not np.all((alphas >= 0.0) & (alphas <= 1.0)):
+        raise DataValidationError("a ratio grid needs >= 2 points inside [0, 1]")
+    return alphas
+
+
+def _pencil(F: np.ndarray, L_inv: np.ndarray, alphas: np.ndarray):
+    """The pencil (F, L L^T) of a chunk of blocks, solved once for every ratio.
+
+    Per block, eigh(L^{-1} F L^{-T}) = U diag(mu) U^T gives R = L^{-T} U with
+    R^T L L^T R = I and R^T F R = diag(mu), so the blend alpha L L^T +
+    (1 - alpha) F has the inverse S_alpha = R diag(1/d) R^T, d = alpha +
+    (1 - alpha) mu: O(p^3 + A p) per block for A ratios, not O(A p^3).  A
+    block with any d <= 0 has a blend that is not positive definite and is
+    masked.  Returns that mask, mu, U and 1/d^2 (ratios x p per block).
+    """
+    mu, U = np.linalg.eigh(L_inv @ F @ L_inv.T)
+    d = alphas[:, None] + (1.0 - alphas)[:, None] * mu[..., None, :]
+    return np.all(d > 0.0, axis=(1, 2)), mu, U, 1.0 / d**2
+
+
+class DdotRiskModel:
+    """The estimated reducible error of the loss-mixed fit over a ratio grid.
+
+    Per ratio, the block-averaged bias form ``_Q`` (q x q) and variance trace
+    ``_V`` of ``GlmPoolStats``: the error at a plug-in point beta (any beta
+    at the identity link, the 1 x 1 forms' unit at other links) is
+    (beta^T Q beta + sigma^2 xi_alpha V) / n, one quadratic form per call.
     """
 
-    def __init__(
-        self,
-        moments: PopulationMoments,
-        link: LinkSpec,
-        beta_eval: np.ndarray,
-        spec: ResampleSpec,
-        alphas=None,
-    ):
-        n, pool = moments.n, moments.pool
-        if n <= pool.p:
-            raise RegimeError(f"need n > p, got n={n}, p={pool.p}")
-        beta_eval = np.asarray(beta_eval, dtype=float)
-        self.n, self.p = n, pool.p
-        self.beta_eval = beta_eval
-        self.link = link
+    def __init__(self, alphas: np.ndarray, n: int, Q: np.ndarray, V: np.ndarray):
+        self.alphas, self.n, self._Q, self._V = alphas, n, Q, V
+        self._xi = _xi(alphas, n)
 
-        Z = pool.Z
-        m = pool.m
-        eta_pool = Z @ beta_eval
-        d_pool = link.gprime(eta_pool)
-        if np.min(d_pool) <= 0.0:
-            raise LinkValidationError(
-                "g' is nonpositive somewhere on the pool; the quadratic "
-                "expansion needs a strictly increasing link there"
-            )
-        self.Hg = n * _weighted_gram(Z, np.sqrt(d_pool)) / m
-        self.exmu = n * (Z.T @ link.g(eta_pool)) / m  # total-information E_X[X^T mu]
+    def curve(self, beta_plugin: np.ndarray, sigma2_hat: float) -> np.ndarray:
+        beta = np.asarray(beta_plugin, dtype=float)
+        bias = (self._Q @ beta) @ beta
+        return (bias + sigma2_hat * self._xi * self._V) / self.n
 
-        Lg = np.tril(spd_factor(self.Hg, "H_g")[0])
-        self.v_u_g = (n - 1) / n * float(np.trace(cho_solve((Lg, True), moments.H)))
+    def argmin_alpha(self, beta_plugin: np.ndarray, sigma2_hat: float) -> float:
+        return float(self.alphas[int(np.argmin(self.curve(beta_plugin, sigma2_hat)))])
 
-        self.alphas = None if alphas is None else _ratio_grid(alphas)
-        if self.alphas is not None:
-            Lg_inv = np.linalg.inv(Lg)
+
+class GlmPoolStats:
+    """The one resampling pass of every link: each pool statistic of the risk formulas.
+
+    On the per-sample scale of least squares: v_l, v_s (each with its SE) and
+    v_u of the quadratic expansion around ``beta_eval``, the noise trace, b_u,
+    the bias form and, given ``alphas``, ``ddot`` (``DdotRiskModel``).  Every
+    statistic averages over the same blocks; ``n_skipped`` counts those whose
+    F = X^T diag(g'(X beta)) X fails ``spd_factor`` or whose blend ``_pencil``
+    masks.  ``bias=False`` skips the bias form.
+
+    With H_g = L L^T the pool Hessian, the semi-supervised fit's error is
+    H_g^{-1} zeta, zeta = E_X[X^T g(X beta)] minus the block's centered
+    X^T g(X beta).  Bias and curve are forms in W = L^{-1} zeta: the bias is
+    the covariance of W over blocks (from each chunk's sums), b_u the mean of
+    ||W||_F^2 / n, and the curve's bias at a ratio alpha is alpha^2
+    ||diag(1/d) U^T W beta||^2.  At the identity link zeta = (H - M) beta (M
+    the block's centered scatter), so W = L^T - L^{-1} M is p x p and the
+    forms take any beta (``beta_eval`` may be None); H_g = H with the cached
+    ``moments.H_factor``, F = X^T X, whose checked factor gives
+    v_l = <(X^T X)^{-1}, H> / n, and v_s = v_u = (n - 1) p / n^2 and the noise
+    trace p are exact.  At other links W is one column at ``beta_eval``.
+    """
+
+    def __init__(self, moments: PopulationMoments, link: LinkSpec, beta_eval: np.ndarray | None,
+                 spec: ResampleSpec, alphas=None, bias: bool = True):
+        n, pool, p = moments.n, moments.pool, moments.pool.p
+        if n <= p:
+            raise RegimeError(f"n={n} <= p={p}: these risk terms need n > p (use the "
+                              "interpolators module in the over-parameterized regime)")
+        linear = link.kind == "identity"
+        if beta_eval is None and not linear:
+            raise DataValidationError(f"the {link.kind} link's statistics need beta_eval")
+        self.n, self.p, self.moments, self.link = n, p, moments, link
+        self.beta_eval = None if beta_eval is None else np.asarray(beta_eval, dtype=float)
+        self.alphas = alphas = None if alphas is None else _ratio_grid(alphas)
+        self._at = self.beta_eval if linear else np.ones(1)  # where the forms are read
+        if linear:
+            self.Hg = H = moments.H
+            L = np.tril(moments.H_factor[0])
+            self.v_u = (n - 1) * p / n**2
+        else:
+            eta_pool = pool.Z @ self.beta_eval
+            d_pool = link.gprime(eta_pool)
+            if np.min(d_pool) <= 0.0:
+                raise LinkValidationError("g' is nonpositive somewhere on the pool; the quadratic "
+                                          "expansion needs a strictly increasing link there")
+            self.Hg = H = n * _weighted_gram(pool.Z, np.sqrt(d_pool)) / pool.m
+            exmu = n * (pool.Z.T @ link.g(eta_pool)) / pool.m  # E_X[X^T g(X beta)]
+            L = np.tril(spd_factor(H, "H_g")[0])
+            self.v_u = (n - 1) / n**2 * float(np.trace(cho_solve((L, True), moments.H)))
+        L_inv = np.linalg.inv(L)
 
         def kernel(X: np.ndarray):
             # X is a chunk of blocks (b, n, p); every statistic is a stack over it
-            eta = X @ beta_eval
-            d = link.gprime(eta)
-            F = (X * d[..., None]).transpose(0, 2, 1) @ X
-            ok, _ = _each_block(lambda Fb: spd_factor(Fb, "F"), F)
-            X, d, eta, F = X[ok], d[ok], eta[ok], F[ok]
-            Fi = np.linalg.inv(F)
             G = X.transpose(0, 2, 1) @ X
-            FiG = Fi @ G
-            FiG2 = Fi @ ((X * (d**2)[..., None]).transpose(0, 2, 1) @ X)
-            mu = link.g(eta)
-            c = (mu[:, None, :] @ X)[:, 0] - n * X.mean(axis=1) * mu.mean(axis=1)[:, None]
-            stats = {
-                "v_l": np.einsum("bij,bji->b", FiG, Fi @ self.Hg),
-                "v_s": (n - 1) / n * np.einsum("bii->b", FiG),
-                "trace_sigma": np.einsum("bij,bji->b", FiG, FiG2),  # noise-denominator trace
-                "c": c,
-            }
-            if self.alphas is not None:
-                keep, _, U, inv_d2 = _pencil(F, Lg_inv, self.alphas)
-                R = Lg_inv.T @ U  # R^T H_g R = I and R^T F R = diag(mu)
-                w = ((self.exmu - c)[:, None, :] @ R)[:, 0]  # w = R^T zeta
-                stats["bias"] = (inv_d2 @ (w * w)[..., None])[..., 0]
-                stats["var"] = (inv_d2 @ np.sum(R * (G @ R), axis=1)[..., None])[..., 0]
-                ok[ok] = keep
-                stats = {key: value[keep] for key, value in stats.items()}
+            if linear:
+                ok, v_l = _each_block(
+                    lambda Gb: np.vdot(cho_inverse(spd_factor(Gb, "X^T X")), H) / n, G
+                )
+                X, G = X[ok], G[ok]
+                F, xbar, stats = G, X.mean(axis=1), {"v_l": np.array(v_l, dtype=float)}
+                W = L.T - L_inv @ (G - n * (xbar[:, :, None] * xbar[:, None, :]))
+            else:
+                eta = X @ self.beta_eval
+                d = link.gprime(eta)
+                F = (X * d[..., None]).transpose(0, 2, 1) @ X
+                ok, _ = _each_block(lambda Fb: spd_factor(Fb, "F"), F)
+                X, d, eta, F, G = X[ok], d[ok], eta[ok], F[ok], G[ok]
+                Fi = np.linalg.inv(F)
+                FiG = Fi @ G
+                FiG2 = Fi @ ((X * (d**2)[..., None]).transpose(0, 2, 1) @ X)
+                stats = {
+                    "v_l": np.einsum("bij,bji->b", FiG, Fi @ H) / n,
+                    "v_s": (n - 1) / n**2 * np.einsum("bii->b", FiG),
+                    "trace_sigma": np.einsum("bij,bji->b", FiG, FiG2),
+                }
+                mu = link.g(eta)
+                c = (mu[:, None, :] @ X)[:, 0] - n * X.mean(axis=1) * mu.mean(axis=1)[:, None]
+                W = L_inv @ (exmu - c)[..., None]
+            stats["b_u"] = np.sum(W**2, axis=(1, 2)) / n
+            if alphas is not None:
+                keep, mu_k, U, inv_d2 = _pencil(F, L_inv, alphas)
+                if not keep.all():  # masking copies every stack, so only when needed
+                    ok[ok] = keep
+                    stats = {key: value[keep] for key, value in stats.items()}
+                    mu_k, U, inv_d2, W, G = mu_k[keep], U[keep], inv_d2[keep], W[keep], G[keep]
+                if not linear:  # at the identity link R^T X^T X R = R^T F R = diag(mu)
+                    R = L_inv.T @ U
+                    mu_k = np.sum(R * (G @ R), axis=1)
+                stats["var_tr"] = (inv_d2 @ mu_k[..., None])[..., 0]
+                stats["A"], stats["inv_d2"] = U.transpose(0, 2, 1) @ W, inv_d2
+            if bias:
+                W_rows = W.reshape(-1, W.shape[2])  # sum of W^T W over blocks is one product
+                stats["W"] = W.sum(axis=0, keepdims=True)
+                stats["WtW"] = (W_rows.T @ W_rows)[None]
             return ok, stats
 
         stats, self.n_skipped = _block_pass(
             spec, lambda i: resample_block(moments, spec, i), kernel
         )
+        self.n_blocks = B = stats["v_l"].size
+        self.v_l, self.se_v_l = _mean_se(stats["v_l"])
+        if linear:
+            self.v_s, self.se_v_s, self.trace_sigma = self.v_u, 0.0, float(p)
+        else:
+            self.v_s, self.se_v_s = _mean_se(stats["v_s"])
+            self.trace_sigma = float(np.mean(stats["trace_sigma"]))
+        self.b_u_hat = float(np.mean(stats["b_u"]))
+        self._bias = self.ddot = None
+        if bias:  # the covariance over blocks of W, as a form
+            W_mean = stats["W"].sum(axis=0) / B
+            self._bias = (stats["WtW"].sum(axis=0) - B * (W_mean.T @ W_mean)) / ((B - 1) * n)
+        if alphas is not None:
+            # Q = mean over blocks of alpha^2 A^T diag(1/d^2) A, upper triangle only:
+            # one block at a time, its outer products hold q^3 / 2 numbers
+            q = stats["A"].shape[2]
+            iu, ju = np.triu_indices(q)
+            Q_upper = np.zeros((alphas.size, iu.size))
+            for A, w in zip(stats["A"], stats["inv_d2"]):
+                Q_upper += w @ (A[:, iu] * A[:, ju])
+            Q = np.empty((alphas.size, q, q))
+            Q[:, iu, ju] = Q[:, ju, iu] = Q_upper * (alphas**2 / B)[:, None]
+            self.ddot = DdotRiskModel(alphas, n, Q, stats["var_tr"].mean(axis=0))
 
-        def _mean_se(arr):
-            return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+    def _point(self) -> np.ndarray:
+        if self._at is None:
+            raise DataValidationError("the pass was built without beta_eval")
+        return self._at
 
-        self.v_l_g, self.se_v_l_g = _mean_se(stats["v_l"])
-        self.v_s_g, self.se_v_s_g = _mean_se(stats["v_s"])
-        self.trace_sigma = float(np.mean(stats["trace_sigma"]))
+    @property
+    def B_hat(self) -> float:
+        """The bias at ``beta_eval``."""
+        return self.bias_at(self._point())
 
-        C = stats["c"]
-        U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
-        self.B_g_hat = float(np.sum(U * U) / (C.shape[0] - 1))
-        if self.alphas is not None:
-            self._curve_bias, self._curve_var = stats["bias"], stats["var"]
+    def bias_at(self, beta: np.ndarray) -> float:
+        """beta^T Var(W) beta / n, the bias at a plug-in beta (identity link)."""
+        if self._bias is None:
+            raise DataValidationError("model was built with bias=False")
+        beta = np.asarray(beta, dtype=float)
+        return float(beta @ self._bias @ beta)
 
     def sigma2_denominator(self) -> float:
         return self.n - 2 * self.p + self.trace_sigma
 
-    def risk(self, sigma2: float) -> MixRisk:
-        """The coefficient mix's risk at noise level sigma2 (``MixRisk.from_factors``)."""
-        return MixRisk.from_factors(sigma2, self.B_g_hat, self.v_l_g, self.v_u_g, self.v_s_g,
-                                    self.se_v_l_g, self.se_v_s_g)
+    def risk(self, sigma2: float, B: float | None = None) -> MixRisk:
+        """The coefficient mix's risk at noise sigma2 and bias B (default ``B_hat``)."""
+        return MixRisk.from_factors(sigma2, self.B_hat if B is None else B, self.v_l,
+                                    self.v_u, self.v_s, self.se_v_l, self.se_v_s)
 
     def ddot_curve(self, sigma2_hat: float) -> np.ndarray:
-        """The loss-mixed fit's estimated risk at each ratio of ``alphas``, averaged over blocks."""
-        if self.alphas is None:
+        """The loss-mixed fit's estimated risk at each ratio of ``alphas``, at ``beta_eval``."""
+        if self.ddot is None:
             raise DataValidationError("stats were built without a mixing-ratio grid")
-        xi = _xi(self.alphas, self.n)
-        rows = self.alphas**2 * self._curve_bias + xi * sigma2_hat * self._curve_var
-        return rows.mean(axis=0)
+        return self.ddot.curve(self._point(), sigma2_hat)
 
     def argmin_alpha(self, sigma2_hat: float) -> float:
         """The ratio of ``alphas`` at which ``ddot_curve`` is least."""
         return float(self.alphas[int(np.argmin(self.ddot_curve(sigma2_hat)))])
+
+
+def _mean_se(arr: np.ndarray) -> tuple[float, float]:
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 def estimate_noise_glm(
@@ -434,9 +539,7 @@ class GlmSample:
     @cached_property
     def alpha_grid(self) -> float | None:
         """Argmin of the loss-mixed curve; None when the stats have no grid."""
-        if self.stats.alphas is None:
-            return None
-        return self.stats.argmin_alpha(self.sigma2_hat)
+        return None if self.stats.ddot is None else self.stats.argmin_alpha(self.sigma2_hat)
 
     def linear(self, alpha: float) -> np.ndarray:
         return mix_linear(self.beta_hat, self.beta_breve, alpha)

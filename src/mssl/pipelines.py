@@ -113,7 +113,7 @@ def fit_glm_pipeline(
     link: LinkSpec,
     alpha_policy="auto",
     seed: int = 0,
-    grid_size: int = 21,
+    grid_size: int = 51,
     blocks: int = 200,
 ) -> dict:
     """General-link fit with a data-driven mixing ratio."""
@@ -125,17 +125,17 @@ def fit_glm_pipeline(
     s = GlmSample(data_c, moments, link, spec, grid)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     coeffs = s.loss(alpha)
-    stats = s.stats
+    stats, n = s.stats, data.n  # the factors are reported on the n-scale of H_g
     diags = {
-        "v_l": stats.v_l_g,
-        "v_u": stats.v_u_g,
-        "B_hat": stats.B_g_hat,
+        "v_l": n * stats.v_l,
+        "v_u": n * stats.v_u,
+        "B_hat": n * stats.B_hat,
         "sigma2_hat": s.sigma2_hat,
         "tau2_hat": None,
         "alpha_hat": stats.risk(s.sigma2_hat).raw,
         "alpha_tilde": s.alpha_grid,
-        "se": {"v_l": stats.se_v_l_g, "v_s": stats.se_v_s_g},
-        "v_s": stats.v_s_g,
+        "se": {"v_l": n * stats.se_v_l, "v_s": n * stats.se_v_s},
+        "v_s": n * stats.v_s,
     }
     return _report("glm", link.kind, data, moments, alpha, source, coeffs, diags,
                    converged=s.nonconverged == 0)

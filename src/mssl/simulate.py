@@ -980,17 +980,25 @@ def load_config(path) -> ExperimentConfig:
 
     Expected shape: an ``[experiment]`` section whose keys mirror the config
     fields; grids are comma-separated lists (``sigma2_grid``, ``n_grid``,
-    ``estimators``).
+    ``estimators``).  A file that cannot be read or parsed (UTF-8) raises
+    DataValidationError naming the path and the cause.
     """
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read or "experiment" not in parser:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        items = parser.items("experiment") if parser.has_section("experiment") else None
+    except OSError as exc:
+        raise DataValidationError(f"{path}: cannot read the file ({exc.strerror})") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        cause = " ".join(str(exc).split())  # configparser's messages span lines
+        raise DataValidationError(f"{path}: malformed config file: {cause}") from exc
+    if items is None:
         raise DataValidationError(f"{path}: missing [experiment] section")
-    section = parser["experiment"]
     kwargs: dict = {}
-    for key, raw in section.items():
+    for key, raw in items:
         if key not in _CONFIG_KEYS:
             raise DataValidationError(f"{path}: unknown config key {key!r}")
         try:

@@ -361,7 +361,7 @@ def test_c6_wishart_closed_forms():
 def test_c7_glm_elu_suite(glm_run, glm_sweep_run):
     t0 = time.time()
     oq = glm_run.extras["oracle_terms"]
-    gap_ok = oq.v_l_g - oq.v_u_g > 3.0 * oq.se_v_l_g
+    gap_ok = oq.v_l - oq.v_u > 3.0 * oq.se_v_l
 
     pr = _pairs(glm_run)[("supervised", "loss_mixed_grid", 25.0)]
     sig_ok = pr.mean_diff > 0 and pr.p < 0.05
@@ -374,7 +374,7 @@ def test_c7_glm_elu_suite(glm_run, glm_sweep_run):
     ok = gap_ok and sig_ok and argmin_ok and interior_ok
     _report(
         "7", ok,
-        f"v_l-v_u={oq.v_l_g - oq.v_u_g:.2f} > 3se={3*oq.se_v_l_g:.2f}; "
+        f"v_l-v_u={oq.v_l - oq.v_u:.4f} > 3se={3*oq.se_v_l:.4f}; "
         f"outer p={pr.p:.2g}; sweep argmin {mc_argmin:.2f} vs oracle {oracle:.2f}", t0,
     )
     assert gap_ok

@@ -573,6 +573,27 @@ def test_simulate_malformed_config_number(line, code, message, tmp_path, capsys)
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[experiment]\npreset = glm_elu\nk = 3\nk = 4\n", "option 'k'"),
+    (b"[experiment]\npreset = glm_elu\n[experiment]\nk = 3\n", "section 'experiment'"),
+    (b"preset = glm_elu\n", "no section headers"),
+    (b"[experiment]\npreset = glm_elu\ngarbage line\n", "parsing errors"),
+    (b"[experiment]\npreset = glm\xff\n", "can't decode byte 0xff"),
+    (None, "cannot read the file"),
+], ids=["duplicate-option", "duplicate-section", "no-header", "unparsable-line",
+        "not-utf8", "missing-file"])
+def test_simulate_unreadable_config_is_one_error_line(content, message, tmp_path, capsys):
+    # each used to end in a traceback; a missing file reported a missing section
+    cfgfile, out = tmp_path / "exp.ini", tmp_path / "out"
+    if content is not None:
+        cfgfile.write_bytes(content)
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfgfile}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preset", ["ols_random_beta", "glm_alpha_sweep", "interp_growth"])
 def test_simulate_rejects_a_sigma2_grid_the_preset_does_not_sweep(
     preset, tmp_path, capsys, monkeypatch

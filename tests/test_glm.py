@@ -247,33 +247,57 @@ def test_gradients_match_finite_differences(which):
 
 
 def test_identity_link_collapses_v_terms():
+    # v_s = v_u = (n - 1) p / n^2, the noise trace p and the noise
+    # denominator n - p hold exactly, not to Monte Carlo error
     rng = seeded_rng(14)
     n, p = 25, 3
     pool = UnlabeledPool(rng.standard_normal((2000, p)))
-    spec = ResampleSpec(80, 1)
-    q = GlmPoolStats(build_moments(pool, n), identity_link(), np.ones(p), spec)
-    expected = (n - 1) * p / n
-    assert q.v_u_g == pytest.approx(expected, rel=1e-10)
-    assert q.v_s_g == pytest.approx(expected, rel=1e-10)
+    q = GlmPoolStats(build_moments(pool, n), identity_link(), np.ones(p), ResampleSpec(80, 1))
+    assert q.v_u == q.v_s == (n - 1) * p / n**2
+    assert q.se_v_s == 0.0
+    assert q.trace_sigma == p
+    assert q.sigma2_denominator() == n - p
 
 
-def test_identity_link_v_l_is_n_times_ols_v_l():
-    # at the identity link the general-link pass is n times the least-squares
-    # one: v_l, the bias at the evaluation point and the loss-mixed curve
+def test_ols_pool_model_is_the_identity_link_pass():
     rng = seeded_rng(15)
     n, p = 25, 3
-    pool = UnlabeledPool(rng.standard_normal((2000, p)))
-    spec = ResampleSpec(80, 2)
-    grid = np.linspace(0.0, 1.0, 11)
-    beta = rng.standard_normal(p)
-    q = GlmPoolStats(build_moments(pool, n), identity_link(), beta, spec, grid)
-    ols_terms = OlsPoolModel(build_moments(pool, n), spec, grid=grid)
-    assert q.v_l_g == pytest.approx(n * ols_terms.v_l, rel=1e-10)
-    assert q.B_g_hat == pytest.approx(n * ols_terms.bias_at(beta), rel=1e-12)
+    moments = build_moments(UnlabeledPool(rng.standard_normal((2000, p)) + 0.5), n)
+    spec, grid, beta = ResampleSpec(80, 2), np.linspace(0.0, 1.0, 11), rng.standard_normal(p)
+    ols = OlsPoolModel(moments, spec, grid=grid)
+    glm = GlmPoolStats(moments, identity_link(), None, spec, grid)
+    for name in ("v_l", "se_v_l", "v_u", "v_s", "se_v_s", "trace_sigma", "b_u_hat",
+                 "n_skipped", "n_blocks"):
+        assert getattr(ols, name) == getattr(glm, name), name
+    for a, b in ((ols._bias, glm._bias), (ols.ddot._Q, glm.ddot._Q), (ols.ddot._V, glm.ddot._V)):
+        assert a.tobytes() == b.tobytes()
+    assert ols.bias_at(beta) == glm.bias_at(beta)
+    with pytest.raises(DataValidationError, match="beta_eval"):
+        glm.B_hat
+
+
+def test_identity_link_sample_matches_the_least_squares_sample():
+    # the Newton fits, noise estimate and both mixing ratios of the GLM sample
+    # at the identity link are those of the least-squares sample
+    from mssl import GlmSample, OlsSample
+
+    rng = seeded_rng(15)
+    n, p = 40, 4
+    data, pool = _random_instance(15, n=n, p=p, m=3000, link=identity_link(), sigma=2.0,
+                                  beta=0.3 * rng.standard_normal(p))
+    moments = build_moments(pool, n)
+    data = LabeledSet(data.X - moments.mean, data.Y)
+    spec, grid = ResampleSpec(80, 2), np.linspace(0.0, 1.0, 11)
+    glm = GlmSample(data, moments, identity_link(), spec, grid)
+    ols = OlsSample(data, OlsPoolModel(moments, spec, grid=grid))
+    np.testing.assert_allclose(glm.beta_breve, ols.beta_breve, rtol=1e-10)
+    assert glm.sigma2_hat == pytest.approx(ols.sigma2_hat, rel=1e-10)
+    assert glm.stats.B_hat == pytest.approx(ols.B_hat, rel=1e-10)
+    assert glm.alpha_hat == pytest.approx(ols.alpha_hat, rel=1e-10)
+    assert glm.alpha_grid == ols.alpha_grid
     for sigma2 in (0.5, 4.0):
-        curve = q.ddot_curve(sigma2)
-        np.testing.assert_allclose(curve, n * ols_terms.ddot.curve(beta, sigma2), rtol=1e-12)
-        assert q.argmin_alpha(sigma2) == ols_terms.ddot.argmin_alpha(beta, sigma2)
+        np.testing.assert_allclose(glm.stats.ddot_curve(sigma2),
+                                   ols.model.ddot.curve(glm.beta_breve, sigma2), rtol=1e-10)
 
 
 def test_elu_at_zero_matches_identity_terms():
@@ -284,9 +308,15 @@ def test_elu_at_zero_matches_identity_terms():
     spec = ResampleSpec(60, 3)
     q_elu = GlmPoolStats(build_moments(pool, n), elu_link(), np.zeros(p), spec)
     q_id = GlmPoolStats(build_moments(pool, n), identity_link(), np.zeros(p), spec)
-    assert q_elu.v_l_g == pytest.approx(q_id.v_l_g, rel=1e-10)
-    assert q_elu.v_s_g == pytest.approx(q_id.v_s_g, rel=1e-10)
+    assert q_elu.v_l == pytest.approx(q_id.v_l, rel=1e-10)
+    assert q_elu.v_s == pytest.approx(q_id.v_s, rel=1e-10)
     np.testing.assert_allclose(q_elu.Hg, q_id.Hg, rtol=1e-10)
+
+
+def test_pool_stats_need_beta_eval_away_from_the_identity_link():
+    pool = UnlabeledPool(seeded_rng(17).standard_normal((200, 2)))
+    with pytest.raises(DataValidationError, match="beta_eval"):
+        GlmPoolStats(build_moments(pool, 10), elu_link(), None, ResampleSpec(10, 0))
 
 
 def test_nonpositive_gprime_rejected():
@@ -466,8 +496,8 @@ def test_curvature_condition_on_elu_pool():
     n, p = 50, 10
     pool = UnlabeledPool(rng.standard_normal((4000, p)))
     q = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 2.0), ResampleSpec(150, 9))
-    assert q.v_l_g + q.v_u_g - 2 * q.v_s_g > 0
-    assert q.v_l_g > q.v_u_g
+    assert q.v_l + q.v_u - 2 * q.v_s > 0
+    assert q.v_l > q.v_u
 
 
 def _glm_curve_per_ratio_reference(stats, moments, spec, sigma2):
@@ -475,16 +505,17 @@ def _glm_curve_per_ratio_reference(stats, moments, spec, sigma2):
     from scipy.linalg import cho_factor, cho_solve
 
     from mssl import resample_block
-    from mssl.ols import _xi
+    from mssl.glm import _xi
 
     n, alphas, beta = stats.n, stats.alphas, stats.beta_eval
+    exmu = _exmu(stats)
     rows = []
     for i in range(spec.replications):
         Xb = resample_block(moments, spec, i)
         F = (Xb * stats.link.gprime(Xb @ beta)[:, None]).T @ Xb
         G = Xb.T @ Xb
         mu = stats.link.g(Xb @ beta)
-        zeta = stats.exmu - (Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean())
+        zeta = exmu - (Xb.T @ mu - n * Xb.mean(axis=0) * mu.mean())
         bias = np.empty(alphas.size)
         var = np.empty(alphas.size)
         for j, a in enumerate(alphas):
@@ -493,7 +524,13 @@ def _glm_curve_per_ratio_reference(stats, moments, spec, sigma2):
             bias[j] = Sz @ stats.Hg @ Sz
             var[j] = np.trace(cho_solve(factor, stats.Hg) @ cho_solve(factor, G))
         rows.append(alphas**2 * bias + _xi(alphas, n) * sigma2 * var)
-    return np.mean(rows, axis=0)
+    return np.mean(rows, axis=0) / n
+
+
+def _exmu(stats):
+    """n E_X[X^T g(X beta_eval)] over the pool of the stats' moments."""
+    Z = stats.moments.pool.Z
+    return stats.n * (Z.T @ stats.link.g(Z @ stats.beta_eval)) / Z.shape[0]
 
 
 def test_pool_stats_curve_matches_per_ratio_factorization():
@@ -515,7 +552,7 @@ def test_pool_stats_curve_supervised_endpoint():
     stats = GlmPoolStats(build_moments(pool, n), elu_link(), np.full(p, 1.5),
                          ResampleSpec(30, 4), alphas=np.linspace(0.0, 1.0, 11))
     s2 = 3.0
-    assert stats.ddot_curve(s2)[0] == pytest.approx(s2 * stats.v_l_g, rel=1e-10)
+    assert stats.ddot_curve(s2)[0] == pytest.approx(s2 * stats.v_l, rel=1e-10)
 
 
 @given(
@@ -558,7 +595,7 @@ def test_pool_stats_count_skipped_blocks_like_the_ols_model():
     stats = GlmPoolStats(build_moments(pool, 4), identity_link(), np.zeros(3), spec,
                          alphas=np.linspace(0, 1, 5))
     assert stats.n_skipped == OlsPoolModel(build_moments(pool, 4), spec).n_skipped == 5
-    assert stats._curve_bias.shape == (95, 5)
+    assert stats.n_blocks == 95
 
 
 # -- the stacked block pass -----------------------------------------------------
@@ -574,6 +611,7 @@ def _glm_per_block_reference(stats, moments, spec):
     from mssl.core import spd_factor
 
     n, link, beta, alphas = stats.n, stats.link, stats.beta_eval, stats.alphas
+    exmu = _exmu(stats)
     Lg = np.linalg.cholesky(stats.Hg)
     Lg_inv = solve_triangular(Lg, np.eye(stats.p), lower=True)
     terms, cs, bias, var = [], [], [], []
@@ -596,7 +634,7 @@ def _glm_per_block_reference(stats, moments, spec):
         mu_k, U = np.linalg.eigh(Lg_inv @ F @ Lg_inv.T)
         R = Lg_inv.T @ U
         inv_d2 = 1.0 / (alphas[:, None] + (1.0 - alphas)[:, None] * mu_k) ** 2
-        w = R.T @ (stats.exmu - c)
+        w = R.T @ (exmu - c)
         bias.append(inv_d2 @ (w * w))
         var.append(inv_d2 @ np.sum(R * (G @ R), axis=0))
     return np.array(terms), np.array(cs), np.array(bias), np.array(var), Lg
@@ -611,31 +649,34 @@ def test_pool_stats_match_the_per_block_formulas():
     stats = GlmPoolStats(moments, elu_link(), 0.4 * rng.standard_normal(p), spec,
                          alphas=np.round(np.linspace(0.0, 1.0, 21), 10))
     terms, C, bias, var, Lg = _glm_per_block_reference(stats, moments, spec)
+    terms[:, :2] /= n  # v_l and v_s on the per-sample scale
     mean = terms.mean(axis=0)
     se = terms.std(axis=0, ddof=1) / np.sqrt(terms.shape[0])
-    got = [stats.v_l_g, stats.v_s_g, stats.trace_sigma]
+    got = [stats.v_l, stats.v_s, stats.trace_sigma]
     np.testing.assert_allclose(got, mean, rtol=1e-12)
-    np.testing.assert_allclose([stats.se_v_l_g, stats.se_v_s_g], se[:2], rtol=1e-12)
+    np.testing.assert_allclose([stats.se_v_l, stats.se_v_s], se[:2], rtol=1e-12)
     U = np.linalg.solve(Lg, (C - C.mean(axis=0)).T).T
-    assert stats.B_g_hat == pytest.approx(np.sum(U * U) / (C.shape[0] - 1), rel=1e-12)
-    np.testing.assert_allclose(stats._curve_bias, bias, rtol=1e-12)
-    np.testing.assert_allclose(stats._curve_var, var, rtol=1e-12)
+    assert stats.B_hat == pytest.approx(np.sum(U * U) / (C.shape[0] - 1) / n, rel=1e-12)
+    np.testing.assert_allclose(stats.ddot._Q[:, 0, 0], stats.alphas**2 * bias.mean(axis=0),
+                               rtol=1e-12)
+    np.testing.assert_allclose(stats.ddot._V, var.mean(axis=0), rtol=1e-12)
 
 
 def _pool_stats_numbers(pool, n, link, beta, spec, alphas):
     stats = GlmPoolStats(build_moments(pool, n), link, beta, spec, alphas=alphas)
-    numbers = [stats.v_l_g, stats.se_v_l_g, stats.v_s_g, stats.se_v_s_g, stats.B_g_hat,
-               stats.trace_sigma, *stats._curve_bias.ravel(), *stats._curve_var.ravel()]
+    numbers = [stats.v_l, stats.se_v_l, stats.v_s, stats.se_v_s, stats.B_hat,
+               stats.trace_sigma, stats.b_u_hat, *stats.ddot._Q.ravel(), *stats.ddot._V]
     return stats.n_skipped, np.array(numbers)
 
 
-def test_pool_stats_do_not_depend_on_the_chunking(monkeypatch):
+@pytest.mark.parametrize("link", [identity_link(), elu_link()], ids=["identity", "elu"])
+def test_pool_stats_do_not_depend_on_the_chunking(link, monkeypatch):
     import mssl.core
 
     rng = seeded_rng(35)
     n, p = 30, 5
     pool = UnlabeledPool(rng.standard_normal((3000, p)) + 0.3)
-    args = (pool, n, elu_link(), np.full(p, 0.6), ResampleSpec(25, 6), np.linspace(0, 1, 7))
+    args = (pool, n, link, np.full(p, 0.6), ResampleSpec(25, 6), np.linspace(0, 1, 7))
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)  # one block per chunk
     _, one = _pool_stats_numbers(*args)
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1 << 30)  # every block in one chunk

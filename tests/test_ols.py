@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from mssl import (
     DataValidationError,
+    GlmPoolStats,
     LabeledSet,
     MixRisk,
     OlsPoolModel,
@@ -17,6 +18,7 @@ from mssl import (
     SingularMatrixError,
     UnlabeledPool,
     build_moments,
+    elu_link,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
@@ -680,9 +682,15 @@ def test_pool_model_matches_the_per_block_formulas():
                                atol=1e-15 * np.abs(model._bias).max())
 
 
-def _pool_model_numbers(moments, spec, grid, beta):
-    model = OlsPoolModel(moments, spec, grid=grid)
-    numbers = [model.v_l, model.se_v_l, model.b_u_hat, model.bias_at(beta)]
+def _pool_model_numbers(moments, spec, grid, beta, link=None):
+    """The statistics of ``OlsPoolModel`` at ``beta``, or of ``GlmPoolStats`` at ``link``."""
+    if link is None:
+        model = OlsPoolModel(moments, spec, grid=grid)
+        numbers = [model.v_l, model.se_v_l, model.b_u_hat, model.bias_at(beta)]
+    else:
+        model = GlmPoolStats(moments, link, beta, spec, grid)
+        numbers = [model.v_l, model.se_v_l, model.v_s, model.se_v_s, model.trace_sigma,
+                   model.b_u_hat, model.B_hat]
     if grid is not None:
         numbers += [*model.ddot._V, *model.ddot._Q.ravel()]
     return model.n_skipped, np.array(numbers)
@@ -719,11 +727,12 @@ def test_pool_model_skips_singular_blocks_inside_a_chunk(monkeypatch):
                                atol=1e-13 * np.abs(runs[1][1]).max())
 
 
-def test_pool_model_leaves_a_block_with_a_masked_blend_out_of_every_statistic(monkeypatch):
+@pytest.mark.parametrize("link", [None, elu_link()], ids=["identity", "elu"])
+def test_pool_model_leaves_a_block_with_a_masked_blend_out_of_every_statistic(link, monkeypatch):
     # a block whose blend is not positive definite is masked by the pencil; the
     # pass then equals one over the other blocks (one block per chunk in both)
     import mssl.core
-    import mssl.ols
+    import mssl.glm
     from mssl import resample_block
 
     rng = seeded_rng(28)
@@ -732,20 +741,20 @@ def test_pool_model_leaves_a_block_with_a_masked_blend_out_of_every_statistic(mo
     spec = ResampleSpec(20, 15)
     grid, beta = np.linspace(0, 1, 6), rng.standard_normal(p)
     monkeypatch.setattr(mssl.core, "_CHUNK_BYTES", 1)
-    pencil, calls = mssl.ols._pencil, []
+    pencil, calls = mssl.glm._pencil, []
 
     def mask_block_2(F, L_inv, alphas):
         keep, *rest = pencil(F, L_inv, alphas)
         calls.append(F)
         return (keep & (len(calls) != 3), *rest)
 
-    monkeypatch.setattr(mssl.ols, "_pencil", mask_block_2)
-    masked = _pool_model_numbers(mom, spec, grid, beta)
-    monkeypatch.setattr(mssl.ols, "_pencil", pencil)
+    monkeypatch.setattr(mssl.glm, "_pencil", mask_block_2)
+    masked = _pool_model_numbers(mom, spec, grid, beta, link)
+    monkeypatch.setattr(mssl.glm, "_pencil", pencil)
     others = [i for i in range(spec.replications) if i != 2]
-    monkeypatch.setattr(mssl.ols, "resample_block",
+    monkeypatch.setattr(mssl.glm, "resample_block",
                         lambda m, s, i: resample_block(mom, spec, others[i]))
-    full = _pool_model_numbers(mom, ResampleSpec(len(others), 15), grid, beta)
+    full = _pool_model_numbers(mom, ResampleSpec(len(others), 15), grid, beta, link)
     assert len(calls) == spec.replications
     assert masked[0] == 1 and full[0] == 0
     np.testing.assert_allclose(masked[1], full[1], rtol=1e-13, atol=1e-13 * np.abs(full[1]).max())

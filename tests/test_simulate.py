@@ -984,8 +984,8 @@ def _pool_statistics() -> list[bytes]:
     wide = build_moments(UnlabeledPool(rng.standard_normal((300, 16)) + 1.0), 6)
     interp = interp_risk_terms(wide.Exx, pool_sampler(wide.pool, 6), ResampleSpec(30, 9))
     values = [ols.v_l, ols.se_v_l, ols.b_u_hat, ols.n_skipped, ols.bias_at(beta),
-              ols.ddot.curve(beta, 2.0), glm.v_l_g, glm.se_v_l_g, glm.v_s_g, glm.se_v_s_g,
-              glm.trace_sigma, glm.B_g_hat, glm.ddot_curve(2.0), *vars(interp).values()]
+              ols.ddot.curve(beta, 2.0), glm.v_l, glm.se_v_l, glm.v_s, glm.se_v_s,
+              glm.trace_sigma, glm.B_hat, glm.ddot_curve(2.0), *vars(interp).values()]
     return [np.asarray(v, dtype=float).tobytes() for v in values]
 
 
