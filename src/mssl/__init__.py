@@ -41,11 +41,15 @@ from .glm import (
     GlmProblem,
     GlmSample,
     estimate_noise_glm,
+    fit_loss_mixed_ols,
+    fit_ols_semisupervised,
+    fit_ols_supervised,
     mix_linear,
 )
 from .interp import (
     InterpRiskTerms,
     InterpSample,
+    NoiseSignal,
     fit_min_norm,
     fit_min_variance,
     interp_risk_terms,
@@ -64,15 +68,7 @@ from .links import (
     identity_link,
     link_by_name,
 )
-from .ols import (
-    NoiseSignal,
-    OlsPoolModel,
-    OlsSample,
-    fit_loss_mixed_ols,
-    fit_ols_semisupervised,
-    fit_ols_supervised,
-    noise_signal_ols,
-)
+from .ols import OlsPoolModel
 from .simulate import (
     BetaMode,
     CovarianceSpec,

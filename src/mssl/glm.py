@@ -8,9 +8,13 @@ by damped Newton-Raphson (``_newton``).  Risk factors for the mixing-ratio
 formulas come from a quadratic expansion of the losses around an evaluation
 point, with the required expectations over fresh design matrices realized
 by block resampling from the pool (``GlmPoolStats``).  Least squares is the
-identity link, where the expansion is exact: ``GlmPoolStats`` is the one pool
-pass of every link, ``ols.OlsPoolModel`` is that pass at the identity link,
-and ``DdotRiskModel``, the loss-mixed risk over a ratio grid, is built by it.
+identity link, where the loss is the squared loss and the expansion is
+exact: its minimizers have closed forms (``fit_ols_supervised``,
+``fit_ols_semisupervised``, ``fit_loss_mixed_ols``), which ``GlmSample``,
+the one per-sample object of every link, uses there in place of Newton.
+``GlmPoolStats`` is the one pool pass of every link, ``ols.OlsPoolModel`` is
+that pass at the identity link, and ``DdotRiskModel``, the loss-mixed risk
+over a ratio grid, is built by it.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ __all__ = [
     "GlmPoolStats",
     "GlmSample",
     "estimate_noise_glm",
+    "fit_loss_mixed_ols",
+    "fit_ols_semisupervised",
+    "fit_ols_supervised",
     "mix_linear",
 ]
 
@@ -252,6 +259,39 @@ def mix_linear(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - alpha) * a + alpha * b
 
 
+def fit_ols_supervised(data: LabeledSet) -> np.ndarray:
+    """Least-squares coefficients (X^T X)^{-1} X^T Y."""
+    return cho_solve(spd_factor(data.gram, "X^T X"), data.xty)
+
+
+def fit_ols_semisupervised(data: LabeledSet, moments: PopulationMoments) -> np.ndarray:
+    """Semi-supervised coefficients H^{-1}(X^T Y - n Xbar Ybar).
+
+    Solves against ``moments.H_factor``, so H is factored once per moments
+    object however many samples are fit against it.  H = n Exx must be built
+    for the sample's n.
+    """
+    _check_n(data.n, moments.n)
+    return cho_solve(moments.H_factor, data.xty - data.n * data.xbar * data.ybar)
+
+
+def fit_loss_mixed_ols(
+    data: LabeledSet, moments: PopulationMoments, alpha: float
+) -> np.ndarray:
+    """Minimizer of the blended squared loss.
+
+    Closed form S_alpha (X^T Y - alpha n Xbar Ybar) with
+    S_alpha = (alpha H + (1 - alpha) X^T X)^{-1}; equals the supervised fit
+    at alpha = 0 and the semi-supervised one at alpha = 1.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise DataValidationError(f"alpha must be in [0, 1], got {alpha}")
+    _check_n(data.n, moments.n)
+    blend = alpha * moments.H + (1.0 - alpha) * data.gram
+    rhs = data.xty - alpha * data.n * data.xbar * data.ybar
+    return cho_solve(spd_factor(blend, "alpha H + (1-alpha) X^T X"), rhs)
+
+
 def _xi(alpha, n: int):
     return 1.0 - (2.0 * alpha - alpha**2) / n
 
@@ -336,7 +376,6 @@ class GlmPoolStats:
         self.n, self.p, self.moments, self.link = n, p, moments, link
         self.beta_eval = None if beta_eval is None else np.asarray(beta_eval, dtype=float)
         self.alphas = alphas = None if alphas is None else _ratio_grid(alphas)
-        self._at = self.beta_eval if linear else np.ones(1)  # where the forms are read
         if linear:
             self.Hg = H = moments.H
             L = np.tril(moments.H_factor[0])
@@ -425,22 +464,33 @@ class GlmPoolStats:
             Q[:, iu, ju] = Q[:, ju, iu] = Q_upper * (alphas**2 / B)[:, None]
             self.ddot = DdotRiskModel(alphas, n, Q, stats["var_tr"].mean(axis=0))
 
-    def _point(self) -> np.ndarray:
-        if self._at is None:
-            raise DataValidationError("the pass was built without beta_eval")
-        return self._at
+    def _point(self, beta: np.ndarray | None) -> np.ndarray:
+        """Where the forms are read for a plug-in beta (None: ``beta_eval``): beta
+        itself at the identity link, the 1 x 1 forms' unit at ``beta_eval`` elsewhere."""
+        if beta is None:
+            beta = self.beta_eval
+            if beta is None:
+                raise DataValidationError("the pass was built without beta_eval")
+        beta = np.asarray(beta, dtype=float)
+        if self.link.kind == "identity":
+            return beta
+        if not np.array_equal(beta, self.beta_eval):
+            raise DataValidationError(
+                f"the {self.link.kind} link's forms are read at beta_eval only"
+            )
+        return np.ones(1)
 
     @property
     def B_hat(self) -> float:
         """The bias at ``beta_eval``."""
-        return self.bias_at(self._point())
+        return self.bias_at(None)
 
-    def bias_at(self, beta: np.ndarray) -> float:
-        """beta^T Var(W) beta / n, the bias at a plug-in beta (identity link)."""
+    def bias_at(self, beta: np.ndarray | None) -> float:
+        """The bias at a plug-in beta: any beta at the identity link, ``beta_eval`` elsewhere."""
         if self._bias is None:
             raise DataValidationError("model was built with bias=False")
-        beta = np.asarray(beta, dtype=float)
-        return float(beta @ self._bias @ beta)
+        at = self._point(beta)
+        return float(at @ self._bias @ at)
 
     def sigma2_denominator(self) -> float:
         return self.n - 2 * self.p + self.trace_sigma
@@ -450,15 +500,16 @@ class GlmPoolStats:
         return MixRisk.from_factors(sigma2, self.B_hat if B is None else B, self.v_l,
                                     self.v_u, self.v_s, self.se_v_l, self.se_v_s)
 
-    def ddot_curve(self, sigma2_hat: float) -> np.ndarray:
-        """The loss-mixed fit's estimated risk at each ratio of ``alphas``, at ``beta_eval``."""
+    def ddot_curve(self, sigma2_hat: float, beta: np.ndarray | None = None) -> np.ndarray:
+        """The loss-mixed fit's estimated risk at each ratio of ``alphas``, at a plug-in
+        beta as ``bias_at`` takes it (default ``beta_eval``)."""
         if self.ddot is None:
             raise DataValidationError("stats were built without a mixing-ratio grid")
-        return self.ddot.curve(self._point(), sigma2_hat)
+        return self.ddot.curve(self._point(beta), sigma2_hat)
 
-    def argmin_alpha(self, sigma2_hat: float) -> float:
+    def argmin_alpha(self, sigma2_hat: float, beta: np.ndarray | None = None) -> float:
         """The ratio of ``alphas`` at which ``ddot_curve`` is least."""
-        return float(self.alphas[int(np.argmin(self.ddot_curve(sigma2_hat)))])
+        return float(self.alphas[int(np.argmin(self.ddot_curve(sigma2_hat, beta)))])
 
 
 def _mean_se(arr: np.ndarray) -> tuple[float, float]:
@@ -472,7 +523,8 @@ def estimate_noise_glm(
 
     RSS of the supervised fit divided by n - 2p + the trace of ``stats``, the
     pool statistics at the semi-supervised fit.  ``stats`` must be built for
-    the sample's n.
+    the sample's n.  At the identity link the trace is p exactly, so this is
+    the unbiased RSS/(n - p).
     """
     _check_n(data.n, stats.n)
     denom = stats.sigma2_denominator()
@@ -485,18 +537,26 @@ def estimate_noise_glm(
 
 
 class GlmSample:
-    """The Newton fits and mixing ratios of one centered labeled sample.
+    """The fits, noise estimates and mixing ratios of one centered labeled sample.
 
-    The fits use the centered pool of ``moments``, which must be built for
-    the sample's n; a pool whose Gram H fails ``moments.H_factor`` raises
-    SingularMatrixError before any fit.  One ``GlmProblem``, ``problem``,
-    serves every fit: beta_hat (alpha = 0), beta_breve (alpha = 1) and the
-    loss-mixed fits in between.  ``nonconverged`` counts the solves
-    that did not converge (their results are still used).  ``GlmPoolStats``
-    at beta_breve (plan ``spec``, grid ``alphas``) is built on first use, and
-    from it the noise estimate and the ratios; a sample built without
-    ``spec`` has the fits only.  Shared by ``fit_glm_pipeline`` and the GLM
-    presets.
+    The one per-sample object of every link, shared by ``fit_ols_pipeline``,
+    ``fit_glm_pipeline`` and the OLS and GLM presets.  ``moments`` must be
+    built for the sample's n; a pool whose Gram H fails ``moments.H_factor``
+    raises SingularMatrixError before any fit.  At the identity link the fits
+    are the closed forms of least squares (``fit_ols_supervised``,
+    ``fit_ols_semisupervised``, ``fit_loss_mixed_ols``) and tau2_hat =
+    max((Y^T Y / n - sigma2_hat) / tr Exx, 0) estimates the signal.  At other
+    links one ``GlmProblem``, ``problem``, serves every Newton fit: beta_hat
+    (alpha = 0), beta_breve (alpha = 1) and the loss-mixed fits in between;
+    ``nonconverged`` counts the solves that did not converge (their results
+    are still used), and tau2_hat is None.
+
+    ``stats`` is ``GlmPoolStats`` at beta_breve (plan ``spec``, grid
+    ``alphas``), built on first use.  At the identity link the pass does not
+    depend on the fit, so a pass built for the same ``moments`` may be given
+    in place of a plan and shared by many samples.  From ``stats`` come the
+    noise estimate (``estimate_noise_glm``), the bias B_hat at beta_breve and
+    the ratios; a sample built with neither has the fits only.
     """
 
     def __init__(
@@ -506,18 +566,35 @@ class GlmSample:
         link: LinkSpec,
         spec: ResampleSpec | None = None,
         alphas=None,
+        stats: GlmPoolStats | None = None,
     ):
         _check_n(data.n, moments.n)
-        moments.H_factor  # checked once, before any Newton solve
+        moments.H_factor  # checked once, before any fit
         self.data, self.moments, self.link = data, moments, link
         self.spec, self.alphas = spec, alphas
-        self.problem = GlmProblem(data, moments.pool, link)
         self.nonconverged = 0
-        start = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]  # both pure fits start here
-        self.beta_hat = self._fit(0.0, start)
-        self.beta_breve = self._fit(1.0, start)
+        linear = link.kind == "identity"
+        if stats is not None:
+            if not (linear and stats.link.kind == "identity" and stats.moments is moments
+                    and spec is None and alphas is None):
+                raise DataValidationError("a built pass is taken in place of a plan only at "
+                                          "the identity link and for the sample's own moments")
+            self.stats = stats
+        if linear:
+            self.beta_hat = fit_ols_supervised(data)
+            self.beta_breve = fit_ols_semisupervised(data, moments)
+        else:
+            start = np.linalg.lstsq(data.X, data.Y, rcond=None)[0]  # both pure fits start here
+            self.beta_hat = self._fit(0.0, start)
+            self.beta_breve = self._fit(1.0, start)
+
+    @cached_property
+    def problem(self) -> GlmProblem:
+        return GlmProblem(self.data, self.moments.pool, self.link)
 
     def _fit(self, alpha: float, beta0: np.ndarray | None = None) -> np.ndarray:
+        if self.link.kind == "identity":
+            return fit_loss_mixed_ols(self.data, self.moments, alpha)
         report = self.problem.fit(alpha, beta0)
         self.nonconverged += not report.converged
         return report.beta
@@ -533,13 +610,31 @@ class GlmSample:
         return estimate_noise_glm(self.data, self.beta_hat, self.link, self.stats)
 
     @cached_property
+    def tau2_hat(self) -> float | None:
+        if self.link.kind != "identity":
+            return None
+        signal = float(self.data.Y @ self.data.Y) / self.data.n - self.sigma2_hat
+        return max(signal / float(np.trace(self.moments.Exx)), 0.0)
+
+    @cached_property
+    def B_hat(self) -> float:
+        return self.stats.bias_at(self.beta_breve)
+
+    @cached_property
     def alpha_hat(self) -> float:
-        return self.stats.risk(self.sigma2_hat).ratio
+        """Formula ratio at the plug-in bias B_hat."""
+        return self.ratio()
 
     @cached_property
     def alpha_grid(self) -> float | None:
-        """Argmin of the loss-mixed curve; None when the stats have no grid."""
-        return None if self.stats.ddot is None else self.stats.argmin_alpha(self.sigma2_hat)
+        """Argmin of the loss-mixed curve at beta_breve; None when the stats have no grid."""
+        if self.stats.ddot is None:
+            return None
+        return self.stats.argmin_alpha(self.sigma2_hat, self.beta_breve)
+
+    def ratio(self, B: float | None = None) -> float:
+        """Formula ratio at the estimated noise and a plug-in bias B (default B_hat)."""
+        return self.stats.risk(self.sigma2_hat, self.B_hat if B is None else B).ratio
 
     def linear(self, alpha: float) -> np.ndarray:
         return mix_linear(self.beta_hat, self.beta_breve, alpha)
@@ -548,7 +643,8 @@ class GlmSample:
         """Loss-mixed fit, started at the nearer pure fit unless beta0 is given.
 
         The endpoints are the pure fits themselves: alpha = 0 is beta_hat and
-        alpha = 1 is beta_breve, with no further Newton solve.
+        alpha = 1 is beta_breve, with no further solve.  At the identity link
+        the fit is the closed form and beta0 is not read.
         """
         if alpha == 0.0:
             return self.beta_hat

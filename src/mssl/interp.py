@@ -21,7 +21,7 @@ from .core import (
     spd_factor,
 )
 from .errors import DataValidationError, RegimeError
-from .ols import NoiseSignal, mix_linear
+from .glm import mix_linear
 
 __all__ = [
     "InterpSample",
@@ -146,6 +146,14 @@ def interp_risk_terms(Sigma: np.ndarray, sampler, spec: ResampleSpec) -> InterpR
         b_l=mean[0], v_l=mean[1], b_u=mean[2], v_u=mean[3],
         se_b_l=se[0], se_v_l=se[1], se_b_u=se[2], se_v_u=se[3], n_skipped=n_skipped,
     )
+
+
+@dataclass(frozen=True)
+class NoiseSignal:
+    """The noise and signal estimates of ``InterpSample.sigma_tau``."""
+
+    sigma2_hat: float
+    tau2_hat: float
 
 
 class InterpSample:

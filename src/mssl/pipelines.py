@@ -3,9 +3,11 @@
 Each pipeline checks the mixing policy (formula, grid search, or a fixed
 value) and builds its resampling plan before any work, ingests a labeled
 sample and a pool, shifts the labeled covariates into pool-centered
-coordinates, builds the family's per-sample object (``OlsSample``,
-``GlmSample``, ``InterpSample``, shared with the presets) for the fits, risk
-estimates and ratios, and returns a JSON-ready report.
+coordinates, builds the family's per-sample object (``GlmSample`` for least
+squares and every other link, ``InterpSample`` for the interpolators, shared
+with the presets) for the fits, risk estimates and ratios, and returns a
+JSON-ready report.  The least-squares fit is ``GlmSample`` at the identity
+link with the ``OlsPoolModel`` pass it is given; a GLM sample builds its own.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .core import (
 from .errors import DataValidationError, RegimeError
 from .glm import GlmSample
 from .interp import InterpSample, interp_risk_terms
-from .links import LinkSpec
-from .ols import OlsPoolModel, OlsSample
+from .links import LinkSpec, identity_link
+from .ols import OlsPoolModel
 
 __all__ = ["fit_ols_pipeline", "fit_glm_pipeline", "fit_interp_pipeline"]
 
@@ -92,7 +94,7 @@ def fit_ols_pipeline(
     spec = ResampleSpec(blocks, seed)
     moments, data_c = _centered(data, pool)
     model = OlsPoolModel(moments, spec, grid=grid)
-    s = OlsSample(data_c, model)
+    s = GlmSample(data_c, moments, identity_link(), stats=model)
     alpha = {"formula": s.alpha_hat, "grid": s.alpha_grid, "fixed": fixed}[source]
     diags = {
         "v_l": model.v_l,
@@ -129,10 +131,10 @@ def fit_glm_pipeline(
     diags = {
         "v_l": n * stats.v_l,
         "v_u": n * stats.v_u,
-        "B_hat": n * stats.B_hat,
+        "B_hat": n * s.B_hat,
         "sigma2_hat": s.sigma2_hat,
-        "tau2_hat": None,
-        "alpha_hat": stats.risk(s.sigma2_hat).raw,
+        "tau2_hat": s.tau2_hat,
+        "alpha_hat": stats.risk(s.sigma2_hat, s.B_hat).raw,
         "alpha_tilde": s.alpha_grid,
         "se": {"v_l": n * stats.se_v_l, "v_s": n * stats.se_v_s},
         "v_s": n * stats.v_s,

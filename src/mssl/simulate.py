@@ -19,8 +19,9 @@ Presets are compositions of the library.  A grid point builds what its
 replications share (pool moments with the cached factor of H, resampled pool
 statistics, oracle ratios, the factor of the pool covariance).  A replication
 draws X through ``pool_sampler``/``gaussian_sampler`` and builds its family's
-per-sample object, the one ``mssl fit`` uses (``OlsSample``, ``GlmSample``,
-``InterpSample``).  One table per family maps each estimator name to a fit of
+per-sample object, the one ``mssl fit`` uses (``GlmSample`` at the identity
+or the ELU link, ``InterpSample``); the OLS replications of a grid point share
+its one pool pass.  One table per family maps each estimator name to a fit of
 that object and the grid point's data, checked before any replication runs.
 """
 
@@ -45,7 +46,7 @@ from .errors import DataValidationError, MsslError
 from .glm import GlmPoolStats, GlmSample
 from .interp import InterpRiskTerms, InterpSample, interp_risk_terms
 from .links import LinkSpec, elu_link, identity_link
-from .ols import OlsPoolModel, OlsSample
+from .ols import OlsPoolModel
 from .asymptotics import AsymptoticSetting, interp_limits
 
 __all__ = [
@@ -531,11 +532,11 @@ class _OlsPoint:
     b_u: float | None = None
     bias_tau: float | None = None
 
-    def alpha_est(self, s: OlsSample) -> float:
+    def alpha_est(self, s: GlmSample) -> float:
         return s.alpha_hat if self.b_u is None else s.ratio(s.tau2_hat * self.b_u)
 
 
-# each fit maps (OlsSample, _OlsPoint) to coefficients
+# each fit maps (GlmSample at the identity link, _OlsPoint) to coefficients
 _OLS_FITS = {
     "supervised": lambda s, pt: s.beta_hat,
     "semisupervised": lambda s, pt: s.beta_breve,
@@ -557,13 +558,13 @@ def _ols_fixed_mix(name: str):
     library fit accepts: any finite a for the coefficient mix, a in [0, 1]
     for the loss mix.
     """
-    for prefix, mix in (("linear_mixed(", OlsSample.linear), ("loss_mixed(", OlsSample.loss)):
+    for prefix, mix in (("linear_mixed(", GlmSample.linear), ("loss_mixed(", GlmSample.loss)):
         if name.startswith(prefix) and name.endswith(")"):
             try:
                 a = float(name[len(prefix):-1])
             except ValueError:
                 return None
-            if not math.isfinite(a) or (mix is OlsSample.loss and not 0.0 <= a <= 1.0):
+            if not math.isfinite(a) or (mix is GlmSample.loss and not 0.0 <= a <= 1.0):
                 raise DataValidationError(
                     f"estimator {name!r}: the ratio must be finite, and in [0, 1] for loss_mixed"
                 )
@@ -581,7 +582,7 @@ def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[d
     def rep(k: int) -> dict:
         rng = seeded_rng(cfg.seed, _S_REP, gi, k)
         data, beta = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-        s = OlsSample(data, point.model)
+        s = GlmSample(data, point.model.moments, _IDENTITY, stats=point.model)
         out = {name: _quad_err(L_eval, fit(s, point) - beta) for name, fit in fits}
         u0 = L_eval.T @ (s.beta_hat - beta)
         d = L_eval.T @ (s.beta_breve - beta) - u0

@@ -215,7 +215,7 @@ def test_fit_glm_negative_formula_ratio_is_clipped(ols_files, capsys, monkeypatc
     supervised = json.loads(capsys.readouterr().out)
     # a raw ratio of -0.25 whose negative gain lies within its noise
     monkeypatch.setattr(mssl.glm.GlmPoolStats, "risk",
-                        lambda self, sigma2: MixRisk(0.0, -0.25, 1.25, se_gain=1.0))
+                        lambda self, sigma2, B=None: MixRisk(0.0, -0.25, 1.25, se_gain=1.0))
     assert main(args + ["--alpha", "auto"]) == 0
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, _schema("fit_output.schema.json"))

@@ -277,9 +277,9 @@ def test_ols_pool_model_is_the_identity_link_pass():
 
 
 def test_identity_link_sample_matches_the_least_squares_sample():
-    # the Newton fits, noise estimate and both mixing ratios of the GLM sample
-    # at the identity link are those of the least-squares sample
-    from mssl import GlmSample, OlsSample
+    # the sample's closed-form fits at the identity link are the minimizers
+    # Newton finds for the same blended loss
+    from mssl import GlmSample
 
     rng = seeded_rng(15)
     n, p = 40, 4
@@ -288,16 +288,22 @@ def test_identity_link_sample_matches_the_least_squares_sample():
     moments = build_moments(pool, n)
     data = LabeledSet(data.X - moments.mean, data.Y)
     spec, grid = ResampleSpec(80, 2), np.linspace(0.0, 1.0, 11)
-    glm = GlmSample(data, moments, identity_link(), spec, grid)
-    ols = OlsSample(data, OlsPoolModel(moments, spec, grid=grid))
-    np.testing.assert_allclose(glm.beta_breve, ols.beta_breve, rtol=1e-10)
-    assert glm.sigma2_hat == pytest.approx(ols.sigma2_hat, rel=1e-10)
-    assert glm.stats.B_hat == pytest.approx(ols.B_hat, rel=1e-10)
-    assert glm.alpha_hat == pytest.approx(ols.alpha_hat, rel=1e-10)
-    assert glm.alpha_grid == ols.alpha_grid
-    for sigma2 in (0.5, 4.0):
-        np.testing.assert_allclose(glm.stats.ddot_curve(sigma2),
-                                   ols.model.ddot.curve(glm.beta_breve, sigma2), rtol=1e-10)
+    s = GlmSample(data, moments, identity_link(), spec, grid)
+    problem = GlmProblem(data, moments.pool, identity_link())
+    for alpha, closed in ((0.0, s.beta_hat), (0.4, s.loss(0.4)), (1.0, s.beta_breve)):
+        report = problem.fit(alpha)
+        assert report.converged
+        np.testing.assert_allclose(report.beta, closed, rtol=1e-10, atol=1e-10)
+    # the pass at beta_breve reads its forms there, as the sample's ratios do
+    stats = s.stats
+    assert s.B_hat == stats.B_hat
+    assert s.alpha_hat == stats.risk(s.sigma2_hat).ratio
+    assert s.alpha_grid == stats.argmin_alpha(s.sigma2_hat)
+    # ... and a sample given the shared least-squares pass gets the same numbers
+    shared = GlmSample(data, moments, identity_link(), stats=OlsPoolModel(moments, spec, grid=grid))
+    for name in ("beta_hat", "beta_breve", "sigma2_hat", "tau2_hat", "B_hat", "alpha_hat",
+                 "alpha_grid"):
+        np.testing.assert_array_equal(getattr(shared, name), getattr(s, name), err_msg=name)
 
 
 def test_elu_at_zero_matches_identity_terms():
@@ -317,6 +323,23 @@ def test_pool_stats_need_beta_eval_away_from_the_identity_link():
     pool = UnlabeledPool(seeded_rng(17).standard_normal((200, 2)))
     with pytest.raises(DataValidationError, match="beta_eval"):
         GlmPoolStats(build_moments(pool, 10), elu_link(), None, ResampleSpec(10, 0))
+
+
+def test_pool_stats_forms_away_from_the_identity_link_are_read_at_beta_eval_only():
+    # the ELU pass keeps 1 x 1 forms at beta_eval: a plug-in beta there reads
+    # them, any other beta is refused (it used to fail inside numpy's matmul)
+    rng = seeded_rng(17)
+    pool = UnlabeledPool(rng.standard_normal((400, 3)))
+    beta_eval = np.array([0.5, -0.2, 0.1])
+    stats = GlmPoolStats(build_moments(pool, 20), elu_link(), beta_eval, ResampleSpec(20, 0),
+                         np.linspace(0.0, 1.0, 5))
+    assert stats.bias_at(beta_eval.copy()) == stats.B_hat
+    np.testing.assert_array_equal(stats.ddot_curve(1.0, beta_eval.copy()), stats.ddot_curve(1.0))
+    for beta in (np.ones(3), np.ones(1), beta_eval[:2]):
+        for read in (stats.bias_at, lambda b: stats.ddot_curve(1.0, b),
+                     lambda b: stats.argmin_alpha(1.0, b)):
+            with pytest.raises(DataValidationError, match="beta_eval only"):
+                read(beta)
 
 
 def test_nonpositive_gprime_rejected():
@@ -343,8 +366,8 @@ def test_noise_identity_matches_ols_form():
     sigma2 = estimate_noise_glm(ds, beta_hat, identity_link(), stats)
     resid = ds.Y - ds.X @ beta_hat
     direct = float(resid @ resid) / (ds.n - ds.p)
-    # the trace term concentrates on p, so the denominators agree closely
-    assert sigma2 == pytest.approx(direct, rel=0.02)
+    # the identity link's noise trace is p exactly, so the denominator is n - p
+    assert sigma2 == direct
 
 
 def test_noise_zero_for_noiseless_data():

@@ -19,11 +19,12 @@ from mssl import (
     UnlabeledPool,
     build_moments,
     elu_link,
+    estimate_noise_glm,
     fit_loss_mixed_ols,
     fit_ols_semisupervised,
     fit_ols_supervised,
+    identity_link,
     mix_linear,
-    noise_signal_ols,
     seeded_rng,
 )
 
@@ -263,42 +264,51 @@ def test_risk_terms_need_n_above_p():
 # -- noise and signal ----------------------------------------------------------
 
 
+def _identity_sample(data, moments, blocks=20):
+    from mssl import GlmSample
+
+    return GlmSample(data, moments, identity_link(), ResampleSpec(blocks, 0))
+
+
 def test_noise_zero_on_exact_fit():
     rng = seeded_rng(13)
     X = rng.standard_normal((10, 2))
     beta = np.array([1.0, -2.0])
     ds = LabeledSet(X, X @ beta)
     mom = build_moments(UnlabeledPool(rng.standard_normal((100, 2))), 10)
-    ns = noise_signal_ols(ds, fit_ols_supervised(ds), mom)
-    assert ns.sigma2_hat == pytest.approx(0.0, abs=1e-18)
+    assert _identity_sample(ds, mom).sigma2_hat == pytest.approx(0.0, abs=1e-18)
 
 
 def test_noise_signal_hand_example():
+    # a pool of rows +-1 has Exx = 1 (trace 1); RSS = 2 over n - p = 2
     ds = LabeledSet([[1.0], [1.0], [1.0]], [1.0, 2.0, 3.0])
-    mom = _moments_with_H(np.eye(1) * 3, 3)  # Exx = I, trace 1
-    ns = noise_signal_ols(ds, fit_ols_supervised(ds), mom)
-    assert ns.sigma2_hat == pytest.approx(1.0)
-    assert ns.tau2_hat == pytest.approx(14.0 / 3.0 - 1.0)
+    mom = build_moments(UnlabeledPool(np.tile([[1.0], [-1.0]], (50, 1))), 3)
+    s = _identity_sample(ds, mom)
+    assert s.stats.sigma2_denominator() == 2.0
+    assert s.sigma2_hat == pytest.approx(1.0)
+    assert s.tau2_hat == pytest.approx(14.0 / 3.0 - 1.0)
 
 
 def test_noise_signal_regime_error():
-    ds = LabeledSet(np.eye(3)[:2], [1.0, 2.0])  # n=2, p=3
+    # the noise estimate divides by the pass's n - p, and that pass needs n > p
     mom = _moments_with_H(np.eye(3), 2)
     with pytest.raises(RegimeError, match="interpolators"):
-        noise_signal_ols(ds, np.zeros(3), mom)
+        GlmPoolStats(mom, identity_link(), None, ResampleSpec(10, 0))
 
 
 def test_sigma2_unbiased_over_replications():
+    # RSS / (n - p) of the identity link's noise estimate, over fresh designs
+    # against one pass (at the identity link the pass does not depend on the fit)
     rng = seeded_rng(14)
     n, p, sigma2 = 12, 3, 4.0
+    stats = OlsPoolModel(build_moments(UnlabeledPool(rng.standard_normal((500, p))), n),
+                         ResampleSpec(20, 0))
     vals = []
     for _ in range(5000):
         X = rng.standard_normal((n, p))
         beta = rng.standard_normal(p)
-        Y = X @ beta + math.sqrt(sigma2) * rng.standard_normal(n)
-        b = np.linalg.lstsq(X, Y, rcond=None)[0]
-        r = Y - X @ b
-        vals.append(float(r @ r) / (n - p))
+        ds = LabeledSet(X, X @ beta + math.sqrt(sigma2) * rng.standard_normal(n))
+        vals.append(estimate_noise_glm(ds, fit_ols_supervised(ds), identity_link(), stats))
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - sigma2) < 3 * se

@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from mssl import (
     DataValidationError,
+    GlmPoolStats,
     GlmProblem,
     GlmSample,
     InterpRiskTerms,
     InterpSample,
     LabeledSet,
     OlsPoolModel,
-    OlsSample,
     ResampleSpec,
     UnlabeledPool,
     build_moments,
     elu_link,
+    identity_link,
     seeded_rng,
 )
 from mssl.core import spd_factor
@@ -35,11 +36,12 @@ def _ols_draw(seed: int, n: int = 25, p: int = 3, m: int = 400):
     return X, Y, rng.standard_normal((m, p)) @ L.T + 0.3
 
 
-def _ols_sample(X, Y, Z, grid=None) -> OlsSample:
+def _ols_sample(X, Y, Z, grid=None) -> GlmSample:
+    """The least-squares sample: ``GlmSample`` at the identity link with a built pass."""
     n = X.shape[0]
     moments = build_moments(UnlabeledPool(Z), n)
     model = OlsPoolModel(moments, ResampleSpec(30, 5), grid=grid)
-    return OlsSample(LabeledSet(X - moments.mean, Y), model)
+    return GlmSample(LabeledSet(X - moments.mean, Y), moments, identity_link(), stats=model)
 
 
 def _well_conditioned(seed: int, p: int) -> np.ndarray:
@@ -112,7 +114,7 @@ def test_ols_sample_rejects_a_model_built_for_another_n():
     data, moments = _pool_moments_for_half_n()
     model = OlsPoolModel(moments, ResampleSpec(30, 5))
     with pytest.raises(DataValidationError, match="n=60.*n=30"):
-        OlsSample(data, model)
+        GlmSample(data, moments, identity_link(), stats=model)
 
 
 def test_glm_sample_rejects_moments_built_for_another_n():
@@ -126,6 +128,45 @@ def test_ols_sample_without_a_grid_has_no_grid_ratio():
     s = _ols_sample(X, Y, Z)
     assert s.alpha_grid is None
     assert _ols_sample(X, Y, Z, np.linspace(0.0, 1.0, 5)).alpha_grid in np.linspace(0, 1, 5)
+
+
+def test_identity_link_sample_solves_no_newton_problem(monkeypatch):
+    # least squares has closed forms: the sample builds no GlmProblem and
+    # runs no Newton solve, for its fits, its noise estimate or its ratios
+    import mssl.glm
+
+    def no_newton(*args, **kwargs):
+        raise AssertionError("Newton ran at the identity link")
+
+    monkeypatch.setattr(mssl.glm, "GlmProblem", no_newton)
+    monkeypatch.setattr(mssl.glm, "_newton", no_newton)
+    X, Y, Z = _ols_draw(6)
+    moments = build_moments(UnlabeledPool(Z), X.shape[0])
+    s = GlmSample(LabeledSet(X - moments.mean, Y), moments, identity_link(),
+                  ResampleSpec(30, 5), np.linspace(0.0, 1.0, 11))
+    for fit in (s.loss(0.3), *s.loss_path([0.2, 0.7]), s.loss(s.alpha_hat), s.loss(s.alpha_grid)):
+        assert np.all(np.isfinite(fit))
+    assert s.sigma2_hat > 0 and s.tau2_hat >= 0 and s.nonconverged == 0
+    assert "problem" not in vars(s)
+
+
+def test_a_built_pass_is_shared_only_at_the_identity_link_and_its_own_moments():
+    X, Y, Z = _ols_draw(7)
+    n = X.shape[0]
+    moments = build_moments(UnlabeledPool(Z), n)
+    data = LabeledSet(X - moments.mean, Y)
+    model = OlsPoolModel(moments, ResampleSpec(30, 5))
+    assert GlmSample(data, moments, identity_link(), stats=model).stats is model
+    elu_pass = GlmPoolStats(moments, elu_link(), np.ones(X.shape[1]), ResampleSpec(30, 5))
+    refused = [
+        (moments, elu_link(), {"stats": model}),
+        (moments, identity_link(), {"stats": elu_pass}),
+        (build_moments(UnlabeledPool(Z), n), identity_link(), {"stats": model}),
+        (moments, identity_link(), {"stats": model, "spec": ResampleSpec(30, 5)}),
+    ]
+    for other_moments, link, kw in refused:
+        with pytest.raises(DataValidationError, match="built pass"):
+            GlmSample(data, other_moments, link, **kw)
 
 
 def _glm_sample(seed: int, n: int = 40, p: int = 3, m: int = 600, **kw) -> GlmSample:

@@ -381,7 +381,7 @@ def test_glm_elu_negative_formula_ratio_is_clipped(monkeypatch):
 
     # a raw ratio of -0.25 whose negative gain lies within its noise
     monkeypatch.setattr(mssl.glm.GlmPoolStats, "risk",
-                        lambda self, sigma2: MixRisk(0.0, -0.25, 1.25, se_gain=1.0))
+                        lambda self, sigma2, B=None: MixRisk(0.0, -0.25, 1.25, se_gain=1.0))
     cfg = ExperimentConfig(
         preset="glm_elu",
         k=4,
