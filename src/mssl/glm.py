@@ -326,6 +326,7 @@ class DdotRiskModel:
     ``_V`` of ``GlmPoolStats``: the error at a plug-in point beta (any beta
     at the identity link, the 1 x 1 forms' unit at other links) is
     (beta^T Q beta + sigma^2 xi_alpha V) / n, one quadratic form per call.
+    Its grid argmin is ``GlmPoolStats.argmin_alpha``.
     """
 
     def __init__(self, alphas: np.ndarray, n: int, Q: np.ndarray, V: np.ndarray):
@@ -336,9 +337,6 @@ class DdotRiskModel:
         beta = np.asarray(beta_plugin, dtype=float)
         bias = (self._Q @ beta) @ beta
         return (bias + sigma2_hat * self._xi * self._V) / self.n
-
-    def argmin_alpha(self, beta_plugin: np.ndarray, sigma2_hat: float) -> float:
-        return float(self.alphas[int(np.argmin(self.curve(beta_plugin, sigma2_hat)))])
 
 
 class GlmPoolStats:
@@ -508,7 +506,8 @@ class GlmPoolStats:
         return self.ddot.curve(self._point(beta), sigma2_hat)
 
     def argmin_alpha(self, sigma2_hat: float, beta: np.ndarray | None = None) -> float:
-        """The ratio of ``alphas`` at which ``ddot_curve`` is least."""
+        """The ratio of ``alphas`` at which ``ddot_curve`` is least: the one grid argmin of
+        the loss mix, for a sample's plug-in and for the presets' oracle at the true beta."""
         return float(self.alphas[int(np.argmin(self.ddot_curve(sigma2_hat, beta)))])
 
 

@@ -21,8 +21,10 @@ statistics, oracle ratios, the factor of the pool covariance).  A replication
 draws X through ``pool_sampler``/``gaussian_sampler`` and builds its family's
 per-sample object, the one ``mssl fit`` uses (``GlmSample`` at the identity
 or the ELU link, ``InterpSample``); the OLS replications of a grid point share
-its one pool pass.  One table per family maps each estimator name to a fit of
-that object and the grid point's data, checked before any replication runs.
+its one pool pass.  One table, ``_FITS``, maps each estimator name of the
+``GlmSample`` presets to a fit of that object and the grid point's oracle
+ratios (``_Oracle``), and ``_INTERP_FITS`` does so for the interpolators; a
+preset's row names the estimators it runs, checked before any replication.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -308,8 +309,14 @@ class ExperimentConfig:
             if any(v is not None and v < low for v in values):
                 raise DataValidationError(f"{name} must be >= {low}")
         for name in ("sigma2_grid", "n_grid", "estimators"):
-            if getattr(self, name) == ():
+            values = getattr(self, name)
+            if values == ():
                 raise DataValidationError(f"{name} must be nonempty")
+            # a repeat would be aggregated twice, paired with itself, or file two
+            # grid points' extras under one value
+            repeated = [str(v) for v, count in Counter(values or ()).items() if count > 1]
+            if repeated:
+                raise DataValidationError(f"{name} repeats {', '.join(repeated)}; give each once")
         if any(not 0.0 <= s < math.inf for s in self.sigma2_grid or ()):  # a nan fails too
             raise DataValidationError("sigma2_grid values must be finite and >= 0")
         if self.eval_cov not in (None, "pool", "true"):
@@ -516,17 +523,17 @@ def _relative_errors(per_rep: list[dict], fits, base: str) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# OLS presets
+# least-squares and GLM presets
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _OlsPoint:
-    """What the replications of one OLS grid point share besides the pool model:
-    the oracle ratios, and for random coefficients b_u and the bias tau^2 b_u
-    (the estimated ratio then takes the plug-in bias tau_hat^2 b_u)."""
+class _Oracle:
+    """The oracle ratios one least-squares or GLM grid point shares: the
+    coefficient mix's clipped formula and the loss mix's grid argmin, and for
+    random coefficients b_u and the bias tau^2 b_u (the estimated ratio then
+    takes the plug-in bias tau_hat^2 b_u)."""
 
-    model: OlsPoolModel
     alpha_star: float
     alpha_ddot: float | None = None
     b_u: float | None = None
@@ -536,18 +543,31 @@ class _OlsPoint:
         return s.alpha_hat if self.b_u is None else s.ratio(s.tau2_hat * self.b_u)
 
 
-# each fit maps (GlmSample at the identity link, _OlsPoint) to coefficients
-_OLS_FITS = {
-    "supervised": lambda s, pt: s.beta_hat,
-    "semisupervised": lambda s, pt: s.beta_breve,
-    "linear_mixed_opt": lambda s, pt: s.linear(pt.alpha_star),
-    "linear_mixed_est": lambda s, pt: s.linear(pt.alpha_est(s)),
-    "linear_mixed_est_tau": lambda s, pt: s.linear(s.ratio(pt.bias_tau)),
+def _oracle(stats: GlmPoolStats, sigma2: float, beta_true: np.ndarray) -> _Oracle:
+    """The oracle ratios of a pass read at the true coefficients: any beta at the
+    identity link, its ``beta_eval`` at other links."""
+    return _Oracle(stats.risk(sigma2, stats.bias_at(beta_true)).ratio,
+                   stats.argmin_alpha(sigma2, beta_true))
+
+
+# each fit maps (GlmSample, _Oracle) to coefficients; a preset's row names
+# the ones it runs
+_FITS = {
+    "supervised": lambda s, o: s.beta_hat,
+    "semisupervised": lambda s, o: s.beta_breve,
+    "linear_mixed_opt": lambda s, o: s.linear(o.alpha_star),
+    "linear_mixed_est": lambda s, o: s.linear(o.alpha_est(s)),
+    "linear_mixed_est_tau": lambda s, o: s.linear(s.ratio(o.bias_tau)),
     # the pure fit of lower formula risk: beta_breve when the gain exceeds the cost
-    "adaptive_select": lambda s, pt: s.beta_breve if s.alpha_hat > 0.5 else s.beta_hat,
-    "loss_mixed_est": lambda s, pt: s.loss(s.alpha_hat),
-    "loss_mixed_grid": lambda s, pt: s.loss(s.alpha_grid),
-    "loss_mixed_opt": lambda s, pt: s.loss(pt.alpha_ddot),
+    "adaptive_select": lambda s, o: s.beta_breve if s.alpha_hat > 0.5 else s.beta_hat,
+    "loss_mixed_est": lambda s, o: s.loss(s.alpha_hat),
+    "loss_mixed_grid": lambda s, o: s.loss(s.alpha_grid),
+    "loss_mixed_opt": lambda s, o: s.loss(o.alpha_ddot),
+}
+# glm_alpha_sweep: each estimator is a curve of fits over the ratio grid
+_GLM_SWEEP_CURVES = {
+    "linear_mixed": lambda s, alphas: [s.linear(a) for a in alphas],
+    "loss_mixed": lambda s, alphas: s.loss_path(alphas),
 }
 
 
@@ -568,12 +588,12 @@ def _ols_fixed_mix(name: str):
                 raise DataValidationError(
                     f"estimator {name!r}: the ratio must be finite, and in [0, 1] for loss_mixed"
                 )
-            return lambda s, pt: mix(s, a)
+            return lambda s, o: mix(s, a)
     return None
 
 
-def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[dict]:
-    """The K replications of one OLS grid point.
+def _ols_reps(cfg, gi, model, oracle, draw_x, beta_mode, sigma2, fits, L_eval) -> list[dict]:
+    """The K replications of one OLS grid point, which share its pool model.
 
     Besides the estimator errors, each returns the quadratic coefficients of
     its mixed-coefficient error curve under ``_curve``.
@@ -582,8 +602,8 @@ def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[d
     def rep(k: int) -> dict:
         rng = seeded_rng(cfg.seed, _S_REP, gi, k)
         data, beta = _label(draw_x(rng), beta_mode, _IDENTITY, sigma2, rng)
-        s = GlmSample(data, point.model.moments, _IDENTITY, stats=point.model)
-        out = {name: _quad_err(L_eval, fit(s, point) - beta) for name, fit in fits}
+        s = GlmSample(data, model.moments, _IDENTITY, stats=model)
+        out = {name: _quad_err(L_eval, fit(s, oracle) - beta) for name, fit in fits}
         u0 = L_eval.T @ (s.beta_hat - beta)
         d = L_eval.T @ (s.beta_breve - beta) - u0
         out["_curve"] = (float(d @ d), float(2.0 * u0 @ d), float(u0 @ u0))
@@ -593,7 +613,7 @@ def _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval) -> list[d
 
 
 def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
-    fits = _select(cfg, _OLS_FITS, _ols_fixed_mix)
+    fits = _select(cfg, _FITS, _ols_fixed_mix)
     p = _p_from_rule(cfg.p_rule, cfg.n)
     Sigma = _block_sigma(cfg, p)
     beta_mode = constant_beta(1.5)
@@ -605,28 +625,23 @@ def _run_ols_constant(cfg: ExperimentConfig) -> ExperimentResult:
     alphas = np.linspace(0.0, 1.0, cfg.alpha_grid_size)
     ddot_grid = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, cfg.alpha_grid_size - 1)])
     model = OlsPoolModel(moments, spec, grid=ddot_grid)
-    B_true = model.bias_at(beta_true)
 
     def run_point(gi: int, n: int, sigma2: float):
-        point = _OlsPoint(
-            model,
-            alpha_star=model.risk(sigma2, B_true).ratio,
-            alpha_ddot=model.ddot.argmin_alpha(beta_true, sigma2),
-        )
-        per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
+        oracle = _oracle(model, sigma2, beta_true)
+        per_rep = _ols_reps(cfg, gi, model, oracle, draw_x, beta_mode, sigma2, fits, L_eval)
         coeffs = np.asarray([rep["_curve"] for rep in per_rep])
-        return per_rep, {"alpha_star": point.alpha_star, "alpha_ddot_oracle": point.alpha_ddot,
+        return per_rep, {"alpha_star": oracle.alpha_star, "alpha_ddot_oracle": oracle.alpha_ddot,
                          "alpha_curve": _alpha_curve(coeffs, alphas)}
 
     extras = {"terms": {"v_l": model.v_l, "v_u": model.v_u, "b_u": model.b_u_hat},
-              "B_true": B_true}
+              "B_true": model.bias_at(beta_true)}
     return _grid(cfg, fits, run_point, extras)
 
 
 def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
     tau2 = 1.0
     beta_mode = random_beta(math.sqrt(tau2))
-    fits = _select(cfg, _OLS_FITS)
+    fits = _select(cfg, _FITS)
 
     def run_point(gi: int, n: int, sigma2: float):
         Sigma = _block_sigma(cfg, _p_from_rule(cfg.p_rule, n))
@@ -634,42 +649,13 @@ def _run_ols_random(cfg: ExperimentConfig) -> ExperimentResult:
         model = OlsPoolModel(moments, spec, bias=False)
         b_u = model.b_u_hat
         risk = model.risk(sigma2, tau2 * b_u)
-        point = _OlsPoint(model, alpha_star=risk.ratio, b_u=b_u, bias_tau=tau2 * b_u)
-        per_rep = _ols_reps(cfg, gi, point, draw_x, beta_mode, sigma2, fits, L_eval)
+        oracle = _Oracle(risk.ratio, b_u=b_u, bias_tau=tau2 * b_u)
+        per_rep = _ols_reps(cfg, gi, model, oracle, draw_x, beta_mode, sigma2, fits, L_eval)
         return per_rep, {"alpha_star": risk.ratio, "eta_theory": risk.eta,
                          "terms": {"v_l": model.v_l, "v_u": model.v_u, "b_u": b_u},
                          "eta_measured": _relative_errors(per_rep, fits, "supervised")}
 
     return _grid(cfg, fits, run_point, {})
-
-
-# ---------------------------------------------------------------------------
-# GLM presets
-# ---------------------------------------------------------------------------
-
-
-class _GlmOracle(NamedTuple):
-    """Oracle ratios: the clipped formula (coefficient mix) and the grid (loss mix)."""
-
-    alpha_dot: float
-    alpha_ddot: float
-
-
-# each fit maps (GlmSample, _GlmOracle) to coefficients
-_GLM_FITS = {
-    "supervised": lambda s, o: s.beta_hat,
-    "semisupervised": lambda s, o: s.beta_breve,
-    "linear_mixed_est": lambda s, o: s.linear(s.alpha_hat),
-    "linear_mixed_opt": lambda s, o: s.linear(o.alpha_dot),
-    "loss_mixed_est": lambda s, o: s.loss(s.alpha_hat),
-    "loss_mixed_grid": lambda s, o: s.loss(s.alpha_grid),
-    "loss_mixed_opt": lambda s, o: s.loss(o.alpha_ddot),
-}
-# glm_alpha_sweep: each estimator is a curve of fits over the ratio grid
-_GLM_SWEEP_CURVES = {
-    "linear_mixed": lambda s, alphas: [s.linear(a) for a in alphas],
-    "loss_mixed": lambda s, alphas: s.loss_path(alphas),
-}
 
 
 class _GlmStudy:
@@ -683,20 +669,17 @@ class _GlmStudy:
         self.link = elu_link()
         Sigma = _block_sigma(cfg, p)
         self.beta_mode = constant_beta(2.0)
-        beta_true = np.full(p, self.beta_mode.value)
+        self.beta_true = np.full(p, self.beta_mode.value)
         self.Z_eval = gaussian_sampler(Sigma, 10000)(seeded_rng(cfg.seed, _S_EVAL))
-        self.mu_true = self.link.g(self.Z_eval @ beta_true)
+        self.mu_true = self.link.g(self.Z_eval @ self.beta_true)
         self.draw_pool = gaussian_sampler(Sigma, cfg.pool_size)
         self.draw_x = gaussian_sampler(Sigma, cfg.n)
         self.alphas = np.round(np.linspace(0.0, 1.0, 21), 10)
-        self.oracle = GlmPoolStats(
-            build_moments(_gaussian_pool(cfg.seed, 20000, Sigma), cfg.n), self.link, beta_true,
-            ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
+        self.stats = GlmPoolStats(
+            build_moments(_gaussian_pool(cfg.seed, 20000, Sigma), cfg.n), self.link,
+            self.beta_true, ResampleSpec(cfg.resample_blocks, _derive_seed(cfg.seed, _S_TERMS)),
             alphas=self.alphas,
         )
-
-    def oracle_ratios(self, sigma2: float) -> _GlmOracle:
-        return _GlmOracle(self.oracle.risk(sigma2).ratio, self.oracle.argmin_alpha(sigma2))
 
     def draw(self, gi: int, k: int, sigma2: float) -> tuple[LabeledSet, UnlabeledPool]:
         """The labeled sample and the pool, centered in place, of one replication."""
@@ -714,11 +697,11 @@ def _nonconverged(per_rep: list[dict]) -> int:
 
 
 def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
-    fits = _select(cfg, _GLM_FITS)
+    fits = _select(cfg, _FITS)
     study = _GlmStudy(cfg)
 
     def run_point(gi: int, n: int, sigma2: float):
-        oracle = study.oracle_ratios(sigma2)
+        oracle = _oracle(study.stats, sigma2, study.beta_true)
 
         def rep(k: int) -> dict:
             data, pool = study.draw(gi, k, sigma2)
@@ -732,11 +715,11 @@ def _run_glm_elu(cfg: ExperimentConfig) -> ExperimentResult:
             return out
 
         per_rep = _run_reps(cfg, rep, cfg.k)
-        return per_rep, {"alpha_dot_oracle": oracle.alpha_dot,
+        return per_rep, {"alpha_dot_oracle": oracle.alpha_star,
                          "alpha_ddot_oracle": oracle.alpha_ddot,
                          "newton_nonconverged": _nonconverged(per_rep)}
 
-    return _grid(cfg, fits, run_point, {"oracle_terms": study.oracle})
+    return _grid(cfg, fits, run_point, {"oracle_terms": study.stats})
 
 
 def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
@@ -745,7 +728,7 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     estimators = [name for name, _ in curves]
     study = _GlmStudy(cfg)
     alphas = study.alphas
-    alpha_dot, alpha_ddot = study.oracle_ratios(sigma2)
+    oracle = _oracle(study.stats, sigma2, study.beta_true)
 
     def rep(k: int) -> dict:
         data, pool = study.draw(0, k, sigma2)
@@ -766,8 +749,8 @@ def _run_glm_alpha_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     mean_curves = {name: np.stack([r[name] for r in per_rep]).mean(axis=0) for name in estimators}
     extras = {
         "alphas": alphas,
-        "alpha_dot_oracle": alpha_dot,
-        "alpha_ddot_oracle": alpha_ddot,
+        "alpha_dot_oracle": oracle.alpha_star,
+        "alpha_ddot_oracle": oracle.alpha_ddot,
         "mc_argmin": {name: float(alphas[int(np.argmin(c))]) for name, c in mean_curves.items()},
         "mean_curves": mean_curves,
         "newton_nonconverged": {sigma2: _nonconverged(per_rep)},
@@ -790,7 +773,7 @@ class _InterpPoint:
 
     Sigma_fit: np.ndarray
     terms: InterpRiskTerms
-    sigma2: float
+    alpha_oracle: float
     tau2: float
 
 
@@ -807,7 +790,7 @@ _INTERP_FITS = {
     "interp_mixed_est_tau": lambda s, pt: s.linear(
         pt.terms.risk(max(s.sigma2_known_tau(pt.tau2), 0.0), pt.tau2).ratio
     ),
-    "interp_mixed_opt": lambda s, pt: s.linear(pt.terms.risk(pt.sigma2, pt.tau2).ratio),
+    "interp_mixed_opt": lambda s, pt: s.linear(pt.alpha_oracle),
 }
 
 
@@ -833,7 +816,7 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
         moments, spec, L_eval, draw_x = _pool_point(cfg, n, Sigma, gi)
         Sigma_fit = moments.Exx
         terms = interp_risk_terms(Sigma_fit, pool_sampler(moments.pool, n), spec)
-        point = _InterpPoint(Sigma_fit, terms, sigma2, tau2)
+        point = _InterpPoint(Sigma_fit, terms, terms.risk(sigma2, tau2).ratio, tau2)
 
         def rep(k: int) -> dict:
             rng = seeded_rng(cfg.seed, _S_REP, gi, k)
@@ -845,7 +828,7 @@ def _run_interp(cfg: ExperimentConfig) -> ExperimentResult:
             return out
 
         per_rep = _run_reps(cfg, rep, cfg.k)
-        return per_rep, {"terms": terms, "alpha_oracle": terms.risk(sigma2, tau2).ratio,
+        return per_rep, {"terms": terms, "alpha_oracle": point.alpha_oracle,
                          "dominance_min_slack": min(r["_dominance_slack"] for r in per_rep),
                          "eta_measured": _relative_errors(per_rep, fits, "min_norm")}
 
@@ -883,15 +866,20 @@ _ROWS = {
     "ols_constant_beta": _Row(
         _run_ols_constant, "sigma2", n=100, p_rule="fixed:50", sigma2_grid=_SIGMA2S,
         pool_size=20000, alpha_grid_size=51, **_DESIGN,
-        estimators=tuple(name for name in _OLS_FITS if name != "linear_mixed_est_tau"),
+        estimators=("supervised", "semisupervised", "linear_mixed_opt", "linear_mixed_est",
+                    "adaptive_select", "loss_mixed_est", "loss_mixed_grid", "loss_mixed_opt"),
     ),
     "ols_random_beta": _Row(
         _run_ols_random, "n", trace=25.0, n_grid=(100, 200, 500), p_rule="ratio:0.5",
-        sigma2_grid=(25.0,), pool_size=10000, **_DESIGN, estimators=tuple(_OLS_FITS)[:5],
+        sigma2_grid=(25.0,), pool_size=10000, **_DESIGN,
+        estimators=("supervised", "semisupervised", "linear_mixed_opt", "linear_mixed_est",
+                    "linear_mixed_est_tau"),
     ),
     "glm_elu": _Row(
         _run_glm_elu, "sigma2", n=50, p_rule="fixed:10", sigma2_grid=_SIGMA2S, pool_size=5000,
-        rep_blocks=40, estimators=tuple(_GLM_FITS),
+        rep_blocks=40,
+        estimators=("supervised", "semisupervised", "linear_mixed_est", "linear_mixed_opt",
+                    "loss_mixed_est", "loss_mixed_grid", "loss_mixed_opt"),
     ),
     "glm_alpha_sweep": _Row(
         _run_glm_alpha_sweep, "alpha", n=50, p_rule="fixed:10", sigma2_grid=(25.0,),

@@ -629,6 +629,33 @@ def test_simulate_rejects_an_n_grid_the_preset_does_not_sweep(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("preset, flag, value, field", [
+    ("ols_random_beta", "--estimators", "supervised,supervised,semisupervised", "estimators"),
+    ("ols_random_beta", "--n-grid", "30,30", "n_grid"),
+    ("glm_elu", "--sigma2-grid", "1,1.0", "sigma2_grid"),
+])
+def test_simulate_rejects_repeats_before_any_work(
+    preset, flag, value, field, tmp_path, capsys, monkeypatch
+):
+    # a repeated estimator used to write its rows twice and a self-pair, and a
+    # repeated n the second point's extras over the first's
+    import mssl.simulate
+
+    def no_work(cfg):
+        raise AssertionError("the preset ran before its names and grids were checked")
+
+    monkeypatch.setitem(mssl.simulate.PRESETS, preset, no_work)
+    out = tmp_path / "out"
+    code = main(["simulate", "--preset", preset, flag, value, "-k", "3", "--out-dir", str(out)])
+    assert code == 2
+    assert f"{field} repeats" in capsys.readouterr().err
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(f"[experiment]\npreset = {preset}\n{field} = {value}\n")
+    assert main(["simulate", "--config", str(cfgfile), "--out-dir", str(out)]) == 1
+    assert f"{field} repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-4", "nan", "inf"])
 def test_simulate_rejects_a_negative_or_non_finite_sigma2(value, tmp_path, capsys, monkeypatch):
     # --sigma2-grid=-4 used to exit 1 with a math domain error from the noise draw

@@ -429,18 +429,18 @@ def test_grid_search_zero_bias_plugin():
     rng = seeded_rng(15)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
     mom = build_moments(pool, 20)
-    ddot = OlsPoolModel(mom, ResampleSpec(60, 6), grid=np.linspace(0, 1, 11)).ddot
-    r_hat = ddot.curve(np.zeros(4), 1.0)
+    model = OlsPoolModel(mom, ResampleSpec(60, 6), grid=np.linspace(0, 1, 11))
+    r_hat = model.ddot.curve(np.zeros(4), 1.0)
     assert np.all(r_hat[0] >= r_hat)  # alpha=0 is the worst point
-    assert ddot.argmin_alpha(np.zeros(4), 1.0) >= 0.5
+    assert model.argmin_alpha(1.0, np.zeros(4)) >= 0.5
 
 
 def test_grid_search_noiseless_prefers_supervised():
     rng = seeded_rng(16)
     pool = UnlabeledPool(rng.standard_normal((2000, 4)))
     mom = build_moments(pool, 20)
-    ddot = OlsPoolModel(mom, ResampleSpec(60, 7), grid=np.linspace(0, 1, 11)).ddot
-    assert ddot.argmin_alpha(np.ones(4), 0.0) == 0.0
+    model = OlsPoolModel(mom, ResampleSpec(60, 7), grid=np.linspace(0, 1, 11))
+    assert model.argmin_alpha(0.0, np.ones(4)) == 0.0
 
 
 def test_grid_search_endpoints_match_pure_risks():

@@ -708,6 +708,65 @@ def test_unknown_estimator_rejected_before_any_replication(preset, monkeypatch):
     assert main(["simulate", "--preset", preset, "-k", "2", "--estimators", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("preset", ["ols_constant_beta", "ols_random_beta", "glm_elu"])
+def test_a_preset_runs_only_the_estimators_its_row_names(preset, monkeypatch):
+    # the least-squares and GLM presets share one table; a name of the table
+    # that a preset's row leaves out stays unknown to that preset
+    import mssl.simulate
+    from mssl.simulate import _FITS, _ROWS
+
+    def no_reps(*args, **kwargs):
+        raise AssertionError("replications ran before the estimator names were checked")
+
+    monkeypatch.setattr(mssl.simulate, "_run_reps", no_reps)
+    names = _ROWS[preset].defaults["estimators"]
+    assert set(names) <= set(_FITS)
+    for name in set(_FITS) - set(names):
+        with pytest.raises(DataValidationError, match=f"unknown estimator {name!r}"):
+            run_experiment(_small_cfg(preset, estimators=(name,)))
+
+
+@pytest.mark.parametrize("field, values", [
+    ("estimators", ("supervised", "supervised", "semisupervised")),
+    ("n_grid", (30, 40, 30)),
+    ("sigma2_grid", (1.0, 1)),
+])
+def test_repeated_names_or_grid_values_are_rejected(field, values, tmp_path):
+    # a repeated estimator was aggregated twice and paired with itself, and a
+    # repeated grid value filed two points' extras under one key
+    with pytest.raises(DataValidationError, match=f"{field} repeats"):
+        ExperimentConfig(preset="ols_random_beta", **{field: values})
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(f"[experiment]\npreset = glm_elu\n{field} = "
+                       f"{', '.join(map(str, values))}\n")
+    with pytest.raises(DataValidationError, match=f"{field} repeats"):
+        load_config(cfgfile)
+
+
+def test_oracle_is_both_readings_of_the_pass():
+    # an identity pass at any beta gives the bias there and the argmin of the
+    # loss mix's curve there; an ELU pass is read at its beta_eval, which the
+    # default B_hat and argmin_alpha read too
+    from mssl import OlsPoolModel, ResampleSpec, build_moments
+    from mssl.glm import GlmPoolStats
+    from mssl.simulate import _Oracle, _oracle
+
+    rng = seeded_rng(62)
+    moments = build_moments(UnlabeledPool(rng.standard_normal((600, 4))), 15)
+    alphas = np.concatenate([[0.0], np.geomspace(2e-4, 1.0, 10)])
+    ols = OlsPoolModel(moments, ResampleSpec(30, 3), grid=alphas)
+    glm = GlmPoolStats(moments, elu_link(), np.full(4, 0.5), ResampleSpec(30, 4), alphas=alphas)
+    for sigma2 in (0.0, 1.0, 25.0):
+        for beta in (np.zeros(4), rng.standard_normal(4), np.full(4, 1.5)):
+            argmin = float(alphas[int(np.argmin(ols.ddot.curve(beta, sigma2)))])
+            assert _oracle(ols, sigma2, beta) == _Oracle(
+                ols.risk(sigma2, ols.bias_at(beta)).ratio, argmin
+            )
+        assert _oracle(glm, sigma2, np.full(4, 0.5)) == _Oracle(
+            glm.risk(sigma2).ratio, glm.argmin_alpha(sigma2)
+        )
+
+
 @pytest.mark.parametrize(
     "name", ["loss_mixed(1.5)", "loss_mixed(-0.1)", "loss_mixed(nan)", "linear_mixed(inf)"]
 )
